@@ -132,7 +132,11 @@ def is_integrable(omega):
 
 def invariants(omega):
     """Singular-scheme invariants and Chern triple of the tangent sheaf."""
-    d = validate_oneform(omega)
+    return _invariants(omega, validate_oneform(omega))
+
+
+def _invariants(omega, d):
+    """invariants() of a 1-form already validated to have degree d."""
     sat = singular_scheme(omega)
     h = hilbert(sat)
     dim = h.projective_dimension
@@ -212,7 +216,7 @@ def _stability(degree, tF, split, chern):
 def classify(omega):
     """Full analysis pipeline producing a DistReport."""
     d = validate_oneform(omega)
-    sing, chern = invariants(omega)
+    sing, chern = _invariants(omega, d)
     tF, section, sdim = compute_tF(omega, degree=d)
     split = split_test(tF, chern, d)
     verdict = _stability(d, tF, split, chern)

@@ -177,6 +177,20 @@ def radial_field():
     return VField(tuple(Poly.variable(i) for i in range(NVARS)))
 
 
+def minors_against_radial(v):
+    """The six 2x2 minors F_i*x_j - F_j*x_i of the field against the radial
+    field; they define its singular scheme, and all vanish exactly when the
+    field is a polynomial multiple of the radial field."""
+    out = []
+    for i in range(NVARS):
+        for j in range(i + 1, NVARS):
+            out.append(
+                v.components[i] * Poly.variable(j)
+                - v.components[j] * Poly.variable(i)
+            )
+    return out
+
+
 def contract(v, a):
     """Interior product i_v(a); lowers grade by one."""
     if a.grade < 1:

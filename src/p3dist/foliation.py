@@ -19,10 +19,9 @@ from .errors import (
     UnclassifiedDegree1,
 )
 from .distribution import ChernTriple
-from .exterior import VField, contract
+from .exterior import VField, contract, minors_against_radial
 from .groebner import Ideal, irrelevant_ideal, saturate
 from .hilbert import hilbert
-from .poly import NVARS, Poly
 
 _DEGREE1_CASES = {
     (0, 6, 4): "stable-points",
@@ -54,18 +53,6 @@ def _validated_degree(v):
             "components must be homogeneous of a common degree and not all zero"
         )
     return deg
-
-
-def minors_against_radial(v):
-    """The six 2x2 minors F_i*x_j - F_j*x_i defining the singular scheme."""
-    out = []
-    for i in range(NVARS):
-        for j in range(i + 1, NVARS):
-            out.append(
-                v.components[i] * Poly.variable(j)
-                - v.components[j] * Poly.variable(i)
-            )
-    return out
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,8 +1,11 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra for the section spaces of the tangent sheaf.
 
-Rank/nullity via fraction-free Bareiss elimination on integer matrices;
-kernel bases via reduced row echelon form. Built on top of these: the
-dimension h0 of twisted section spaces of the tangent sheaf of a
+One routine, `_pivot_rows`, runs integer Gauss-Jordan elimination on sparse
+rows. Each step is fraction-free in the sense of Bareiss: a*row - b*pivot,
+divided by its content. Its pivot rows are the reduced row echelon form of
+the row space up to one nonzero scale per row, which gives the rank, the
+canonical RREF kernel basis, and reduction modulo a subspace. Built on top
+of it: the dimension h0 of twisted section spaces of the tangent sheaf of a
 codimension-one distribution, and the minimal twist admitting a section.
 """
 
@@ -10,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
-from .errors import BoundViolated, InvalidForm
-from .exterior import VField, contract, radial_field
+from .errors import BoundViolated, InternalInconsistency, InvalidForm
+from .exterior import VField, contract, minors_against_radial, radial_field
 from .poly import (
     NVARS,
     Poly,
@@ -23,119 +27,87 @@ from .poly import (
 )
 
 
-class RatMatrix:
-    """Dense row-major exact matrix."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged matrix")
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = ncols
-
-    def integer_rows(self):
-        """Rows rescaled to integers (rank-preserving)."""
-        out = []
-        for r in self.rows:
-            den = 1
-            for c in r:
-                c = Fraction(c)
-                den = den * c.denominator // gcd(den, c.denominator)
-            out.append([int(Fraction(c) * den) for c in r])
-        return out
+def _primitive(row):
+    """A nonzero row (column -> nonzero rational) scaled to a primitive
+    integer row whose entry in the lowest column is positive."""
+    den = lcm(*(c.denominator for c in row.values()))
+    ints = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {k: c // g for k, c in ints.items()} if g != 1 else ints
 
 
-def bareiss_rank(matrix):
-    """Rank by fraction-free Bareiss elimination."""
-    m = matrix.integer_rows() if isinstance(matrix, RatMatrix) else [list(r) for r in matrix]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != row:
-            m[row], m[pivot_row] = m[pivot_row], m[row]
-        piv = m[row][col]
-        for r in range(row + 1, nrows):
-            mr = m[r]
-            f = mr[col]
-            if f or True:
-                top = m[row]
-                for c in range(col, ncols):
-                    mr[c] = (piv * mr[c] - f * top[c]) // prev
-        prev = piv
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+def _eliminate(row, pivot_row, col):
+    """a*row - b*pivot_row, divided by its content, where p = pivot_row[col],
+    f = row[col], g = gcd(p, f), a = p/g and b = f/g; the entry in col cancels."""
+    p, f = pivot_row[col], row[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = {k: a * c for k, c in row.items()}
+    for k, c in pivot_row.items():
+        c = out.get(k, 0) - b * c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    g = gcd(*out.values())
+    return {k: c // g for k, c in out.items()} if g > 1 else out
 
 
-def kernel_dim(matrix):
-    """Exact nullity: columns minus Bareiss rank."""
-    if isinstance(matrix, RatMatrix):
-        return matrix.ncols - bareiss_rank(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    return ncols - bareiss_rank(matrix)
+def _pivot_rows(rows):
+    """Integer Gauss-Jordan elimination on sparse rows (column -> nonzero int).
+
+    Returns [(pivot_col, row)] in increasing pivot column: the reduced row
+    echelon form of the row space, each row a nonzero integer multiple of
+    its RREF row. The length is the rank. The input rows are not modified.
+    """
+    by_lead = {}
+    for r in rows:
+        if r:
+            by_lead.setdefault(min(r), []).append(r)
+    leads = list(by_lead)
+    heapify(leads)
+    echelon = []
+    while leads:
+        col = heappop(leads)
+        here = by_lead.pop(col)
+        # the shortest candidate causes the least fill-in; RREF is unique,
+        # so the choice cannot change the result
+        pivot = min(here, key=len)
+        for r in here:
+            if r is pivot:
+                continue
+            r = _eliminate(r, pivot, col)
+            if r:
+                lead = min(r)
+                if lead not in by_lead:
+                    by_lead[lead] = []
+                    heappush(leads, lead)
+                by_lead[lead].append(r)
+        echelon.append((col, pivot))
+    # back substitution: row i is final once every later row has cleared it
+    for i in range(len(echelon) - 1, 0, -1):
+        pc, pr = echelon[i]
+        for j in range(i):
+            qc, qr = echelon[j]
+            if pc in qr:
+                echelon[j] = (qc, _eliminate(qr, pr, pc))
+    return echelon
 
 
-def rref(rows):
-    """Reduced row echelon form over Fraction; returns (rref_rows, pivots)."""
-    m = [[Fraction(c) for c in r] for r in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        piv = m[row][col]
-        m[row] = [c / piv for c in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m, pivots
-
-
-def kernel_basis(rows):
-    """Basis of the right kernel, one vector per free column (RREF form)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def _kernel(echelon, ncols):
+    """Canonical RREF basis of the right kernel: for each free column fc in
+    increasing order, the vector (column -> Fraction) with v[fc] = 1."""
+    pivots = {pc for pc, _ in echelon}
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = {fc: Fraction(1)}
+        for pc, r in echelon:
+            if fc in r:
+                v[pc] = Fraction(-r[fc], r[pc])
         basis.append(v)
     return basis
 
@@ -150,26 +122,29 @@ class SectionSpaceDim:
     h0: int
 
 
-def _contraction_matrix(coeffs, dprime):
-    """Matrix of (F_0..F_3) -> sum A_i F_i on degree-dprime quadruples.
+def _coeff_degree(coeffs):
+    """Degree of the 1-form's coefficients, read from a nonzero one."""
+    lead = next((p for p in coeffs if not p.is_zero()), None)
+    if lead is None:
+        raise InvalidForm("zero 1-form")
+    return lead.homogeneous_degree()
 
-    Columns: component-major over the degree-dprime monomial basis.
-    Rows: monomials of the target degree.
+
+def _contraction_rows(coeffs, dprime):
+    """Rows of (F_0..F_3) -> sum A_i F_i on degree-dprime quadruples.
+
+    Columns: component-major over the degree-dprime monomial basis. One
+    primitive integer row per monomial of the target degree that is hit.
     """
-    dega = coeffs[0].homogeneous_degree()
     src_mons = monomials_of_degree(dprime)
-    tgt_mons = monomials_of_degree(dprime + dega)
-    tgt_index = {m: r for r, m in enumerate(tgt_mons)}
-    ncols = NVARS * len(src_mons)
-    rows = [[Fraction(0)] * ncols for _ in tgt_mons]
+    rows = {}
     col = 0
-    for i in range(NVARS):
-        ai = coeffs[i]
+    for ai in coeffs:
         for m in src_mons:
             for am, ac in ai.terms.items():
-                rows[tgt_index[mon_mul(am, m)]][col] = ac
+                rows.setdefault(mon_mul(am, m), {})[col] = ac
             col += 1
-    return rows, src_mons
+    return [_primitive(r) for r in rows.values()], src_mons
 
 
 def h0_tangent_twist(omega, dprime):
@@ -180,79 +155,49 @@ def h0_tangent_twist(omega, dprime):
         raise InvalidForm("1-form does not annihilate the radial field")
     if dprime < 0:
         return SectionSpaceDim(dprime, 0, 0, 0)
-    rows, _ = _contraction_matrix(coeffs, dprime)
-    nullity = kernel_dim(RatMatrix(rows))
+    rows, src_mons = _contraction_rows(coeffs, dprime)
+    nullity = NVARS * len(src_mons) - len(_pivot_rows(rows))
     radial = dim_graded_piece(dprime - 1)
     return SectionSpaceDim(dprime, nullity, radial, nullity - radial)
 
 
-def _radial_vectors(dprime, src_mons):
+def _radial_rows(dprime, src_mons):
     """Coefficient vectors of (x_0*f, ..., x_3*f) for f of degree dprime-1."""
     src_index = {m: i for i, m in enumerate(src_mons)}
     n = len(src_mons)
     out = []
     for f in monomials_of_degree(dprime - 1):
-        v = [Fraction(0)] * (NVARS * n)
+        v = {}
         for i in range(NVARS):
             shifted = list(f)
             shifted[i] += 1
-            v[i * n + src_index[tuple(shifted)]] = Fraction(1)
+            v[i * n + src_index[tuple(shifted)]] = 1
         out.append(v)
     return out
 
 
 def _vector_to_vfield(vec, src_mons):
+    """Vector field of a nonzero vector, printed the same for every multiple."""
     n = len(src_mons)
-    den = 1
-    for c in vec:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    lead = next(c for c in ints if c)
-    if lead < 0:
-        g = -g
-    ints = [c // g for c in ints]
-    comps = []
-    for i in range(NVARS):
-        comps.append(Poly({m: Fraction(c) for m, c in zip(src_mons, ints[i * n:(i + 1) * n]) if c}))
-    return VField(comps)
-
-
-def _reduce_against(vec, echelon):
-    """Reduce vec against an RREF list of (pivot_col, row)."""
-    v = list(vec)
-    for pc, row in echelon:
-        if v[pc]:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
+    comps = [{} for _ in range(NVARS)]
+    for col, c in sorted(_primitive(vec).items()):
+        comps[col // n][src_mons[col % n]] = c
+    return VField([Poly(t) for t in comps])
 
 
 def minimal_section(omega, dprime):
-    """Canonical non-radial kernel vector at the given twist, or None."""
+    """Canonical non-radial kernel vector at the given twist, or None:
+    the first RREF kernel vector not in the radial span, reduced modulo it."""
     coeffs = omega.one_form_coeffs()
-    rows, src_mons = _contraction_matrix(coeffs, dprime)
-    kernel = kernel_basis(rows)
-    if not kernel:
-        return None
-    # echelonize the radial subspace
-    radial = _radial_vectors(dprime, src_mons)
-    echelon = []
-    for v in radial:
-        v = _reduce_against(v, echelon)
-        pc = next((i for i, c in enumerate(v) if c), None)
-        if pc is None:
-            continue
-        piv = v[pc]
-        row = [c / piv for c in v]
-        echelon.append((pc, row))
-    echelon.sort(key=lambda t: t[0])
-    for v in kernel:
-        red = _reduce_against(v, echelon)
-        if any(red):
-            return _vector_to_vfield(red, src_mons)
+    rows, src_mons = _contraction_rows(coeffs, dprime)
+    radial = _pivot_rows(_radial_rows(dprime, src_mons))
+    for v in _kernel(_pivot_rows(rows), NVARS * len(src_mons)):
+        v = _primitive(v)
+        for pc, r in radial:
+            if pc in v:
+                v = _eliminate(v, r, pc)
+        if v:
+            return _vector_to_vfield(v, src_mons)
     return None
 
 
@@ -260,11 +205,12 @@ def compute_tF(omega, degree=None):
     """Minimal twist with a section, and a canonical minimal section.
 
     Stops by dprime = degree + 1; hitting the cap without a section is an
-    internal bug, since a section is guaranteed to exist by then.
+    internal bug, since a section is guaranteed to exist by then. The
+    section is certified before it is returned: it must annihilate the
+    1-form and must not be a multiple of the radial field.
     """
-    coeffs = omega.one_form_coeffs()
     if degree is None:
-        degree = coeffs[0].homogeneous_degree() - 1
+        degree = _coeff_degree(omega.one_form_coeffs()) - 1
     for dprime in range(degree + 2):
         s = h0_tangent_twist(omega, dprime)
         if s.h0 > 0:
@@ -272,6 +218,14 @@ def compute_tF(omega, degree=None):
             if section is None:
                 raise BoundViolated(
                     "positive h0 but no non-radial kernel vector found"
+                )
+            if not contract(section, omega).is_zero():
+                raise InternalInconsistency(
+                    f"minimal section at twist {dprime} does not annihilate the 1-form"
+                )
+            if not any(minors_against_radial(section)):
+                raise InternalInconsistency(
+                    f"minimal section at twist {dprime} is radial"
                 )
             return dprime, section, s
     raise BoundViolated(

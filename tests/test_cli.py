@@ -146,6 +146,25 @@ def test_log_audit_command(tmp_path, capsys):
     assert doc["actual"] == {"degC": 4, "lenU": 4}
 
 
+def test_analyze_zero_x0_coefficient(tmp_path, capsys):
+    path = write_doc(tmp_path, {"kind": "oneform", "coeffs": ["0", "x2", "-x1", "0"]})
+    assert cli.main(["analyze", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tF"] == 0
+    assert doc["degree"] == 0
+
+
+def test_log_audit_without_x0(tmp_path, capsys):
+    path = write_doc(
+        tmp_path,
+        {"kind": "logtype", "polys": ["x1", "7*x1 - 3*x3"], "lambdas": ["1", "-1"]},
+    )
+    assert cli.main(["log-audit", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "log-audit"
+    assert doc["distribution"]["tF"] == 0
+
+
 def test_table1_command(capsys):
     assert cli.main(["table1", "--dmax", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -85,6 +85,19 @@ def test_nullcorrelation_report(nullcorrelation):
     assert r.split_type is None
 
 
+def test_classify_validates_once(example1, monkeypatch):
+    calls = []
+    real = dist.common_factor
+
+    def counting(polys):
+        calls.append(1)
+        return real(polys)
+
+    monkeypatch.setattr(dist, "common_factor", counting)
+    dist.classify(example1)
+    assert len(calls) == 1
+
+
 def test_integrability(nullcorrelation, example1, example2, pencil_of_planes):
     assert not dist.is_integrable(nullcorrelation)
     assert not dist.is_integrable(example1)

@@ -2,31 +2,31 @@ from fractions import Fraction
 
 import pytest
 
-from p3dist.errors import InvalidForm
+from p3dist import linalg
+from p3dist.errors import InternalInconsistency, InvalidForm
 from p3dist.exterior import ExtForm, VField, contract
 from p3dist.linalg import (
-    RatMatrix,
-    bareiss_rank,
+    _kernel,
+    _pivot_rows,
+    _primitive,
     compute_tF,
     h0_tangent_twist,
-    kernel_basis,
-    kernel_dim,
     minimal_section,
-    rref,
 )
 from p3dist.poly import Poly, X0, X1, X2, X3
 
 from conftest import make_rng
 
 
-def gauss_rank(rows):
-    """Plain fraction Gaussian elimination; independent of Bareiss."""
+def fraction_rref(rows):
+    """Plain Fraction Gauss-Jordan; independent of the integer elimination.
+    Returns (nonzero RREF rows, pivot columns)."""
     m = [[Fraction(c) for c in r] for r in rows]
-    rank = 0
-    col = 0
     nrows = len(m)
     ncols = len(m[0]) if m else 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
             continue
@@ -37,36 +37,101 @@ def gauss_rank(rows):
             if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], pr)]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
+def gauss_rank(rows):
+    return len(fraction_rref(rows)[1])
+
+
+def fraction_kernel(rows, ncols):
+    """RREF kernel basis: one vector per free column, v[free] = 1."""
+    m, pivots = fraction_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in zip(m, pivots):
+            v[pc] = -r[fc]
+        basis.append(v)
+    return basis
+
+
+def sparse_rows(rows):
+    """Dense rational rows as the primitive integer sparse rows the
+    elimination takes; zero rows stay empty."""
+    out = []
+    for r in rows:
+        row = {j: Fraction(c) for j, c in enumerate(r) if c}
+        out.append(_primitive(row) if row else {})
+    return out
+
+
+def dense(v, ncols):
+    return [v.get(j, Fraction(0)) for j in range(ncols)]
+
+
+def random_matrices(seed, count):
+    """Seeded sparse rational matrices, some with dependent or zero rows,
+    plus the edge shapes: zero matrix, 1 x n, n x 1."""
+    rng = make_rng(seed)
+    mats = [[[0, 0, 0], [0, 0, 0]], [[0, 3, -1, 0, 2]], [[2], [0], [Fraction(-1, 3)]],
+            [[0]], [[Fraction(5, 7)]]]
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:
+            a, b = rng.randint(-2, 2), Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        if rng.random() < 0.2:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        mats.append(rows)
+    return mats
 
 
 def test_rank_against_gaussian_oracle():
-    rng = make_rng(83)
-    for _ in range(100):
-        nrows = rng.randint(1, 6)
-        ncols = rng.randint(1, 6)
-        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                 for _ in range(ncols)] for _ in range(nrows)]
-        assert bareiss_rank(RatMatrix(rows)) == gauss_rank(rows)
+    for rows in random_matrices(83, 150):
+        assert len(_pivot_rows(sparse_rows(rows))) == gauss_rank(rows)
+
+
+def test_pivot_rows_are_rref_up_to_scale():
+    for rows in random_matrices(79, 100):
+        ncols = len(rows[0])
+        m, pivots = fraction_rref(rows)
+        echelon = _pivot_rows(sparse_rows(rows))
+        assert [pc for pc, _ in echelon] == pivots
+        for (pc, r), expected in zip(echelon, m):
+            assert [Fraction(c, r[pc]) for c in dense(r, ncols)] == expected
+
+
+def test_kernel_basis_against_fraction_oracle():
+    for rows in random_matrices(73, 150):
+        ncols = len(rows[0])
+        basis = _kernel(_pivot_rows(sparse_rows(rows)), ncols)
+        assert [dense(v, ncols) for v in basis] == fraction_kernel(rows, ncols)
 
 
 def test_kernel_vectors_annihilate():
     rng = make_rng(89)
     for _ in range(50):
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(5)] for _ in range(3)]
-        basis = kernel_basis(rows)
-        assert len(basis) == kernel_dim(rows)
+        basis = _kernel(_pivot_rows(sparse_rows(rows)), 5)
+        assert len(basis) == 5 - gauss_rank(rows)
         for v in basis:
             for r in rows:
-                assert sum(a * b for a, b in zip(r, v)) == 0
+                assert sum(a * b for a, b in zip(r, dense(v, 5))) == 0
 
 
 def test_rref_shape():
-    m, pivots = rref([[2, 4], [1, 2]])
-    assert pivots == [0]
-    assert m[0] == [1, 2]
-    assert m[1] == [0, 0]
+    echelon = _pivot_rows(sparse_rows([[2, 4], [1, 2]]))
+    assert len(echelon) == 1
+    pc, row = echelon[0]
+    assert pc == 0 and row == {0: 1, 1: 2}
+    assert _kernel(echelon, 2) == [{1: 1, 0: -2}]
 
 
 def test_nullcorrelation_sections(nullcorrelation):
@@ -93,6 +158,19 @@ def test_minimal_section_is_not_radial(example1):
     assert any(comps[i] * Poly.variable(j) != comps[j] * Poly.variable(i)
                for i in range(4) for j in range(i + 1, 4))
     assert contract(section, example1).is_zero()
+
+
+@pytest.mark.parametrize("bad", [
+    VField([X0, X1, X2, X3]),             # radial
+    VField([X0, Poly.zero(), Poly.zero(), Poly.zero()]),  # not in the kernel
+])
+def test_section_certificate(nullcorrelation, monkeypatch, bad):
+    def section_at(omega, dprime):
+        return bad
+
+    monkeypatch.setattr(linalg, "minimal_section", section_at)
+    with pytest.raises(InternalInconsistency):
+        compute_tF(nullcorrelation)
 
 
 def test_invalid_form_rejected():
