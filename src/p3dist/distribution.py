@@ -18,7 +18,6 @@ from .errors import (
     InconsistentInvariants,
     InvalidForm,
     NumericContradiction,
-    WrongCodimension,
 )
 from .exterior import ExtForm, VField, contract, exterior_derivative, radial_field, wedge
 from .groebner import Ideal, divide_exact, intersect, irrelevant_ideal, saturate
@@ -115,13 +114,13 @@ def validate_oneform(omega):
         raise InvalidForm("coefficient degree must be at least 1")
     if not contract(radial_field(), omega).is_zero():
         raise EulerViolation("coefficients do not satisfy the Euler relation")
-    g = common_factor(nonzero)
-    if not g.is_constant():
+    # height-one primes of a UFD are principal: a singular scheme of
+    # dimension 2 is exactly a common factor of the coefficients
+    if hilbert(singular_scheme(omega)).projective_dimension == 2:
+        g = common_factor(nonzero)
+        if g.is_constant():
+            raise InconsistentInvariants("surface in the singular scheme without a common factor")
         raise DivisorialSingularity(f"coefficients share the factor {g}")
-    sat = singular_scheme(omega)
-    h = hilbert(sat)
-    if h.projective_dimension > 1:
-        raise WrongCodimension("singular locus has a divisorial component")
     return dega - 1
 
 

@@ -34,10 +34,6 @@ class DivisorialSingularity(ValidationError):
     """Coefficients share a nonconstant common factor."""
 
 
-class WrongCodimension(ValidationError):
-    """Singular locus has codimension < 2."""
-
-
 class InvalidForm(ValidationError):
     """One-form fails validation where a validated form is required."""
 

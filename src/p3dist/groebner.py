@@ -2,18 +2,23 @@
 
 Buchberger with the product and chain criteria, reduced bases, and the
 ideal operations the analysis pipeline needs: membership, intersection,
-colon, saturation (variable saturation via reverse-lex division, general
-saturation via the auxiliary-variable trick). All arithmetic is exact.
+colon, saturation. Saturation by the irrelevant ideal is one certified
+colon by a linear form (Bayer-Stillman reverse-lex division, checked by
+the Hilbert polynomial); by other ideals, the auxiliary-variable trick.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .errors import NonTermination
+from .hilbert import hilbert_from_lt
 from .poly import (
     NVARS,
     Poly,
+    grevlex_key,
     mon_div,
     mon_divides,
     mon_lcm,
@@ -36,28 +41,16 @@ class MonomialOrder:
         return f"MonomialOrder({self.tag!r}, nvars={self.nvars})"
 
 
-def _grevlex_key(m):
-    return (sum(m),) + tuple(-e for e in reversed(m))
-
-
-def grevlex_order(nvars=NVARS):
-    return MonomialOrder("grevlex", nvars, _grevlex_key)
-
-
-def lex_order(nvars=NVARS):
-    return MonomialOrder("lex", nvars, lambda m: tuple(m))
-
-
 def elimination_order(split, nvars):
     """Block order eliminating the first `split` variables (grevlex blocks)."""
 
     def key(m):
-        return (_grevlex_key(m[:split]), _grevlex_key(m[split:]))
+        return (grevlex_key(m[:split]), grevlex_key(m[split:]))
 
     return MonomialOrder(f"elim{split}", nvars, key)
 
 
-GREVLEX = grevlex_order()
+GREVLEX = MonomialOrder("grevlex", NVARS, grevlex_key)
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +262,14 @@ class GroebnerBasis:
 class Ideal:
     """Homogeneous ideal given by generators, with cached reduced bases."""
 
-    __slots__ = ("gens", "is_saturated", "_gb_cache")
+    __slots__ = ("gens", "_gb_cache")
 
-    def __init__(self, gens, is_saturated=False):
+    def __init__(self, gens):
         clean = tuple(g for g in gens if not g.is_zero())
         object.__setattr__(self, "gens", clean)
-        object.__setattr__(self, "is_saturated", is_saturated)
         object.__setattr__(self, "_gb_cache", {})
 
     def __setattr__(self, name, value):
-        if name == "is_saturated":
-            object.__setattr__(self, name, value)
-            return
         raise AttributeError("Ideal generators are immutable")
 
     def groebner(self, order=GREVLEX):
@@ -467,21 +456,34 @@ def _permute_poly(p, perm):
     return Poly({tuple(m[j] for j in perm): c for m, c in p.terms.items()})
 
 
-def _reduced_ideal(gens, is_saturated=False):
+def _reduced_ideal(gens):
     """Ideal presented by its reduced grevlex basis, with the cache primed."""
     reduced = _buchberger_terms([_poly_to_terms(g) for g in gens], GREVLEX.key, QQ)
     basis = [_terms_to_poly(g) for g in reduced]
-    ideal = Ideal(basis, is_saturated=is_saturated)
+    ideal = Ideal(basis)
     ideal._gb_cache[GREVLEX.tag] = GroebnerBasis(GREVLEX, basis)
     return ideal
 
 
-def saturate_variable(I, i):
-    """(I : x_i^infinity) for homogeneous I.
+def _colon_last_variable(gens):
+    """Reduced grevlex basis of homogeneous dict-polys, and of (I : x3^infinity).
 
-    Computed from a reverse-lex basis with x_i as the cheapest variable:
-    dividing every basis element by its maximal x_i power generates the
-    saturation. Cross-checked in the test suite against the iterated colon.
+    x3 is the cheapest variable, so dividing each element of the reduced
+    basis by its largest power of x3 gives a basis of the colon
+    (Bayer-Stillman).
+    """
+    reduced = _buchberger_terms(gens, grevlex_key, QQ)
+    quotients = []
+    for g in reduced:
+        e = min(m[-1] for m in g)
+        quotients.append({m[:-1] + (m[-1] - e,): c for m, c in g.items()} if e else g)
+    return reduced, quotients
+
+
+def saturate_variable(I, i):
+    """(I : x_i^infinity) for homogeneous I, with x_i moved to the last place.
+
+    Cross-checked in the test suite against the iterated colon.
     """
     if I.is_zero():
         return Ideal(())
@@ -489,41 +491,48 @@ def saturate_variable(I, i):
     inv = [0] * NVARS
     for pos, j in enumerate(perm):
         inv[j] = pos
-    gens = [_poly_to_terms(_permute_poly(g, perm)) for g in I.gens]
-    reduced = _buchberger_terms(gens, _grevlex_key, QQ)
-    out = []
-    for g in reduced:
-        e = min(m[NVARS - 1] for m in g)
-        if e:
-            g = {m[:-1] + (m[-1] - e,): c for m, c in g.items()}
-        out.append(_permute_poly(_terms_to_poly(g), inv))
-    return _reduced_ideal(out)
+    _, quotients = _colon_last_variable([_poly_to_terms(_permute_poly(g, perm)) for g in I.gens])
+    return _reduced_ideal([_permute_poly(_terms_to_poly(g), inv) for g in quotients])
+
+
+def _shift_x3(p, a):
+    """p with x3 replaced by x3 + a[0]*x0 + a[1]*x1 + a[2]*x2."""
+    x3 = Poly({(0, 0, 0, 1): 1, (1, 0, 0, 0): a[0], (0, 1, 0, 0): a[1], (0, 0, 1, 0): a[2]})
+    out = Poly()
+    for e in {m[3] for m in p.terms}:
+        out = out + Poly({m[:3] + (0,): c for m, c in p.terms.items() if m[3] == e}) * x3 ** e
+    return out
+
+
+def _hilbert_polynomial(basis):
+    return hilbert_from_lt([max(g, key=grevlex_key) for g in basis]).hp_coeffs
 
 
 def saturate(I, J):
-    """(I : J^infinity); marks the result saturated when J is irrelevant."""
+    """(I : J^infinity).
+
+    For the irrelevant ideal m = (x0, x1, x2, x3): I : l^infinity for the
+    first l_k = k*x0 + k^2*x1 + k^3*x2 + x3, k = 0, 1, 2, ..., that passes a
+    certificate, computed as the colon by x3 after the substitution
+    x3 -> x3 - (k*x0 + k^2*x1 + k^3*x2), which sends l_k to x3.
+    Certificate: I^sat lies in I : l^infinity, so equal Hilbert polynomials
+    leave a quotient of finite length, and the two are equal. The check
+    fails exactly when l_k lies in an associated prime P != m of I. The
+    linear forms in P lie in a hyperplane, which meets the twisted cubic
+    (k, k^2, k^3, 1) at most 3 times: at most 3 failures per such prime.
+    """
     if not J.gens:
         raise ValueError("saturation by the zero ideal")
     if I.is_zero():
-        return Ideal((), is_saturated=True)
+        return Ideal(())
 
-    variables = tuple(Poly.variable(i) for i in range(NVARS))
-    if set(J.gens) == set(variables):
-        parts = [saturate_variable(I, i) for i in range(NVARS)]
-        result = parts[0]
-        for part in parts[1:]:
-            if result == part or part.contains_ideal(result):
-                # result is already inside part, intersection is result
-                continue
-            if result.contains_ideal(part):
-                result = part
-                continue
-            result = intersect(result, part)
-        result.is_saturated = True
-        return result
-
-    if len(J.gens) == 1:
-        return saturate_single(I, J.gens[0])
+    if set(J.gens) == {Poly.variable(i) for i in range(NVARS)}:
+        for k in itertools.count():
+            gens = [_poly_to_terms(_shift_x3(g, (-k, -k * k, -k ** 3))) for g in I.gens]
+            reduced, quotients = _colon_last_variable(gens)
+            if _hilbert_polynomial(reduced) == _hilbert_polynomial(quotients):
+                back = [_shift_x3(_terms_to_poly(q), (k, k * k, k ** 3)) for q in quotients]
+                return _reduced_ideal(back)
 
     parts = [saturate_single(I, f) for f in J.gens]
     result = parts[0]

@@ -31,17 +31,14 @@ def _poly_mul(a, b):
     return {k: v for k, v in out.items() if v}
 
 
-_memo = {}
-
-
-def _numerator(gens):
-    """Numerator of Hilb(R/I) over (1-t)^nvars for a monomial ideal."""
+def _numerator(gens, memo):
+    """Numerator of Hilb(R/I) over (1-t)^nvars; memo lives for one top call."""
     gens = _minimalize(gens)
     if not gens:
         return {0: 1}
     if ZERO_MON in gens:
         return {}
-    cached = _memo.get(gens)
+    cached = memo.get(gens)
     if cached is not None:
         return cached
 
@@ -71,13 +68,13 @@ def _numerator(gens):
                 quot.append(tuple(mm))
             else:
                 quot.append(m)
-        n_plus = _numerator(tuple(plus))
-        n_quot = _numerator(tuple(quot))
+        n_plus = _numerator(tuple(plus), memo)
+        n_quot = _numerator(tuple(quot), memo)
         out = dict(n_plus)
         for k, v in n_quot.items():
             out[k + 1] = out.get(k + 1, 0) + v
         out = {k: v for k, v in out.items() if v}
-    _memo[gens] = out
+    memo[gens] = out
     return out
 
 
@@ -129,7 +126,7 @@ class HilbertData:
 
 def hilbert_from_lt(lt_monomials):
     """HilbertData from the leading-term monomials of a reduced basis."""
-    num = _numerator(tuple(lt_monomials))
+    num = _numerator(tuple(lt_monomials), {})
     if not num:
         # unit ideal
         return HilbertData((), (), -1, 0, Fraction(0))

@@ -35,10 +35,6 @@ def mon_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mon_degree(m):
-    return sum(m)
-
-
 def grevlex_key(m):
     """Sort key: larger key = larger monomial in grevlex."""
     return (sum(m),) + tuple(-e for e in reversed(m))
@@ -97,12 +93,6 @@ class Poly:
 
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and ZERO_MON in self.terms)
-
-    def is_homogeneous(self):
-        if not self.terms:
-            return True
-        degs = {sum(m) for m in self.terms}
-        return len(degs) == 1
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""

@@ -86,16 +86,22 @@ def test_nullcorrelation_report(nullcorrelation):
 
 
 def test_classify_validates_once(example1, monkeypatch):
-    calls = []
-    real = dist.common_factor
+    calls = {"validate_oneform": 0, "common_factor": 0}
 
-    def counting(polys):
-        calls.append(1)
-        return real(polys)
+    def counting(name):
+        real = getattr(dist, name)
 
-    monkeypatch.setattr(dist, "common_factor", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dist, name, counting(name))
     dist.classify(example1)
-    assert len(calls) == 1
+    # a valid form has a singular scheme of dimension < 2, so no gcd is taken
+    assert calls == {"validate_oneform": 1, "common_factor": 0}
 
 
 def test_integrability(nullcorrelation, example1, example2, pencil_of_planes):

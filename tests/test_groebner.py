@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from p3dist import corpus
 from p3dist.errors import NonTermination
+from p3dist.exterior import minors_against_radial
 from p3dist.grammar import parse_poly
+from p3dist.logarithmic import build_log_form
 from p3dist.groebner import (
     GREVLEX,
     Ideal,
@@ -119,7 +122,6 @@ def test_saturate_point_blowup():
     I = Ideal((X0 ** 2, X0 * X1, X0 * X2, X0 * X3))
     S = saturate(I, irrelevant_ideal())
     assert S == Ideal((X0,))
-    assert S.is_saturated
 
 
 def test_saturation_methods_agree():
@@ -150,6 +152,49 @@ def test_saturate_contains_and_fixpoint():
         # saturating again changes nothing
         assert saturate(S, m) == S
         count += 1
+
+
+def _saturate_oracle(I):
+    """I : m^infinity as the intersection of the four variable saturations."""
+    result = saturate_single(I, X0)
+    for v in (X1, X2, X3):
+        result = intersect(result, saturate_single(I, v))
+    return result
+
+
+def test_saturate_irrelevant_against_oracle():
+    rng = make_rng(67)
+    cases = []
+    for _ in range(50):
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            g = random_nonzero_poly(rng, rng.randint(1, 2), nterms=3)
+            if rng.random() < 0.5:
+                # a linear factor puts a plane among the associated
+                # primes; the plane (x3) makes l_0 = x3 fail the check
+                g = g * random_nonzero_poly(rng, 1, nterms=2)
+            gens.append(g)
+        cases.append(Ideal(tuple(gens)))
+    names = corpus.corpus_names()
+    for name in names["oneforms"]:
+        cases.append(Ideal(corpus.load_oneform(name).one_form_coeffs()))
+    for name in names["vfields"]:
+        cases.append(Ideal(minors_against_radial(corpus.load_vfield(name))))
+    for name in names["logtypes"]:
+        cases.append(Ideal(build_log_form(corpus.load_logtype(name)).one_form_coeffs()))
+    m = irrelevant_ideal()
+    for I in cases:
+        assert saturate(I, m) == _saturate_oracle(I)
+
+
+def test_saturate_retries_linear_forms_in_associated_primes():
+    L = X0 + X1 + X2 + X3
+    I = Ideal(tuple(X3 * L * v for v in (X0, X1, X2, X3)))
+    # l_0 = x3 and l_1 = L each lie in an associated prime: their colons
+    # lose a component, so both must be rejected
+    assert saturate_single(I, X3) == Ideal((L,))
+    assert saturate_single(I, L) == Ideal((X3,))
+    assert saturate(I, irrelevant_ideal()) == Ideal((X3 * L,))
 
 
 def test_saturate_multi_generator_ideal():
