@@ -38,6 +38,8 @@ def _read_text(path):
 
 
 def _poly_from_string(s):
+    if not isinstance(s, str):
+        raise ParseError(f"polynomial entries must be strings, got {json.dumps(s)}")
     s = s.strip()
     return Poly.zero() if s == "0" else parse_poly(s)
 
@@ -88,6 +90,15 @@ def _chern_doc(c):
     return {"c1": c.c1, "c2": c.c2, "c3": c.c3}
 
 
+def _sing_doc(sing):
+    return {
+        "degC": sing.degC,
+        "pa": sing.pa,
+        "lenU": sing.lenU,
+        "sat_ideal": _ideal_doc(sing.sat_ideal),
+    }
+
+
 def split_cell(split_type):
     """Render a split type (a, b) the way the summands are usually written."""
     if split_type is None:
@@ -108,12 +119,7 @@ def dist_report_doc(report):
         "integrable": report.integrable,
         "regular": report.regular,
         "chern": _chern_doc(report.chern),
-        "sing": {
-            "degC": report.sing.degC,
-            "pa": report.sing.pa,
-            "lenU": report.sing.lenU,
-            "sat_ideal": _ideal_doc(report.sing.sat_ideal),
-        },
+        "sing": _sing_doc(report.sing),
         "tF": report.tF,
         "h0_at_tF": report.h0_at_tF,
         "minimal_section": [
@@ -137,12 +143,7 @@ def foliation_report_doc(report):
         "kind": "foliation-by-curves",
         "degree": report.degree,
         "chern": _chern_doc(report.chern),
-        "sing": {
-            "degC": report.sing.degC,
-            "pa": report.sing.pa,
-            "lenU": report.sing.lenU,
-            "sat_ideal": _ideal_doc(report.sing.sat_ideal),
-        },
+        "sing": _sing_doc(report.sing),
         "degree1_case": report.degree1_case,
     }
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     DivisorialSingularity,
@@ -19,7 +18,7 @@ from .errors import (
     InvalidForm,
     NumericContradiction,
 )
-from .exterior import ExtForm, VField, contract, exterior_derivative, radial_field, wedge
+from .exterior import VField, contract, exterior_derivative, radial_field, wedge
 from .groebner import Ideal, divide_exact, intersect, irrelevant_ideal, saturate
 from .hilbert import hilbert
 from .linalg import compute_tF
@@ -114,13 +113,8 @@ def validate_oneform(omega):
         raise InvalidForm("coefficient degree must be at least 1")
     if not contract(radial_field(), omega).is_zero():
         raise EulerViolation("coefficients do not satisfy the Euler relation")
-    # height-one primes of a UFD are principal: a singular scheme of
-    # dimension 2 is exactly a common factor of the coefficients
-    if hilbert(singular_scheme(omega)).projective_dimension == 2:
-        g = common_factor(nonzero)
-        if g.is_constant():
-            raise InconsistentInvariants("surface in the singular scheme without a common factor")
-        raise DivisorialSingularity(f"coefficients share the factor {g}")
+    # reading the singular scheme rejects one that contains a surface
+    _invariants(omega, dega - 1)
     return dega - 1
 
 
@@ -137,40 +131,51 @@ def invariants(omega):
 def _invariants(omega, d):
     """invariants() of a 1-form already validated to have degree d."""
     sat = singular_scheme(omega)
-    h = hilbert(sat)
-    dim = h.projective_dimension
-
-    def c3_formula(degc, pa):
-        return d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2) + 2 * pa - 2
-
-    if dim == -1:
-        degc, pa, lenu = 0, 1, 0
-        if c3_formula(0, 1) != 0:
-            raise InconsistentInvariants(
-                "empty singular scheme is impossible at this degree"
-            )
-    elif dim == 0:
-        degc, pa = 0, 1
-        lenu = h.degree
-        if lenu != c3_formula(0, 1):
-            raise InconsistentInvariants(
-                f"isolated-singularity count {lenu} contradicts the invariant formula"
-            )
-    else:
-        degc = h.degree
-        k = h.constant_term
-        if k.denominator != 1:
-            raise InconsistentInvariants("non-integral Hilbert constant term")
-        k = int(k)
-        a = d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2)
-        pa = k + 1 - a
-        lenu = k - 1 + pa
-        if lenu < 0:
-            raise InconsistentInvariants(f"negative isolated length {lenu}")
-        if lenu != c3_formula(degc, pa):
-            raise InconsistentInvariants("length/genus extraction is inconsistent")
+    degc, pa, lenu = curve_invariants(
+        lambda: [p for p in omega.one_form_coeffs() if not p.is_zero()],
+        hilbert(sat),
+        lambda degc: d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2) - 2,
+    )
     chern = ChernTriple(2 - d, d ** 2 + 2 - degc, lenu)
     return SingInvariants(degc, pa, lenu, sat), chern
+
+
+def curve_invariants(gens, h, c3_base):
+    """(degC, pa, lenU) of a singular scheme made of a curve C and lenU points.
+
+    `h` is the HilbertData of the saturated ideal of the scheme. The
+    Hilbert polynomial is HP(t) = degC*t + 1 - pa + lenU and the sheaf's
+    third Chern class is lenU = c3_base(degC) + 2*pa, so pa is solved from
+    the constant term. Height-one primes of a UFD are principal: a scheme
+    of dimension 2 is exactly a common factor of the polynomials whose
+    vanishing defines it, and it is rejected naming that factor. `gens()`
+    returns those polynomials: the coefficients of a 1-form, or the 2x2
+    minors of a vector field against the radial field (the coefficients of
+    v wedge R). It is called only for a rejection, as the minors cost a
+    few percent of a field's analysis.
+    """
+    dim = h.projective_dimension
+    if dim == 2:
+        g = common_factor(gens())
+        if g.is_constant():
+            raise InconsistentInvariants("surface in the singular scheme without a common factor")
+        raise DivisorialSingularity(f"coefficients share the factor {g}")
+    if dim <= 0:
+        # no curve (degC = 0, pa = 1): the points alone must give c3
+        if h.degree != c3_base(0) + 2:
+            raise InconsistentInvariants(
+                f"isolated length {h.degree} contradicts the invariant count"
+            )
+        return 0, 1, h.degree
+    degc = h.degree
+    k = h.constant_term
+    if k.denominator != 1:
+        raise InconsistentInvariants("non-integral Hilbert constant term")
+    pa = int(k) - 1 - c3_base(degc)
+    lenu = c3_base(degc) + 2 * pa
+    if lenu < 0:
+        raise InconsistentInvariants(f"negative isolated length {lenu}")
+    return degc, pa, lenu
 
 
 def split_test(tF, chern, degree):

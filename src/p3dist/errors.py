@@ -31,7 +31,9 @@ class EulerViolation(ValidationError):
 
 
 class DivisorialSingularity(ValidationError):
-    """Coefficients share a nonconstant common factor."""
+    """Singular scheme contains a surface: the coefficients of a 1-form, or
+    the 2x2 minors of a vector field against the radial field, share a
+    nonconstant common factor."""
 
 
 class InvalidForm(ValidationError):

@@ -11,15 +11,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import (
-    InconsistentInvariants,
-    DomainError,
-    InvalidForm,
-    RadialField,
-    UnclassifiedDegree1,
-)
-from .distribution import ChernTriple
-from .exterior import VField, contract, minors_against_radial
+from .errors import DomainError, InvalidForm, RadialField, UnclassifiedDegree1
+from .distribution import ChernTriple, SingInvariants, curve_invariants
+from .exterior import contract, minors_against_radial
 from .groebner import Ideal, irrelevant_ideal, saturate
 from .hilbert import hilbert
 
@@ -31,17 +25,9 @@ _DEGREE1_CASES = {
 
 
 @dataclass(frozen=True)
-class CurveInvariants:
-    degC: int
-    pa: int
-    lenU: int
-    sat_ideal: Ideal
-
-
-@dataclass(frozen=True)
 class FoliationCurveReport:
     degree: int
-    sing: CurveInvariants
+    sing: SingInvariants
     chern: ChernTriple  # invariants of the conormal-type sheaf
     degree1_case: str | None
 
@@ -69,40 +55,13 @@ def conormal_invariants(v):
     """Singular-scheme invariants and the Chern triple for a degree-d' field."""
     d = _validated_degree(v)
     sat = sing_scheme_v(v)
-    h = hilbert(sat)
-    dim = h.projective_dimension
-
-    def c3_formula(degc, pa):
-        return d ** 3 + d ** 2 + d - 3 * degc * (d - 1) + 2 * pa - 1
-
-    if dim == -1:
-        degc, pa, lenu = 0, 1, 0
-        if c3_formula(0, 1) != 0:
-            raise InconsistentInvariants(
-                "empty singular scheme contradicts the invariant count"
-            )
-    elif dim == 0:
-        degc, pa = 0, 1
-        lenu = h.degree
-        if lenu != c3_formula(0, 1):
-            raise InconsistentInvariants(
-                f"isolated length {lenu} contradicts the invariant count"
-            )
-    else:
-        degc = h.degree
-        k = h.constant_term
-        if k.denominator != 1:
-            raise InconsistentInvariants("non-integral Hilbert constant term")
-        k = int(k)
-        b = d ** 3 + d ** 2 + d - 3 * degc * (d - 1)
-        pa = k - b
-        lenu = 2 * k - b - 1
-        if lenu < 0:
-            raise InconsistentInvariants(f"negative isolated length {lenu}")
-        if lenu != c3_formula(degc, pa):
-            raise InconsistentInvariants("length/genus extraction is inconsistent")
+    degc, pa, lenu = curve_invariants(
+        lambda: [m for m in minors_against_radial(v) if not m.is_zero()],
+        hilbert(sat),
+        lambda degc: d ** 3 + d ** 2 + d - 3 * degc * (d - 1) - 1,
+    )
     chern = ChernTriple(-3 - d, d ** 2 + 2 * d + 3 - degc, lenu)
-    return CurveInvariants(degc, pa, lenu, sat), chern
+    return SingInvariants(degc, pa, lenu, sat), chern
 
 
 def analyze(v):

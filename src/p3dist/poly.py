@@ -11,10 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 NVARS = 4
-VAR_NAMES = ("x0", "x1", "x2", "x3")
 ZERO_MON = (0, 0, 0, 0)
-
-Monomial = tuple
 
 
 def mon_mul(a, b):

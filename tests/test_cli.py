@@ -63,6 +63,21 @@ def test_parse_input_errors():
     assert exc.value.col == 6
 
 
+def test_parse_input_rejects_non_string_entries(tmp_path, capsys):
+    for doc in (
+        {"kind": "vfield", "components": [1, 2, 3, 4]},
+        {"kind": "oneform", "coeffs": ["x1", "-x0", None, "-x2"]},
+        {"kind": "logtype", "polys": ["x0", ["x1"]], "lambdas": ["1", "-1"]},
+    ):
+        with pytest.raises(ParseError):
+            cli.parse_input(json.dumps(doc))
+    path = write_doc(tmp_path, {"kind": "vfield", "components": [1, 2, 3, 4]})
+    assert cli.main(["analyze-vf", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith("polynomial entries must be strings, got 1")
+
+
 def test_analyze_command(tmp_path, capsys):
     path = write_doc(tmp_path, oneform_doc("example1"))
     assert cli.main(["analyze", path]) == 0
@@ -179,6 +194,20 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert cli.main(["analyze", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DivisorialSingularity"
+
+
+def test_analyze_vf_common_factor_exit_code(tmp_path, capsys):
+    # x1 * (x0, x1, x2, x3 + x0): radially dependent on the surface x0*x1 = 0
+    path = write_doc(
+        tmp_path,
+        {"kind": "vfield", "components": ["x0*x1", "x1^2", "x1*x2", "x1*x3+x0*x1"]},
+    )
+    assert cli.main(["analyze-vf", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "DivisorialSingularity",
+        "message": "coefficients share the factor x0*x1",
+    }
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -7,6 +7,7 @@ from p3dist.errors import (
     DivisorialSingularity,
     DomainError,
     EulerViolation,
+    InconsistentInvariants,
     InvalidForm,
     NumericContradiction,
 )
@@ -19,7 +20,7 @@ from p3dist.exterior import (
 )
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal
-from p3dist.hilbert import dimension_degree
+from p3dist.hilbert import dimension_degree, hilbert
 from p3dist.poly import Poly, X0, X1, X2, X3
 
 from conftest import make_rng, random_poly
@@ -102,6 +103,24 @@ def test_classify_validates_once(example1, monkeypatch):
     dist.classify(example1)
     # a valid form has a singular scheme of dimension < 2, so no gcd is taken
     assert calls == {"validate_oneform": 1, "common_factor": 0}
+
+
+def test_curve_invariants_checks():
+    # a degree-1 distribution (c3_base(0) + 2 = 5) cannot be singular
+    # along 4 points only, and a plane is rejected only with its factor
+    def c3_base(degc):
+        return 3 - degc
+
+    four_points = Ideal(tuple(
+        Poly.variable(i) * Poly.variable(j) for i in range(4) for j in range(i + 1, 4)
+    ))
+    with pytest.raises(InconsistentInvariants, match="isolated length 4"):
+        dist.curve_invariants(lambda: list(four_points.gens), hilbert(four_points), c3_base)
+    plane = hilbert(Ideal((X0,)))
+    with pytest.raises(DivisorialSingularity, match=r"factor x0$"):
+        dist.curve_invariants(lambda: [X0 * X1, X0 * X2], plane, c3_base)
+    with pytest.raises(InconsistentInvariants, match="without a common factor"):
+        dist.curve_invariants(lambda: [X1, X2], plane, c3_base)
 
 
 def test_integrability(nullcorrelation, example1, example2, pencil_of_planes):

@@ -2,13 +2,13 @@ import pytest
 
 from p3dist import corpus
 from p3dist import foliation as fol
-from p3dist.errors import DomainError, InvalidForm, RadialField
+from p3dist.errors import DivisorialSingularity, DomainError, InvalidForm, RadialField
 from p3dist.exterior import VField, radial_field
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal
 from p3dist.poly import Poly, X0, X1, X2, X3
 
-from conftest import make_rng
+from conftest import make_rng, random_nonzero_poly
 
 
 def test_four_points_case():
@@ -75,6 +75,21 @@ def test_line_sing_invariants():
         assert fol.line_sing_invariants(dp)[1] == dp ** 2 + 2 * dp + 3 - 1
     with pytest.raises(DomainError):
         fol.line_sing_invariants(0)
+
+
+def test_field_with_common_factor_in_minors_rejected():
+    # x1 * (x0, x1, x2, x3 + x0): the field vanishes on x1 = 0 and is radial
+    # on x0 = 0, so its singular scheme contains a surface
+    v = VField([X0 * X1, X1 * X1, X1 * X2, X1 * X3 + X0 * X1])
+    with pytest.raises(DivisorialSingularity, match=r"share the factor x0\*x1$"):
+        fol.analyze(v)
+    # g * L for a linear field L: g divides every minor
+    rng = make_rng(107)
+    for _ in range(6):
+        g = random_nonzero_poly(rng, rng.randint(1, 2), nterms=2, coeff_range=3)
+        v = VField([g * c for c in random_linear_field(rng).components])
+        with pytest.raises(DivisorialSingularity):
+            fol.analyze(v)
 
 
 def test_contraction_checks(nullcorrelation, example1):
