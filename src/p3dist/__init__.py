@@ -29,7 +29,7 @@ from .foliation import (
     sing_scheme_v,
 )
 from .grammar import format_poly, parse_poly
-from .groebner import Ideal, buchberger, colon, intersect, irrelevant_ideal, saturate
+from .groebner import Ideal, buchberger, colon, intersect, saturate
 from .hilbert import HilbertData, dimension_degree, hilbert
 from .linalg import compute_tF, h0_tangent_twist, minimal_section
 from .logarithmic import (
@@ -57,8 +57,7 @@ __all__ = [
     "conormal_invariants", "contraction_check", "line_sing_invariants",
     "sing_scheme_v",
     "format_poly", "parse_poly",
-    "Ideal", "buchberger", "colon", "intersect", "irrelevant_ideal",
-    "saturate",
+    "Ideal", "buchberger", "colon", "intersect", "saturate",
     "HilbertData", "dimension_degree", "hilbert",
     "compute_tF", "h0_tangent_twist", "minimal_section",
     "LogType", "audit_log_form", "build_log_form", "exclusion_check",

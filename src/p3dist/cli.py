@@ -22,7 +22,7 @@ from .grammar import format_poly, parse_poly
 from .groebner import leading_monomials_mod_p
 from .linalg import compute_tF
 from .logarithmic import LogType
-from .poly import Poly, grevlex_key
+from .poly import grevlex_key
 
 SCHEMA_VERSION = 1
 
@@ -40,8 +40,7 @@ def _read_text(path):
 def _poly_from_string(s):
     if not isinstance(s, str):
         raise ParseError(f"polynomial entries must be strings, got {json.dumps(s)}")
-    s = s.strip()
-    return Poly.zero() if s == "0" else parse_poly(s)
+    return parse_poly(s.strip())
 
 
 def parse_input(text):

@@ -9,17 +9,11 @@ from importlib import resources
 from .exterior import ExtForm, VField
 from .grammar import parse_poly
 from .logarithmic import LogType
-from .poly import Poly
 
 
 def _raw():
     with resources.files("p3dist.data").joinpath("corpus.json").open() as fh:
         return json.load(fh)
-
-
-def _poly(s):
-    s = s.strip()
-    return Poly.zero() if s == "0" else parse_poly(s)
 
 
 def corpus_names():
@@ -29,17 +23,17 @@ def corpus_names():
 
 def load_oneform(name):
     entry = _raw()["oneforms"][name]
-    return ExtForm.one_form(*(_poly(s) for s in entry["coeffs"]))
+    return ExtForm.one_form(*(parse_poly(s) for s in entry["coeffs"]))
 
 
 def load_vfield(name):
     entry = _raw()["vfields"][name]
-    return VField([_poly(s) for s in entry["components"]])
+    return VField([parse_poly(s) for s in entry["components"]])
 
 
 def load_logtype(name):
     entry = _raw()["logtypes"][name]
     return LogType(
-        polys=tuple(_poly(s) for s in entry["polys"]),
+        polys=tuple(parse_poly(s) for s in entry["polys"]),
         weights=tuple(Fraction(s) for s in entry["weights"]),
     )

@@ -19,7 +19,7 @@ from .errors import (
     NumericContradiction,
 )
 from .exterior import VField, contract, exterior_derivative, radial_field, wedge
-from .groebner import Ideal, divide_exact, intersect, irrelevant_ideal, saturate
+from .groebner import Ideal, divide_exact, intersect, saturate
 from .hilbert import hilbert
 from .linalg import compute_tF
 from .poly import Poly
@@ -94,7 +94,7 @@ def common_factor(polys):
 def singular_scheme(omega):
     """Saturated vanishing ideal of the coefficients of the 1-form."""
     coeffs = omega.one_form_coeffs()
-    return saturate(Ideal(tuple(p for p in coeffs if not p.is_zero())), irrelevant_ideal())
+    return saturate(Ideal(tuple(p for p in coeffs if not p.is_zero())))
 
 
 def validate_oneform(omega):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InvalidForm, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
 from .exterior import contract, minors_against_radial
-from .groebner import Ideal, irrelevant_ideal, saturate
+from .groebner import Ideal, saturate
 from .hilbert import hilbert
 
 _DEGREE1_CASES = {
@@ -48,7 +48,7 @@ def sing_scheme_v(v):
     minors = [m for m in minors_against_radial(v) if not m.is_zero()]
     if not minors:
         raise RadialField("field is a multiple of the radial field")
-    return saturate(Ideal(tuple(minors)), irrelevant_ideal())
+    return saturate(Ideal(tuple(minors)))
 
 
 def conormal_invariants(v):

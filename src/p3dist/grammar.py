@@ -2,7 +2,9 @@
 
 Grammar: variables x0..x3 with aliases x,y,z,w; integer or rational
 coefficients; + - * ^ and parentheses; implicit multiplication by
-juxtaposition (2x^3y); whitespace-insensitive. Errors carry line/column.
+juxtaposition (2x^3y); whitespace-insensitive, except that a digit may not
+directly follow a variable (x5 is an error, not 5*x). Errors carry
+line/column.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class _Lexer:
     def take_number(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self._advance(1)
         if self.pos == start:
             return None
@@ -66,7 +68,7 @@ class _Lexer:
         save = (self.pos, self.line, self.col)
         if self.take_char("/"):
             dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and self.text[self.pos].isdecimal():
                 self._advance(1)
             if self.pos == dstart:
                 self.pos, self.line, self.col = save
@@ -80,15 +82,18 @@ class _Lexer:
     def take_variable(self):
         self.skip_ws()
         rest = self.text[self.pos:]
-        for name in ("x0", "x1", "x2", "x3"):
-            if rest.startswith(name):
-                self._advance(2)
-                return ALIASES[name]
-        if rest[:1] in ("x", "y", "z", "w"):
-            idx = ALIASES[rest[0]]
-            self._advance(1)
-            return idx
-        return None
+        name = rest[:2] if rest[:2] in ALIASES else rest[:1]
+        if name not in ALIASES:
+            return None
+        self._advance(len(name))
+        # x5 or y2 is a mistyped variable, not a variable times a number
+        after = self.text[self.pos:self.pos + 1]
+        if after.isdecimal():
+            raise ParseError(
+                f"unexpected {after!r} right after variable {name!r}",
+                self.line, self.col, "variable x0..x3, x, y, z or w",
+            )
+        return ALIASES[name]
 
 
 def _parse_exponent(lx):
@@ -125,7 +130,7 @@ def _starts_factor(lx):
     ch = lx.peek()
     if ch is None:
         return False
-    return ch.isdigit() or ch in "xyzw("
+    return ch.isdecimal() or ch in "xyzw("
 
 
 def _parse_term(lx):

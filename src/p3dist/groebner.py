@@ -1,11 +1,14 @@
 """Groebner engine and ideal toolbox.
 
-Buchberger with the product and chain criteria, reduced bases, and the
-ideal operations the analysis pipeline needs: membership, intersection,
-colon, saturation. Saturation by the irrelevant ideal is one certified
-colon by a linear form (Bayer-Stillman reverse-lex division, checked by
-the Hilbert polynomial); by other ideals, the auxiliary-variable trick.
-All arithmetic is exact.
+Buchberger with the product and chain criteria, reduced grevlex bases,
+and the ideal operations the analysis pipeline needs: membership and the
+saturation by the irrelevant ideal, one certified colon by a linear form
+(Bayer-Stillman reverse-lex division, checked by the Hilbert polynomial).
+Intersection (which also gives the gcd that names a common factor),
+colon and the saturation by one polynomial eliminate an auxiliary
+variable; the tests compare the saturation against them.
+Coefficients are exact rationals, or residues mod a prime p for the
+modular cross-check.
 """
 
 from __future__ import annotations
@@ -26,87 +29,27 @@ from .poly import (
 )
 
 # ---------------------------------------------------------------------------
-# monomial orders
-
-
-class MonomialOrder:
-    """Total multiplicative monomial order, given by a sort key."""
-
-    def __init__(self, tag, nvars, key):
-        self.tag = tag
-        self.nvars = nvars
-        self.key = key
-
-    def __repr__(self):
-        return f"MonomialOrder({self.tag!r}, nvars={self.nvars})"
-
-
-def elimination_order(split, nvars):
-    """Block order eliminating the first `split` variables (grevlex blocks)."""
-
-    def key(m):
-        return (grevlex_key(m[:split]), grevlex_key(m[split:]))
-
-    return MonomialOrder(f"elim{split}", nvars, key)
-
-
-GREVLEX = MonomialOrder("grevlex", NVARS, grevlex_key)
-
-
-# ---------------------------------------------------------------------------
-# coefficient fields
-
-
-class _RationalField:
-    p = None
-
-    @staticmethod
-    def convert(c):
-        return c
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-
-class _PrimeField:
-    def __init__(self, p):
-        self.p = p
-
-    def convert(self, c):
-        den = c.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator vanishes mod {self.p}")
-        return (c.numerator % self.p) * pow(den, -1, self.p) % self.p
-
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
-
-
-QQ = _RationalField()
-
-
-# ---------------------------------------------------------------------------
-# engine core: polynomials as dict monomial -> coefficient (monic where noted)
+# engine core: polynomials as dict monomial -> coefficient (monic where noted),
+# coefficients in QQ when p is None, else in GF(p)
 
 
 def _lead(t, keyf):
     return max(t, key=keyf)
 
 
-def _make_monic(t, keyf, field):
+def _make_monic(t, keyf, p):
     lc = t[_lead(t, keyf)]
-    if field.p is None:
+    if p is None:
         if lc == 1:
             return t
         return {m: c / lc for m, c in t.items()}
-    inv = pow(lc, -1, field.p)
-    return {m: c * inv % field.p for m, c in t.items()}
+    inv = pow(lc, -1, p)
+    return {m: c * inv % p for m, c in t.items()}
 
 
-def _normal_form_terms(p, basis, keyf, field):
-    """Fully reduce dict-poly p by a list of (lt, monic terms)."""
-    work = dict(p)
+def _normal_form_terms(f, basis, keyf, p):
+    """Fully reduce dict-poly f by a list of (lt, monic terms)."""
+    work = dict(f)
     remainder = {}
     while work:
         m = _lead(work, keyf)
@@ -119,8 +62,8 @@ def _normal_form_terms(p, basis, keyf, field):
                         continue
                     mm = mon_mul(gm, shift)
                     v = work.get(mm, 0) - c * gc
-                    if field.p is not None:
-                        v %= field.p
+                    if p is not None:
+                        v %= p
                     if v:
                         work[mm] = v
                     else:
@@ -131,7 +74,7 @@ def _normal_form_terms(p, basis, keyf, field):
     return remainder
 
 
-def _spoly(g1, lt1, g2, lt2, keyf, field):
+def _spoly(g1, lt1, g2, lt2, p):
     lcm = mon_lcm(lt1, lt2)
     s1, s2 = mon_div(lcm, lt1), mon_div(lcm, lt2)
     out = {}
@@ -140,8 +83,8 @@ def _spoly(g1, lt1, g2, lt2, keyf, field):
     for m, c in g2.items():
         mm = mon_mul(m, s2)
         v = out.get(mm, 0) - c
-        if field.p is not None:
-            v %= field.p
+        if p is not None:
+            v %= p
         if v:
             out[mm] = v
         else:
@@ -149,13 +92,12 @@ def _spoly(g1, lt1, g2, lt2, keyf, field):
     return out
 
 
-def _buchberger_terms(gens, keyf, field):
+def _buchberger_terms(gens, keyf, p=None):
     """Reduced monic Groebner basis of dict-polys, sorted by leading term."""
     G = []
     for g in gens:
         if g:
-            G.append(_make_monic(dict(g), keyf, field))
-    # interreduce input a little: drop duplicates
+            G.append(_make_monic(dict(g), keyf, p))
     basis = [(_lead(g, keyf), g) for g in G]
 
     pairs = set()
@@ -187,10 +129,10 @@ def _buchberger_terms(gens, keyf, field):
                     break
         if skip:
             continue
-        s = _spoly(basis[i][1], lti, basis[j][1], ltj, keyf, field)
-        r = _normal_form_terms(s, basis, keyf, field)
+        s = _spoly(basis[i][1], lti, basis[j][1], ltj, p)
+        r = _normal_form_terms(s, basis, keyf, p)
         if r:
-            r = _make_monic(r, keyf, field)
+            r = _make_monic(r, keyf, p)
             new = len(basis)
             basis.append((_lead(r, keyf), r))
             for k in range(new):
@@ -210,8 +152,8 @@ def _buchberger_terms(gens, keyf, field):
     reduced = []
     for pos, (lt, g) in enumerate(minimal):
         others = minimal[:pos] + minimal[pos + 1:]
-        r = _normal_form_terms(g, others, keyf, field)
-        reduced.append((lt, _make_monic(r, keyf, field)))
+        r = _normal_form_terms(g, others, keyf, p)
+        reduced.append((lt, _make_monic(r, keyf, p)))
     reduced.sort(key=lambda t: keyf(t[0]))
     return [g for _, g in reduced]
 
@@ -221,15 +163,14 @@ def _buchberger_terms(gens, keyf, field):
 
 
 class GroebnerBasis:
-    """Reduced basis under a monomial order; unique for (ideal, order)."""
+    """Reduced grevlex basis; unique for the ideal."""
 
-    __slots__ = ("order", "basis", "_lt_basis")
+    __slots__ = ("basis", "_lt_basis")
 
-    def __init__(self, order, basis):
-        self.order = order
+    def __init__(self, basis):
         self.basis = tuple(basis)
         self._lt_basis = tuple(
-            (max(p.terms, key=order.key), p.terms) for p in self.basis
+            (max(p.terms, key=grevlex_key), p.terms) for p in self.basis
         )
 
     def leading_monomials(self):
@@ -250,34 +191,32 @@ class GroebnerBasis:
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
-        return self.order.tag == other.order.tag and self.basis == other.basis
+        return self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.order.tag, self.basis))
+        return hash(self.basis)
 
     def __repr__(self):
-        return f"GroebnerBasis({self.order.tag}, {len(self.basis)} elements)"
+        return f"GroebnerBasis({len(self.basis)} elements)"
 
 
 class Ideal:
-    """Homogeneous ideal given by generators, with cached reduced bases."""
+    """Homogeneous ideal given by generators, with its reduced basis cached."""
 
-    __slots__ = ("gens", "_gb_cache")
+    __slots__ = ("gens", "_gb")
 
     def __init__(self, gens):
         clean = tuple(g for g in gens if not g.is_zero())
         object.__setattr__(self, "gens", clean)
-        object.__setattr__(self, "_gb_cache", {})
+        object.__setattr__(self, "_gb", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal generators are immutable")
 
-    def groebner(self, order=GREVLEX):
-        gb = self._gb_cache.get(order.tag)
-        if gb is None:
-            gb = buchberger(self, order)
-            self._gb_cache[order.tag] = gb
-        return gb
+    def groebner(self):
+        if self._gb is None:
+            object.__setattr__(self, "_gb", buchberger(self))
+        return self._gb
 
     def contains(self, p):
         return normal_form(p, self.groebner()).is_zero()
@@ -303,10 +242,6 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
 
-def irrelevant_ideal():
-    return Ideal(tuple(Poly.variable(i) for i in range(NVARS)))
-
-
 # ---------------------------------------------------------------------------
 # conversions between Poly and engine dicts
 
@@ -323,34 +258,48 @@ def _terms_to_poly(t):
 # operations
 
 
-def buchberger(ideal, order=GREVLEX):
+def buchberger(ideal):
     """Reduced Groebner basis of an ideal. Idempotent."""
     gens = [_poly_to_terms(g) for g in ideal.gens]
-    reduced = _buchberger_terms(gens, order.key, QQ)
-    return GroebnerBasis(order, [_terms_to_poly(g) for g in reduced])
+    reduced = _buchberger_terms(gens, grevlex_key)
+    return GroebnerBasis([_terms_to_poly(g) for g in reduced])
 
 
 def normal_form(p, gb):
     """Remainder of multivariate division by a reduced basis."""
-    r = _normal_form_terms(_poly_to_terms(p), gb._lt_basis, gb.order.key, QQ)
+    r = _normal_form_terms(_poly_to_terms(p), gb._lt_basis, grevlex_key, None)
     return _terms_to_poly(r)
 
 
-def leading_monomials_mod_p(ideal, prime, order=GREVLEX):
+def leading_monomials_mod_p(ideal, prime):
     """Leading monomials of the reduced basis over GF(prime).
 
     Used only as a consistency check against the rational computation.
-    Raises ZeroDivisionError when the prime divides a denominator.
+    Raises ZeroDivisionError when the prime divides a denominator. Terms
+    whose coefficient vanishes mod prime are dropped, as the engine keeps
+    no zero coefficients.
     """
-    field = _PrimeField(prime)
     gens = []
     for g in ideal.gens:
-        gens.append({m: field.convert(c) for m, c in g.terms.items()})
-    reduced = _buchberger_terms(gens, order.key, field)
-    return tuple(sorted((max(g, key=order.key) for g in reduced), key=order.key))
+        t = {}
+        for m, c in g.terms.items():
+            den = c.denominator % prime
+            if den == 0:
+                raise ZeroDivisionError(f"denominator vanishes mod {prime}")
+            r = c.numerator * pow(den, -1, prime) % prime
+            if r:
+                t[m] = r
+        gens.append(t)
+    reduced = _buchberger_terms(gens, grevlex_key, prime)
+    return tuple(sorted((max(g, key=grevlex_key) for g in reduced), key=grevlex_key))
 
 
 # -- auxiliary-variable machinery (variable t prepended at index 0) ---------
+
+
+def _elim_key(m):
+    """Block order eliminating the auxiliary variable, grevlex on the rest."""
+    return (m[0], grevlex_key(m[1:]))
 
 
 def _extend(p, t_exp):
@@ -375,8 +324,7 @@ def intersect(I, J):
         for m, c in _extend(g, 1).items():
             h[m] = h.get(m, 0) - c
         gens5.append({m: c for m, c in h.items() if c})
-    order5 = elimination_order(1, NVARS + 1)
-    reduced = _buchberger_terms(gens5, order5.key, QQ)
+    reduced = _buchberger_terms(gens5, _elim_key)
     out = []
     for g in reduced:
         if all(m[0] == 0 for m in g):
@@ -388,13 +336,12 @@ def divide_exact(p, f):
     """Exact division p / f; raises ValueError if f does not divide p."""
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    keyf = GREVLEX.key
     work = dict(p.terms)
-    ltf = max(f.terms, key=keyf)
+    ltf = max(f.terms, key=grevlex_key)
     lcf = f.terms[ltf]
     quot = {}
     while work:
-        m = _lead(work, keyf)
+        m = _lead(work, grevlex_key)
         c = work.pop(m)
         if not mon_divides(ltf, m):
             raise ValueError("not an exact multiple")
@@ -432,8 +379,7 @@ def saturate_single(I, f):
     tf = _extend(f, 1)
     tf[(0,) + (0,) * NVARS] = tf.get((0,) + (0,) * NVARS, 0) - 1
     gens5.append({m: c for m, c in tf.items() if c})
-    order5 = elimination_order(1, NVARS + 1)
-    reduced = _buchberger_terms(gens5, order5.key, QQ)
+    reduced = _buchberger_terms(gens5, _elim_key)
     out = []
     for g in reduced:
         if all(m[0] == 0 for m in g):
@@ -452,47 +398,30 @@ def saturate_iterated_colon(I, f, cap=64):
     raise NonTermination(f"colon iteration did not stabilize within {cap} steps")
 
 
-def _permute_poly(p, perm):
-    return Poly({tuple(m[j] for j in perm): c for m, c in p.terms.items()})
-
-
 def _reduced_ideal(gens):
     """Ideal presented by its reduced grevlex basis, with the cache primed."""
-    reduced = _buchberger_terms([_poly_to_terms(g) for g in gens], GREVLEX.key, QQ)
+    reduced = _buchberger_terms([_poly_to_terms(g) for g in gens], grevlex_key)
     basis = [_terms_to_poly(g) for g in reduced]
     ideal = Ideal(basis)
-    ideal._gb_cache[GREVLEX.tag] = GroebnerBasis(GREVLEX, basis)
+    object.__setattr__(ideal, "_gb", GroebnerBasis(basis))
     return ideal
 
 
 def _colon_last_variable(gens):
-    """Reduced grevlex basis of homogeneous dict-polys, and of (I : x3^infinity).
+    """Reduced grevlex basis of homogeneous dict-polys, and a basis of
+    (I : x3^infinity).
 
     x3 is the cheapest variable, so dividing each element of the reduced
     basis by its largest power of x3 gives a basis of the colon
-    (Bayer-Stillman).
+    (Bayer-Stillman). `saturate` applies it after a change of coordinates
+    that sends its linear form to x3.
     """
-    reduced = _buchberger_terms(gens, grevlex_key, QQ)
+    reduced = _buchberger_terms(gens, grevlex_key)
     quotients = []
     for g in reduced:
         e = min(m[-1] for m in g)
         quotients.append({m[:-1] + (m[-1] - e,): c for m, c in g.items()} if e else g)
     return reduced, quotients
-
-
-def saturate_variable(I, i):
-    """(I : x_i^infinity) for homogeneous I, with x_i moved to the last place.
-
-    Cross-checked in the test suite against the iterated colon.
-    """
-    if I.is_zero():
-        return Ideal(())
-    perm = [j for j in range(NVARS) if j != i] + [i]
-    inv = [0] * NVARS
-    for pos, j in enumerate(perm):
-        inv[j] = pos
-    _, quotients = _colon_last_variable([_poly_to_terms(_permute_poly(g, perm)) for g in I.gens])
-    return _reduced_ideal([_permute_poly(_terms_to_poly(g), inv) for g in quotients])
 
 
 def _shift_x3(p, a):
@@ -508,39 +437,25 @@ def _hilbert_polynomial(basis):
     return hilbert_from_lt([max(g, key=grevlex_key) for g in basis]).hp_coeffs
 
 
-def saturate(I, J):
-    """(I : J^infinity).
+def saturate(I):
+    """I : m^infinity, the saturation by the irrelevant ideal
+    m = (x0, x1, x2, x3).
 
-    For the irrelevant ideal m = (x0, x1, x2, x3): I : l^infinity for the
-    first l_k = k*x0 + k^2*x1 + k^3*x2 + x3, k = 0, 1, 2, ..., that passes a
-    certificate, computed as the colon by x3 after the substitution
-    x3 -> x3 - (k*x0 + k^2*x1 + k^3*x2), which sends l_k to x3.
+    It is I : l^infinity for the first l_k = k*x0 + k^2*x1 + k^3*x2 + x3,
+    k = 0, 1, 2, ..., that passes a certificate, computed as the colon by
+    x3 after the substitution x3 -> x3 - (k*x0 + k^2*x1 + k^3*x2), which
+    sends l_k to x3.
     Certificate: I^sat lies in I : l^infinity, so equal Hilbert polynomials
     leave a quotient of finite length, and the two are equal. The check
     fails exactly when l_k lies in an associated prime P != m of I. The
     linear forms in P lie in a hyperplane, which meets the twisted cubic
     (k, k^2, k^3, 1) at most 3 times: at most 3 failures per such prime.
     """
-    if not J.gens:
-        raise ValueError("saturation by the zero ideal")
     if I.is_zero():
         return Ideal(())
-
-    if set(J.gens) == {Poly.variable(i) for i in range(NVARS)}:
-        for k in itertools.count():
-            gens = [_poly_to_terms(_shift_x3(g, (-k, -k * k, -k ** 3))) for g in I.gens]
-            reduced, quotients = _colon_last_variable(gens)
-            if _hilbert_polynomial(reduced) == _hilbert_polynomial(quotients):
-                back = [_shift_x3(_terms_to_poly(q), (k, k * k, k ** 3)) for q in quotients]
-                return _reduced_ideal(back)
-
-    parts = [saturate_single(I, f) for f in J.gens]
-    result = parts[0]
-    for part in parts[1:]:
-        if part.contains_ideal(result):
-            continue
-        if result.contains_ideal(part):
-            result = part
-            continue
-        result = intersect(result, part)
-    return result
+    for k in itertools.count():
+        gens = [_poly_to_terms(_shift_x3(g, (-k, -k * k, -k ** 3))) for g in I.gens]
+        reduced, quotients = _colon_last_variable(gens)
+        if _hilbert_polynomial(reduced) == _hilbert_polynomial(quotients):
+            back = [_shift_x3(_terms_to_poly(q), (k, k * k, k ** 3)) for q in quotients]
+            return _reduced_ideal(back)

@@ -16,7 +16,7 @@ from p3dist.exterior import (
     wedge,
 )
 from p3dist.grammar import parse_poly
-from p3dist.groebner import Ideal, buchberger, intersect, irrelevant_ideal, normal_form, saturate
+from p3dist.groebner import Ideal, buchberger, intersect, normal_form, saturate
 from p3dist.hilbert import hilbert
 from p3dist.linalg import compute_tF
 from p3dist.poly import Poly, X0, X1, X2, X3
@@ -207,13 +207,12 @@ def test_criterion_8_property_suites(example1, example2, nullcorrelation):
             assert normal_form(combo, gb).is_zero()
 
         # saturation fixpoint, 100 cases
-        m = irrelevant_ideal()
         for _ in range(100):
             gens = tuple(
                 random_nonzero_poly(rng, rng.randint(1, 2)) for _ in range(2)
             )
-            s = saturate(Ideal(gens), m)
-            assert saturate(s, m) == s
+            s = saturate(Ideal(gens))
+            assert saturate(s) == s
             assert s.contains_ideal(Ideal(gens))
 
         # tF <= d + 1 on 100 random valid forms of degree <= 3

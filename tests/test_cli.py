@@ -210,6 +210,14 @@ def test_analyze_vf_common_factor_exit_code(tmp_path, capsys):
     }
 
 
+def test_mistyped_variable_exit_code(tmp_path, capsys):
+    path = write_doc(tmp_path, {"kind": "oneform", "coeffs": ["x1", "-x5", "0", "0"]})
+    assert cli.main(["analyze", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert (err["line"], err["col"]) == (1, 3)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = write_doc(
         tmp_path, {"kind": "oneform", "coeffs": ["x0 + * x1", "0", "0", "0"]}

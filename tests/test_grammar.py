@@ -53,6 +53,22 @@ def test_parse_error_positions():
         parse_poly("(x")
 
 
+def test_digit_after_variable_rejected():
+    # a digit right after a variable is a mistyped variable, not a factor
+    for text, line, col in (
+        ("x5", 1, 2), ("x12", 1, 3), ("y2", 1, 2), ("w0", 1, 2),
+        ("x00", 1, 3), ("3*x1 + z7", 1, 9), ("x +\n y3", 2, 3),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert (exc.value.line, exc.value.col) == (line, col), text
+    # digits elsewhere keep their meaning
+    assert parse_poly("2x1") == 2 * X1
+    assert parse_poly("x0x1") == X0 * X1
+    assert parse_poly("x0^2") == X0 ** 2
+    assert parse_poly("x1 2") == 2 * X1
+
+
 def test_format_canonical():
     p = 3 * X1 - X0 ** 2 + X3
     assert format_poly(p) == "-x0^2 + 3*x1 + x3"

@@ -8,21 +8,18 @@ from p3dist.exterior import minors_against_radial
 from p3dist.grammar import parse_poly
 from p3dist.logarithmic import build_log_form
 from p3dist.groebner import (
-    GREVLEX,
     Ideal,
     buchberger,
     colon,
     divide_exact,
     intersect,
-    irrelevant_ideal,
     leading_monomials_mod_p,
     normal_form,
     saturate,
     saturate_iterated_colon,
     saturate_single,
-    saturate_variable,
 )
-from p3dist.poly import Poly, X0, X1, X2, X3
+from p3dist.poly import Poly, X0, X1, X2, X3, grevlex_key
 
 from conftest import make_rng, random_nonzero_poly
 
@@ -120,37 +117,35 @@ def test_intersect_membership_random():
 
 def test_saturate_point_blowup():
     I = Ideal((X0 ** 2, X0 * X1, X0 * X2, X0 * X3))
-    S = saturate(I, irrelevant_ideal())
+    S = saturate(I)
     assert S == Ideal((X0,))
 
 
 def test_saturation_methods_agree():
-    # Bayer reverse-lex extraction vs the two elimination-based routes
+    # the auxiliary-variable elimination vs the iterated colon
     cases = [
         Ideal((X0 ** 2, X0 * X1, X0 * X2, X0 * X3)),
         Ideal((X0 * X1, X0 * X2, X1 * X2, X2 ** 2 - X1 * X3)),
         Ideal((P("x^2 - y*z"), P("x*y"), P("x*w^2"))),
     ]
     for I in cases:
-        for i, v in enumerate((X0, X1, X2, X3)):
-            a = saturate_variable(I, i)
+        for v in (X0, X1, X2, X3):
             b = saturate_single(I, v)
             c = saturate_iterated_colon(I, v)
-            assert a == b == c
+            assert b == c
 
 
 def test_saturate_contains_and_fixpoint():
     rng = make_rng(61)
-    m = irrelevant_ideal()
     count = 0
     while count < 100:
         gens = tuple(random_nonzero_poly(rng, rng.randint(1, 2)) for _ in range(3))
         I = Ideal(gens)
-        S = saturate(I, m)
+        S = saturate(I)
         # I is contained in its saturation
         assert S.contains_ideal(I)
         # saturating again changes nothing
-        assert saturate(S, m) == S
+        assert saturate(S) == S
         count += 1
 
 
@@ -182,9 +177,8 @@ def test_saturate_irrelevant_against_oracle():
         cases.append(Ideal(minors_against_radial(corpus.load_vfield(name))))
     for name in names["logtypes"]:
         cases.append(Ideal(build_log_form(corpus.load_logtype(name)).one_form_coeffs()))
-    m = irrelevant_ideal()
     for I in cases:
-        assert saturate(I, m) == _saturate_oracle(I)
+        assert saturate(I) == _saturate_oracle(I)
 
 
 def test_saturate_retries_linear_forms_in_associated_primes():
@@ -194,14 +188,7 @@ def test_saturate_retries_linear_forms_in_associated_primes():
     # lose a component, so both must be rejected
     assert saturate_single(I, X3) == Ideal((L,))
     assert saturate_single(I, L) == Ideal((X3,))
-    assert saturate(I, irrelevant_ideal()) == Ideal((X3 * L,))
-
-
-def test_saturate_multi_generator_ideal():
-    # saturation by a non-irrelevant 2-generator ideal
-    I = Ideal((X0 * X2, X0 * X3, X1 * X2, X1 * X3))  # two skew lines' product
-    S = saturate(I, Ideal((X2, X3)))
-    assert S == Ideal((X0, X1))
+    assert saturate(I) == Ideal((X3 * L,))
 
 
 def test_intersect_with_principal_linear():
@@ -211,7 +198,7 @@ def test_intersect_with_principal_linear():
 
 def test_mod_p_leading_terms_agree():
     I = Ideal((P("x^2 - y*z"), P("x*y - z*w"), P("y^2 - x*w")))
-    rational = tuple(sorted(I.groebner().leading_monomials(), key=GREVLEX.key))
+    rational = tuple(sorted(I.groebner().leading_monomials(), key=grevlex_key))
     modular = leading_monomials_mod_p(I, 32003)
     assert modular == rational
 
@@ -225,3 +212,49 @@ def test_mod_p_denominator_blowup_raises():
 def test_nontermination_guard():
     with pytest.raises(NonTermination):
         saturate_iterated_colon(Ideal((X0,)), X0, cap=0)
+
+
+def test_mod_p_drops_coefficients_divisible_by_p():
+    # 32003*x1*x3 is zero mod 32003; kept as a zero term it becomes a
+    # leading term during reduction and cannot be made monic
+    I = Ideal((X0 * X2 + 32003 * X1 * X3, X1 * X2 - X0 * X3, X2 ** 2))
+    assert leading_monomials_mod_p(I, 32003) == leading_monomials_mod_p(
+        Ideal((X0 * X2, X1 * X2 - X0 * X3, X2 ** 2)), 32003
+    )
+    assert leading_monomials_mod_p(Ideal((32003 * X0,)), 32003) == ()
+
+
+def _random_ideals(count):
+    rng = make_rng(71)
+    for _ in range(count):
+        yield Ideal(tuple(
+            random_nonzero_poly(rng, rng.randint(1, 3), nterms=3)
+            for _ in range(rng.randint(2, 3))
+        ))
+
+
+def test_buchberger_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:4")
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()},
+            *xs, domain="QQ",
+        ).as_expr()
+
+    for I in _random_ideals(40):
+        exprs = [to_sympy(g) for g in I.gens]
+        expected = set()
+        for g in sympy.groebner(exprs, *xs, order="grevlex").exprs:
+            g = sympy.Poly(g, *xs, domain="QQ")
+            lc = g.coeffs(order="grevlex")[0]
+            expected.add(Poly({
+                m: Fraction(int((c / lc).p), int((c / lc).q)) for m, c in g.terms()
+            }))
+        assert set(buchberger(I).basis) == expected
+
+        modular = sympy.groebner(exprs, *xs, order="grevlex", modulus=32003)
+        leading = [sympy.Poly(g, *xs, modulus=32003).monoms(order="grevlex")[0]
+                   for g in modular.exprs]
+        assert leading_monomials_mod_p(I, 32003) == tuple(sorted(leading, key=grevlex_key))
