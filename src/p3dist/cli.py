@@ -224,7 +224,7 @@ def _cmd_find_subfoliation(args):
     omega = parse_input(_read_text(args.file))
     if not isinstance(omega, ExtForm):
         raise ParseError("find-subfoliation expects a 'oneform' input document")
-    d = distribution.validate_oneform(omega)
+    d, _, _ = distribution.validate_oneform(omega)
     tF, section, sdim = compute_tF(omega, degree=d)
     _emit({
         "schema_version": SCHEMA_VERSION,

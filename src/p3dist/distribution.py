@@ -98,7 +98,11 @@ def singular_scheme(omega):
 
 
 def validate_oneform(omega):
-    """Check the 1-form defines a distribution; return its degree d."""
+    """Check the 1-form defines a distribution and read its singular scheme.
+
+    Returns (d, sing, chern): the degree, the singular-scheme invariants and
+    the Chern triple of the tangent sheaf.
+    """
     if omega.grade != 1:
         raise InvalidForm("expected a grade-1 form")
     coeffs = omega.one_form_coeffs()
@@ -113,9 +117,16 @@ def validate_oneform(omega):
         raise InvalidForm("coefficient degree must be at least 1")
     if not contract(radial_field(), omega).is_zero():
         raise EulerViolation("coefficients do not satisfy the Euler relation")
+    d = dega - 1
     # reading the singular scheme rejects one that contains a surface
-    _invariants(omega, dega - 1)
-    return dega - 1
+    sat = singular_scheme(omega)
+    degc, pa, lenu = curve_invariants(
+        lambda: nonzero,
+        hilbert(sat),
+        lambda degc: d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2) - 2,
+    )
+    chern = ChernTriple(2 - d, d ** 2 + 2 - degc, lenu)
+    return d, SingInvariants(degc, pa, lenu, sat), chern
 
 
 def is_integrable(omega):
@@ -125,19 +136,8 @@ def is_integrable(omega):
 
 def invariants(omega):
     """Singular-scheme invariants and Chern triple of the tangent sheaf."""
-    return _invariants(omega, validate_oneform(omega))
-
-
-def _invariants(omega, d):
-    """invariants() of a 1-form already validated to have degree d."""
-    sat = singular_scheme(omega)
-    degc, pa, lenu = curve_invariants(
-        lambda: [p for p in omega.one_form_coeffs() if not p.is_zero()],
-        hilbert(sat),
-        lambda degc: d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2) - 2,
-    )
-    chern = ChernTriple(2 - d, d ** 2 + 2 - degc, lenu)
-    return SingInvariants(degc, pa, lenu, sat), chern
+    _, sing, chern = validate_oneform(omega)
+    return sing, chern
 
 
 def curve_invariants(gens, h, c3_base):
@@ -219,8 +219,7 @@ def _stability(degree, tF, split, chern):
 
 def classify(omega):
     """Full analysis pipeline producing a DistReport."""
-    d = validate_oneform(omega)
-    sing, chern = _invariants(omega, d)
+    d, sing, chern = validate_oneform(omega)
     tF, section, sdim = compute_tF(omega, degree=d)
     split = split_test(tF, chern, d)
     verdict = _stability(d, tF, split, chern)

@@ -5,6 +5,12 @@ coefficients; + - * ^ and parentheses; implicit multiplication by
 juxtaposition (2x^3y); whitespace-insensitive, except that a digit may not
 directly follow a variable (x5 is an error, not 5*x). Errors carry
 line/column.
+
+Input limits, so that a short text cannot run unbounded: no power or product
+may exceed degree MAX_DEGREE (an exponent counts as a degree even on a
+constant), and parentheses nest at most MAX_DEPTH deep. Both are checked
+before the work they would cause. A number longer than the interpreter
+converts to int is a parse error too.
 """
 
 from __future__ import annotations
@@ -16,6 +22,11 @@ from .poly import Poly
 
 ALIASES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3, "x": 0, "y": 1, "z": 2, "w": 3}
 
+# A generic form of degree 20 has 1771 terms; the analyses handle forms of
+# degree up to about 5, and the tests parse degree 16.
+MAX_DEGREE = 20
+MAX_DEPTH = 64
+
 
 class _Lexer:
     def __init__(self, text):
@@ -23,6 +34,7 @@ class _Lexer:
         self.pos = 0
         self.line = 1
         self.col = 1
+        self.depth = 0
 
     def _advance(self, n):
         for ch in self.text[self.pos:self.pos + n]:
@@ -42,6 +54,11 @@ class _Lexer:
         if self.pos >= len(self.text):
             return None
         return self.text[self.pos]
+
+    def position(self):
+        """(line, col) of the next token."""
+        self.skip_ws()
+        return self.line, self.col
 
     def error(self, expected):
         got = self.peek()
@@ -63,7 +80,7 @@ class _Lexer:
             self._advance(1)
         if self.pos == start:
             return None
-        num = int(self.text[start:self.pos])
+        num = self._int(start)
         # rational coefficient p/q
         save = (self.pos, self.line, self.col)
         if self.take_char("/"):
@@ -73,11 +90,17 @@ class _Lexer:
             if self.pos == dstart:
                 self.pos, self.line, self.col = save
                 return Fraction(num)
-            den = int(self.text[dstart:self.pos])
+            den = self._int(dstart)
             if den == 0:
                 raise ParseError("zero denominator", self.line, self.col)
             return Fraction(num, den)
         return Fraction(num)
+
+    def _int(self, start):
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # longer than the interpreter converts
+            raise ParseError(f"number too long: {exc}", self.line, self.col)
 
     def take_variable(self):
         self.skip_ws()
@@ -96,14 +119,22 @@ class _Lexer:
         return ALIASES[name]
 
 
-def _parse_exponent(lx):
-    if not lx.take_char("^"):
+def _parse_exponent(lx, degree):
+    """The exponent after an optional '^' (1 without one), for a base of
+    the given degree."""
+    if lx.peek() != "^":
         return 1
+    at = lx.position()
+    lx.take_char("^")
     n = lx.take_number()
     if n is None or n.denominator != 1:
         lx.error("integer exponent")
     if n < 0:
         lx.error("non-negative exponent")
+    power_degree = max(degree, 1) * int(n)
+    if power_degree > MAX_DEGREE:
+        raise ParseError(f"power of degree {power_degree} is above the "
+                         f"degree cap MAX_DEGREE = {MAX_DEGREE}", *at)
     return int(n)
 
 
@@ -113,16 +144,20 @@ def _parse_factor(lx):
         return Poly.constant(n)
     v = lx.take_variable()
     if v is not None:
-        e = _parse_exponent(lx)
         m = [0, 0, 0, 0]
-        m[v] = e
+        m[v] = _parse_exponent(lx, 1)
         return Poly.monomial(tuple(m))
-    if lx.take_char("("):
+    if lx.peek() == "(":
+        if lx.depth == MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}",
+                             *lx.position())
+        lx.take_char("(")
+        lx.depth += 1
         p = _parse_expr(lx)
         if not lx.take_char(")"):
             lx.error("')'")
-        e = _parse_exponent(lx) if lx.peek() == "^" else 1
-        return p ** e
+        lx.depth -= 1
+        return p ** _parse_exponent(lx, p.degree())
     lx.error("number, variable, or '('")
 
 
@@ -135,13 +170,15 @@ def _starts_factor(lx):
 
 def _parse_term(lx):
     p = _parse_factor(lx)
-    while True:
-        if lx.take_char("*"):
-            p = p * _parse_factor(lx)
-        elif _starts_factor(lx):
-            p = p * _parse_factor(lx)
-        else:
-            return p
+    while lx.take_char("*") or _starts_factor(lx):
+        at = lx.position()
+        f = _parse_factor(lx)
+        product_degree = p.degree() + f.degree()
+        if product_degree > MAX_DEGREE:
+            raise ParseError(f"product of degree {product_degree} is above "
+                             f"the degree cap MAX_DEGREE = {MAX_DEGREE}", *at)
+        p = p * f
+    return p
 
 
 def _take_signs(lx):

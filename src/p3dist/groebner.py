@@ -1,12 +1,13 @@
 """Groebner engine and ideal toolbox.
 
-Buchberger with the product and chain criteria, reduced grevlex bases,
-and the ideal operations the analysis pipeline needs: membership and the
-saturation by the irrelevant ideal, one certified colon by a linear form
-(Bayer-Stillman reverse-lex division, checked by the Hilbert polynomial).
-Intersection (which also gives the gcd that names a common factor),
-colon and the saturation by one polynomial eliminate an auxiliary
-variable; the tests compare the saturation against them.
+Buchberger with a pair heap ordered by the degree and the term order of the
+lcm, the Gebauer-Moller pair criteria, and fraction-free integer reduction;
+reduced grevlex bases, and the ideal operations the analysis pipeline
+needs: membership and the saturation by the irrelevant ideal, one certified
+colon by a linear form (Bayer-Stillman reverse-lex division, checked by the
+Hilbert polynomial). Intersection (which also gives the gcd that names a
+common factor), colon and the saturation by one polynomial eliminate an
+auxiliary variable; the tests compare the saturation against them.
 Coefficients are exact rationals, or residues mod a prime p for the
 modular cross-check.
 """
@@ -15,147 +16,167 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from .errors import NonTermination
 from .hilbert import hilbert_from_lt
 from .poly import (
     NVARS,
     Poly,
+    fraction_free_step,
     grevlex_key,
     mon_div,
     mon_divides,
     mon_lcm,
     mon_mul,
+    primitive_row,
 )
 
 # ---------------------------------------------------------------------------
-# engine core: polynomials as dict monomial -> coefficient (monic where noted),
-# coefficients in QQ when p is None, else in GF(p)
+# engine core: polynomials as dicts monomial -> nonzero coefficient. Over QQ
+# (p is None) a basis element is kept as a primitive integer multiple and
+# reduced fraction-free; over GF(p) it is kept monic. Bases leave the engine
+# reduced and monic, with Fraction coefficients over QQ.
 
 
 def _lead(t, keyf):
     return max(t, key=keyf)
 
 
-def _make_monic(t, keyf, p):
-    lc = t[_lead(t, keyf)]
+def _engine_form(t, keyf, p):
+    """A nonzero dict-poly as the engine keeps it."""
     if p is None:
-        if lc == 1:
-            return t
-        return {m: c / lc for m, c in t.items()}
-    inv = pow(lc, -1, p)
+        return primitive_row(t)
+    inv = pow(t[_lead(t, keyf)], -1, p)
     return {m: c * inv % p for m, c in t.items()}
 
 
-def _normal_form_terms(f, basis, keyf, p):
-    """Fully reduce dict-poly f by a list of (lt, monic terms)."""
-    work = dict(f)
-    remainder = {}
-    while work:
-        m = _lead(work, keyf)
-        c = work.pop(m)
-        for lt, g in basis:
-            if mon_divides(lt, m):
-                shift = mon_div(m, lt)
-                for gm, gc in g.items():
-                    if gm == lt:
-                        continue
-                    mm = mon_mul(gm, shift)
-                    v = work.get(mm, 0) - c * gc
-                    if p is not None:
-                        v %= p
-                    if v:
-                        work[mm] = v
-                    else:
-                        work.pop(mm, None)
-                break
-        else:
-            remainder[m] = c
-    return remainder
+def _monic(t, keyf, p):
+    if p is None:
+        lc = t[_lead(t, keyf)]
+        return {m: Fraction(c, lc) for m, c in t.items()}
+    return _engine_form(t, keyf, p)
 
 
-def _spoly(g1, lt1, g2, lt2, p):
-    lcm = mon_lcm(lt1, lt2)
-    s1, s2 = mon_div(lcm, lt1), mon_div(lcm, lt2)
-    out = {}
-    for m, c in g1.items():
-        out[mon_mul(m, s1)] = c
-    for m, c in g2.items():
-        mm = mon_mul(m, s2)
-        v = out.get(mm, 0) - c
-        if p is not None:
-            v %= p
+def _shift(g, s):
+    return {mon_mul(m, s): c for m, c in g.items()}
+
+
+def _cancel(f, sg, m, p):
+    """Cancel the term of f at m against sg, whose leading term is at m."""
+    if p is None:
+        return fraction_free_step(f, sg, m)
+    c = f[m]
+    out = dict(f)
+    for k, v in sg.items():
+        v = (out.get(k, 0) - c * v) % p
         if v:
-            out[mm] = v
+            out[k] = v
         else:
-            out.pop(mm, None)
+            out.pop(k, None)
     return out
 
 
-def _buchberger_terms(gens, keyf, p=None):
-    """Reduced monic Groebner basis of dict-polys, sorted by leading term."""
-    G = []
-    for g in gens:
-        if g:
-            G.append(_make_monic(dict(g), keyf, p))
-    basis = [(_lead(g, keyf), g) for g in G]
+def _normal_form_terms(f, basis, keyf, p):
+    """Fully reduce the engine poly f by a list of (lt, engine poly).
 
-    pairs = set()
-    for i in range(len(basis)):
-        for j in range(i):
-            pairs.add((j, i))
-
-    def lcm_of(i, j):
-        return mon_lcm(basis[i][0], basis[j][0])
-
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (sum(lcm_of(*ij)), keyf(lcm_of(*ij))))
-        pairs.discard((i, j))
-        lti, ltj = basis[i][0], basis[j][0]
-        lcm = mon_lcm(lti, ltj)
-        # product criterion
-        if lcm == mon_mul(lti, ltj):
+    Over QQ the result is a primitive integer multiple of the remainder.
+    A heap of monomials, largest first, gives the next term to reduce;
+    terms already passed are the remainder, and every later one is smaller.
+    """
+    heap = [(tuple(map(neg, keyf(m))), m) for m in f]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        if m not in f:
             continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mon_divides(basis[k][0], lcm):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 not in pairs and p2 not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _spoly(basis[i][1], lti, basis[j][1], ltj, p)
-        r = _normal_form_terms(s, basis, keyf, p)
-        if r:
-            r = _make_monic(r, keyf, p)
-            new = len(basis)
-            basis.append((_lead(r, keyf), r))
-            for k in range(new):
-                pairs.add((k, new))
+        for lt, g in basis:
+            if mon_divides(lt, m):
+                sg = _shift(g, mon_div(m, lt))
+                reduced = _cancel(f, sg, m, p)
+                for k in sg:
+                    if k not in f and k in reduced:
+                        heappush(heap, (tuple(map(neg, keyf(k))), k))
+                f = reduced
+                break
+    return f
 
-    # minimalize
-    minimal = []
-    for idx, (lt, g) in enumerate(basis):
-        if any(
+
+def _reduced_basis(G, keyf, p):
+    """Reduced monic basis, sorted by leading term, from a Groebner basis
+    of engine polys: minimalize, then reduce each tail by the others."""
+    lts = [_lead(g, keyf) for g in G]
+    minimal = [
+        (lt, g) for idx, (lt, g) in enumerate(zip(lts, G))
+        if not any(
             mon_divides(lt2, lt) and (lt2 != lt or jdx < idx)
-            for jdx, (lt2, _) in enumerate(basis)
-            if jdx != idx
-        ):
-            continue
-        minimal.append((lt, g))
-    # tail-reduce
+            for jdx, lt2 in enumerate(lts) if jdx != idx
+        )
+    ]
     reduced = []
     for pos, (lt, g) in enumerate(minimal):
-        others = minimal[:pos] + minimal[pos + 1:]
-        r = _normal_form_terms(g, others, keyf, p)
-        reduced.append((lt, _make_monic(r, keyf, p)))
-    reduced.sort(key=lambda t: keyf(t[0]))
+        r = _normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], keyf, p)
+        reduced.append((keyf(lt), _monic(r, keyf, p)))
+    reduced.sort(key=lambda t: t[0])
     return [g for _, g in reduced]
+
+
+def _buchberger_terms(gens, keyf, p=None):
+    """Reduced monic Groebner basis of dict-polys, sorted by leading term.
+
+    Pairs wait in a heap keyed by (degree of the lcm, order key of the lcm)
+    and are pruned by the Gebauer-Moller update when an element is added.
+    `active` holds the elements whose leading terms divide no other one;
+    they reduce, and only they form new pairs.
+    """
+    polys, lts = [], []
+    active, basis = [], []
+    pairs = []
+
+    def add(h):
+        nonlocal active, basis, pairs
+        lt = _lead(h, keyf)
+        new = len(polys)
+        polys.append(h)
+        lts.append(lt)
+        # new pairs (i, new): one goes when the lcm of a later candidate or
+        # of a kept one divides its lcm, unless its leading terms are
+        # coprime; coprime ones are kept for that test, then dropped
+        cands = [(mon_lcm(lts[i], lt), i) for i in active]
+        kept = []
+        for pos, (l, i) in enumerate(cands):
+            coprime = l == mon_mul(lts[i], lt)
+            if coprime or not any(
+                mon_divides(l2, l) for l2, _ in cands[pos + 1:] + kept
+            ):
+                kept.append((l, None if coprime else i))
+        # an old pair (i, j) goes when lt divides its lcm strictly inside
+        # both new lcms
+        pairs = [
+            e for e in pairs
+            if not mon_divides(lt, e[4])
+            or mon_lcm(lts[e[2]], lt) == e[4]
+            or mon_lcm(lts[e[3]], lt) == e[4]
+        ]
+        pairs.extend((sum(l), keyf(l), i, new, l) for l, i in kept if i is not None)
+        heapify(pairs)
+        active = [i for i in active if not mon_divides(lt, lts[i])] + [new]
+        basis = [(lts[i], polys[i]) for i in active]
+
+    for g in sorted((_engine_form(g, keyf, p) for g in gens if g),
+                    key=lambda g: keyf(_lead(g, keyf))):
+        r = _normal_form_terms(g, basis, keyf, p)
+        if r:
+            add(_engine_form(r, keyf, p))
+    while pairs:
+        _, _, i, j, l = heappop(pairs)
+        s = _cancel(_shift(polys[i], mon_div(l, lts[i])),
+                    _shift(polys[j], mon_div(l, lts[j])), l, p)
+        r = _normal_form_terms(s, basis, keyf, p)
+        if r:
+            add(_engine_form(r, keyf, p))
+    return _reduced_basis([polys[i] for i in active], keyf, p)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +190,9 @@ class GroebnerBasis:
 
     def __init__(self, basis):
         self.basis = tuple(basis)
+        # the reducers of normal_form, in the engine's integer form
         self._lt_basis = tuple(
-            (max(p.terms, key=grevlex_key), p.terms) for p in self.basis
+            (max(p.terms, key=grevlex_key), primitive_row(p.terms)) for p in self.basis
         )
 
     def leading_monomials(self):
@@ -243,32 +265,25 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# conversions between Poly and engine dicts
-
-
-def _poly_to_terms(p):
-    return dict(p.terms)
-
-
-def _terms_to_poly(t):
-    return Poly({m: (c if isinstance(c, Fraction) else Fraction(c)) for m, c in t.items()})
-
-
-# ---------------------------------------------------------------------------
 # operations
 
 
 def buchberger(ideal):
     """Reduced Groebner basis of an ideal. Idempotent."""
-    gens = [_poly_to_terms(g) for g in ideal.gens]
-    reduced = _buchberger_terms(gens, grevlex_key)
-    return GroebnerBasis([_terms_to_poly(g) for g in reduced])
+    reduced = _buchberger_terms([g.terms for g in ideal.gens], grevlex_key)
+    return GroebnerBasis([Poly(g) for g in reduced])
 
 
 def normal_form(p, gb):
-    """Remainder of multivariate division by a reduced basis."""
-    r = _normal_form_terms(_poly_to_terms(p), gb._lt_basis, grevlex_key, None)
-    return _terms_to_poly(r)
+    """Remainder of multivariate division by a reduced basis, made monic.
+
+    The reduction is fraction-free, so it finds the remainder up to a
+    nonzero factor; zero exactly when p lies in the ideal.
+    """
+    if p.is_zero():
+        return p
+    r = _normal_form_terms(primitive_row(p.terms), gb._lt_basis, grevlex_key, None)
+    return Poly(_monic(r, grevlex_key, None)) if r else Poly()
 
 
 def leading_monomials_mod_p(ideal, prime):
@@ -298,8 +313,10 @@ def leading_monomials_mod_p(ideal, prime):
 
 
 def _elim_key(m):
-    """Block order eliminating the auxiliary variable, grevlex on the rest."""
-    return (m[0], grevlex_key(m[1:]))
+    """Block order eliminating the auxiliary variable, grevlex on the rest.
+
+    A flat tuple, so the engine's heaps can negate it entrywise."""
+    return (m[0],) + grevlex_key(m[1:])
 
 
 def _extend(p, t_exp):
@@ -328,7 +345,7 @@ def intersect(I, J):
     out = []
     for g in reduced:
         if all(m[0] == 0 for m in g):
-            out.append(_terms_to_poly(_project(g)))
+            out.append(_project(g))
     return _reduced_ideal(out)
 
 
@@ -383,7 +400,7 @@ def saturate_single(I, f):
     out = []
     for g in reduced:
         if all(m[0] == 0 for m in g):
-            out.append(_terms_to_poly(_project(g)))
+            out.append(_project(g))
     return _reduced_ideal(out)
 
 
@@ -398,13 +415,18 @@ def saturate_iterated_colon(I, f, cap=64):
     raise NonTermination(f"colon iteration did not stabilize within {cap} steps")
 
 
-def _reduced_ideal(gens):
-    """Ideal presented by its reduced grevlex basis, with the cache primed."""
-    reduced = _buchberger_terms([_poly_to_terms(g) for g in gens], grevlex_key)
-    basis = [_terms_to_poly(g) for g in reduced]
+def _ideal_of_basis(reduced):
+    """Ideal presented by a reduced grevlex basis of dict-polys, with the
+    cache primed."""
+    basis = [Poly(g) for g in reduced]
     ideal = Ideal(basis)
     object.__setattr__(ideal, "_gb", GroebnerBasis(basis))
     return ideal
+
+
+def _reduced_ideal(gens):
+    """Ideal of dict-polys, presented by its reduced grevlex basis."""
+    return _ideal_of_basis(_buchberger_terms(gens, grevlex_key))
 
 
 def _colon_last_variable(gens):
@@ -424,12 +446,31 @@ def _colon_last_variable(gens):
     return reduced, quotients
 
 
-def _shift_x3(p, a):
-    """p with x3 replaced by x3 + a[0]*x0 + a[1]*x1 + a[2]*x2."""
-    x3 = Poly({(0, 0, 0, 1): 1, (1, 0, 0, 0): a[0], (0, 1, 0, 0): a[1], (0, 0, 1, 0): a[2]})
-    out = Poly()
-    for e in {m[3] for m in p.terms}:
-        out = out + Poly({m[:3] + (0,): c for m, c in p.terms.items() if m[3] == e}) * x3 ** e
+def _shift_x3(polys, a):
+    """The integer dict-polys with x3 replaced by x3 + a[0]*x0 + a[1]*x1 + a[2]*x2,
+    a[i] != 0, from one table of powers of that linear form."""
+    linear = {(0, 0, 0, 1): 1, (1, 0, 0, 0): a[0], (0, 1, 0, 0): a[1], (0, 0, 1, 0): a[2]}
+    powers = [{(0,) * NVARS: 1}]
+    for _ in range(max(m[3] for t in polys for m in t)):
+        nxt = {}
+        for m, c in powers[-1].items():
+            for lm, lc in linear.items():
+                mm = mon_mul(m, lm)
+                nxt[mm] = nxt.get(mm, 0) + c * lc
+        powers.append(nxt)
+    out = []
+    for t in polys:
+        shifted = {}
+        for m, c in t.items():
+            base = m[:3] + (0,)
+            for pm, pc in powers[m[3]].items():
+                mm = mon_mul(base, pm)
+                v = shifted.get(mm, 0) + c * pc
+                if v:
+                    shifted[mm] = v
+                else:
+                    shifted.pop(mm, None)
+        out.append(shifted)
     return out
 
 
@@ -450,12 +491,19 @@ def saturate(I):
     fails exactly when l_k lies in an associated prime P != m of I. The
     linear forms in P lie in a hyperplane, which meets the twisted cubic
     (k, k^2, k^3, 1) at most 3 times: at most 3 failures per such prime.
+    At k = 0 the substitution is the identity and the quotients are a
+    Groebner basis of the colon already, so they are only minimalized and
+    tail-reduced; for k >= 1 the colon is mapped back and its reduced
+    basis computed.
     """
     if I.is_zero():
         return Ideal(())
+    gens = [primitive_row(g.terms) for g in I.gens]
     for k in itertools.count():
-        gens = [_poly_to_terms(_shift_x3(g, (-k, -k * k, -k ** 3))) for g in I.gens]
-        reduced, quotients = _colon_last_variable(gens)
+        shifted = _shift_x3(gens, (-k, -k * k, -k ** 3)) if k else gens
+        reduced, quotients = _colon_last_variable(shifted)
         if _hilbert_polynomial(reduced) == _hilbert_polynomial(quotients):
-            back = [_shift_x3(_terms_to_poly(q), (k, k * k, k ** 3)) for q in quotients]
-            return _reduced_ideal(back)
+            quotients = [primitive_row(q) for q in quotients]
+            if k == 0:
+                return _ideal_of_basis(_reduced_basis(quotients, grevlex_key, None))
+            return _reduced_ideal(_shift_x3(quotients, (k, k * k, k ** 3)))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
 
 from .errors import BoundViolated, InternalInconsistency, InvalidForm
 from .exterior import VField, contract, minors_against_radial, radial_field
@@ -22,37 +21,11 @@ from .poly import (
     NVARS,
     Poly,
     dim_graded_piece,
+    fraction_free_step,
     mon_mul,
     monomials_of_degree,
+    primitive_row,
 )
-
-
-def _primitive(row):
-    """A nonzero row (column -> nonzero rational) scaled to a primitive
-    integer row whose entry in the lowest column is positive."""
-    den = lcm(*(c.denominator for c in row.values()))
-    ints = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
-    g = gcd(*ints.values())
-    if ints[min(ints)] < 0:
-        g = -g
-    return {k: c // g for k, c in ints.items()} if g != 1 else ints
-
-
-def _eliminate(row, pivot_row, col):
-    """a*row - b*pivot_row, divided by its content, where p = pivot_row[col],
-    f = row[col], g = gcd(p, f), a = p/g and b = f/g; the entry in col cancels."""
-    p, f = pivot_row[col], row[col]
-    g = gcd(p, f)
-    a, b = p // g, f // g
-    out = {k: a * c for k, c in row.items()}
-    for k, c in pivot_row.items():
-        c = out.get(k, 0) - b * c
-        if c:
-            out[k] = c
-        else:
-            out.pop(k, None)
-    g = gcd(*out.values())
-    return {k: c // g for k, c in out.items()} if g > 1 else out
 
 
 def _pivot_rows(rows):
@@ -78,7 +51,7 @@ def _pivot_rows(rows):
         for r in here:
             if r is pivot:
                 continue
-            r = _eliminate(r, pivot, col)
+            r = fraction_free_step(r, pivot, col)
             if r:
                 lead = min(r)
                 if lead not in by_lead:
@@ -92,7 +65,7 @@ def _pivot_rows(rows):
         for j in range(i):
             qc, qr = echelon[j]
             if pc in qr:
-                echelon[j] = (qc, _eliminate(qr, pr, pc))
+                echelon[j] = (qc, fraction_free_step(qr, pr, pc))
     return echelon
 
 
@@ -144,15 +117,23 @@ def _contraction_rows(coeffs, dprime):
             for am, ac in ai.terms.items():
                 rows.setdefault(mon_mul(am, m), {})[col] = ac
             col += 1
-    return [_primitive(r) for r in rows.values()], src_mons
+    return [primitive_row(r) for r in rows.values()], src_mons
+
+
+def _check_euler(omega):
+    if not contract(radial_field(), omega).is_zero():
+        raise InvalidForm("1-form does not annihilate the radial field")
 
 
 def h0_tangent_twist(omega, dprime):
     """h0 of the twist of the tangent sheaf whose sections are degree-dprime
     vector fields annihilated by the 1-form, modulo radial multiples."""
-    coeffs = omega.one_form_coeffs()
-    if not contract(radial_field(), omega).is_zero():
-        raise InvalidForm("1-form does not annihilate the radial field")
+    _check_euler(omega)
+    return _h0_twist(omega.one_form_coeffs(), dprime)
+
+
+def _h0_twist(coeffs, dprime):
+    """h0_tangent_twist of a 1-form known to satisfy the Euler relation."""
     if dprime < 0:
         return SectionSpaceDim(dprime, 0, 0, 0)
     rows, src_mons = _contraction_rows(coeffs, dprime)
@@ -180,7 +161,7 @@ def _vector_to_vfield(vec, src_mons):
     """Vector field of a nonzero vector, printed the same for every multiple."""
     n = len(src_mons)
     comps = [{} for _ in range(NVARS)]
-    for col, c in sorted(_primitive(vec).items()):
+    for col, c in sorted(primitive_row(vec).items()):
         comps[col // n][src_mons[col % n]] = c
     return VField([Poly(t) for t in comps])
 
@@ -192,10 +173,10 @@ def minimal_section(omega, dprime):
     rows, src_mons = _contraction_rows(coeffs, dprime)
     radial = _pivot_rows(_radial_rows(dprime, src_mons))
     for v in _kernel(_pivot_rows(rows), NVARS * len(src_mons)):
-        v = _primitive(v)
+        v = primitive_row(v)
         for pc, r in radial:
             if pc in v:
-                v = _eliminate(v, r, pc)
+                v = fraction_free_step(v, r, pc)
         if v:
             return _vector_to_vfield(v, src_mons)
     return None
@@ -209,10 +190,12 @@ def compute_tF(omega, degree=None):
     section is certified before it is returned: it must annihilate the
     1-form and must not be a multiple of the radial field.
     """
+    coeffs = omega.one_form_coeffs()
     if degree is None:
-        degree = _coeff_degree(omega.one_form_coeffs()) - 1
+        degree = _coeff_degree(coeffs) - 1
+    _check_euler(omega)
     for dprime in range(degree + 2):
-        s = h0_tangent_twist(omega, dprime)
+        s = _h0_twist(coeffs, dprime)
         if s.h0 > 0:
             section = minimal_section(omega, dprime)
             if section is None:

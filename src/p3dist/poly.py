@@ -8,33 +8,69 @@ deterministic choice in the package goes through it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, le, neg, sub
 
 NVARS = 4
 ZERO_MON = (0, 0, 0, 0)
 
 
 def mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mon_divides(a, b):
     """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mon_div(a, b):
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mon_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grevlex_key(m):
     """Sort key: larger key = larger monomial in grevlex."""
-    return (sum(m),) + tuple(-e for e in reversed(m))
+    return (sum(m),) + tuple(map(neg, reversed(m)))
+
+
+# -- sparse integer rows ------------------------------------------------------
+# A row maps keys (matrix columns, or monomials) to nonzero coefficients.
+# These two steps are the fraction-free arithmetic shared by the Groebner
+# engine and the section-space elimination.
+
+
+def primitive_row(row):
+    """A nonzero row of rationals scaled to a primitive integer row whose
+    entry at the smallest key is positive."""
+    den = lcm(*(c.denominator for c in row.values()))
+    ints = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {k: c // g for k, c in ints.items()} if g != 1 else ints
+
+
+def fraction_free_step(row, pivot_row, col):
+    """a*row - b*pivot_row, divided by its content, where p = pivot_row[col],
+    f = row[col], g = gcd(p, f), a = p/g and b = f/g; the entry in col
+    cancels. Both rows are integer rows and are not modified."""
+    p, f = pivot_row[col], row[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = {k: a * c for k, c in row.items()} if a != 1 else dict(row)
+    for k, c in pivot_row.items():
+        c = out.get(k, 0) - b * c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    g = gcd(*out.values())
+    return {k: c // g for k, c in out.items()} if g > 1 else out
 
 
 def _as_fraction(c):

@@ -225,7 +225,7 @@ def test_criterion_8_property_suites(example1, example2, nullcorrelation):
             })
             omega = contract(radial_field(), eta)
             try:
-                d = distribution.validate_oneform(omega)
+                d, _, _ = distribution.validate_oneform(omega)
             except ValidationError:
                 continue
             tF, _, _ = compute_tF(omega, degree=d)

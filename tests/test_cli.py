@@ -146,7 +146,7 @@ def test_log_build_pipes_into_analyze(tmp_path, capsys):
     assert cli.main(["log-build", path]) == 0
     built = capsys.readouterr().out
     omega = cli.parse_input(built)
-    assert distribution.validate_oneform(omega) == 2
+    assert distribution.validate_oneform(omega)[0] == 2
 
 
 def test_log_audit_command(tmp_path, capsys):
@@ -216,6 +216,20 @@ def test_mistyped_variable_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
     assert (err["line"], err["col"]) == (1, 3)
+
+
+def test_input_limit_exit_code(tmp_path, capsys):
+    # a power above the degree cap and parentheses nested past the depth
+    # limit end in the JSON error, not in a long run or a traceback
+    for coeff, limit in (
+        ("(x0+x1+x2+x3)^40", "MAX_DEGREE"),
+        ("(" * 400 + "x1" + ")" * 400, "MAX_DEPTH"),
+    ):
+        path = write_doc(tmp_path, {"kind": "oneform", "coeffs": [coeff, "-x0", "0", "0"]})
+        assert cli.main(["analyze", path]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert limit in err["message"]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -34,9 +34,9 @@ def pencil_form(f, g):
 
 
 def test_validate_degrees(nullcorrelation, example1, example2):
-    assert dist.validate_oneform(nullcorrelation) == 0
-    assert dist.validate_oneform(example1) == 3
-    assert dist.validate_oneform(example2) == 3
+    assert dist.validate_oneform(nullcorrelation)[0] == 0
+    assert dist.validate_oneform(example1)[0] == 3
+    assert dist.validate_oneform(example2)[0] == 3
 
 
 def test_validate_rejects_euler_violation():
@@ -87,7 +87,7 @@ def test_nullcorrelation_report(nullcorrelation):
 
 
 def test_classify_validates_once(example1, monkeypatch):
-    calls = {"validate_oneform": 0, "common_factor": 0}
+    calls = {"validate_oneform": 0, "common_factor": 0, "hilbert": 0}
 
     def counting(name):
         real = getattr(dist, name)
@@ -101,8 +101,9 @@ def test_classify_validates_once(example1, monkeypatch):
     for name in calls:
         monkeypatch.setattr(dist, name, counting(name))
     dist.classify(example1)
-    # a valid form has a singular scheme of dimension < 2, so no gcd is taken
-    assert calls == {"validate_oneform": 1, "common_factor": 0}
+    # a valid form has a singular scheme of dimension < 2, so no gcd is
+    # taken; the Hilbert data read during validation is passed on
+    assert calls == {"validate_oneform": 1, "common_factor": 0, "hilbert": 1}
 
 
 def test_curve_invariants_checks():
@@ -268,7 +269,7 @@ def test_chern_c1_always_2_minus_d():
             continue
         omega = pencil_form(f, g)
         try:
-            d = dist.validate_oneform(omega)
+            d, _, _ = dist.validate_oneform(omega)
         except Exception:
             continue
         _, chern = dist.invariants(omega)

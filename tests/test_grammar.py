@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,38 @@ def test_digit_after_variable_rejected():
     assert parse_poly("x0x1") == X0 * X1
     assert parse_poly("x0^2") == X0 ** 2
     assert parse_poly("x1 2") == 2 * X1
+
+
+def test_input_limits():
+    # each limit is checked before the work it would cause; the error
+    # names the limit and points at the offending '^', factor or '('
+    for text, col, limit in (
+        ("(x+y+z+w)^40", 10, "MAX_DEGREE = 20"),
+        ("x^21", 2, "MAX_DEGREE = 20"),
+        ("(2)^99999999999", 4, "MAX_DEGREE = 20"),
+        ("(x+y)^11 * (x+y)^10", 12, "MAX_DEGREE = 20"),
+        ("x^4y^4z^4w^4 x^5", 14, "MAX_DEGREE = 20"),
+        ("(" * 65 + "x" + ")" * 65, 65, "MAX_DEPTH = 64"),
+        ("(" * 400 + "x" + ")" * 400, 65, "MAX_DEPTH = 64"),
+    ):
+        with pytest.raises(ParseError, match=limit) as exc:
+            parse_poly(text)
+        assert exc.value.col == col, text
+    # up to the limits everything parses
+    assert parse_poly("x^20") == X0 ** 20
+    assert parse_poly("(x+y)^10 (x-y)^10") == (X0 ** 2 - X1 ** 2) ** 10
+    assert parse_poly("(" * 64 + "x" + ")" * 64) == X0
+    assert parse_poly("(3)^20 x") == 3 ** 20 * X0
+
+
+def test_overlong_number_is_parse_error():
+    # the interpreter refuses to convert very long digit strings to int
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts digit strings of any length")
+    with pytest.raises(ParseError, match="number too long") as exc:
+        parse_poly("1" * (limit + 1) + "x")
+    assert exc.value.col == limit + 2
 
 
 def test_format_canonical():

@@ -11,9 +11,9 @@ from p3dist.poly import Poly  # noqa: E402
 
 FUZZ = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
-# text near the grammar, and arbitrary text; short, because the parser sets
-# no limit on exponents and a long one on a sum, such as (x+y+z+w)^40,
-# takes seconds to expand
+# text near the grammar, and arbitrary text; short, because a power at the
+# parser's degree cap, such as (x+y+z+w)^20, still takes a third of a
+# second to expand
 grammar_text = st.text(alphabet="xyzw0123456789+-*/^() \n", max_size=24)
 any_text = st.text(max_size=24)
 

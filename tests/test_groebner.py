@@ -258,3 +258,68 @@ def test_buchberger_against_sympy():
         leading = [sympy.Poly(g, *xs, modulus=32003).monoms(order="grevlex")[0]
                    for g in modular.exprs]
         assert leading_monomials_mod_p(I, 32003) == tuple(sorted(leading, key=grevlex_key))
+
+
+def _to_sympy(sympy, xs, p):
+    return sympy.Poly.from_dict(
+        {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()},
+        *xs, domain="QQ",
+    ).as_expr()
+
+
+def _from_sympy(sympy, xs, expr):
+    g = sympy.Poly(expr, *xs, domain="QQ")
+    return Poly({m: Fraction(int(c.p), int(c.q)) for m, c in g.terms()})
+
+
+def test_buchberger_against_sympy_rational_inhomogeneous():
+    # coefficients with denominators and generators of mixed degree make
+    # the fraction-free reduction clear denominators and meet every degree
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:4")
+    rng = make_rng(73)
+    for _ in range(30):
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            g = Poly.zero()
+            for deg in rng.sample(range(4), rng.randint(1, 3)):
+                g = g + random_nonzero_poly(rng, deg, nterms=2) * Fraction(
+                    rng.randint(1, 9), rng.randint(2, 9)
+                )
+            gens.append(g)
+        I = Ideal(gens)
+        expected = set()
+        for g in sympy.groebner([_to_sympy(sympy, xs, g) for g in I.gens],
+                                *xs, order="grevlex").exprs:
+            g = _from_sympy(sympy, xs, g)
+            expected.add(Poly({m: c / g.terms[max(g.terms, key=grevlex_key)]
+                               for m, c in g.terms.items()}))
+        assert set(buchberger(I).basis) == expected
+
+
+def test_mod_p_small_primes_against_sympy():
+    # at p = 2, 3, 5, 7 input coefficients and intermediate ones vanish
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:4")
+    for prime in (2, 3, 5, 7):
+        for I in _random_ideals(15):
+            basis = sympy.groebner([_to_sympy(sympy, xs, g) for g in I.gens],
+                                   *xs, order="grevlex", modulus=prime)
+            leading = [sympy.Poly(g, *xs, modulus=prime).monoms(order="grevlex")[0]
+                       for g in basis.exprs if g != 0]
+            assert leading_monomials_mod_p(I, prime) == tuple(
+                sorted(leading, key=grevlex_key)
+            ), (prime, I)
+
+
+def test_intersect_principal_against_sympy_lcm():
+    # (f) meet (g) = (lcm(f, g)); common factors make the lcm proper
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0:4")
+    rng = make_rng(79)
+    for _ in range(15):
+        common = random_nonzero_poly(rng, rng.randint(0, 1), nterms=3)
+        f = common * random_nonzero_poly(rng, rng.randint(1, 2), nterms=3)
+        g = common * random_nonzero_poly(rng, 1, nterms=3)
+        lcm = sympy.lcm(_to_sympy(sympy, xs, f), _to_sympy(sympy, xs, g))
+        assert intersect(Ideal((f,)), Ideal((g,))) == Ideal((_from_sympy(sympy, xs, lcm),))

@@ -8,12 +8,11 @@ from p3dist.exterior import ExtForm, VField, contract
 from p3dist.linalg import (
     _kernel,
     _pivot_rows,
-    _primitive,
     compute_tF,
     h0_tangent_twist,
     minimal_section,
 )
-from p3dist.poly import Poly, X0, X1, X2, X3
+from p3dist.poly import Poly, X0, X1, X2, X3, primitive_row
 
 from conftest import make_rng
 
@@ -66,7 +65,7 @@ def sparse_rows(rows):
     out = []
     for r in rows:
         row = {j: Fraction(c) for j, c in enumerate(r) if c}
-        out.append(_primitive(row) if row else {})
+        out.append(primitive_row(row) if row else {})
     return out
 
 
