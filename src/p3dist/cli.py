@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import corpus, distribution, foliation, logarithmic
 from .errors import InternalInconsistency, ParseError, ValidationError
@@ -43,12 +44,25 @@ def _poly_from_string(s):
     return parse_poly(s.strip())
 
 
+def _weight(w):
+    """A weight as a Fraction. Exponent notation is refused: Fraction('1e5000')
+    builds 10**5000 before any check runs, and any such weight is some p/q."""
+    s = str(w)
+    if "e" in s.lower():
+        raise ValueError(s)
+    return Fraction(s)
+
+
 def parse_input(text):
     """Parse an input document into an ExtForm, VField, or LogType."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the interpreter's digit limit, or nesting
+        # past the recursion limit
+        raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("input document must be an object with a 'kind' field")
     kind = doc["kind"]
@@ -68,9 +82,10 @@ def parse_input(text):
         if not isinstance(polys, list) or not isinstance(weights, list):
             raise ParseError("'logtype' needs 'polys' and 'lambdas' lists")
         try:
-            weights = tuple(Fraction(str(w)) for w in weights)
+            weights = tuple(_weight(w) for w in weights)
         except (ValueError, ZeroDivisionError):
-            raise ParseError("'lambdas' entries must be rational numbers")
+            raise ParseError("'lambdas' entries must be rational numbers p/q "
+                             "without exponent notation")
         return LogType(
             polys=tuple(_poly_from_string(s) for s in polys), weights=weights
         )
@@ -196,7 +211,14 @@ def mod_p_check(ideal, prime):
 # subcommands
 
 
+def _check_mod_p(p):
+    """--mod-p takes 0 (off) or a prime below 2**31, found by trial division."""
+    if p and not (2 <= p < 2 ** 31 and all(p % q for q in range(2, isqrt(p) + 1))):
+        raise ValidationError(f"--mod-p must be 0 or a prime below 2**31, got {p}")
+
+
 def _cmd_analyze(args):
+    _check_mod_p(args.mod_p)
     omega = parse_input(_read_text(args.file))
     if not isinstance(omega, ExtForm):
         raise ParseError("analyze expects a 'oneform' input document")
@@ -209,6 +231,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_analyze_vf(args):
+    _check_mod_p(args.mod_p)
     v = parse_input(_read_text(args.file))
     if not isinstance(v, VField):
         raise ParseError("analyze-vf expects a 'vfield' input document")
@@ -351,7 +374,8 @@ def build_parser():
             p.add_argument("file", help="input JSON document, or - for stdin")
         if with_modp:
             p.add_argument("--mod-p", type=int, default=0, metavar="P",
-                           help="cross-check Groebner leading terms mod P")
+                           help="cross-check Groebner leading terms mod P, "
+                           "a prime below 2**31 (0: off)")
         p.set_defaults(func=func)
         return p
 

@@ -324,9 +324,15 @@ def _extend(p, t_exp):
     return {(t_exp,) + m: c for m, c in p.terms.items()}
 
 
-def _project(terms5):
-    """Drop the auxiliary variable; caller guarantees exponent 0."""
-    return {m[1:]: c for m, c in terms5.items()}
+def _eliminate_t(gens5):
+    """The elimination ideal of the auxiliary variable. The t-free part of
+    the reduced block-order basis is the reduced grevlex basis of the
+    elimination ideal: the block order restricts to grevlex, and the part
+    keeps its leading terms, its monic scaling and its order."""
+    reduced = _buchberger_terms(gens5, _elim_key)
+    return _ideal_of_basis([
+        {m[1:]: c for m, c in g.items()} for g in reduced if all(m[0] == 0 for m in g)
+    ])
 
 
 def intersect(I, J):
@@ -341,12 +347,7 @@ def intersect(I, J):
         for m, c in _extend(g, 1).items():
             h[m] = h.get(m, 0) - c
         gens5.append({m: c for m, c in h.items() if c})
-    reduced = _buchberger_terms(gens5, _elim_key)
-    out = []
-    for g in reduced:
-        if all(m[0] == 0 for m in g):
-            out.append(_project(g))
-    return _reduced_ideal(out)
+    return _eliminate_t(gens5)
 
 
 def divide_exact(p, f):
@@ -396,12 +397,7 @@ def saturate_single(I, f):
     tf = _extend(f, 1)
     tf[(0,) + (0,) * NVARS] = tf.get((0,) + (0,) * NVARS, 0) - 1
     gens5.append({m: c for m, c in tf.items() if c})
-    reduced = _buchberger_terms(gens5, _elim_key)
-    out = []
-    for g in reduced:
-        if all(m[0] == 0 for m in g):
-            out.append(_project(g))
-    return _reduced_ideal(out)
+    return _eliminate_t(gens5)
 
 
 def saturate_iterated_colon(I, f, cap=64):
@@ -422,11 +418,6 @@ def _ideal_of_basis(reduced):
     ideal = Ideal(basis)
     object.__setattr__(ideal, "_gb", GroebnerBasis(basis))
     return ideal
-
-
-def _reduced_ideal(gens):
-    """Ideal of dict-polys, presented by its reduced grevlex basis."""
-    return _ideal_of_basis(_buchberger_terms(gens, grevlex_key))
 
 
 def _colon_last_variable(gens):
@@ -506,4 +497,5 @@ def saturate(I):
             quotients = [primitive_row(q) for q in quotients]
             if k == 0:
                 return _ideal_of_basis(_reduced_basis(quotients, grevlex_key, None))
-            return _reduced_ideal(_shift_x3(quotients, (k, k * k, k ** 3)))
+            shifted_back = _shift_x3(quotients, (k, k * k, k ** 3))
+            return _ideal_of_basis(_buchberger_terms(shifted_back, grevlex_key))

@@ -6,7 +6,9 @@ divided by its content. Its pivot rows are the reduced row echelon form of
 the row space up to one nonzero scale per row, which gives the rank, the
 canonical RREF kernel basis, and reduction modulo a subspace. Built on top
 of it: the dimension h0 of twisted section spaces of the tangent sheaf of a
-codimension-one distribution, and the minimal twist admitting a section.
+codimension-one distribution, and the minimal twist t_F admitting a section.
+`compute_tF` builds and eliminates the contraction rows of each twist once:
+the echelon of the first twist with h0 > 0 also gives the minimal section.
 """
 
 from __future__ import annotations
@@ -125,36 +127,15 @@ def _check_euler(omega):
         raise InvalidForm("1-form does not annihilate the radial field")
 
 
-def h0_tangent_twist(omega, dprime):
-    """h0 of the twist of the tangent sheaf whose sections are degree-dprime
-    vector fields annihilated by the 1-form, modulo radial multiples."""
-    _check_euler(omega)
-    return _h0_twist(omega.one_form_coeffs(), dprime)
-
-
-def _h0_twist(coeffs, dprime):
-    """h0_tangent_twist of a 1-form known to satisfy the Euler relation."""
-    if dprime < 0:
-        return SectionSpaceDim(dprime, 0, 0, 0)
+def _twist(coeffs, dprime):
+    """Build and eliminate the contraction rows at one twist, for a 1-form
+    known to satisfy the Euler relation. Returns the SectionSpaceDim, the
+    echelon of the rows and the source monomials; no rows below twist 0."""
     rows, src_mons = _contraction_rows(coeffs, dprime)
-    nullity = NVARS * len(src_mons) - len(_pivot_rows(rows))
+    echelon = _pivot_rows(rows)
+    nullity = NVARS * len(src_mons) - len(echelon)
     radial = dim_graded_piece(dprime - 1)
-    return SectionSpaceDim(dprime, nullity, radial, nullity - radial)
-
-
-def _radial_rows(dprime, src_mons):
-    """Coefficient vectors of (x_0*f, ..., x_3*f) for f of degree dprime-1."""
-    src_index = {m: i for i, m in enumerate(src_mons)}
-    n = len(src_mons)
-    out = []
-    for f in monomials_of_degree(dprime - 1):
-        v = {}
-        for i in range(NVARS):
-            shifted = list(f)
-            shifted[i] += 1
-            v[i * n + src_index[tuple(shifted)]] = 1
-        out.append(v)
-    return out
+    return SectionSpaceDim(dprime, nullity, radial, nullity - radial), echelon, src_mons
 
 
 def _vector_to_vfield(vec, src_mons):
@@ -166,13 +147,18 @@ def _vector_to_vfield(vec, src_mons):
     return VField([Poly(t) for t in comps])
 
 
-def minimal_section(omega, dprime):
-    """Canonical non-radial kernel vector at the given twist, or None:
-    the first RREF kernel vector not in the radial span, reduced modulo it."""
-    coeffs = omega.one_form_coeffs()
-    rows, src_mons = _contraction_rows(coeffs, dprime)
-    radial = _pivot_rows(_radial_rows(dprime, src_mons))
-    for v in _kernel(_pivot_rows(rows), NVARS * len(src_mons)):
+def _section(echelon, dprime, src_mons):
+    """Canonical non-radial section from the echelon `_twist` returns, or
+    None: the first RREF kernel vector not in the radial span, reduced modulo
+    it. The radial rows (x_0*f, ..., x_3*f), f of degree dprime-1, are in
+    RREF already: each has its pivot at x_0*f, a column no other row has."""
+    n = len(src_mons)
+    index = {m: i for i, m in enumerate(src_mons)}
+    radial = []
+    for f in monomials_of_degree(dprime - 1):
+        r = {i * n + index[mon_mul(f, x)]: 1 for i, x in enumerate(monomials_of_degree(1))}
+        radial.append((min(r), r))
+    for v in _kernel(echelon, NVARS * n):
         v = primitive_row(v)
         for pc, r in radial:
             if pc in v:
@@ -180,6 +166,19 @@ def minimal_section(omega, dprime):
         if v:
             return _vector_to_vfield(v, src_mons)
     return None
+
+
+def h0_tangent_twist(omega, dprime):
+    """h0 of the twist of the tangent sheaf whose sections are degree-dprime
+    vector fields annihilated by the 1-form, modulo radial multiples."""
+    _check_euler(omega)
+    return _twist(omega.one_form_coeffs(), dprime)[0]
+
+
+def minimal_section(omega, dprime):
+    """Canonical non-radial section at the given twist, or None."""
+    _, echelon, src_mons = _twist(omega.one_form_coeffs(), dprime)
+    return _section(echelon, dprime, src_mons)
 
 
 def compute_tF(omega, degree=None):
@@ -195,9 +194,9 @@ def compute_tF(omega, degree=None):
         degree = _coeff_degree(coeffs) - 1
     _check_euler(omega)
     for dprime in range(degree + 2):
-        s = _h0_twist(coeffs, dprime)
+        s, echelon, src_mons = _twist(coeffs, dprime)
         if s.h0 > 0:
-            section = minimal_section(omega, dprime)
+            section = _section(echelon, dprime, src_mons)
             if section is None:
                 raise BoundViolated(
                     "positive h0 but no non-radial kernel vector found"

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from p3dist import cli, corpus, distribution
-from p3dist.errors import InconsistentInvariants, ParseError
+from p3dist.errors import InconsistentInvariants, ParseError, ValidationError
 from p3dist.exterior import ExtForm, VField
 from p3dist.logarithmic import LogType
 
@@ -102,6 +102,25 @@ def test_analyze_mod_p(tmp_path, capsys):
     assert cli.main(["analyze", path, "--mod-p", "32003"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["mod_p_check"]["agrees"] is True
+
+
+@pytest.mark.parametrize("prime", ["4", "9", "1", "-7", str(2 ** 31 + 11)])
+def test_mod_p_must_be_a_prime(tmp_path, capsys, prime):
+    # composites, units and negatives would run the check over a ring that
+    # is not a field, or end in a traceback from a modular inverse
+    path = write_doc(tmp_path, oneform_doc("example1"))
+    assert cli.main(["analyze", path, "--mod-p", prime]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "--mod-p" in err["message"] and prime in err["message"]
+
+
+def test_mod_p_accepts_small_and_word_size_primes(tmp_path, capsys):
+    path = write_doc(tmp_path, {"kind": "vfield", "components": ["x0", "2x1", "3x2", "4x3"]})
+    for prime in (2, 2 ** 31 - 1):
+        assert cli.main(["analyze-vf", path, "--mod-p", str(prime)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mod_p_check"]["prime"] == prime
 
 
 def test_mod_p_rotation_on_bad_prime():
@@ -269,3 +288,28 @@ def test_verify_paper_examples(capsys):
     assert cli.main(["verify-paper-examples"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_ok"] is True
+
+
+@pytest.mark.parametrize("weight", ["1e5000", "1e-3"])
+def test_exponent_weights_rejected(tmp_path, capsys, weight):
+    # Fraction would build 10**5000 in full, and formatting the weight
+    # relation's message would then pass the interpreter's digit limit
+    path = write_doc(
+        tmp_path, {"kind": "logtype", "polys": ["x0", "x1"], "lambdas": [weight, "1"]}
+    )
+    assert cli.main(["log-audit", path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert "exponent" in err["message"]
+
+
+def test_parse_input_json_limits():
+    # an integer literal past the digit limit (where the interpreter has
+    # one) and nesting past the recursion limit end in a validation error,
+    # not in ValueError or RecursionError
+    for text in (
+        '{"kind":"logtype","polys":["x0","x1"],"lambdas":[' + "1" * 5000 + ",1]}",
+        "[" * 100000 + "]" * 100000,
+    ):
+        with pytest.raises(ValidationError):
+            cli.parse_input(text)

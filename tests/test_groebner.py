@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from p3dist import corpus
+from p3dist import corpus, groebner
 from p3dist.errors import NonTermination
 from p3dist.exterior import minors_against_radial
 from p3dist.grammar import parse_poly
@@ -113,6 +113,31 @@ def test_intersect_membership_random():
         K = intersect(I, J)
         for gen in K.gens:
             assert I.contains(gen) and J.contains(gen)
+
+
+def test_elimination_runs_buchberger_once(monkeypatch):
+    # the t-free part of the block-order basis is already the reduced
+    # grevlex basis, so intersect and saturate_single run one Buchberger
+    calls = []
+    engine = groebner._buchberger_terms
+
+    def counting(gens, keyf, p=None):
+        calls.append(keyf)
+        return engine(gens, keyf, p)
+
+    rng = make_rng(61)
+    for _ in range(10):
+        common = random_nonzero_poly(rng, 1)
+        f = common * random_nonzero_poly(rng, 1)
+        g = common * random_nonzero_poly(rng, 2)
+        I = Ideal((f, X0 * X1))
+        for op, args in ((intersect, (I, Ideal((g,)))), (saturate_single, (I, X0 + X2))):
+            monkeypatch.setattr(groebner, "_buchberger_terms", counting)
+            calls.clear()
+            result = op(*args)
+            assert len(calls) == 1
+            monkeypatch.setattr(groebner, "_buchberger_terms", engine)
+            assert result.gens == Ideal(result.gens).groebner().basis
 
 
 def test_saturate_point_blowup():

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from p3dist import linalg
 from p3dist.errors import InternalInconsistency, InvalidForm
-from p3dist.exterior import ExtForm, VField, contract
+from p3dist.exterior import ExtForm, VField, contract, radial_field
 from p3dist.linalg import (
     _kernel,
     _pivot_rows,
@@ -12,7 +14,7 @@ from p3dist.linalg import (
     h0_tangent_twist,
     minimal_section,
 )
-from p3dist.poly import Poly, X0, X1, X2, X3, primitive_row
+from p3dist.poly import Poly, X0, X1, X2, X3, monomials_of_degree, primitive_row
 
 from conftest import make_rng
 
@@ -32,10 +34,12 @@ def fraction_rref(rows):
         m[rank], m[piv] = m[piv], m[rank]
         pr = m[rank]
         pr[:] = [c / pr[col] for c in pr]
+        support = [j for j, c in enumerate(pr) if c]
         for r in range(nrows):
             if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], pr)]
+                f, row = m[r][col], m[r]
+                for j in support:
+                    row[j] -= f * pr[j]
         pivots.append(col)
     return m[:len(pivots)], pivots
 
@@ -164,10 +168,10 @@ def test_minimal_section_is_not_radial(example1):
     VField([X0, Poly.zero(), Poly.zero(), Poly.zero()]),  # not in the kernel
 ])
 def test_section_certificate(nullcorrelation, monkeypatch, bad):
-    def section_at(omega, dprime):
+    def section_at(echelon, dprime, src_mons):
         return bad
 
-    monkeypatch.setattr(linalg, "minimal_section", section_at)
+    monkeypatch.setattr(linalg, "_section", section_at)
     with pytest.raises(InternalInconsistency):
         compute_tF(nullcorrelation)
 
@@ -187,3 +191,68 @@ def test_minimal_section_deterministic(example1):
     a = minimal_section(example1, 1)
     b = minimal_section(example1, 1)
     assert a == b
+
+
+def random_dense_form(rng, d):
+    """i_R(eta) for a 2-form eta whose coefficients of degree d have every
+    monomial, with nonzero coefficients in [-3, 3]."""
+    eta = ExtForm(2, {
+        ij: Poly({m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in monomials_of_degree(d)})
+        for ij in combinations(range(4), 2)
+    })
+    return contract(radial_field(), eta)
+
+
+def contraction_matrix(omega, dprime):
+    """Dense rows of (F_0, ..., F_3) -> sum A_i F_i on degree-dprime
+    quadruples, built from polynomial products, and the column count."""
+    cols = [a * Poly.monomial(m) for a in omega.one_form_coeffs()
+            for m in monomials_of_degree(dprime)]
+    targets = sorted({m for p in cols for m in p.terms})
+    return [[p.terms.get(t, 0) for p in cols] for t in targets], len(cols)
+
+
+def test_compute_tF_matches_step_by_step_sweep(example1, example2, nullcorrelation,
+                                                pencil_of_planes):
+    rng = make_rng(97)
+    forms = ([example1, example2, nullcorrelation, pencil_of_planes]
+             + [random_dense_form(rng, 1) for _ in range(3)]
+             + [random_dense_form(rng, 2) for _ in range(2)])
+    for omega in forms:
+        tF, section, sdim = compute_tF(omega)
+        twist = 0
+        while (step := h0_tangent_twist(omega, twist)).h0 == 0:
+            twist += 1
+        assert (tF, section, sdim) == (twist, minimal_section(omega, twist), step)
+        # reduced modulo the radial span, whose pivots are the x0*f in F_0
+        assert all(m[0] == 0 for m in section.components[0].terms)
+        for dprime in range(tF + 1):
+            rows, ncols = contraction_matrix(omega, dprime)
+            radial = comb(dprime + 2, 3)
+            assert h0_tangent_twist(omega, dprime).h0 == ncols - gauss_rank(rows) - radial
+
+
+def test_compute_tF_eliminates_each_twist_once(monkeypatch, example1, nullcorrelation,
+                                               pencil_of_planes):
+    built, eliminated = [], []
+    rows_at, pivot_rows = linalg._contraction_rows, linalg._pivot_rows
+
+    def counting_rows(coeffs, dprime):
+        rows, src_mons = rows_at(coeffs, dprime)
+        built.append((dprime, rows))
+        return rows, src_mons
+
+    def counting_pivots(rows):
+        eliminated.append(rows)
+        return pivot_rows(rows)
+
+    monkeypatch.setattr(linalg, "_contraction_rows", counting_rows)
+    monkeypatch.setattr(linalg, "_pivot_rows", counting_pivots)
+    forms = [example1, nullcorrelation, pencil_of_planes, random_dense_form(make_rng(101), 2)]
+    for omega in forms:
+        built.clear()
+        eliminated.clear()
+        tF, _, _ = compute_tF(omega)
+        assert [dprime for dprime, _ in built] == list(range(tF + 1))
+        contraction = [r for r in eliminated if any(r is rows for _, rows in built)]
+        assert len(contraction) == tF + 1
