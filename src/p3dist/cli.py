@@ -248,7 +248,7 @@ def _cmd_find_subfoliation(args):
     if not isinstance(omega, ExtForm):
         raise ParseError("find-subfoliation expects a 'oneform' input document")
     d, _, _ = distribution.validate_oneform(omega)
-    tF, section, sdim = compute_tF(omega, degree=d)
+    tF, section, sdim = compute_tF(omega)
     _emit({
         "schema_version": SCHEMA_VERSION,
         "kind": "subfoliation",

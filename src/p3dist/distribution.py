@@ -7,18 +7,15 @@ of nonstability, and matching against the two maximal-order families.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .errors import (
     DivisorialSingularity,
     DomainError,
-    EulerViolation,
     InconsistentInvariants,
-    InvalidForm,
     NumericContradiction,
 )
-from .exterior import VField, contract, exterior_derivative, radial_field, wedge
+from .exterior import VField, exterior_derivative, oneform_degree, wedge
 from .groebner import Ideal, divide_exact, intersect, saturate
 from .hilbert import hilbert
 from .linalg import compute_tF
@@ -81,47 +78,35 @@ def poly_gcd(f, g):
 
 
 def common_factor(polys):
-    """gcd of a list of polynomials; constant result means no common factor."""
+    """gcd of a list of polynomials, primitive with a positive leading
+    coefficient; a constant result means no common factor."""
     acc = Poly.zero()
     for p in polys:
         acc = poly_gcd(acc, p)
         if acc.is_constant() and not acc.is_zero():
-            return acc
-    return acc
+            break
+    return acc.primitive_integer()
 
 
-@functools.lru_cache(maxsize=256)
 def singular_scheme(omega):
-    """Saturated vanishing ideal of the coefficients of the 1-form."""
-    coeffs = omega.one_form_coeffs()
-    return saturate(Ideal(tuple(p for p in coeffs if not p.is_zero())))
+    """Saturated vanishing ideal of the coefficients of a 1-form that
+    defines a distribution (`oneform_degree` raises otherwise)."""
+    oneform_degree(omega)
+    return saturate(Ideal(omega.one_form_coeffs()))
 
 
 def validate_oneform(omega):
     """Check the 1-form defines a distribution and read its singular scheme.
 
-    Returns (d, sing, chern): the degree, the singular-scheme invariants and
-    the Chern triple of the tangent sheaf.
+    `oneform_degree` checks the form; reading the singular scheme then
+    rejects one that contains a surface. Returns (d, sing, chern): the
+    degree, the singular-scheme invariants and the Chern triple of the
+    tangent sheaf.
     """
-    if omega.grade != 1:
-        raise InvalidForm("expected a grade-1 form")
-    coeffs = omega.one_form_coeffs()
-    nonzero = [p for p in coeffs if not p.is_zero()]
-    if not nonzero:
-        raise InvalidForm("zero 1-form")
-    degs = {p.homogeneous_degree() for p in nonzero}
-    if len(degs) != 1 or None in degs:
-        raise InvalidForm("coefficients must be homogeneous of a common degree")
-    dega = degs.pop()
-    if dega < 1:
-        raise InvalidForm("coefficient degree must be at least 1")
-    if not contract(radial_field(), omega).is_zero():
-        raise EulerViolation("coefficients do not satisfy the Euler relation")
-    d = dega - 1
-    # reading the singular scheme rejects one that contains a surface
-    sat = singular_scheme(omega)
+    d = oneform_degree(omega)
+    sat = saturate(Ideal(omega.one_form_coeffs()))
     degc, pa, lenu = curve_invariants(
-        lambda: nonzero,
+        sat,
         hilbert(sat),
         lambda degc: d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2) - 2,
     )
@@ -140,23 +125,22 @@ def invariants(omega):
     return sing, chern
 
 
-def curve_invariants(gens, h, c3_base):
+def curve_invariants(sat, h, c3_base):
     """(degC, pa, lenU) of a singular scheme made of a curve C and lenU points.
 
-    `h` is the HilbertData of the saturated ideal of the scheme. The
+    `sat` is the saturated ideal of the scheme and `h` its HilbertData. The
     Hilbert polynomial is HP(t) = degC*t + 1 - pa + lenU and the sheaf's
     third Chern class is lenU = c3_base(degC) + 2*pa, so pa is solved from
     the constant term. Height-one primes of a UFD are principal: a scheme
-    of dimension 2 is exactly a common factor of the polynomials whose
-    vanishing defines it, and it is rejected naming that factor. `gens()`
-    returns those polynomials: the coefficients of a 1-form, or the 2x2
-    minors of a vector field against the radial field (the coefficients of
-    v wedge R). It is called only for a rejection, as the minors cost a
-    few percent of a field's analysis.
+    of dimension 2 is exactly a common factor g of the polynomials whose
+    vanishing defines it (the coefficients of a 1-form, or the 2x2 minors
+    of a vector field against the radial field), and it is rejected naming
+    g. Those polynomials generate g*J with J of codimension >= 2, so the
+    saturated ideal is g*J^sat and g is the gcd of its basis.
     """
     dim = h.projective_dimension
     if dim == 2:
-        g = common_factor(gens())
+        g = common_factor(sat.gens)
         if g.is_constant():
             raise InconsistentInvariants("surface in the singular scheme without a common factor")
         raise DivisorialSingularity(f"coefficients share the factor {g}")
@@ -220,7 +204,7 @@ def _stability(degree, tF, split, chern):
 def classify(omega):
     """Full analysis pipeline producing a DistReport."""
     d, sing, chern = validate_oneform(omega)
-    tF, section, sdim = compute_tF(omega, degree=d)
+    tF, section, sdim = compute_tF(omega)
     split = split_test(tF, chern, d)
     verdict = _stability(d, tF, split, chern)
     notes = []

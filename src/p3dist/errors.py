@@ -26,7 +26,11 @@ class GradeOverflow(ValidationError):
 
 # -- one-form / vector-field validation ------------------------------------
 
-class EulerViolation(ValidationError):
+class InvalidForm(ValidationError):
+    """A form or field that defines no distribution or foliation by curves."""
+
+
+class EulerViolation(InvalidForm):
     """Contraction with the radial field does not vanish."""
 
 
@@ -34,10 +38,6 @@ class DivisorialSingularity(ValidationError):
     """Singular scheme contains a surface: the coefficients of a 1-form, or
     the 2x2 minors of a vector field against the radial field, share a
     nonconstant common factor."""
-
-
-class InvalidForm(ValidationError):
-    """One-form fails validation where a validated form is required."""
 
 
 class RadialField(ValidationError):

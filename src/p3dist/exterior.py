@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import GradeOverflow
+from .errors import EulerViolation, GradeOverflow, InvalidForm
 from .poly import NVARS, Poly
 
 _INDEX_SETS = {g: tuple(combinations(range(NVARS), g)) for g in range(NVARS + 1)}
@@ -60,7 +60,7 @@ class ExtForm:
 
     def one_form_coeffs(self):
         if self.grade != 1:
-            raise ValueError("not a 1-form")
+            raise InvalidForm("expected a grade-1 form")
         return tuple(self.coeffs[(i,)] for i in range(NVARS))
 
     def is_zero(self):
@@ -96,6 +96,24 @@ class ExtForm:
     def __repr__(self):
         nz = {idx: str(p) for idx, p in self.coeffs.items() if not p.is_zero()}
         return f"ExtForm(grade={self.grade}, {nz})"
+
+
+def oneform_degree(omega):
+    """Degree d of the distribution the 1-form defines, whose coefficients
+    are homogeneous of one degree d + 1 >= 1, not all zero, and satisfy the
+    Euler relation sum x_i A_i = 0. Raises InvalidForm (or EulerViolation)."""
+    nonzero = [p for p in omega.one_form_coeffs() if not p.is_zero()]
+    if not nonzero:
+        raise InvalidForm("zero 1-form")
+    degs = {p.homogeneous_degree() for p in nonzero}
+    if len(degs) != 1 or None in degs:
+        raise InvalidForm("coefficients must be homogeneous of a common degree")
+    dega = degs.pop()
+    if dega < 1:
+        raise InvalidForm("coefficient degree must be at least 1")
+    if not contract(radial_field(), omega).is_zero():
+        raise EulerViolation("coefficients do not satisfy the Euler relation")
+    return dega - 1
 
 
 def wedge(a, b):

@@ -8,12 +8,11 @@ and the contraction pairing with codimension-one distributions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidForm, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
-from .exterior import contract, minors_against_radial
+from .exterior import contract, minors_against_radial, oneform_degree
 from .groebner import Ideal, saturate
 from .hilbert import hilbert
 
@@ -41,7 +40,6 @@ def _validated_degree(v):
     return deg
 
 
-@functools.lru_cache(maxsize=256)
 def sing_scheme_v(v):
     """Saturated ideal of the locus where the field is radially dependent."""
     _validated_degree(v)
@@ -56,7 +54,7 @@ def conormal_invariants(v):
     d = _validated_degree(v)
     sat = sing_scheme_v(v)
     degc, pa, lenu = curve_invariants(
-        lambda: [m for m in minors_against_radial(v) if not m.is_zero()],
+        sat,
         hilbert(sat),
         lambda degc: d ** 3 + d ** 2 + d - 3 * degc * (d - 1) - 1,
     )
@@ -100,6 +98,5 @@ def line_sing_invariants(dprime):
 
 def contraction_check(v, omega):
     """True when the field lies in the distribution cut out by the 1-form."""
-    if omega.grade != 1:
-        raise InvalidForm("expected a grade-1 form")
+    oneform_degree(omega)
     return contract(v, omega).is_zero()

@@ -9,6 +9,8 @@ of it: the dimension h0 of twisted section spaces of the tangent sheaf of a
 codimension-one distribution, and the minimal twist t_F admitting a section.
 `compute_tF` builds and eliminates the contraction rows of each twist once:
 the echelon of the first twist with h0 > 0 also gives the minimal section.
+Each public function first checks its 1-form with `exterior.oneform_degree`,
+so a form that defines no distribution raises InvalidForm.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .errors import BoundViolated, InternalInconsistency, InvalidForm
-from .exterior import VField, contract, minors_against_radial, radial_field
+from .errors import BoundViolated, InternalInconsistency
+from .exterior import VField, contract, minors_against_radial, oneform_degree
 from .poly import (
     NVARS,
     Poly,
@@ -97,14 +99,6 @@ class SectionSpaceDim:
     h0: int
 
 
-def _coeff_degree(coeffs):
-    """Degree of the 1-form's coefficients, read from a nonzero one."""
-    lead = next((p for p in coeffs if not p.is_zero()), None)
-    if lead is None:
-        raise InvalidForm("zero 1-form")
-    return lead.homogeneous_degree()
-
-
 def _contraction_rows(coeffs, dprime):
     """Rows of (F_0..F_3) -> sum A_i F_i on degree-dprime quadruples.
 
@@ -122,14 +116,9 @@ def _contraction_rows(coeffs, dprime):
     return [primitive_row(r) for r in rows.values()], src_mons
 
 
-def _check_euler(omega):
-    if not contract(radial_field(), omega).is_zero():
-        raise InvalidForm("1-form does not annihilate the radial field")
-
-
 def _twist(coeffs, dprime):
     """Build and eliminate the contraction rows at one twist, for a 1-form
-    known to satisfy the Euler relation. Returns the SectionSpaceDim, the
+    that `oneform_degree` has accepted. Returns the SectionSpaceDim, the
     echelon of the rows and the source monomials; no rows below twist 0."""
     rows, src_mons = _contraction_rows(coeffs, dprime)
     echelon = _pivot_rows(rows)
@@ -171,29 +160,29 @@ def _section(echelon, dprime, src_mons):
 def h0_tangent_twist(omega, dprime):
     """h0 of the twist of the tangent sheaf whose sections are degree-dprime
     vector fields annihilated by the 1-form, modulo radial multiples."""
-    _check_euler(omega)
+    oneform_degree(omega)
     return _twist(omega.one_form_coeffs(), dprime)[0]
 
 
 def minimal_section(omega, dprime):
     """Canonical non-radial section at the given twist, or None."""
+    oneform_degree(omega)
     _, echelon, src_mons = _twist(omega.one_form_coeffs(), dprime)
     return _section(echelon, dprime, src_mons)
 
 
-def compute_tF(omega, degree=None):
+def compute_tF(omega):
     """Minimal twist with a section, and a canonical minimal section.
 
-    Stops by dprime = degree + 1; hitting the cap without a section is an
+    `oneform_degree` checks the form and gives its degree d. The sweep
+    stops by dprime = d + 1; hitting that cap without a section is an
     internal bug, since a section is guaranteed to exist by then. The
     section is certified before it is returned: it must annihilate the
     1-form and must not be a multiple of the radial field.
     """
+    d = oneform_degree(omega)
     coeffs = omega.one_form_coeffs()
-    if degree is None:
-        degree = _coeff_degree(coeffs) - 1
-    _check_euler(omega)
-    for dprime in range(degree + 2):
+    for dprime in range(d + 2):
         s, echelon, src_mons = _twist(coeffs, dprime)
         if s.h0 > 0:
             section = _section(echelon, dprime, src_mons)
@@ -211,5 +200,5 @@ def compute_tF(omega, degree=None):
                 )
             return dprime, section, s
     raise BoundViolated(
-        f"no section of the tangent sheaf found up to twist {degree + 1}"
+        f"no section of the tangent sheaf found up to twist {d + 1}"
     )

@@ -22,6 +22,10 @@ from .poly import NVARS, Poly
 from . import distribution
 
 
+# digits of the longest numerator or denominator an error message spells out
+_SHOWN_DIGITS = 1000
+
+
 @dataclass(frozen=True)
 class LogType:
     """Weighted hypersurface tuple; validates degrees and the weight relation."""
@@ -42,8 +46,11 @@ class LogType:
             for w, f in zip(self.weights, self.polys)
         )
         if rel != 0:
+            # str() of an int past the interpreter's digit limit raises
+            big = max(abs(rel.numerator), rel.denominator) >= 10 ** _SHOWN_DIGITS
+            shown = f"a fraction of over {_SHOWN_DIGITS} digits" if big else rel
             raise WeightRelationViolated(
-                f"sum of weight*degree is {rel}, expected 0"
+                f"sum of weight*degree is {shown}, expected 0"
             )
 
     @property

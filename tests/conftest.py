@@ -24,6 +24,19 @@ def make_rng(seed):
     return random.Random(seed)
 
 
+def module_cache_sizes(module):
+    """Sizes of a module's global containers and memoized functions."""
+    sizes = {}
+    for name, value in vars(module).items():
+        if name.startswith("__"):
+            continue
+        if isinstance(value, (dict, list, set)):
+            sizes[name] = len(value)
+        elif hasattr(value, "cache_info"):
+            sizes[name] = value.cache_info().currsize
+    return sizes
+
+
 def random_poly(rng, degree, nterms=4, coeff_range=5):
     """Random homogeneous polynomial of the given degree (may be zero)."""
     mons = monomials_of_degree(degree)

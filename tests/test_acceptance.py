@@ -228,7 +228,7 @@ def test_criterion_8_property_suites(example1, example2, nullcorrelation):
                 d, _, _ = distribution.validate_oneform(omega)
             except ValidationError:
                 continue
-            tF, _, _ = compute_tF(omega, degree=d)
+            tF, _, _ = compute_tF(omega)
             assert tF <= d + 1
             checked += 1
 

@@ -5,7 +5,12 @@ from importlib import resources
 import pytest
 
 from p3dist import cli, corpus, distribution
-from p3dist.errors import InconsistentInvariants, ParseError, ValidationError
+from p3dist.errors import (
+    InconsistentInvariants,
+    ParseError,
+    ValidationError,
+    WeightRelationViolated,
+)
 from p3dist.exterior import ExtForm, VField
 from p3dist.logarithmic import LogType
 
@@ -313,3 +318,25 @@ def test_parse_input_json_limits():
     ):
         with pytest.raises(ValidationError):
             cli.parse_input(text)
+
+
+# 4000-digit weights parse, but their sum has over 4300 digits: the weight
+# relation's message must not spell it out
+HUGE_WEIGHTS = {"kind": "logtype", "polys": ["x0", "x1"],
+                "lambdas": ["1/" + "7" * 4000, "-1/1" + "0" * 3998 + "1"]}
+HUGE_SUM_MESSAGE = "sum of weight*degree is a fraction of over 1000 digits, expected 0"
+
+
+def test_parse_input_huge_weight_relation():
+    with pytest.raises(WeightRelationViolated) as exc:
+        cli.parse_input(json.dumps(HUGE_WEIGHTS))
+    assert str(exc.value) == HUGE_SUM_MESSAGE
+    with pytest.raises(WeightRelationViolated) as exc:
+        cli.parse_input('{"kind":"logtype","polys":["x0","x1^2"],"lambdas":["1/3","1"]}')
+    assert str(exc.value) == "sum of weight*degree is 7/3, expected 0"
+
+
+def test_log_audit_huge_weights_exit_code(tmp_path, capsys):
+    assert cli.main(["log-audit", write_doc(tmp_path, HUGE_WEIGHTS)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "WeightRelationViolated", "message": HUGE_SUM_MESSAGE}

@@ -116,12 +116,12 @@ def test_curve_invariants_checks():
         Poly.variable(i) * Poly.variable(j) for i in range(4) for j in range(i + 1, 4)
     ))
     with pytest.raises(InconsistentInvariants, match="isolated length 4"):
-        dist.curve_invariants(lambda: list(four_points.gens), hilbert(four_points), c3_base)
+        dist.curve_invariants(four_points, hilbert(four_points), c3_base)
     plane = hilbert(Ideal((X0,)))
     with pytest.raises(DivisorialSingularity, match=r"factor x0$"):
-        dist.curve_invariants(lambda: [X0 * X1, X0 * X2], plane, c3_base)
+        dist.curve_invariants(Ideal((X0 * X1, X0 * X2)), plane, c3_base)
     with pytest.raises(InconsistentInvariants, match="without a common factor"):
-        dist.curve_invariants(lambda: [X1, X2], plane, c3_base)
+        dist.curve_invariants(Ideal((X1, X2)), plane, c3_base)
 
 
 def test_integrability(nullcorrelation, example1, example2, pencil_of_planes):

@@ -6,7 +6,7 @@ from p3dist.groebner import Ideal
 from p3dist.hilbert import dimension_degree, hilbert
 from p3dist.poly import Poly, X0, X1, X2, X3, dim_graded_piece, monomials_of_degree
 
-from conftest import make_rng, random_nonzero_poly
+from conftest import make_rng, module_cache_sizes, random_nonzero_poly
 
 
 def P(s):
@@ -92,20 +92,8 @@ def test_hilbert_additive_on_random_monomial_ideals():
 def test_hilbert_keeps_no_module_cache():
     # the package exports the function `hilbert` under the module's name
     hilbert_module = importlib.import_module("p3dist.hilbert")
-
-    def cache_sizes():
-        sizes = {}
-        for name, value in vars(hilbert_module).items():
-            if name.startswith("__"):
-                continue
-            if isinstance(value, (dict, list, set)):
-                sizes[name] = len(value)
-            elif hasattr(value, "cache_info"):
-                sizes[name] = value.cache_info().currsize
-        return sizes
-
-    before = cache_sizes()
+    before = module_cache_sizes(hilbert_module)
     rng = make_rng(73)
     for _ in range(10):
         hilbert(Ideal(tuple(random_nonzero_poly(rng, 2) for _ in range(3))))
-    assert cache_sizes() == before
+    assert module_cache_sizes(hilbert_module) == before
