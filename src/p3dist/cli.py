@@ -188,9 +188,7 @@ def _emit(doc):
 def mod_p_check(ideal, prime):
     """Compare modular and rational leading-term ideals, rotating the prime
     on mismatch or coefficient blowup. Returns a small result document."""
-    rational = tuple(
-        sorted(ideal.groebner().leading_monomials(), key=grevlex_key)
-    )
+    rational = tuple(sorted(ideal.leading_monomials(), key=grevlex_key))
     primes = [prime] + [p for p in _CHECK_PRIMES if p != prime]
     rotations = 0
     last = primes[0]

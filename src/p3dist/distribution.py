@@ -22,6 +22,10 @@ from .linalg import compute_tF
 from .poly import Poly
 
 
+# largest d_max that table1 accepts
+TABLE1_DMAX = 100
+
+
 @dataclass(frozen=True)
 class ChernTriple:
     c1: int
@@ -227,9 +231,14 @@ def classify(omega):
 
 
 def table1(d_max):
-    """Split types O(1-t) + O(1+t-d) for 0 <= d <= d_max; impossible cells None."""
+    """Split types O(1-t) + O(1+t-d) for 0 <= d <= d_max; impossible cells None.
+
+    The table has (d_max + 1) * (d_max // 2 + 1) cells, so d_max is capped
+    at TABLE1_DMAX."""
     if d_max < 0:
         raise DomainError("d_max must be non-negative")
+    if d_max > TABLE1_DMAX:
+        raise DomainError(f"d_max must be at most TABLE1_DMAX = {TABLE1_DMAX}, got {d_max}")
     t_max = d_max // 2
     rows = []
     for d in range(d_max + 1):

@@ -98,17 +98,23 @@ class ExtForm:
         return f"ExtForm(grade={self.grade}, {nz})"
 
 
+def _common_degree(polys):
+    """Homogeneous degree shared by the nonzero polys; None if there is
+    none, or if all are zero."""
+    degs = {p.homogeneous_degree() for p in polys if not p.is_zero()}
+    return degs.pop() if len(degs) == 1 and None not in degs else None
+
+
 def oneform_degree(omega):
     """Degree d of the distribution the 1-form defines, whose coefficients
     are homogeneous of one degree d + 1 >= 1, not all zero, and satisfy the
     Euler relation sum x_i A_i = 0. Raises InvalidForm (or EulerViolation)."""
-    nonzero = [p for p in omega.one_form_coeffs() if not p.is_zero()]
-    if not nonzero:
+    coeffs = omega.one_form_coeffs()
+    if all(p.is_zero() for p in coeffs):
         raise InvalidForm("zero 1-form")
-    degs = {p.homogeneous_degree() for p in nonzero}
-    if len(degs) != 1 or None in degs:
+    dega = _common_degree(coeffs)
+    if dega is None:
         raise InvalidForm("coefficients must be homogeneous of a common degree")
-    dega = degs.pop()
     if dega < 1:
         raise InvalidForm("coefficient degree must be at least 1")
     if not contract(radial_field(), omega).is_zero():
@@ -166,15 +172,6 @@ class VField:
     def __setattr__(self, name, value):
         raise AttributeError("VField is immutable")
 
-    def common_degree(self):
-        """Shared homogeneous degree of the nonzero components, or None."""
-        degs = {
-            p.homogeneous_degree() for p in self.components if not p.is_zero()
-        }
-        if len(degs) != 1 or None in degs:
-            return None
-        return degs.pop()
-
     def is_zero(self):
         return all(p.is_zero() for p in self.components)
 
@@ -188,6 +185,18 @@ class VField:
 
     def __repr__(self):
         return f"VField({', '.join(str(p) for p in self.components)})"
+
+
+def field_degree(v):
+    """Degree d of the foliation by curves the field defines, whose
+    components are homogeneous of one degree d, not all zero. Raises
+    InvalidForm."""
+    d = _common_degree(v.components)
+    if d is None:
+        raise InvalidForm(
+            "components must be homogeneous of a common degree and not all zero"
+        )
+    return d
 
 
 def radial_field():

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidForm, RadialField, UnclassifiedDegree1
+from .errors import DomainError, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
-from .exterior import contract, minors_against_radial, oneform_degree
+from .exterior import contract, field_degree, minors_against_radial, oneform_degree
 from .groebner import Ideal, saturate
 from .hilbert import hilbert
 
@@ -31,18 +31,9 @@ class FoliationCurveReport:
     degree1_case: str | None
 
 
-def _validated_degree(v):
-    deg = v.common_degree()
-    if deg is None:
-        raise InvalidForm(
-            "components must be homogeneous of a common degree and not all zero"
-        )
-    return deg
-
-
 def sing_scheme_v(v):
     """Saturated ideal of the locus where the field is radially dependent."""
-    _validated_degree(v)
+    field_degree(v)
     minors = [m for m in minors_against_radial(v) if not m.is_zero()]
     if not minors:
         raise RadialField("field is a multiple of the radial field")
@@ -51,7 +42,7 @@ def sing_scheme_v(v):
 
 def conormal_invariants(v):
     """Singular-scheme invariants and the Chern triple for a degree-d' field."""
-    d = _validated_degree(v)
+    d = field_degree(v)
     sat = sing_scheme_v(v)
     degc, pa, lenu = curve_invariants(
         sat,
@@ -64,7 +55,7 @@ def conormal_invariants(v):
 
 def analyze(v):
     """Conormal invariants plus the degree-1 case when applicable."""
-    d = _validated_degree(v)
+    d = field_degree(v)
     sing, chern = conormal_invariants(v)
     case = None
     if d == 1:
@@ -79,7 +70,7 @@ def analyze(v):
 
 def classify_degree1(v):
     """Place a degree-1 field into the three-case trichotomy."""
-    d = _validated_degree(v)
+    d = field_degree(v)
     if d != 1:
         raise DomainError(f"trichotomy applies to degree-1 fields, got {d}")
     return analyze(v)

@@ -15,7 +15,6 @@ modular cross-check.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import neg
 
@@ -37,7 +36,8 @@ from .poly import (
 # engine core: polynomials as dicts monomial -> nonzero coefficient. Over QQ
 # (p is None) a basis element is kept as a primitive integer multiple and
 # reduced fraction-free; over GF(p) it is kept monic. Bases leave the engine
-# reduced and monic, with Fraction coefficients over QQ.
+# reduced and in that form; they become monic Polys only in
+# `_monic_basis`, when an Ideal takes them.
 
 
 def _lead(t, keyf):
@@ -50,13 +50,6 @@ def _engine_form(t, keyf, p):
         return primitive_row(t)
     inv = pow(t[_lead(t, keyf)], -1, p)
     return {m: c * inv % p for m, c in t.items()}
-
-
-def _monic(t, keyf, p):
-    if p is None:
-        lc = t[_lead(t, keyf)]
-        return {m: Fraction(c, lc) for m, c in t.items()}
-    return _engine_form(t, keyf, p)
 
 
 def _shift(g, s):
@@ -104,8 +97,9 @@ def _normal_form_terms(f, basis, keyf, p):
 
 
 def _reduced_basis(G, keyf, p):
-    """Reduced monic basis, sorted by leading term, from a Groebner basis
-    of engine polys: minimalize, then reduce each tail by the others."""
+    """Reduced basis of engine polys, sorted by leading term, from a
+    Groebner basis of engine polys: minimalize, then reduce each tail by
+    the others."""
     lts = [_lead(g, keyf) for g in G]
     minimal = [
         (lt, g) for idx, (lt, g) in enumerate(zip(lts, G))
@@ -117,13 +111,14 @@ def _reduced_basis(G, keyf, p):
     reduced = []
     for pos, (lt, g) in enumerate(minimal):
         r = _normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], keyf, p)
-        reduced.append((keyf(lt), _monic(r, keyf, p)))
+        reduced.append((keyf(lt), r))
     reduced.sort(key=lambda t: t[0])
     return [g for _, g in reduced]
 
 
 def _buchberger_terms(gens, keyf, p=None):
-    """Reduced monic Groebner basis of dict-polys, sorted by leading term.
+    """Reduced Groebner basis of dict-polys, as engine polys sorted by
+    leading term.
 
     Pairs wait in a heap keyed by (degree of the lcm, order key of the lcm)
     and are pruned by the Gebauer-Moller update when an element is added.
@@ -183,65 +178,46 @@ def _buchberger_terms(gens, keyf, p=None):
 # public types
 
 
-class GroebnerBasis:
-    """Reduced grevlex basis; unique for the ideal."""
-
-    __slots__ = ("basis", "_lt_basis")
-
-    def __init__(self, basis):
-        self.basis = tuple(basis)
-        # the reducers of normal_form, in the engine's integer form
-        self._lt_basis = tuple(
-            (max(p.terms, key=grevlex_key), primitive_row(p.terms)) for p in self.basis
-        )
-
-    def leading_monomials(self):
-        return tuple(lt for lt, _ in self._lt_basis)
-
-    def is_unit(self):
-        return len(self.basis) == 1 and self.basis[0].is_constant() and bool(self.basis[0])
-
-    def is_zero(self):
-        return not self.basis
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroebnerBasis):
-            return NotImplemented
-        return self.basis == other.basis
-
-    def __hash__(self):
-        return hash(self.basis)
-
-    def __repr__(self):
-        return f"GroebnerBasis({len(self.basis)} elements)"
+def _monic_basis(reduced):
+    """A reduced basis of engine polys over QQ as monic Polys; every basis
+    that leaves the engine passes through here."""
+    return tuple(Poly(g).monic() for g in reduced)
 
 
 class Ideal:
-    """Homogeneous ideal given by generators, with its reduced basis cached."""
+    """Homogeneous ideal given by generators, with its reduced grevlex basis
+    cached: a tuple of monic Polys sorted by leading term, unique for the
+    ideal."""
 
-    __slots__ = ("gens", "_gb")
+    __slots__ = ("gens", "_basis")
 
     def __init__(self, gens):
         clean = tuple(g for g in gens if not g.is_zero())
         object.__setattr__(self, "gens", clean)
-        object.__setattr__(self, "_gb", None)
+        object.__setattr__(self, "_basis", None)
+
+    @classmethod
+    def _of_reduced(cls, reduced):
+        """The ideal generated by a reduced basis of engine polys, with the
+        cache primed."""
+        ideal = cls(_monic_basis(reduced))
+        object.__setattr__(ideal, "_basis", ideal.gens)
+        return ideal
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal generators are immutable")
 
     def groebner(self):
-        if self._gb is None:
-            object.__setattr__(self, "_gb", buchberger(self))
-        return self._gb
+        """The reduced basis."""
+        if self._basis is None:
+            object.__setattr__(self, "_basis", buchberger(self))
+        return self._basis
+
+    def leading_monomials(self):
+        return tuple(g.leading_monomial() for g in self.groebner())
 
     def contains(self, p):
-        return normal_form(p, self.groebner()).is_zero()
+        return normal_form(p, self).is_zero()
 
     def contains_ideal(self, other):
         return all(self.contains(g) for g in other.gens)
@@ -250,15 +226,16 @@ class Ideal:
         return not self.gens
 
     def is_unit(self):
-        return self.groebner().is_unit()
+        basis = self.groebner()
+        return len(basis) == 1 and basis[0].is_constant()
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
-        return self.groebner().basis == other.groebner().basis
+        return self.groebner() == other.groebner()
 
     def __hash__(self):
-        return hash(self.groebner().basis)
+        return hash(self.groebner())
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
@@ -269,21 +246,23 @@ class Ideal:
 
 
 def buchberger(ideal):
-    """Reduced Groebner basis of an ideal. Idempotent."""
-    reduced = _buchberger_terms([g.terms for g in ideal.gens], grevlex_key)
-    return GroebnerBasis([Poly(g) for g in reduced])
+    """Reduced Groebner basis of an ideal: monic Polys sorted by leading
+    term. Idempotent."""
+    return _monic_basis(_buchberger_terms([g.terms for g in ideal.gens], grevlex_key))
 
 
-def normal_form(p, gb):
-    """Remainder of multivariate division by a reduced basis, made monic.
+def normal_form(p, ideal):
+    """Remainder of multivariate division by the reduced basis of an ideal,
+    made monic.
 
     The reduction is fraction-free, so it finds the remainder up to a
     nonzero factor; zero exactly when p lies in the ideal.
     """
     if p.is_zero():
         return p
-    r = _normal_form_terms(primitive_row(p.terms), gb._lt_basis, grevlex_key, None)
-    return Poly(_monic(r, grevlex_key, None)) if r else Poly()
+    reducers = [(g.leading_monomial(), primitive_row(g.terms)) for g in ideal.groebner()]
+    r = _normal_form_terms(primitive_row(p.terms), reducers, grevlex_key, None)
+    return Poly(r).monic()
 
 
 def leading_monomials_mod_p(ideal, prime):
@@ -328,9 +307,9 @@ def _eliminate_t(gens5):
     """The elimination ideal of the auxiliary variable. The t-free part of
     the reduced block-order basis is the reduced grevlex basis of the
     elimination ideal: the block order restricts to grevlex, and the part
-    keeps its leading terms, its monic scaling and its order."""
+    keeps its leading terms and its order."""
     reduced = _buchberger_terms(gens5, _elim_key)
-    return _ideal_of_basis([
+    return Ideal._of_reduced([
         {m[1:]: c for m, c in g.items()} for g in reduced if all(m[0] == 0 for m in g)
     ])
 
@@ -411,15 +390,6 @@ def saturate_iterated_colon(I, f, cap=64):
     raise NonTermination(f"colon iteration did not stabilize within {cap} steps")
 
 
-def _ideal_of_basis(reduced):
-    """Ideal presented by a reduced grevlex basis of dict-polys, with the
-    cache primed."""
-    basis = [Poly(g) for g in reduced]
-    ideal = Ideal(basis)
-    object.__setattr__(ideal, "_gb", GroebnerBasis(basis))
-    return ideal
-
-
 def _colon_last_variable(gens):
     """Reduced grevlex basis of homogeneous dict-polys, and a basis of
     (I : x3^infinity).
@@ -494,8 +464,7 @@ def saturate(I):
         shifted = _shift_x3(gens, (-k, -k * k, -k ** 3)) if k else gens
         reduced, quotients = _colon_last_variable(shifted)
         if _hilbert_polynomial(reduced) == _hilbert_polynomial(quotients):
-            quotients = [primitive_row(q) for q in quotients]
             if k == 0:
-                return _ideal_of_basis(_reduced_basis(quotients, grevlex_key, None))
+                return Ideal._of_reduced(_reduced_basis(quotients, grevlex_key, None))
             shifted_back = _shift_x3(quotients, (k, k * k, k ** 3))
-            return _ideal_of_basis(_buchberger_terms(shifted_back, grevlex_key))
+            return Ideal._of_reduced(_buchberger_terms(shifted_back, grevlex_key))

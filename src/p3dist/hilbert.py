@@ -168,11 +168,7 @@ def hilbert_from_lt(lt_monomials):
 
 def hilbert(ideal):
     """HilbertData of R/I. Meaningful for all t >> 0; exact if I saturated."""
-    gb = ideal.groebner()
-    if gb.is_zero():
-        # zero ideal: all of P^3
-        return hilbert_from_lt(())
-    return hilbert_from_lt(gb.leading_monomials())
+    return hilbert_from_lt(ideal.leading_monomials())
 
 
 def dimension_degree(ideal):

@@ -8,7 +8,7 @@ deterministic choice in the package goes through it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, le, neg, sub
 
 NVARS = 4
@@ -229,16 +229,10 @@ class Poly:
         """Clear denominators, divide by content, make leading coeff > 0."""
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = {m: int(c * den) for m, c in self.terms.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if ints[self.leading_monomial()] < 0:
-            g = -g
-        return Poly({m: Fraction(v, g) for m, v in ints.items()})
+        row = primitive_row(self.terms)
+        if row[self.leading_monomial()] < 0:
+            row = {m: -c for m, c in row.items()}
+        return Poly(row)
 
     def sorted_terms(self):
         """Terms sorted descending under the global order."""
@@ -270,7 +264,7 @@ X0, X1, X2, X3 = (Poly.variable(i) for i in range(NVARS))
 ONE = Poly.constant(1)
 
 
-def monomials_of_degree(d, nvars=NVARS):
+def monomials_of_degree(d):
     """All exponent tuples of total degree d, sorted descending grevlex."""
     if d < 0:
         return []
@@ -283,15 +277,11 @@ def monomials_of_degree(d, nvars=NVARS):
         for e in range(left + 1):
             rec(prefix + (e,), rest - 1, left - e)
 
-    rec((), nvars, d)
+    rec((), NVARS, d)
     out.sort(key=grevlex_key, reverse=True)
     return out
 
 
-def dim_graded_piece(d, nvars=NVARS):
+def dim_graded_piece(d):
     """Dimension of the space of degree-d forms; 0 for d < 0."""
-    if d < 0:
-        return 0
-    from math import comb
-
-    return comb(d + nvars - 1, nvars - 1)
+    return comb(d + NVARS - 1, NVARS - 1) if d >= 0 else 0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -209,6 +210,18 @@ def test_table1_command(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["rows"][4]["cells"] == ["O(1)⊕O(-3)", "O⊕O(-2)", "O(-1)⊕O(-1)"]
     assert doc["rows"][3]["cells"] == ["O(1)⊕O(-2)", "O⊕O(-1)", "×"]
+
+
+def test_table1_command_rejects_dmax_past_cap(capsys):
+    # past the cap the table is refused before any cell is built
+    start = time.perf_counter()
+    assert cli.main(["table1", "--dmax", "1000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError"
+    assert "TABLE1_DMAX" in err["message"]
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

@@ -227,6 +227,9 @@ def test_table1():
     assert dist.table1(6) == EXPECTED_TABLE
     with pytest.raises(DomainError):
         dist.table1(-1)
+    assert len(dist.table1(dist.TABLE1_DMAX)) == dist.TABLE1_DMAX + 1
+    with pytest.raises(DomainError, match="TABLE1_DMAX"):
+        dist.table1(dist.TABLE1_DMAX + 1)
 
 
 def test_splitruim_invariants():

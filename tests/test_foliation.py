@@ -3,7 +3,7 @@ import pytest
 from p3dist import corpus
 from p3dist import foliation as fol
 from p3dist.errors import DivisorialSingularity, DomainError, InvalidForm, RadialField
-from p3dist.exterior import VField, radial_field
+from p3dist.exterior import VField, field_degree, radial_field
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal
 from p3dist.poly import Poly, X0, X1, X2, X3
@@ -56,10 +56,13 @@ def test_radial_rejected():
 
 
 def test_invalid_fields_rejected():
+    assert field_degree(VField([X0 ** 2, Poly.zero(), Poly.zero(), X1 * X2])) == 2
     with pytest.raises(InvalidForm):
         fol.analyze(VField([X0, X0 * X1, Poly.zero(), Poly.zero()]))
     with pytest.raises(InvalidForm):
         fol.analyze(VField([Poly.zero()] * 4))
+    with pytest.raises(InvalidForm, match="homogeneous of a common degree"):
+        fol.sing_scheme_v(VField([X0 + X0 * X1, X1, X2, X3]))
 
 
 def test_classify_degree1_requires_degree1():

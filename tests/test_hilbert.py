@@ -56,8 +56,7 @@ def test_surface():
 def test_hp_matches_direct_dimension_count():
     # compare HP values against explicit graded-piece dimension counts
     I = Ideal((X0 * X2 - X1 ** 2, X1 * X3 - X2 ** 2, X0 * X3 - X1 * X2))
-    gb = I.groebner()
-    lts = set(gb.leading_monomials())
+    lts = set(I.leading_monomials())
     h = hilbert(I)
     for d in range(4, 9):
         count = 0

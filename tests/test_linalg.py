@@ -6,7 +6,7 @@ import pytest
 
 from p3dist import linalg
 from p3dist.errors import InternalInconsistency, InvalidForm
-from p3dist.exterior import ExtForm, VField, contract, radial_field
+from p3dist.exterior import ExtForm, VField, contract, field_degree, radial_field
 from p3dist.linalg import (
     _kernel,
     _pivot_rows,
@@ -149,7 +149,7 @@ def test_nullcorrelation_sections(nullcorrelation):
 def test_pencil_tF_zero(pencil_of_planes):
     tF, section, sdim = compute_tF(pencil_of_planes)
     assert tF == 0
-    assert section.common_degree() == 0
+    assert field_degree(section) == 0
     assert contract(section, pencil_of_planes).is_zero()
 
 
