@@ -8,6 +8,7 @@ of nonstability, and matching against the two maximal-order families.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (
     DivisorialSingularity,
@@ -15,11 +16,11 @@ from .errors import (
     InconsistentInvariants,
     NumericContradiction,
 )
-from .exterior import VField, exterior_derivative, oneform_degree, wedge
+from .exterior import VField, oneform_degree
 from .groebner import Ideal, divide_exact, intersect, saturate
 from .hilbert import hilbert
 from .linalg import compute_tF
-from .poly import Poly
+from .poly import NVARS, ZERO_MON, Poly, add_product, diff_row, integer_multiples
 
 
 # largest d_max that table1 accepts
@@ -119,8 +120,28 @@ def validate_oneform(omega):
 
 
 def is_integrable(omega):
-    """Frobenius condition for a 1-form: omega wedge d(omega) = 0."""
-    return wedge(omega, exterior_derivative(omega)).is_zero()
+    """Frobenius condition for a 1-form: omega wedge d(omega) = 0.
+
+    `oneform_degree` checks the form first. The check runs on integer
+    multiples A_i of the coefficients: d(omega) has the dx_i^dx_j
+    coefficient B_ij = d_i A_j - d_j A_i (i < j), and the dx_i^dx_j^dx_k
+    coefficient of omega ^ d(omega) (i < j < k) is
+    A_i B_jk - A_j B_ik + A_k B_ij.
+    """
+    oneform_degree(omega)
+    _, a = integer_multiples(omega.one_form_coeffs())
+    b = {}
+    for i, j in combinations(range(NVARS), 2):
+        b[i, j] = diff_row(a[j], i)
+        add_product(b[i, j], diff_row(a[i], j), {ZERO_MON: 1}, -1)
+    for i, j, k in combinations(range(NVARS), 3):
+        out = {}
+        add_product(out, a[i], b[j, k])
+        add_product(out, a[j], b[i, k], -1)
+        add_product(out, a[k], b[i, j])
+        if out:
+            return False
+    return True
 
 
 def invariants(omega):

@@ -3,6 +3,11 @@
 Forms are graded-antisymmetric tables indexed by strictly increasing index
 tuples from {0,1,2,3} with polynomial coefficients. Grade-1 forms with
 coefficients (A0..A3) represent A0*dx0 + ... + A3*dx3.
+
+`wedge`, `exterior_derivative`, `contract` and `minors_against_radial`
+build forms with Fraction coefficients. The checks that such a product
+vanishes (`annihilates`, `is_radial_multiple` and the Euler relation in
+`oneform_degree`) run on integer multiples of the coefficients instead.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import EulerViolation, GradeOverflow, InvalidForm
-from .poly import NVARS, Poly
+from .poly import NVARS, Poly, add_product, integer_multiples
 
 _INDEX_SETS = {g: tuple(combinations(range(NVARS), g)) for g in range(NVARS + 1)}
 
@@ -117,7 +122,7 @@ def oneform_degree(omega):
         raise InvalidForm("coefficients must be homogeneous of a common degree")
     if dega < 1:
         raise InvalidForm("coefficient degree must be at least 1")
-    if not contract(radial_field(), omega).is_zero():
+    if not annihilates(radial_field(), omega):
         raise EulerViolation("coefficients do not satisfy the Euler relation")
     return dega - 1
 
@@ -233,3 +238,28 @@ def contract(v, a):
             rest = idx[:pos] + idx[pos + 1:]
             out[rest] = out[rest] + ((-1) ** pos) * (f * p)
     return ExtForm(a.grade - 1, out)
+
+
+def annihilates(v, omega):
+    """True when i_v(omega) = sum F_i A_i is zero, for a field and a 1-form;
+    computed on integer multiples of the F_i and of the A_i."""
+    _, fs = integer_multiples(v.components)
+    _, coeffs = integer_multiples(omega.one_form_coeffs())
+    out = {}
+    for f, a in zip(fs, coeffs):
+        add_product(out, f, a)
+    return not out
+
+
+def is_radial_multiple(v):
+    """True when every minor F_i*x_j - F_j*x_i vanishes (see
+    `minors_against_radial`); computed on integer multiples of the F_i."""
+    _, fs = integer_multiples(v.components)
+    _, xs = integer_multiples(radial_field().components)
+    for i, j in combinations(range(NVARS), 2):
+        minor = {}
+        add_product(minor, fs[i], xs[j])
+        add_product(minor, fs[j], xs[i], -1)
+        if minor:
+            return False
+    return True

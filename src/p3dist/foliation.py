@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
-from .exterior import contract, field_degree, minors_against_radial, oneform_degree
+from .exterior import annihilates, field_degree, minors_against_radial, oneform_degree
 from .groebner import Ideal, saturate
 from .hilbert import hilbert
 
@@ -90,4 +90,4 @@ def line_sing_invariants(dprime):
 def contraction_check(v, omega):
     """True when the field lies in the distribution cut out by the 1-form."""
     oneform_degree(omega)
-    return contract(v, omega).is_zero()
+    return annihilates(v, omega)

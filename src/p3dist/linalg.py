@@ -8,9 +8,10 @@ canonical RREF kernel basis, and reduction modulo a subspace. Built on top
 of it: the dimension h0 of twisted section spaces of the tangent sheaf of a
 codimension-one distribution, and the minimal twist t_F admitting a section.
 `compute_tF` builds and eliminates the contraction rows of each twist once:
-the echelon of the first twist with h0 > 0 also gives the minimal section.
-Each public function first checks its 1-form with `exterior.oneform_degree`,
-so a form that defines no distribution raises InvalidForm.
+the echelon of the first twist with h0 > 0 also gives the minimal section,
+whose two certificates run on integer dicts too. Each public function first
+checks its 1-form with `exterior.oneform_degree`, so a form that defines no
+distribution raises InvalidForm.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .errors import BoundViolated, InternalInconsistency
-from .exterior import VField, contract, minors_against_radial, oneform_degree
+from .exterior import VField, annihilates, is_radial_multiple, oneform_degree
 from .poly import (
     NVARS,
     Poly,
@@ -177,8 +178,11 @@ def compute_tF(omega):
     `oneform_degree` checks the form and gives its degree d. The sweep
     stops by dprime = d + 1; hitting that cap without a section is an
     internal bug, since a section is guaranteed to exist by then. The
-    section is certified before it is returned: it must annihilate the
-    1-form and must not be a multiple of the radial field.
+    section is certified before it is returned, on integer multiples of
+    its components and of the coefficients: it must annihilate the 1-form
+    (`exterior.annihilates`) and must not be a multiple of the radial
+    field (`exterior.is_radial_multiple`); a failed certificate raises
+    InternalInconsistency.
     """
     d = oneform_degree(omega)
     coeffs = omega.one_form_coeffs()
@@ -190,11 +194,11 @@ def compute_tF(omega):
                 raise BoundViolated(
                     "positive h0 but no non-radial kernel vector found"
                 )
-            if not contract(section, omega).is_zero():
+            if not annihilates(section, omega):
                 raise InternalInconsistency(
                     f"minimal section at twist {dprime} does not annihilate the 1-form"
                 )
-            if not any(minors_against_radial(section)):
+            if is_radial_multiple(section):
                 raise InternalInconsistency(
                     f"minimal section at twist {dprime} is radial"
                 )

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb
 
 from .errors import DegreeMismatch, DomainError, WeightRelationViolated
 from .exterior import ExtForm
-from .poly import NVARS, Poly
+from .poly import NVARS, Poly, add_product, diff_row, integer_multiples
 from . import distribution
 
 
@@ -63,16 +63,27 @@ class LogType:
 
 
 def build_log_form(log_type):
-    """The 1-form sum_i lambda_i (prod_{j!=i} f_j) df_i."""
-    polys = log_type.polys
-    weights = log_type.weights
-    coeffs = [Poly.zero()] * NVARS
-    for i, (w, f) in enumerate(zip(weights, polys)):
-        rest = prod((g for j, g in enumerate(polys) if j != i), start=Poly.constant(1))
-        scaled = rest * Fraction(w)
+    """The 1-form sum_i lambda_i (prod_{j!=i} f_j) df_i.
+
+    It is built on integers: with W_i = c lambda_i and F_i = c_i f_i the
+    integer multiples of the weights and of the f_i, the form is
+    sum_i W_i (prod_{j!=i} F_j) dF_i over the one denominator c * prod c_i.
+    """
+    den, weights = integer_multiples([Poly.constant(w) for w in log_type.weights])
+    polys = []
+    for f in log_type.polys:
+        c, (row,) = integer_multiples((f,))
+        den *= c
+        polys.append(row)
+    coeffs = [{} for _ in range(NVARS)]
+    for i, rest in enumerate(weights):
+        for j, g in enumerate(polys):
+            if j != i:
+                rest, acc = {}, rest
+                add_product(rest, acc, g)
         for k in range(NVARS):
-            coeffs[k] = coeffs[k] + scaled * f.diff(k)
-    return ExtForm.one_form(*coeffs)
+            add_product(coeffs[k], rest, diff_row(polys[i], k))
+    return ExtForm.one_form(*(Poly({m: c / den for m, c in row.items()}) for row in coeffs))
 
 
 def expected_curve_degree(degrees):

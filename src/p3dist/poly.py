@@ -73,6 +73,50 @@ def fraction_free_step(row, pivot_row, col):
     return {k: c // g for k, c in out.items()} if g > 1 else out
 
 
+# -- integer polynomials ------------------------------------------------------
+# An integer dict maps monomials to nonzero ints. Whether a product of forms
+# vanishes does not change when each factor is scaled by a nonzero rational,
+# so the exterior checks run on these instead of on Fraction Polys.
+
+
+def integer_multiples(polys):
+    """(c, dicts): the least rational c > 0 for which every c*p, p in polys,
+    has integer coefficients with no common factor, and those integer
+    dicts. A zero poly gives an empty dict."""
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    rows = [{m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+            for p in polys]
+    g = gcd(*(c for row in rows for c in row.values())) or 1
+    if g > 1:
+        rows = [{m: c // g for m, c in row.items()} for row in rows]
+    return Fraction(den, g), rows
+
+
+def add_product(out, a, b, scale=1):
+    """out += scale * a * b, in place, for integer dicts a, b and a nonzero
+    int scale; out keeps no zero coefficients."""
+    for m1, c1 in a.items():
+        c1 *= scale
+        for m2, c2 in b.items():
+            # mon_mul written out: twice as fast in this innermost loop
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+
+
+def diff_row(row, i):
+    """Partial derivative of an integer dict with respect to x_i."""
+    out = {}
+    for m, c in row.items():
+        e = m[i]
+        if e:
+            out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+    return out
+
+
 def _as_fraction(c):
     if isinstance(c, Fraction):
         return c

@@ -29,6 +29,38 @@ def test_corpus_checksum_pinned():
     assert digest == CORPUS_SHA256
 
 
+# sha256 of the stdout report of every corpus document: `analyze` for the
+# 1-forms, `analyze-vf` for the fields and `log-audit` for the log types
+REPORT_SHA256 = {
+    "example1": "5a70bc671b07dc35d596917ac8d41b33b6d8a2d3dae37f389c02bd9b56d54c71",
+    "example2": "bf0e50645a0dec4312df8883572537c1e3f9301f476b384b9a9af6ad5149e462",
+    "nullcorrelation": "f470574c7aaf0ab7a24db24eeb02daf52052ceb24489e0ad6ed862b0ef2aced7",
+    "pencil_of_planes": "c1c7792b96f6eb889a92553a85f9de5d091830cb309ade8178420c550743f17a",
+    "double_line": "5e1f6bec1318bee40725c3700f444b890810e298f7a64b9800316acfd0688219",
+    "four_points": "b72ebc914b8cd2fbc8915524137ad8e2b7f2f96571e110e8a89d50176244697b",
+    "line_plus_points": "e7f2414683ea459c9ff1452647132c4e7a81ec50f07096d878a27498ba992bc4",
+    "planes_and_quadric": "18f81c726b1df8054fec30aba83151a5e73a80a3941ea874544e27ed49d0ac3a",
+    "quadric_pencil": "70c3d71ce8f3536368f6b8cbc006671aef88afa683c5dcabb79c417847ec0d63",
+    "quadric_pencil_tangent": "bced0238531edde7e12786c51624f073bd313efc66d71349e46e22c5af4777b7",
+}
+
+
+def test_corpus_reports_pinned(tmp_path, capsys):
+    raw = json.loads(corpus_text())
+    commands = (
+        ("oneforms", "analyze", lambda e: {"kind": "oneform", "coeffs": e["coeffs"]}),
+        ("vfields", "analyze-vf", lambda e: {"kind": "vfield", "components": e["components"]}),
+        ("logtypes", "log-audit",
+         lambda e: {"kind": "logtype", "polys": e["polys"], "lambdas": e["weights"]}),
+    )
+    digests = {}
+    for kind, command, doc in commands:
+        for name, entry in raw[kind].items():
+            assert cli.main([command, write_doc(tmp_path, doc(entry))]) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == REPORT_SHA256
+
+
 def write_doc(tmp_path, doc):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(doc))

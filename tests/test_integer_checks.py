@@ -1,0 +1,201 @@
+"""The pipeline checks a 1-form on integer multiples of its coefficients,
+and `build_log_form` multiplies in integers. Each must agree with the
+Fraction operations, which stay public as the oracle: `contract`, `wedge`,
+`exterior_derivative`, `minors_against_radial` and the direct formula of a
+logarithmic form. The inputs have non-integer Fraction coefficients, and
+integrable forms are among them: a sign slip in one component of
+omega ^ d(omega) shows only on a form whose wedge vanishes."""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from p3dist import cli  # noqa: E402
+from p3dist.distribution import is_integrable  # noqa: E402
+from p3dist.errors import EulerViolation  # noqa: E402
+from p3dist.exterior import (  # noqa: E402
+    ExtForm,
+    VField,
+    annihilates,
+    contract,
+    exterior_derivative,
+    is_radial_multiple,
+    minors_against_radial,
+    oneform_degree,
+    radial_field,
+    wedge,
+)
+from p3dist.grammar import format_poly  # noqa: E402
+from p3dist.logarithmic import LogType, build_log_form  # noqa: E402
+from p3dist.poly import NVARS, Poly, monomials_of_degree  # noqa: E402
+
+FUZZ = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+coeff = st.fractions(-5, 5, max_denominator=6).filter(bool)
+# numerator and denominator of 150 to 300 digits
+huge_coeff = st.builds(lambda sign, n, d: Fraction(sign * n, d), st.sampled_from([1, -1]),
+                       st.integers(10 ** 150, 10 ** 300), st.integers(10 ** 150, 10 ** 300))
+
+
+def homogeneous(degree):
+    """Homogeneous polynomials of the given degree with up to three terms;
+    the zero polynomial among them."""
+    return st.dictionaries(st.sampled_from(monomials_of_degree(degree)), coeff,
+                           max_size=3).map(Poly)
+
+
+def nonzero(degree):
+    return homogeneous(degree).filter(bool)
+
+
+def d(f):
+    return exterior_derivative(ExtForm.from_function(f))
+
+
+# nonzero coefficients of one degree 1..3, mostly breaking the Euler relation
+random_forms = st.integers(1, 3).flatmap(
+    lambda deg: st.lists(nonzero(deg), min_size=NVARS, max_size=NVARS)
+).map(lambda cs: ExtForm.one_form(*cs))
+
+
+@st.composite
+def contracted_forms(draw):
+    """i_R(eta) for a 2-form eta: Euler holds, and it is rarely integrable."""
+    deg = draw(st.integers(0, 2))
+    eta = ExtForm(2, {idx: draw(nonzero(deg)) for idx in ExtForm(2).coeffs})
+    return contract(radial_field(), eta)
+
+
+@st.composite
+def pencils(draw):
+    """i_R(df ^ dg), which is integrable."""
+    f = draw(st.integers(1, 2).flatmap(nonzero))
+    g = draw(st.integers(1, 2).flatmap(nonzero))
+    return contract(radial_field(), wedge(d(f), d(g)))
+
+
+@st.composite
+def log_types(draw, weight=coeff):
+    """Two or three polynomials and weights that satisfy the weight
+    relation; a weight may be zero."""
+    polys = draw(st.lists(st.integers(1, 2).flatmap(nonzero), min_size=2, max_size=3))
+    weights = draw(st.lists(st.one_of(weight, st.just(Fraction(0))),
+                            min_size=len(polys) - 1, max_size=len(polys) - 1))
+    degrees = [f.homogeneous_degree() for f in polys]
+    weights.append(-sum(w * deg for w, deg in zip(weights, degrees)) / degrees[-1])
+    return LogType(tuple(polys), tuple(weights))
+
+
+integrable_forms = st.one_of(pencils(), log_types().map(build_log_form))
+euler_forms = st.one_of(contracted_forms(), integrable_forms)
+any_forms = st.one_of(random_forms, euler_forms)
+
+
+def radial_multiple(h):
+    return VField([h * x for x in radial_field().components])
+
+
+random_fields = st.integers(0, 2).flatmap(
+    lambda deg: st.lists(homogeneous(deg), min_size=NVARS, max_size=NVARS)
+).map(VField)
+radial_fields = st.integers(0, 2).flatmap(homogeneous).map(radial_multiple)
+
+
+@st.composite
+def near_radial_fields(draw):
+    """h*R with one component moved by a term of the same degree."""
+    h = draw(st.integers(0, 2).flatmap(nonzero))
+    comps = list(radial_multiple(h).components)
+    comps[draw(st.integers(0, NVARS - 1))] += draw(nonzero(h.homogeneous_degree() + 1))
+    return VField(comps)
+
+
+def koszul_field(omega, i, j):
+    """A_j d/dx_i - A_i d/dx_j, which annihilates omega."""
+    a = omega.one_form_coeffs()
+    comps = [Poly.zero()] * NVARS
+    comps[i] += a[j]
+    comps[j] -= a[i]
+    return VField(comps)
+
+
+@FUZZ
+@given(any_forms)
+def test_euler_check_agrees_with_contract(omega):
+    euler = contract(radial_field(), omega).is_zero()
+    assert annihilates(radial_field(), omega) == euler
+    if not euler:
+        with pytest.raises(EulerViolation):
+            oneform_degree(omega)
+
+
+@FUZZ
+@given(euler_forms)
+def test_integrability_agrees_with_wedge(omega):
+    assume(not omega.is_zero())
+    assert is_integrable(omega) == wedge(omega, exterior_derivative(omega)).is_zero()
+
+
+@FUZZ
+@given(integrable_forms)
+def test_pencils_and_log_forms_are_integrable(omega):
+    assume(not omega.is_zero())
+    assert wedge(omega, exterior_derivative(omega)).is_zero()
+    assert is_integrable(omega)
+
+
+@FUZZ
+@given(any_forms, st.data())
+def test_annihilation_agrees_with_contract(omega, data):
+    v = data.draw(st.one_of(
+        random_fields,
+        radial_fields,
+        st.tuples(st.integers(0, NVARS - 1), st.integers(0, NVARS - 1))
+        .map(lambda ij: koszul_field(omega, *ij)),
+    ))
+    assert annihilates(v, omega) == contract(v, omega).is_zero()
+
+
+@FUZZ
+@given(st.one_of(random_fields, radial_fields, near_radial_fields()))
+def test_radial_check_agrees_with_minors(v):
+    assert is_radial_multiple(v) == (not any(minors_against_radial(v)))
+
+
+def direct_log_form(log_type):
+    """sum_i lambda_i (prod_{j != i} f_j) df_i, in Fraction Polys."""
+    coeffs = [Poly.zero()] * NVARS
+    for i, (w, f) in enumerate(zip(log_type.weights, log_type.polys)):
+        rest = Poly.constant(w)
+        for j, g in enumerate(log_type.polys):
+            if j != i:
+                rest = rest * g
+        for k in range(NVARS):
+            coeffs[k] = coeffs[k] + rest * f.diff(k)
+    return ExtForm.one_form(*coeffs)
+
+
+@FUZZ
+@given(st.one_of(log_types(), log_types(huge_coeff)))
+def test_build_log_form_matches_direct_formula(log_type):
+    assert build_log_form(log_type) == direct_log_form(log_type)
+
+
+@settings(FUZZ, max_examples=20)
+@given(log_types(huge_coeff))
+def test_log_audit_on_huge_weights_ends_in_report_or_error(log_type):
+    doc = {"kind": "logtype", "polys": [format_poly(f) for f in log_type.polys],
+           "lambdas": [str(w) for w in log_type.weights]}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), redirect_stdout(out), \
+            redirect_stderr(err):
+        code = cli.main(["log-audit", "-"])
+    assert code in (0, 1)
+    assert json.loads(out.getvalue() if code == 0 else err.getvalue())

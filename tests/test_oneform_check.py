@@ -23,6 +23,7 @@ ENTRY_POINTS = {
     "validate_oneform": distribution.validate_oneform,
     "classify": distribution.classify,
     "singular_scheme": distribution.singular_scheme,
+    "is_integrable": distribution.is_integrable,
     "compute_tF": linalg.compute_tF,
     "h0_tangent_twist": lambda omega: linalg.h0_tangent_twist(omega, 1),
     "minimal_section": lambda omega: linalg.minimal_section(omega, 1),
