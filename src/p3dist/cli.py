@@ -44,10 +44,21 @@ def _poly_from_string(s):
     return parse_poly(s.strip())
 
 
+class _FloatLiteral(float):
+    """A JSON number with a fraction or exponent part: the float json.loads
+    would give, which keeps its literal text so that a weight is read exactly."""
+
+    def __new__(cls, text):
+        self = super().__new__(cls, text)
+        self.text = text
+        return self
+
+
 def _weight(w):
-    """A weight as a Fraction. Exponent notation is refused: Fraction('1e5000')
-    builds 10**5000 before any check runs, and any such weight is some p/q."""
-    s = str(w)
+    """A weight as a Fraction, read exactly from its literal. Exponent
+    notation is refused: Fraction('1e5000') builds 10**5000 before any check
+    runs, and any such weight is some p/q."""
+    s = w.text if isinstance(w, _FloatLiteral) else str(w)
     if "e" in s.lower():
         raise ValueError(s)
     return Fraction(s)
@@ -56,7 +67,7 @@ def _weight(w):
 def parse_input(text):
     """Parse an input document into an ExtForm, VField, or LogType."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_FloatLiteral)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
     except (ValueError, RecursionError) as exc:

@@ -1,10 +1,11 @@
 """Polynomial text grammar: parser and canonical printer.
 
 Grammar: variables x0..x3 with aliases x,y,z,w; integer or rational
-coefficients; + - * ^ and parentheses; implicit multiplication by
-juxtaposition (2x^3y); whitespace-insensitive, except that a digit may not
-directly follow a variable (x5 is an error, not 5*x). Errors carry
-line/column.
+coefficients p/q, where q follows the '/' directly; + - * ^ and
+parentheses; implicit multiplication by juxtaposition (2x^3y). An exponent
+is a digit run, so x^4/2 is an error, not x^2. Whitespace may separate any
+two tokens, except that a digit may not directly follow a variable (x5 is
+an error, not 5*x). Errors carry line/column.
 
 Input limits, so that a short text cannot run unbounded: no power or product
 may exceed degree MAX_DEGREE (an exponent counts as a degree even on a
@@ -15,10 +16,11 @@ converts to int is a parse error too.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import Poly
+from .poly import ZERO_MON, Poly, add_product
 
 ALIASES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3, "x": 0, "y": 1, "z": 2, "w": 3}
 
@@ -27,194 +29,141 @@ ALIASES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3, "x": 0, "y": 1, "z": 2, "w": 3}
 MAX_DEGREE = 20
 MAX_DEPTH = 64
 
+# the next token, found by search: a digit run, a variable, any other
+# non-space character, or the end of the text ("")
+_TOKEN = re.compile(r"(\d+)|(x[0-3]|[xyzw])|(\S)|\Z")
+_NUMBER, _VARIABLE = 1, 2
 
-class _Lexer:
+
+class _Parser:
+    """Recursive descent over _TOKEN matches. Each sum is added up in place
+    in a dict monomial -> nonzero int or Fraction; a factor comes with its
+    degree (-1 for zero)."""
+
     def __init__(self, text):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+        self.tok = _TOKEN.search(text)
         self.depth = 0
 
-    def _advance(self, n):
-        for ch in self.text[self.pos:self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
+    def fail(self, message, offset, expected=None):
+        """Raise a ParseError at a text offset; only errors count lines."""
+        line = self.text.count("\n", 0, offset) + 1
+        col = offset - self.text.rfind("\n", 0, offset)
+        raise ParseError(message, line, col, expected)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self._advance(1)
-
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def position(self):
-        """(line, col) of the next token."""
-        self.skip_ws()
-        return self.line, self.col
-
-    def error(self, expected):
-        got = self.peek()
+    def unexpected(self, expected):
+        got = self.tok[0][:1]
         what = f"unexpected {got!r}" if got else "unexpected end of input"
-        raise ParseError(
-            f"{what}, expected {expected}", self.line, self.col, expected
-        )
+        self.fail(f"{what}, expected {expected}", self.tok.start(), expected)
 
-    def take_char(self, ch):
-        if self.peek() == ch:
-            self._advance(1)
+    def check_cap(self, what, degree, at):
+        if degree > MAX_DEGREE:
+            self.fail(f"{what} of degree {degree} is above the degree cap "
+                      f"MAX_DEGREE = {MAX_DEGREE}", at)
+
+    def advance(self):
+        self.tok = _TOKEN.search(self.text, self.tok.end())
+
+    def take(self, ch):
+        if self.tok[0] == ch:
+            self.advance()
             return True
         return False
 
-    def take_number(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self._advance(1)
-        if self.pos == start:
-            return None
-        num = self._int(start)
-        # rational coefficient p/q
-        save = (self.pos, self.line, self.col)
-        if self.take_char("/"):
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-                self._advance(1)
-            if self.pos == dstart:
-                self.pos, self.line, self.col = save
-                return Fraction(num)
-            den = self._int(dstart)
-            if den == 0:
-                raise ParseError("zero denominator", self.line, self.col)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def _int(self, start):
+    def integer(self):
+        """Consume the current token, a digit run, and return its int."""
+        tok = self.tok
         try:
-            return int(self.text[start:self.pos])
+            n = int(tok[0])
         except ValueError as exc:  # longer than the interpreter converts
-            raise ParseError(f"number too long: {exc}", self.line, self.col)
+            self.fail(f"number too long: {exc}", tok.end())
+        self.advance()
+        return n
 
-    def take_variable(self):
-        self.skip_ws()
-        rest = self.text[self.pos:]
-        name = rest[:2] if rest[:2] in ALIASES else rest[:1]
-        if name not in ALIASES:
-            return None
-        self._advance(len(name))
-        # x5 or y2 is a mistyped variable, not a variable times a number
-        after = self.text[self.pos:self.pos + 1]
-        if after.isdecimal():
-            raise ParseError(
-                f"unexpected {after!r} right after variable {name!r}",
-                self.line, self.col, "variable x0..x3, x, y, z or w",
-            )
-        return ALIASES[name]
+    def exponent(self, degree):
+        """The exponent after an optional '^' (1 without one) on a base of
+        the given degree."""
+        at = self.tok.start()
+        if not self.take("^"):
+            return 1
+        if not self.tok[_NUMBER]:
+            self.unexpected("integer exponent")
+        n = self.integer()
+        self.check_cap("power", max(degree, 1) * n, at)
+        return n
 
+    def factor(self):
+        tok = self.tok
+        if tok[_NUMBER]:
+            c = self.integer()
+            # p/q: the '/' is the next token, and q's digits follow it directly
+            slash = self.tok
+            den = _TOKEN.match(self.text, slash.end()) if slash[0] == "/" else None
+            if den and den[_NUMBER]:
+                self.tok = den
+                q = self.integer()
+                if not q:
+                    self.fail("zero denominator", den.end())
+                c = Fraction(c, q)
+            return ({ZERO_MON: c}, 0) if c else ({}, -1)
+        if tok[_VARIABLE]:
+            self.advance()
+            # x5 or y2 is a mistyped variable, not a variable times a number
+            if self.tok[_NUMBER] and self.tok.start() == tok.end():
+                self.fail(f"unexpected {self.tok[0][0]!r} right after variable "
+                          f"{tok[0]!r}", tok.end(), "variable x0..x3, x, y, z or w")
+            m = [0, 0, 0, 0]
+            m[ALIASES[tok[0]]] = n = self.exponent(1)
+            return {tuple(m): 1}, n
+        if not self.take("("):
+            self.unexpected("number, variable, or '('")
+        if self.depth == MAX_DEPTH:
+            self.fail(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}",
+                      tok.start())
+        self.depth += 1
+        base = Poly(self.expr())
+        if not self.take(")"):
+            self.unexpected("')'")
+        self.depth -= 1
+        p = base ** self.exponent(base.degree())
+        return p.terms, p.degree()
 
-def _parse_exponent(lx, degree):
-    """The exponent after an optional '^' (1 without one), for a base of
-    the given degree."""
-    if lx.peek() != "^":
-        return 1
-    at = lx.position()
-    lx.take_char("^")
-    n = lx.take_number()
-    if n is None or n.denominator != 1:
-        lx.error("integer exponent")
-    if n < 0:
-        lx.error("non-negative exponent")
-    power_degree = max(degree, 1) * int(n)
-    if power_degree > MAX_DEGREE:
-        raise ParseError(f"power of degree {power_degree} is above the "
-                         f"degree cap MAX_DEGREE = {MAX_DEGREE}", *at)
-    return int(n)
+    def term(self, acc, sign):
+        """acc += sign * (the next product of factors), in place."""
+        p, degree = self.factor()
+        # a factor follows a '*', or directly when it starts with a number,
+        # a variable or '('
+        while (self.take("*") or self.tok.lastindex in (_NUMBER, _VARIABLE)
+               or self.tok[0] == "("):
+            at = self.tok.start()
+            f, f_degree = self.factor()
+            self.check_cap("product", degree + f_degree, at)
+            product = {}
+            add_product(product, p, f)
+            p, degree = product, (degree + f_degree if product else -1)
+        add_product(acc, {ZERO_MON: 1}, p, sign)
 
-
-def _parse_factor(lx):
-    n = lx.take_number()
-    if n is not None:
-        return Poly.constant(n)
-    v = lx.take_variable()
-    if v is not None:
-        m = [0, 0, 0, 0]
-        m[v] = _parse_exponent(lx, 1)
-        return Poly.monomial(tuple(m))
-    if lx.peek() == "(":
-        if lx.depth == MAX_DEPTH:
-            raise ParseError(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}",
-                             *lx.position())
-        lx.take_char("(")
-        lx.depth += 1
-        p = _parse_expr(lx)
-        if not lx.take_char(")"):
-            lx.error("')'")
-        lx.depth -= 1
-        return p ** _parse_exponent(lx, p.degree())
-    lx.error("number, variable, or '('")
-
-
-def _starts_factor(lx):
-    ch = lx.peek()
-    if ch is None:
-        return False
-    return ch.isdecimal() or ch in "xyzw("
-
-
-def _parse_term(lx):
-    p = _parse_factor(lx)
-    while lx.take_char("*") or _starts_factor(lx):
-        at = lx.position()
-        f = _parse_factor(lx)
-        product_degree = p.degree() + f.degree()
-        if product_degree > MAX_DEGREE:
-            raise ParseError(f"product of degree {product_degree} is above "
-                             f"the degree cap MAX_DEGREE = {MAX_DEGREE}", *at)
-        p = p * f
-    return p
-
-
-def _take_signs(lx):
-    sign = 1
-    saw = False
-    while True:
-        if lx.take_char("+"):
-            saw = True
-        elif lx.take_char("-"):
-            sign = -sign
-            saw = True
-        else:
-            return sign, saw
-
-
-def _parse_expr(lx):
-    sign, _ = _take_signs(lx)
-    p = sign * _parse_term(lx)
-    while True:
-        ch = lx.peek()
-        if ch in ("+", "-"):
-            sign, _ = _take_signs(lx)
-            p = p + sign * _parse_term(lx)
-        else:
-            return p
+    def expr(self):
+        acc = {}
+        while True:
+            sign = 1
+            while self.tok[0] in ("+", "-"):
+                sign = -sign if self.tok[0] == "-" else sign
+                self.advance()
+            self.term(acc, sign)
+            if self.tok[0] not in ("+", "-"):
+                return acc
 
 
 def parse_poly(text):
     """Parse polynomial text into a Poly. Raises ParseError on bad input."""
-    lx = _Lexer(text)
-    if lx.peek() is None:
-        raise ParseError("empty polynomial", lx.line, lx.col)
-    p = _parse_expr(lx)
-    if lx.peek() is not None:
-        lx.error("operator or end of input")
-    return p
+    ps = _Parser(text)
+    if not ps.tok[0]:
+        ps.fail("empty polynomial", len(text))
+    p = ps.expr()
+    if ps.tok[0]:
+        ps.unexpected("operator or end of input")
+    return Poly(p)
 
 
 def _format_monomial(m):

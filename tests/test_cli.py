@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -385,3 +386,36 @@ def test_log_audit_huge_weights_exit_code(tmp_path, capsys):
     assert cli.main(["log-audit", write_doc(tmp_path, HUGE_WEIGHTS)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "WeightRelationViolated", "message": HUGE_SUM_MESSAGE}
+
+
+def logtype_text(lambdas):
+    """A log type document with the weights written as raw JSON."""
+    return '{"kind":"logtype","polys":["x0","x1"],"lambdas":' + lambdas + "}"
+
+
+def test_json_decimal_weights_read_exactly():
+    # a JSON number is read from its literal, not through a binary float
+    for lambdas, weights in (
+        ("[0.0000001, -0.0000001]", (Fraction(1, 10 ** 7), Fraction(-1, 10 ** 7))),
+        ("[12345678901234567.5, -12345678901234567.5]",
+         (Fraction(24691357802469135, 2), Fraction(-24691357802469135, 2))),
+        ('[0.25, "-1/4"]', (Fraction(1, 4), Fraction(-1, 4))),
+    ):
+        assert cli.parse_input(logtype_text(lambdas)).weights == weights
+    # these weights sum to 10**-17, as numbers and as strings alike
+    for lambdas in ("[1.00000000000000001, -1]", '["1.00000000000000001", "-1"]'):
+        with pytest.raises(WeightRelationViolated) as exc:
+            cli.parse_input(logtype_text(lambdas))
+        assert str(exc.value) == ("sum of weight*degree is 1/100000000000000000, "
+                                  "expected 0")
+
+
+def test_json_exponent_weights_rejected():
+    # exponent notation is refused in a JSON number too, whatever float it
+    # would round to; a number is still no polynomial entry
+    for lambdas in ("[1e5, -1e5]", "[1e5000, 1]", "[1E-3, -0.001]"):
+        with pytest.raises(ParseError, match="without exponent notation"):
+            cli.parse_input(logtype_text(lambdas))
+    with pytest.raises(ParseError) as exc:
+        cli.parse_input('{"kind":"oneform","coeffs":["x1",1.5,"x3","-x2"]}')
+    assert exc.value.args[0] == "polynomial entries must be strings, got 1.5"

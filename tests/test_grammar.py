@@ -1,11 +1,12 @@
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from p3dist.errors import ParseError
 from p3dist.grammar import format_poly, parse_poly
-from p3dist.poly import ONE, X0, X1, X2, X3, Poly
+from p3dist.poly import ONE, X0, X1, X2, X3, Poly, monomials_of_degree
 
 from conftest import make_rng, random_nonzero_poly
 
@@ -114,3 +115,81 @@ def test_roundtrip_random():
     for _ in range(150):
         p = random_nonzero_poly(rng, rng.randint(0, 4), nterms=6)
         assert parse_poly(format_poly(p)) == p
+
+
+# Edge cases with the canonical printing of their Poly, or the (message,
+# line, col) of their ParseError. '\u0663' and '\u0661\u0662' are
+# Arabic-Indic digits, which are decimal; '\x1c' is whitespace.
+EDGE_CASES = [
+    ('1 /2x', '1/2*x0'),
+    ('1/ 2', ("unexpected '/', expected operator or end of input", 1, 2)),
+    ('1/2/3', ("unexpected '/', expected operator or end of input", 1, 4)),
+    ('4/6x', '2/3*x0'),
+    ('1/0', ('zero denominator', 1, 4)),
+    ('0x', '0'),
+    ('(0)^0', '1'),
+    ('0*x^20*x', '0'),
+    ('(x-x)^5', '0'),
+    ('(x-x+1)^21', ('power of degree 21 is above the degree cap MAX_DEGREE = 20', 1, 8)),
+    ('x^0', '1'),
+    ('x^ 2', 'x0^2'),
+    ('2^3', ("unexpected '^', expected operator or end of input", 1, 2)),
+    ('x^-1', ("unexpected '-', expected integer exponent", 1, 3)),
+    ('x^y', ("unexpected 'y', expected integer exponent", 1, 3)),
+    ('x +\n y3', ("unexpected '3' right after variable 'y'", 2, 3)),
+    (' ', ('empty polynomial', 1, 2)),
+    ('\u0663x', '3*x0'),
+    ('\u0661\u0662', '12'),
+    ('x\x1c+\ty', 'x0 + x1'),
+    ('x\r\ny', 'x0*x1'),
+    ('x1x2x3', 'x1*x2*x3'),
+    ('X', ("unexpected 'X', expected number, variable, or '('", 1, 1)),
+    ('+', ("unexpected end of input, expected number, variable, or '('", 1, 2)),
+    ('x*', ("unexpected end of input, expected number, variable, or '('", 1, 3)),
+    ('x**y', ("unexpected '*', expected number, variable, or '('", 1, 3)),
+    ('(x', ("unexpected end of input, expected ')'", 1, 3)),
+    ('x)', ("unexpected ')', expected operator or end of input", 1, 2)),
+    ('x +  \n \n ', ("unexpected end of input, expected number, variable, or '('", 3, 2)),
+    ('x0 + 2\n  + y^21', ('power of degree 21 is above the degree cap MAX_DEGREE = 20', 2, 6)),
+    ('(x+y)^10 * (x+y)^10 *\n x', ('product of degree 21 is above the degree cap MAX_DEGREE = 20', 2, 2)),
+    ("\n" + "(" * 65 + "x" + ")" * 65, ('parentheses nested deeper than MAX_DEPTH = 64', 2, 65)),
+]
+
+
+@pytest.mark.parametrize("text, result", EDGE_CASES)
+def test_edge_cases(text, result):
+    if isinstance(result, str):
+        assert format_poly(parse_poly(text)) == result
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert (exc.value.args[0], exc.value.line, exc.value.col) == result
+
+
+def test_exponent_is_a_digit_run():
+    # a '/' after an exponent is not read as part of it: x^4/2 is not x^2
+    for text, col in (
+        ("x^4/2", 4), ("x^6/3", 4), ("(x+y)^4/2", 8), ("x^3/2", 4),
+        ("x^2 /3", 5), ("x^2/0", 4),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert str(exc.value) == ("unexpected '/', expected operator or end of "
+                                  f"input (line 1, col {col})"), text
+    with pytest.raises(ParseError, match="expected '\\)'") as exc:
+        parse_poly("(x^4/2)")
+    assert exc.value.col == 5
+    with pytest.raises(ParseError, match="power of degree 81 ") as exc:
+        parse_poly("22x^81/3")
+    assert exc.value.col == 4
+
+
+def test_parse_time_is_linear():
+    # the sum of all 10626 monomials of degree <= 20, about 240 KB of text;
+    # a parser that copies the sum at every term takes about half a minute
+    p = Poly({m: i + 1 for i, m in enumerate(
+        m for d in range(21) for m in monomials_of_degree(d))})
+    text = format_poly(p)
+    start = time.perf_counter()
+    assert parse_poly(text) == p
+    assert time.perf_counter() - start < 10
