@@ -38,10 +38,19 @@ def _read_text(path):
         return fh.read()
 
 
-def _poly_from_string(s):
-    if not isinstance(s, str):
-        raise ParseError(f"polynomial entries must be strings, got {json.dumps(s)}")
-    return parse_poly(s.strip())
+def _polys_from_strings(entries, key):
+    """Parse the polynomial entries of doc[key]; a syntax error names the
+    entry, as in coeffs[3], and keeps the line and column within it."""
+    polys = []
+    for i, s in enumerate(entries):
+        if not isinstance(s, str):
+            raise ParseError(f"polynomial entries must be strings, got {json.dumps(s)}")
+        try:
+            polys.append(parse_poly(s))
+        except ParseError as exc:
+            raise ParseError(f"{key}[{i}]: {exc.args[0]}", exc.line, exc.col,
+                             exc.expected) from None
+    return polys
 
 
 class _FloatLiteral(float):
@@ -81,12 +90,13 @@ def parse_input(text):
         coeffs = doc.get("coeffs")
         if not isinstance(coeffs, list) or len(coeffs) != 4:
             raise ParseError("'coeffs' must be a list of 4 polynomial strings")
-        return ExtForm.one_form(*(_poly_from_string(s) for s in coeffs))
+        return ExtForm.one_form(*_polys_from_strings(coeffs, "coeffs"))
     if kind == "vfield":
-        comps = doc.get("components", doc.get("coeffs"))
+        key = "components" if "components" in doc else "coeffs"
+        comps = doc.get(key)
         if not isinstance(comps, list) or len(comps) != 4:
             raise ParseError("'components' must be a list of 4 polynomial strings")
-        return VField([_poly_from_string(s) for s in comps])
+        return VField(_polys_from_strings(comps, key))
     if kind == "logtype":
         polys = doc.get("polys")
         weights = doc.get("lambdas", doc.get("weights"))
@@ -98,7 +108,7 @@ def parse_input(text):
             raise ParseError("'lambdas' entries must be rational numbers p/q "
                              "without exponent notation")
         return LogType(
-            polys=tuple(_poly_from_string(s) for s in polys), weights=weights
+            polys=tuple(_polys_from_strings(polys, "polys")), weights=weights
         )
     raise ParseError(f"unknown input kind {kind!r}")
 

@@ -7,7 +7,8 @@ coefficients (A0..A3) represent A0*dx0 + ... + A3*dx3.
 `wedge`, `exterior_derivative`, `contract` and `minors_against_radial`
 build forms with Fraction coefficients. The checks that such a product
 vanishes (`annihilates`, `is_radial_multiple` and the Euler relation in
-`oneform_degree`) run on integer multiples of the coefficients instead.
+`oneform_degree`) run on integer multiples of the coefficients instead, as
+do the field minors that `foliation.sing_scheme_v` saturates.
 """
 
 from __future__ import annotations
@@ -251,15 +252,21 @@ def annihilates(v, omega):
     return not out
 
 
-def is_radial_multiple(v):
-    """True when every minor F_i*x_j - F_j*x_i vanishes (see
-    `minors_against_radial`); computed on integer multiples of the F_i."""
+def _radial_minors(v):
+    """The six minors F_i*x_j - F_j*x_i of `minors_against_radial` as integer
+    dicts, computed on integer multiples of the F_i."""
     _, fs = integer_multiples(v.components)
     _, xs = integer_multiples(radial_field().components)
+    minors = []
     for i, j in combinations(range(NVARS), 2):
         minor = {}
         add_product(minor, fs[i], xs[j])
         add_product(minor, fs[j], xs[i], -1)
-        if minor:
-            return False
-    return True
+        minors.append(minor)
+    return minors
+
+
+def is_radial_multiple(v):
+    """True when every minor F_i*x_j - F_j*x_i vanishes (see
+    `minors_against_radial`); computed on integer multiples of the F_i."""
+    return not any(_radial_minors(v))

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
-from .exterior import annihilates, field_degree, minors_against_radial, oneform_degree
+from .exterior import _radial_minors, annihilates, field_degree, oneform_degree
 from .groebner import Ideal, saturate
 from .hilbert import hilbert
+from .poly import Poly
 
 _DEGREE1_CASES = {
     (0, 6, 4): "stable-points",
@@ -34,7 +35,7 @@ class FoliationCurveReport:
 def sing_scheme_v(v):
     """Saturated ideal of the locus where the field is radially dependent."""
     field_degree(v)
-    minors = [m for m in minors_against_radial(v) if not m.is_zero()]
+    minors = [Poly(m) for m in _radial_minors(v) if m]
     if not minors:
         raise RadialField("field is a multiple of the radial field")
     return saturate(Ideal(tuple(minors)))

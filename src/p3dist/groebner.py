@@ -22,7 +22,9 @@ from .errors import NonTermination
 from .hilbert import hilbert_from_lt
 from .poly import (
     NVARS,
+    ZERO_MON,
     Poly,
+    add_product,
     fraction_free_step,
     grevlex_key,
     mon_div,
@@ -339,21 +341,12 @@ def divide_exact(p, f):
     quot = {}
     while work:
         m = _lead(work, grevlex_key)
-        c = work.pop(m)
         if not mon_divides(ltf, m):
             raise ValueError("not an exact multiple")
         shift = mon_div(m, ltf)
-        q = c / lcf
-        quot[shift] = q
-        for fm, fc in f.terms.items():
-            if fm == ltf:
-                continue
-            mm = mon_mul(fm, shift)
-            v = work.get(mm, 0) - q * fc
-            if v:
-                work[mm] = v
-            else:
-                work.pop(mm, None)
+        q = quot[shift] = work[m] / lcf
+        # cancels the term at m, so the next lead is smaller
+        add_product(work, f.terms, {shift: -q})
     return Poly(quot)
 
 
@@ -411,26 +404,16 @@ def _shift_x3(polys, a):
     """The integer dict-polys with x3 replaced by x3 + a[0]*x0 + a[1]*x1 + a[2]*x2,
     a[i] != 0, from one table of powers of that linear form."""
     linear = {(0, 0, 0, 1): 1, (1, 0, 0, 0): a[0], (0, 1, 0, 0): a[1], (0, 0, 1, 0): a[2]}
-    powers = [{(0,) * NVARS: 1}]
+    powers = [{ZERO_MON: 1}]
     for _ in range(max(m[3] for t in polys for m in t)):
         nxt = {}
-        for m, c in powers[-1].items():
-            for lm, lc in linear.items():
-                mm = mon_mul(m, lm)
-                nxt[mm] = nxt.get(mm, 0) + c * lc
+        add_product(nxt, powers[-1], linear)
         powers.append(nxt)
     out = []
     for t in polys:
         shifted = {}
         for m, c in t.items():
-            base = m[:3] + (0,)
-            for pm, pc in powers[m[3]].items():
-                mm = mon_mul(base, pm)
-                v = shifted.get(mm, 0) + c * pc
-                if v:
-                    shifted[mm] = v
-                else:
-                    shifted.pop(mm, None)
+            add_product(shifted, {m[:3] + (0,): c}, powers[m[3]])
         out.append(shifted)
     return out
 

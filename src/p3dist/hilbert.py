@@ -2,7 +2,8 @@
 
 The series numerator is computed combinatorially from the leading-term
 ideal by recursive pivot-variable splitting; the Hilbert polynomial, the
-projective dimension and the degree are read off the reduced numerator.
+projective dimension and the degree are read in closed form from the
+numerator's integer moments, with no division by (1 - t).
 """
 
 from __future__ import annotations
@@ -78,20 +79,6 @@ def _numerator(gens, memo):
     return out
 
 
-def _binomial_poly(shift, r):
-    """Coefficients of C(t + shift, r) as a polynomial in t."""
-    coeffs = [Fraction(1)]
-    for i in range(r):
-        # multiply by (t + shift - i)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            nxt[k] += c * (shift - i)
-        coeffs = nxt
-    f = Fraction(1, factorial(r))
-    return [c * f for c in coeffs]
-
-
 @dataclass(frozen=True)
 class HilbertData:
     """Series numerator plus the polynomial data extracted from it."""
@@ -125,45 +112,28 @@ class HilbertData:
 
 
 def hilbert_from_lt(lt_monomials):
-    """HilbertData from the leading-term monomials of a reduced basis."""
+    """HilbertData from the leading-term monomials of a reduced basis.
+
+    With the series N(t)/(1-t)^4, HF(n) = sum_k N_k C(n - k + 3, 3) for
+    n >= deg N - 3, and 6 C(u + 3, 3) = u^3 + 6u^2 + 11u + 6; so 6 HP(n)
+    has integer coefficients in the moments M_j = sum_k N_k k^j.
+    """
     num = _numerator(tuple(lt_monomials), {})
     if not num:
         # unit ideal
         return HilbertData((), (), -1, 0, Fraction(0))
-    max_deg = max(num)
-    coeffs = [num.get(k, 0) for k in range(max_deg + 1)]
-    numerator = tuple(coeffs)
-
-    # divide by (1 - t) while the value at t = 1 vanishes
-    splits = 0
-    while sum(coeffs) == 0:
-        # Q with (1 - t) * Q = coeffs  =>  q_k = sum_{i<=k} c_i
-        acc = 0
-        q = []
-        for c in coeffs:
-            acc += c
-            q.append(acc)
-        assert q[-1] == 0
-        while q and q[-1] == 0:
-            q.pop()
-        coeffs = q if q else [0]
-        splits += 1
-        if not any(coeffs):
-            break
-    dim_cone = NVARS - splits
-    if not any(coeffs) or dim_cone <= 0:
+    m0, m1, m2, m3 = (sum(c * k ** j for k, c in num.items()) for j in range(4))
+    six_hp = [6 * m0 - 11 * m1 + 6 * m2 - m3, 11 * m0 - 12 * m1 + 3 * m2,
+              6 * m0 - 3 * m1, m0]
+    while six_hp and not six_hp[-1]:
+        six_hp.pop()
+    numerator = tuple(num.get(k, 0) for k in range(max(num) + 1))
+    if not six_hp:
         # Hilbert function eventually zero: empty projective scheme
         return HilbertData(numerator, (), -1, 0, Fraction(0))
-
-    r = dim_cone - 1  # degree of the Hilbert polynomial
-    hp = [Fraction(0)] * (r + 1)
-    for k, qk in enumerate(coeffs):
-        if not qk:
-            continue
-        for j, c in enumerate(_binomial_poly(r - k, r)):
-            hp[j] += qk * c
-    degree = sum(coeffs)
-    return HilbertData(numerator, tuple(hp), r, degree, hp[0])
+    r = len(six_hp) - 1
+    hp = tuple(Fraction(c, 6) for c in six_hp)
+    return HilbertData(numerator, hp, r, six_hp[r] * factorial(r) // 6, hp[0])
 
 
 def hilbert(ideal):

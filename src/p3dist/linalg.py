@@ -7,9 +7,10 @@ the row space up to one nonzero scale per row, which gives the rank, the
 canonical RREF kernel basis, and reduction modulo a subspace. Built on top
 of it: the dimension h0 of twisted section spaces of the tangent sheaf of a
 codimension-one distribution, and the minimal twist t_F admitting a section.
-`compute_tF` builds and eliminates the contraction rows of each twist once:
-the echelon of the first twist with h0 > 0 also gives the minimal section,
-whose two certificates run on integer dicts too. Each public function first
+`compute_tF` builds the contraction rows of each twist once, from integer
+multiples of the form's coefficients, and eliminates them: the echelon of
+the first twist with h0 > 0 also gives the minimal section, whose two
+certificates run on integer dicts too. Each public function first
 checks its 1-form with `exterior.oneform_degree`, so a form that defines no
 distribution raises InvalidForm.
 """
@@ -27,6 +28,7 @@ from .poly import (
     Poly,
     dim_graded_piece,
     fraction_free_step,
+    integer_multiples,
     mon_mul,
     monomials_of_degree,
     primitive_row,
@@ -101,26 +103,28 @@ class SectionSpaceDim:
 
 
 def _contraction_rows(coeffs, dprime):
-    """Rows of (F_0..F_3) -> sum A_i F_i on degree-dprime quadruples.
+    """Rows of (F_0..F_3) -> sum A_i F_i on degree-dprime quadruples, for
+    integer dicts A_i: a common integer multiple of the coefficients.
 
     Columns: component-major over the degree-dprime monomial basis. One
-    primitive integer row per monomial of the target degree that is hit.
+    integer row per monomial of the target degree that is hit.
     """
     src_mons = monomials_of_degree(dprime)
     rows = {}
     col = 0
     for ai in coeffs:
         for m in src_mons:
-            for am, ac in ai.terms.items():
+            for am, ac in ai.items():
                 rows.setdefault(mon_mul(am, m), {})[col] = ac
             col += 1
-    return [primitive_row(r) for r in rows.values()], src_mons
+    return list(rows.values()), src_mons
 
 
 def _twist(coeffs, dprime):
-    """Build and eliminate the contraction rows at one twist, for a 1-form
-    that `oneform_degree` has accepted. Returns the SectionSpaceDim, the
-    echelon of the rows and the source monomials; no rows below twist 0."""
+    """Build and eliminate the contraction rows at one twist, for integer
+    multiples of the coefficients of a 1-form that `oneform_degree` has
+    accepted. Returns the SectionSpaceDim, the echelon of the rows and the
+    source monomials; no rows below twist 0."""
     rows, src_mons = _contraction_rows(coeffs, dprime)
     echelon = _pivot_rows(rows)
     nullity = NVARS * len(src_mons) - len(echelon)
@@ -162,13 +166,14 @@ def h0_tangent_twist(omega, dprime):
     """h0 of the twist of the tangent sheaf whose sections are degree-dprime
     vector fields annihilated by the 1-form, modulo radial multiples."""
     oneform_degree(omega)
-    return _twist(omega.one_form_coeffs(), dprime)[0]
+    return _twist(integer_multiples(omega.one_form_coeffs())[1], dprime)[0]
 
 
 def minimal_section(omega, dprime):
     """Canonical non-radial section at the given twist, or None."""
     oneform_degree(omega)
-    _, echelon, src_mons = _twist(omega.one_form_coeffs(), dprime)
+    _, coeffs = integer_multiples(omega.one_form_coeffs())
+    _, echelon, src_mons = _twist(coeffs, dprime)
     return _section(echelon, dprime, src_mons)
 
 
@@ -185,7 +190,7 @@ def compute_tF(omega):
     InternalInconsistency.
     """
     d = oneform_degree(omega)
-    coeffs = omega.one_form_coeffs()
+    _, coeffs = integer_multiples(omega.one_form_coeffs())
     for dprime in range(d + 2):
         s, echelon, src_mons = _twist(coeffs, dprime)
         if s.h0 > 0:

@@ -93,8 +93,9 @@ def integer_multiples(polys):
 
 
 def add_product(out, a, b, scale=1):
-    """out += scale * a * b, in place, for integer dicts a, b and a nonzero
-    int scale; out keeps no zero coefficients."""
+    """out += scale * a * b, in place, for dicts a, b of 4-variable monomials
+    with nonzero int or Fraction coefficients and a nonzero scale; out keeps
+    no zero coefficients."""
     for m1, c1 in a.items():
         c1 *= scale
         for m2, c2 in b.items():

@@ -14,6 +14,7 @@ from p3dist.errors import (
     WeightRelationViolated,
 )
 from p3dist.exterior import ExtForm, VField
+from p3dist.grammar import parse_poly
 from p3dist.logarithmic import LogType
 
 CORPUS_SHA256 = "8fd4bef70dcefcb81306acea0c90f9dac9e0b2bd43962b067b25b8c51c35ecd6"
@@ -310,6 +311,30 @@ def test_parse_error_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
     assert err["col"] == 6
+
+
+@pytest.mark.parametrize("doc, key, index, line, col", [
+    # the position is within the entry as written, surrounding space included
+    ({"kind": "oneform", "coeffs": ["x1", "-x0", "x3", "  -x2 + x5"]}, "coeffs", 3, 1, 10),
+    ({"kind": "oneform", "coeffs": ["x1", "-x0", "x3", "  -x2 +\n x5"]}, "coeffs", 3, 2, 3),
+    ({"kind": "oneform", "coeffs": ["x1", "   ", "x3", "-x2"]}, "coeffs", 1, 1, 4),
+    ({"kind": "vfield", "components": ["x1 +", "x0", "x3", "x2"]}, "components", 0, 1, 5),
+    ({"kind": "vfield", "coeffs": ["x1", "x0", "x3 x5", "x2"]}, "coeffs", 2, 1, 5),
+    ({"kind": "logtype", "polys": ["x0", "x1 + (x2", "x3"], "lambdas": ["1", "-1", "0"]},
+     "polys", 1, 1, 9),
+])
+def test_parse_error_names_the_entry(tmp_path, capsys, doc, key, index, line, col):
+    with pytest.raises(ParseError) as own:
+        parse_poly(doc[key][index])
+    command = {"oneform": "analyze", "vfield": "analyze-vf", "logtype": "log-audit"}
+    path = write_doc(tmp_path, doc)
+    assert cli.main([command[doc["kind"]], path]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ParseError", "message": f"{key}[{index}]: {own.value}",
+                   "line": line, "col": col}
+    with pytest.raises(ParseError) as exc:
+        cli.parse_input(json.dumps(doc))
+    assert exc.value.expected == own.value.expected
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):

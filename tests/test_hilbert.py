@@ -1,5 +1,6 @@
 import importlib
 from fractions import Fraction
+from math import factorial
 
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal
@@ -86,6 +87,57 @@ def test_hilbert_additive_on_random_monomial_ideals():
                 assert count == 0
             else:
                 assert h.hp_value(d) == count
+
+
+def standard_monomial_count(lts, n):
+    return sum(1 for m in monomials_of_degree(n)
+               if not any(all(a <= b for a, b in zip(lt, m)) for lt in lts))
+
+
+def interpolate(points):
+    """Coefficients, lowest degree first, of the polynomial of degree below
+    len(points) through the (x, y) points, trailing zeros stripped."""
+    coeffs = [Fraction(0)] * len(points)
+    for xi, yi in points:
+        basis = [Fraction(yi)]  # yi * prod (t - xj) / (xi - xj), j != i
+        for xj, _ in points:
+            if xj != xi:
+                basis = [((basis[k - 1] if k else 0)
+                          - xj * (basis[k] if k < len(basis) else 0)) / (xi - xj)
+                         for k in range(len(basis) + 1)]
+        coeffs = [c + b for c, b in zip(coeffs, basis)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def test_hilbert_polynomial_against_interpolated_counts():
+    # Hilbert function counts past deg N - 3 against the closed form read
+    # from the numerator's moments; exponents up to 6 make deg N reach 20
+    rng = make_rng(113)
+    ideals = [Ideal(()), Ideal((Poly.constant(1),))]
+    for _ in range(50):
+        mons = [tuple(rng.randint(0, 6) for _ in range(4)) for _ in range(rng.randint(1, 5))]
+        # pure powers of some variables cut the dimension down
+        for v in rng.sample(range(4), rng.randint(0, 4)):
+            mons.append(tuple(rng.randint(1, 6) if i == v else 0 for i in range(4)))
+        ideals.append(Ideal(tuple(Poly.monomial(m) for m in mons if sum(m))))
+    dims, top = set(), 0
+    for I in ideals:
+        h = hilbert(I)
+        lts = I.leading_monomials()
+        deg_n = max(len(h.numerator) - 1, 0)
+        points = [(n, standard_monomial_count(lts, n)) for n in range(deg_n, deg_n + 4)]
+        for n, count in points:
+            assert h.hp_value(n) == count
+        hp = interpolate(points)
+        r = len(hp) - 1
+        assert (h.hp_coeffs, h.projective_dimension) == (tuple(hp), r)
+        assert h.degree == (hp[r] * factorial(r) if hp else 0)
+        assert h.constant_term == (hp[0] if hp else 0)
+        dims.add(r)
+        top = max(top, deg_n)
+    assert dims == {-1, 0, 1, 2, 3} and top >= 18
 
 
 def test_hilbert_keeps_no_module_cache():

@@ -1,5 +1,6 @@
 """The pipeline checks a 1-form on integer multiples of its coefficients,
-and `build_log_form` multiplies in integers. Each must agree with the
+builds the singular scheme of a field from integer minors, and
+`build_log_form` multiplies in integers. Each must agree with the
 Fraction operations, which stay public as the oracle: `contract`, `wedge`,
 `exterior_derivative`, `minors_against_radial` and the direct formula of a
 logarithmic form. The inputs have non-integer Fraction coefficients, and
@@ -17,9 +18,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from p3dist import cli  # noqa: E402
+from p3dist import cli, corpus  # noqa: E402
 from p3dist.distribution import is_integrable  # noqa: E402
-from p3dist.errors import EulerViolation  # noqa: E402
+from p3dist.errors import EulerViolation, RadialField  # noqa: E402
 from p3dist.exterior import (  # noqa: E402
     ExtForm,
     VField,
@@ -32,7 +33,9 @@ from p3dist.exterior import (  # noqa: E402
     radial_field,
     wedge,
 )
+from p3dist.foliation import sing_scheme_v  # noqa: E402
 from p3dist.grammar import format_poly  # noqa: E402
+from p3dist.groebner import Ideal, saturate  # noqa: E402
 from p3dist.logarithmic import LogType, build_log_form  # noqa: E402
 from p3dist.poly import NVARS, Poly, monomials_of_degree  # noqa: E402
 
@@ -167,6 +170,39 @@ def test_annihilation_agrees_with_contract(omega, data):
 @given(st.one_of(random_fields, radial_fields, near_radial_fields()))
 def test_radial_check_agrees_with_minors(v):
     assert is_radial_multiple(v) == (not any(minors_against_radial(v)))
+
+
+# degree 1 and 2, every coefficient a non-integer rational
+rational_fields = st.integers(1, 2).flatmap(
+    lambda deg: st.lists(
+        st.dictionaries(st.sampled_from(monomials_of_degree(deg)),
+                        coeff.filter(lambda c: c.denominator > 1), min_size=1, max_size=4)
+        .map(Poly), min_size=NVARS, max_size=NVARS)
+).map(VField)
+
+
+def assert_sing_scheme_from_fraction_minors(v):
+    minors = [m for m in minors_against_radial(v) if m]
+    assert sing_scheme_v(v) == saturate(Ideal(tuple(minors)))
+
+
+@settings(FUZZ, max_examples=40)
+@given(rational_fields)
+def test_sing_scheme_agrees_with_fraction_minors(v):
+    assume(not is_radial_multiple(v))
+    assert_sing_scheme_from_fraction_minors(v)
+
+
+def test_sing_scheme_of_corpus_fields_agrees_with_fraction_minors():
+    for name in corpus.corpus_names()["vfields"]:
+        assert_sing_scheme_from_fraction_minors(corpus.load_vfield(name))
+
+
+@FUZZ
+@given(st.integers(0, 2).flatmap(nonzero).map(radial_multiple))
+def test_sing_scheme_of_radial_multiple_raises(v):
+    with pytest.raises(RadialField):
+        sing_scheme_v(v)
 
 
 def direct_log_form(log_type):

@@ -193,11 +193,16 @@ def test_minimal_section_deterministic(example1):
     assert a == b
 
 
-def random_dense_form(rng, d):
+def random_dense_form(rng, d, denominators=None):
     """i_R(eta) for a 2-form eta whose coefficients of degree d have every
-    monomial, with nonzero coefficients in [-3, 3]."""
+    monomial, with nonzero numerators in [-3, 3], each over a denominator
+    drawn from the given ones if there are any."""
+    def coeff():
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        return Fraction(c, rng.choice(denominators)) if denominators else c
+
     eta = ExtForm(2, {
-        ij: Poly({m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in monomials_of_degree(d)})
+        ij: Poly({m: coeff() for m in monomials_of_degree(d)})
         for ij in combinations(range(4), 2)
     })
     return contract(radial_field(), eta)
@@ -218,12 +223,18 @@ def test_compute_tF_matches_step_by_step_sweep(example1, example2, nullcorrelati
     forms = ([example1, example2, nullcorrelation, pencil_of_planes]
              + [random_dense_form(rng, 1) for _ in range(3)]
              + [random_dense_form(rng, 2) for _ in range(2)])
+    # coefficients over different denominators, and rational multiples: the
+    # rows are built from one integer multiple of the coefficients
+    forms += [random_dense_form(rng, d, (1, 2, 3, 5, 7)) for d in (1, 1, 2)]
+    forms += [omega * Fraction(-7, 3) for omega in forms[:2] + forms[-3:]]
     for omega in forms:
         tF, section, sdim = compute_tF(omega)
+        assert compute_tF(omega * Fraction(5, 2)) == (tF, section, sdim)
         twist = 0
         while (step := h0_tangent_twist(omega, twist)).h0 == 0:
             twist += 1
         assert (tF, section, sdim) == (twist, minimal_section(omega, twist), step)
+        assert contract(section, omega).is_zero()
         # reduced modulo the radial span, whose pivots are the x0*f in F_0
         assert all(m[0] == 0 for m in section.components[0].terms)
         for dprime in range(tF + 1):
