@@ -95,7 +95,7 @@ def parse_input(text):
         key = "components" if "components" in doc else "coeffs"
         comps = doc.get(key)
         if not isinstance(comps, list) or len(comps) != 4:
-            raise ParseError("'components' must be a list of 4 polynomial strings")
+            raise ParseError(f"'{key}' must be a list of 4 polynomial strings")
         return VField(_polys_from_strings(comps, key))
     if kind == "logtype":
         polys = doc.get("polys")

@@ -16,11 +16,11 @@ from .errors import (
     InconsistentInvariants,
     NumericContradiction,
 )
-from .exterior import VField, oneform_degree
+from .exterior import VField, checked_oneform, oneform_degree
 from .groebner import Ideal, divide_exact, intersect, saturate
 from .hilbert import hilbert
 from .linalg import compute_tF
-from .poly import NVARS, ZERO_MON, Poly, add_product, diff_row, integer_multiples
+from .poly import NVARS, ZERO_MON, Poly, add_product, diff_row
 
 
 # largest d_max that table1 accepts
@@ -103,12 +103,12 @@ def singular_scheme(omega):
 def validate_oneform(omega):
     """Check the 1-form defines a distribution and read its singular scheme.
 
-    `oneform_degree` checks the form; reading the singular scheme then
+    `checked_oneform` checks the form; reading the singular scheme then
     rejects one that contains a surface. Returns (d, sing, chern): the
     degree, the singular-scheme invariants and the Chern triple of the
     tangent sheaf.
     """
-    d = oneform_degree(omega)
+    d, _ = checked_oneform(omega)
     sat = saturate(Ideal(omega.one_form_coeffs()))
     degc, pa, lenu = curve_invariants(
         sat,
@@ -122,14 +122,13 @@ def validate_oneform(omega):
 def is_integrable(omega):
     """Frobenius condition for a 1-form: omega wedge d(omega) = 0.
 
-    `oneform_degree` checks the form first. The check runs on integer
+    `checked_oneform` checks the form first. The check runs on integer
     multiples A_i of the coefficients: d(omega) has the dx_i^dx_j
     coefficient B_ij = d_i A_j - d_j A_i (i < j), and the dx_i^dx_j^dx_k
     coefficient of omega ^ d(omega) (i < j < k) is
     A_i B_jk - A_j B_ik + A_k B_ij.
     """
-    oneform_degree(omega)
-    _, a = integer_multiples(omega.one_form_coeffs())
+    _, a = checked_oneform(omega)
     b = {}
     for i, j in combinations(range(NVARS), 2):
         b[i, j] = diff_row(a[j], i)
@@ -227,7 +226,8 @@ def _stability(degree, tF, split, chern):
 
 
 def classify(omega):
-    """Full analysis pipeline producing a DistReport."""
+    """Full analysis pipeline producing a DistReport. `validate_oneform`
+    checks the form; `compute_tF` and `is_integrable` reuse the check."""
     d, sing, chern = validate_oneform(omega)
     tF, section, sdim = compute_tF(omega)
     split = split_test(tF, chern, d)

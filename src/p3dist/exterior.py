@@ -37,7 +37,7 @@ def _merge_sign(a, b):
 class ExtForm:
     """Exterior differential form of grade g with Poly coefficients."""
 
-    __slots__ = ("grade", "coeffs")
+    __slots__ = ("grade", "coeffs", "_checked")
 
     def __init__(self, grade, coeffs=None):
         if grade not in range(NVARS + 1):
@@ -51,6 +51,7 @@ class ExtForm:
                 table[idx] = p if isinstance(p, Poly) else Poly.constant(p)
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "coeffs", table)
+        object.__setattr__(self, "_checked", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtForm is immutable")
@@ -126,6 +127,15 @@ def oneform_degree(omega):
     if not annihilates(radial_field(), omega):
         raise EulerViolation("coefficients do not satisfy the Euler relation")
     return dega - 1
+
+
+def checked_oneform(omega):
+    """(d, A): the degree `oneform_degree` reads from a 1-form and integer
+    multiples A of its coefficients, kept on the form after the first call."""
+    if omega._checked is None:
+        multiples = integer_multiples(omega.one_form_coeffs())[1]
+        object.__setattr__(omega, "_checked", (oneform_degree(omega), multiples))
+    return omega._checked
 
 
 def wedge(a, b):

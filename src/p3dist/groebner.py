@@ -7,125 +7,169 @@ needs: membership and the saturation by the irrelevant ideal, one certified
 colon by a linear form (Bayer-Stillman reverse-lex division, checked by the
 Hilbert polynomial). Intersection (which also gives the gcd that names a
 common factor), colon and the saturation by one polynomial eliminate an
-auxiliary variable; the tests compare the saturation against them.
+auxiliary variable t; the tests compare the saturation against them.
 Coefficients are exact rationals, or residues mod a prime p for the
 modular cross-check.
+
+The engine packs t^e x0^a0 x1^a1 x2^a2 x3^a3 into one int (Monagan and
+Pearce, J. Symbolic Comput. 46, 2011), unpacked only on the way out:
+    e*2^96 + (a0 + a1 + a2 + a3)*2^80 - (e<<64 | a3<<48 | a2<<32 | a1<<16 | a0).
+A product is +, a quotient is -, integer comparison is grevlex (for e > 0
+the block order that eliminates t), and as MAX_MONOMIAL_DEGREE keeps each
+16-bit field below its top (guard) bit, a divides b iff a - b sets none.
 """
 
 from __future__ import annotations
 
 import itertools
 from heapq import heapify, heappop, heappush
-from operator import neg
+from math import gcd
 
-from .errors import NonTermination
+from .errors import DomainError, NonTermination
 from .hilbert import hilbert_from_lt
 from .poly import (
     NVARS,
     ZERO_MON,
     Poly,
     add_product,
-    fraction_free_step,
     grevlex_key,
     mon_div,
     mon_divides,
-    mon_lcm,
-    mon_mul,
     primitive_row,
 )
 
 # ---------------------------------------------------------------------------
-# engine core: polynomials as dicts monomial -> nonzero coefficient. Over QQ
-# (p is None) a basis element is kept as a primitive integer multiple and
-# reduced fraction-free; over GF(p) it is kept monic. Bases leave the engine
-# reduced and in that form; they become monic Polys only in
-# `_monic_basis`, when an Ideal takes them.
+# engine core: polynomials as dicts packed monomial -> nonzero coefficient.
+# Over QQ (p is None) a basis element is kept as a primitive integer
+# multiple and reduced fraction-free; over GF(p) it is kept monic. Bases
+# leave the engine reduced and in that form; they become monic Polys only
+# in `_monic_basis`, when an Ideal takes them.
+
+MAX_MONOMIAL_DEGREE = 2 ** 15 - 1
+_FIELDS = (1 << 80) - 1
+_GUARDS = 0x8000 * sum(1 << 16 * i for i in range(5))
 
 
-def _lead(t, keyf):
-    return max(t, key=keyf)
+def _bounded(deg):
+    if deg <= MAX_MONOMIAL_DEGREE:
+        return deg
+    raise DomainError(f"monomial degree {deg} exceeds MAX_MONOMIAL_DEGREE = {MAX_MONOMIAL_DEGREE}")
 
 
-def _engine_form(t, keyf, p):
+def _degree(k):
+    """Total degree, t included, of a packed monomial."""
+    h = -(-k >> 80)
+    return (h >> 16) + (h & 0xFFFF)
+
+
+def _pack(m):
+    """Pack an exponent tuple (a0, a1, a2, a3), or (e, a0, a1, a2, a3)."""
+    e, (a0, a1, a2, a3) = (m[0], m[1:]) if len(m) > NVARS else (0, m)
+    deg = _bounded(a0 + a1 + a2 + a3 + e) - e
+    return (e << 96) + (deg << 80) - (e << 64 | a3 << 48 | a2 << 32 | a1 << 16 | a0)
+
+
+def _unpack(k):
+    """The exponent tuple (a0, a1, a2, a3) of a packed t-free monomial."""
+    z = -k & _FIELDS
+    return (z & 0xFFFF, z >> 16 & 0xFFFF, z >> 32 & 0xFFFF, z >> 48 & 0xFFFF)
+
+
+def _lcm(a, b):
+    x, y = -a & _FIELDS, -b & _FIELDS  # the exponent fields
+    # the fieldwise max: (x | guards) - y keeps a guard bit where x's field >= y's
+    z = y ^ (x ^ y) & (((x | _GUARDS) - y & _GUARDS) >> 15) * 0xFFFF
+    deg = (z & (1 << 64) - 1) * 0x1000100010001 >> 48 & 0xFFFF  # a0 + a1 + a2 + a3
+    return (z >> 64 << 96) + (deg << 80) - z
+
+
+def _packed(t):
+    return {_pack(m): c for m, c in t.items()}
+
+
+def _engine_form(t, p):
     """A nonzero dict-poly as the engine keeps it."""
     if p is None:
         return primitive_row(t)
-    inv = pow(t[_lead(t, keyf)], -1, p)
+    inv = pow(t[max(t)], -1, p)
     return {m: c * inv % p for m, c in t.items()}
 
 
-def _shift(g, s):
-    return {mon_mul(m, s): c for m, c in g.items()}
-
-
-def _cancel(f, sg, m, p):
-    """Cancel the term of f at m against sg, whose leading term is at m."""
-    if p is None:
-        return fraction_free_step(f, sg, m)
-    c = f[m]
-    out = dict(f)
-    for k, v in sg.items():
-        v = (out.get(k, 0) - c * v) % p
+def _cancel(f, g, s, m, p):
+    """Cancel the term of f at m against g times the monomial s, reading g's
+    terms shifted by s. Over QQ this is `poly.fraction_free_step` with a
+    primitive result; over GF(p) g is monic, so a = 1."""
+    c, lc = f[m], g[m - s]
+    q = gcd(c, lc)
+    a, b = lc // q, c // q
+    out = {k: a * v for k, v in f.items()} if a != 1 else dict(f)
+    for k, v in g.items():
+        k += s
+        v = out.get(k, 0) - b * v
+        if p:
+            v %= p
         if v:
             out[k] = v
         else:
-            out.pop(k, None)
-    return out
+            del out[k]
+    q = 1 if p else gcd(*out.values())
+    return {k: v // q for k, v in out.items()} if q > 1 else out
 
 
-def _normal_form_terms(f, basis, keyf, p):
+def _normal_form_terms(f, basis, p):
     """Fully reduce the engine poly f by a list of (lt, engine poly).
 
     Over QQ the result is a primitive integer multiple of the remainder.
     A heap of monomials, largest first, gives the next term to reduce;
     terms already passed are the remainder, and every later one is smaller.
     """
-    heap = [(tuple(map(neg, keyf(m))), m) for m in f]
+    heap = [-m for m in f]
     heapify(heap)
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         if m not in f:
             continue
         for lt, g in basis:
-            if mon_divides(lt, m):
-                sg = _shift(g, mon_div(m, lt))
-                reduced = _cancel(f, sg, m, p)
-                for k in sg:
+            if not (lt - m) & _GUARDS:
+                s = m - lt
+                reduced = _cancel(f, g, s, m, p)
+                for k in g:
+                    k += s
                     if k not in f and k in reduced:
-                        heappush(heap, (tuple(map(neg, keyf(k))), k))
+                        heappush(heap, -k)
                 f = reduced
                 break
     return f
 
 
-def _reduced_basis(G, keyf, p):
+def _reduced_basis(G, p):
     """Reduced basis of engine polys, sorted by leading term, from a
     Groebner basis of engine polys: minimalize, then reduce each tail by
     the others."""
-    lts = [_lead(g, keyf) for g in G]
-    minimal = [
+    lts = [max(g) for g in G]
+    minimal = sorted((
         (lt, g) for idx, (lt, g) in enumerate(zip(lts, G))
         if not any(
-            mon_divides(lt2, lt) and (lt2 != lt or jdx < idx)
+            not (lt2 - lt) & _GUARDS and (lt2 != lt or jdx < idx)
             for jdx, lt2 in enumerate(lts) if jdx != idx
         )
-    ]
-    reduced = []
-    for pos, (lt, g) in enumerate(minimal):
-        r = _normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], keyf, p)
-        reduced.append((keyf(lt), r))
-    reduced.sort(key=lambda t: t[0])
-    return [g for _, g in reduced]
+    ), key=lambda t: t[0])
+    return [_normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], p)
+            for pos, (_, g) in enumerate(minimal)]
 
 
-def _buchberger_terms(gens, keyf, p=None):
-    """Reduced Groebner basis of dict-polys, as engine polys sorted by
-    leading term.
+def _buchberger_terms(gens, p=None):
+    """Reduced Groebner basis of packed dict-polys, as engine polys sorted
+    by leading term.
 
-    Pairs wait in a heap keyed by (degree of the lcm, order key of the lcm)
-    and are pruned by the Gebauer-Moller update when an element is added.
-    `active` holds the elements whose leading terms divide no other one;
-    they reduce, and only they form new pairs.
+    Pairs wait in a heap keyed by (total degree of the lcm, lcm) and are
+    pruned by the Gebauer-Moller update when an element is added. `active`
+    holds the elements whose leading terms divide no other one; they
+    reduce, and only they form new pairs. Every term of an S-polynomial
+    and of its reduction is at most the pair's lcm in the term order, so
+    its degree is at most the lcm's (in the eliminations too: their
+    generators are homogeneous once t has weight 0 or -deg f), and checking
+    each new pair's lcm keeps every exponent in its field.
     """
     polys, lts = [], []
     active, basis = [], []
@@ -133,47 +177,46 @@ def _buchberger_terms(gens, keyf, p=None):
 
     def add(h):
         nonlocal active, basis, pairs
-        lt = _lead(h, keyf)
+        lt = max(h)
         new = len(polys)
         polys.append(h)
         lts.append(lt)
         # new pairs (i, new): one goes when the lcm of a later candidate or
         # of a kept one divides its lcm, unless its leading terms are
         # coprime; coprime ones are kept for that test, then dropped
-        cands = [(mon_lcm(lts[i], lt), i) for i in active]
+        cands = [(_lcm(lts[i], lt), i) for i in active]
         kept = []
         for pos, (l, i) in enumerate(cands):
-            coprime = l == mon_mul(lts[i], lt)
-            if coprime or not any(
-                mon_divides(l2, l) for l2, _ in cands[pos + 1:] + kept
+            coprime = l == lts[i] + lt
+            if coprime or all(
+                (l2 - l) & _GUARDS for l2, _ in cands[pos + 1:] + kept
             ):
                 kept.append((l, None if coprime else i))
         # an old pair (i, j) goes when lt divides its lcm strictly inside
         # both new lcms
         pairs = [
             e for e in pairs
-            if not mon_divides(lt, e[4])
-            or mon_lcm(lts[e[2]], lt) == e[4]
-            or mon_lcm(lts[e[3]], lt) == e[4]
+            if (lt - e[1]) & _GUARDS
+            or _lcm(lts[e[2]], lt) == e[1]
+            or _lcm(lts[e[3]], lt) == e[1]
         ]
-        pairs.extend((sum(l), keyf(l), i, new, l) for l, i in kept if i is not None)
+        pairs.extend((_bounded(_degree(l)), l, i, new) for l, i in kept if i is not None)
         heapify(pairs)
-        active = [i for i in active if not mon_divides(lt, lts[i])] + [new]
+        active = [i for i in active if (lt - lts[i]) & _GUARDS] + [new]
         basis = [(lts[i], polys[i]) for i in active]
 
-    for g in sorted((_engine_form(g, keyf, p) for g in gens if g),
-                    key=lambda g: keyf(_lead(g, keyf))):
-        r = _normal_form_terms(g, basis, keyf, p)
+    for g in sorted((_engine_form(g, p) for g in gens if g), key=max):
+        r = _normal_form_terms(g, basis, p)
         if r:
-            add(_engine_form(r, keyf, p))
+            add(_engine_form(r, p))
     while pairs:
-        _, _, i, j, l = heappop(pairs)
-        s = _cancel(_shift(polys[i], mon_div(l, lts[i])),
-                    _shift(polys[j], mon_div(l, lts[j])), l, p)
-        r = _normal_form_terms(s, basis, keyf, p)
+        _, l, i, j = heappop(pairs)
+        si = l - lts[i]
+        s = _cancel({k + si: c for k, c in polys[i].items()}, polys[j], l - lts[j], l, p)
+        r = _normal_form_terms(s, basis, p)
         if r:
-            add(_engine_form(r, keyf, p))
-    return _reduced_basis([polys[i] for i in active], keyf, p)
+            add(_engine_form(r, p))
+    return _reduced_basis([polys[i] for i in active], p)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +226,7 @@ def _buchberger_terms(gens, keyf, p=None):
 def _monic_basis(reduced):
     """A reduced basis of engine polys over QQ as monic Polys; every basis
     that leaves the engine passes through here."""
-    return tuple(Poly(g).monic() for g in reduced)
+    return tuple(Poly({_unpack(m): c for m, c in g.items()}).monic() for g in reduced)
 
 
 class Ideal:
@@ -250,7 +293,7 @@ class Ideal:
 def buchberger(ideal):
     """Reduced Groebner basis of an ideal: monic Polys sorted by leading
     term. Idempotent."""
-    return _monic_basis(_buchberger_terms([g.terms for g in ideal.gens], grevlex_key))
+    return _monic_basis(_buchberger_terms([_packed(g.terms) for g in ideal.gens]))
 
 
 def normal_form(p, ideal):
@@ -262,9 +305,9 @@ def normal_form(p, ideal):
     """
     if p.is_zero():
         return p
-    reducers = [(g.leading_monomial(), primitive_row(g.terms)) for g in ideal.groebner()]
-    r = _normal_form_terms(primitive_row(p.terms), reducers, grevlex_key, None)
-    return Poly(r).monic()
+    reducers = [_packed(primitive_row(g.terms)) for g in ideal.groebner()]
+    r = _normal_form_terms(_packed(primitive_row(p.terms)), [(max(g), g) for g in reducers], None)
+    return Poly({_unpack(m): c for m, c in r.items()}).monic()
 
 
 def leading_monomials_mod_p(ideal, prime):
@@ -285,24 +328,19 @@ def leading_monomials_mod_p(ideal, prime):
             r = c.numerator * pow(den, -1, prime) % prime
             if r:
                 t[m] = r
-        gens.append(t)
-    reduced = _buchberger_terms(gens, grevlex_key, prime)
-    return tuple(sorted((max(g, key=grevlex_key) for g in reduced), key=grevlex_key))
+        gens.append(_packed(t))
+    return tuple(_unpack(max(g)) for g in _buchberger_terms(gens, prime))
 
 
-# -- auxiliary-variable machinery (variable t prepended at index 0) ---------
+# -- auxiliary-variable machinery (t in the top field of a packed monomial) -
 
 
-def _elim_key(m):
-    """Block order eliminating the auxiliary variable, grevlex on the rest.
-
-    A flat tuple, so the engine's heaps can negate it entrywise."""
-    return (m[0],) + grevlex_key(m[1:])
+_T = _pack((1, 0, 0, 0, 0))  # t, the least monomial that involves t
 
 
 def _extend(p, t_exp):
-    """Map a 4-variable dict-poly into 5 variables, multiplying by t^t_exp."""
-    return {(t_exp,) + m: c for m, c in p.terms.items()}
+    """t^t_exp times a 4-variable Poly, as a packed dict-poly."""
+    return {_pack(m) + t_exp * _T: c for m, c in p.terms.items()}
 
 
 def _eliminate_t(gens5):
@@ -310,24 +348,17 @@ def _eliminate_t(gens5):
     the reduced block-order basis is the reduced grevlex basis of the
     elimination ideal: the block order restricts to grevlex, and the part
     keeps its leading terms and its order."""
-    reduced = _buchberger_terms(gens5, _elim_key)
-    return Ideal._of_reduced([
-        {m[1:]: c for m, c in g.items()} for g in reduced if all(m[0] == 0 for m in g)
-    ])
+    return Ideal._of_reduced([g for g in _buchberger_terms(gens5) if max(g) < _T])
 
 
 def intersect(I, J):
     """Intersection of two ideals via t*I + (1-t)*J, eliminating t."""
     if I.is_zero() or J.is_zero():
         return Ideal(())
-    gens5 = []
-    for g in I.gens:
-        gens5.append(_extend(g, 1))
+    gens5 = [_extend(g, 1) for g in I.gens]
     for g in J.gens:
         h = _extend(g, 0)
-        for m, c in _extend(g, 1).items():
-            h[m] = h.get(m, 0) - c
-        gens5.append({m: c for m, c in h.items() if c})
+        gens5.append({**h, **{m + _T: -c for m, c in h.items()}})
     return _eliminate_t(gens5)
 
 
@@ -340,7 +371,7 @@ def divide_exact(p, f):
     lcf = f.terms[ltf]
     quot = {}
     while work:
-        m = _lead(work, grevlex_key)
+        m = max(work, key=grevlex_key)
         if not mon_divides(ltf, m):
             raise ValueError("not an exact multiple")
         shift = mon_div(m, ltf)
@@ -366,9 +397,7 @@ def saturate_single(I, f):
         return Ideal(())
     gens5 = [_extend(g, 0) for g in I.gens]
     # t*f - 1
-    tf = _extend(f, 1)
-    tf[(0,) + (0,) * NVARS] = tf.get((0,) + (0,) * NVARS, 0) - 1
-    gens5.append({m: c for m, c in tf.items() if c})
+    gens5.append({**_extend(f, 1), 0: -1})  # t*f - 1; 1 packs to 0
     return _eliminate_t(gens5)
 
 
@@ -384,20 +413,18 @@ def saturate_iterated_colon(I, f, cap=64):
 
 
 def _colon_last_variable(gens):
-    """Reduced grevlex basis of homogeneous dict-polys, and a basis of
-    (I : x3^infinity).
+    """Reduced grevlex basis of homogeneous packed dict-polys, and a basis
+    of (I : x3^infinity).
 
     x3 is the cheapest variable, so dividing each element of the reduced
     basis by its largest power of x3 gives a basis of the colon
     (Bayer-Stillman). `saturate` applies it after a change of coordinates
     that sends its linear form to x3.
     """
-    reduced = _buchberger_terms(gens, grevlex_key)
-    quotients = []
-    for g in reduced:
-        e = min(m[-1] for m in g)
-        quotients.append({m[:-1] + (m[-1] - e,): c for m, c in g.items()} if e else g)
-    return reduced, quotients
+    reduced = _buchberger_terms(gens)
+    # the largest power of x3 that divides each element, from its x3-fields
+    x3es = [_pack((0, 0, 0, min((-m & _FIELDS) >> 48 for m in g))) for g in reduced]
+    return reduced, [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)]
 
 
 def _shift_x3(polys, a):
@@ -419,7 +446,7 @@ def _shift_x3(polys, a):
 
 
 def _hilbert_polynomial(basis):
-    return hilbert_from_lt([max(g, key=grevlex_key) for g in basis]).hp_coeffs
+    return hilbert_from_lt([_unpack(max(g)) for g in basis]).hp_coeffs
 
 
 def saturate(I):
@@ -445,9 +472,10 @@ def saturate(I):
     gens = [primitive_row(g.terms) for g in I.gens]
     for k in itertools.count():
         shifted = _shift_x3(gens, (-k, -k * k, -k ** 3)) if k else gens
-        reduced, quotients = _colon_last_variable(shifted)
+        reduced, quotients = _colon_last_variable([_packed(g) for g in shifted])
         if _hilbert_polynomial(reduced) == _hilbert_polynomial(quotients):
             if k == 0:
-                return Ideal._of_reduced(_reduced_basis(quotients, grevlex_key, None))
+                return Ideal._of_reduced(_reduced_basis(quotients, None))
+            quotients = [{_unpack(m): c for m, c in g.items()} for g in quotients]
             shifted_back = _shift_x3(quotients, (k, k * k, k ** 3))
-            return Ideal._of_reduced(_buchberger_terms(shifted_back, grevlex_key))
+            return Ideal._of_reduced(_buchberger_terms([_packed(g) for g in shifted_back]))

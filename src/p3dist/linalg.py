@@ -11,8 +11,8 @@ codimension-one distribution, and the minimal twist t_F admitting a section.
 multiples of the form's coefficients, and eliminates them: the echelon of
 the first twist with h0 > 0 also gives the minimal section, whose two
 certificates run on integer dicts too. Each public function first
-checks its 1-form with `exterior.oneform_degree`, so a form that defines no
-distribution raises InvalidForm.
+checks its 1-form with `exterior.checked_oneform`, so a form that defines
+no distribution raises InvalidForm.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .errors import BoundViolated, InternalInconsistency
-from .exterior import VField, annihilates, is_radial_multiple, oneform_degree
+from .exterior import VField, annihilates, checked_oneform, is_radial_multiple
 from .poly import (
     NVARS,
     Poly,
     dim_graded_piece,
     fraction_free_step,
-    integer_multiples,
     mon_mul,
     monomials_of_degree,
     primitive_row,
@@ -122,7 +121,7 @@ def _contraction_rows(coeffs, dprime):
 
 def _twist(coeffs, dprime):
     """Build and eliminate the contraction rows at one twist, for integer
-    multiples of the coefficients of a 1-form that `oneform_degree` has
+    multiples of the coefficients of a 1-form that `checked_oneform` has
     accepted. Returns the SectionSpaceDim, the echelon of the rows and the
     source monomials; no rows below twist 0."""
     rows, src_mons = _contraction_rows(coeffs, dprime)
@@ -165,22 +164,19 @@ def _section(echelon, dprime, src_mons):
 def h0_tangent_twist(omega, dprime):
     """h0 of the twist of the tangent sheaf whose sections are degree-dprime
     vector fields annihilated by the 1-form, modulo radial multiples."""
-    oneform_degree(omega)
-    return _twist(integer_multiples(omega.one_form_coeffs())[1], dprime)[0]
+    return _twist(checked_oneform(omega)[1], dprime)[0]
 
 
 def minimal_section(omega, dprime):
     """Canonical non-radial section at the given twist, or None."""
-    oneform_degree(omega)
-    _, coeffs = integer_multiples(omega.one_form_coeffs())
-    _, echelon, src_mons = _twist(coeffs, dprime)
+    _, echelon, src_mons = _twist(checked_oneform(omega)[1], dprime)
     return _section(echelon, dprime, src_mons)
 
 
 def compute_tF(omega):
     """Minimal twist with a section, and a canonical minimal section.
 
-    `oneform_degree` checks the form and gives its degree d. The sweep
+    `checked_oneform` checks the form and gives its degree d. The sweep
     stops by dprime = d + 1; hitting that cap without a section is an
     internal bug, since a section is guaranteed to exist by then. The
     section is certified before it is returned, on integer multiples of
@@ -189,8 +185,7 @@ def compute_tF(omega):
     field (`exterior.is_radial_multiple`); a failed certificate raises
     InternalInconsistency.
     """
-    d = oneform_degree(omega)
-    _, coeffs = integer_multiples(omega.one_form_coeffs())
+    d, coeffs = checked_oneform(omega)
     for dprime in range(d + 2):
         s, echelon, src_mons = _twist(coeffs, dprime)
         if s.h0 > 0:

@@ -29,10 +29,6 @@ def mon_div(a, b):
     return tuple(map(sub, a, b))
 
 
-def mon_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
 def grevlex_key(m):
     """Sort key: larger key = larger monomial in grevlex."""
     return (sum(m),) + tuple(map(neg, reversed(m)))
@@ -40,8 +36,9 @@ def grevlex_key(m):
 
 # -- sparse integer rows ------------------------------------------------------
 # A row maps keys (matrix columns, or monomials) to nonzero coefficients.
-# These two steps are the fraction-free arithmetic shared by the Groebner
-# engine and the section-space elimination.
+# These two steps are the fraction-free arithmetic of the section-space
+# elimination; the Groebner engine shares the first and runs the second
+# with the pivot row's keys shifted (`groebner._cancel`).
 
 
 def primitive_row(row):

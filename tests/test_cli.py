@@ -63,6 +63,45 @@ def test_corpus_reports_pinned(tmp_path, capsys):
     assert digests == REPORT_SHA256
 
 
+# sha256 of the stdout of `analyze --mod-p 32003` on the corpus 1-forms and
+# of `analyze-vf --mod-p 7` on the corpus fields (the Groebner engine over
+# GF(p)), and of the stderr of `analyze` on a form whose coefficients share
+# the factor x2 + x3 (the block-order elimination behind `common_factor`)
+MOD_P_REPORT_SHA256 = {
+    "example1": "7ac6669d0bcc83e678decaa9cb55fa0ef29cc41644ee430baa8349327c2887a7",
+    "example2": "45dcc0c4efc2dfc9f44420c77c99a46bda9b205eb963cca7078af1b102962297",
+    "nullcorrelation": "6ea8f5564edbe3da24e34008a20db608af6db8e39d554b5883e2ea6b2fd6ce75",
+    "pencil_of_planes": "25ba78103dffe54eb8e90a1c59772982582cf3628f81fc88b0a5539096963b80",
+    "four_points": "80bf5ffb2763bcfeaad6c35300fe9c151b5bd7b7a13bcfed9881a0b5973d74cf",
+    "line_plus_points": "d0b0ee25218e1a4e6642c13624137d4a5ca7790271a705a2475ae51a9314caa0",
+    "double_line": "2245bd80f57d4fbea9dd1960cd401cf86b4cd45f2d11a88cdaf9607bdf07810c",
+}
+COMMON_FACTOR_STDERR_SHA256 = "003d506e0577111f09fd599e189d1433f7718c213b49ffd1c1625362d3c0f37a"
+
+
+def test_corpus_mod_p_reports_pinned(tmp_path, capsys):
+    raw = json.loads(corpus_text())
+    commands = (
+        ("oneforms", ["analyze", "--mod-p", "32003"],
+         lambda e: {"kind": "oneform", "coeffs": e["coeffs"]}),
+        ("vfields", ["analyze-vf", "--mod-p", "7"],
+         lambda e: {"kind": "vfield", "components": e["components"]}),
+    )
+    digests = {}
+    for kind, argv, doc in commands:
+        for name, entry in raw[kind].items():
+            assert cli.main(argv + [write_doc(tmp_path, doc(entry))]) == 0
+            out = capsys.readouterr().out
+            assert '"mod_p_check"' in out
+            digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == MOD_P_REPORT_SHA256
+    shared = {"kind": "oneform", "coeffs": ["x1*x2 + x1*x3", "-x0*x2 - x0*x3", "0", "0"]}
+    assert cli.main(["analyze", write_doc(tmp_path, shared)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == COMMON_FACTOR_STDERR_SHA256
+
+
 def write_doc(tmp_path, doc):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(doc))
@@ -101,6 +140,14 @@ def test_parse_input_errors():
     with pytest.raises(ParseError) as exc:
         cli.parse_input('{"kind":"oneform","coeffs":["x0 + * x1","0","0","0"]}')
     assert exc.value.col == 6
+
+
+def test_vfield_length_error_names_the_key_used():
+    for key in ("components", "coeffs"):
+        for entries in (["x0", "x1", "x2"], "x0"):
+            with pytest.raises(ParseError) as exc:
+                cli.parse_input(json.dumps({"kind": "vfield", key: entries}))
+            assert str(exc.value).startswith(f"'{key}' must be a list of 4 polynomial strings")
 
 
 def test_parse_input_rejects_non_string_entries(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from p3dist import distribution as dist
-from p3dist import foliation
+from p3dist import exterior, foliation
 from p3dist.distribution import ChernTriple
 from p3dist.errors import (
     DivisorialSingularity,
@@ -21,6 +21,7 @@ from p3dist.exterior import (
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal
 from p3dist.hilbert import dimension_degree, hilbert
+from p3dist.linalg import compute_tF
 from p3dist.poly import Poly, X0, X1, X2, X3
 
 from conftest import make_rng, random_poly
@@ -278,3 +279,26 @@ def test_chern_c1_always_2_minus_d():
         _, chern = dist.invariants(omega)
         assert chern.c1 == 2 - d
         checked += 1
+
+
+def test_classify_checks_its_form_once(example1, monkeypatch):
+    # validate_oneform checks the form; compute_tF and is_integrable reuse
+    # the degree and the integer multiples the form keeps. Fresh forms, as
+    # the fixture may have been checked already.
+    calls = []
+    real = exterior.oneform_degree
+
+    def counting(omega):
+        calls.append(omega)
+        return real(omega)
+
+    for module in (exterior, dist, foliation):
+        monkeypatch.setattr(module, "oneform_degree", counting)
+    dist.classify(ExtForm.one_form(*example1.one_form_coeffs()))
+    assert len(calls) == 1
+    # each public function checks a form it has not seen
+    fresh = ExtForm.one_form(*example1.one_form_coeffs())
+    assert not dist.is_integrable(fresh) and len(calls) == 2
+    assert compute_tF(fresh)[0] == 1 and len(calls) == 2
+    assert compute_tF(ExtForm.one_form(*example1.one_form_coeffs()))[0] == 1
+    assert len(calls) == 3

@@ -145,9 +145,9 @@ def test_elimination_runs_buchberger_once(monkeypatch):
     calls = []
     engine = groebner._buchberger_terms
 
-    def counting(gens, keyf, p=None):
-        calls.append(keyf)
-        return engine(gens, keyf, p)
+    def counting(*args):
+        calls.append(args)
+        return engine(*args)
 
     rng = make_rng(61)
     for _ in range(10):

@@ -12,7 +12,6 @@ from p3dist.poly import (
     dim_graded_piece,
     grevlex_key,
     mon_divides,
-    mon_lcm,
     monomials_of_degree,
 )
 
@@ -82,7 +81,6 @@ def test_primitive_integer():
 def test_monomial_helpers():
     assert mon_divides((1, 0, 0, 0), (2, 1, 0, 0))
     assert not mon_divides((0, 2, 0, 0), (0, 1, 1, 1))
-    assert mon_lcm((1, 2, 0, 0), (0, 1, 3, 0)) == (1, 2, 3, 0)
 
 
 def test_monomials_of_degree_count_and_order():
