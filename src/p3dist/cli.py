@@ -39,12 +39,14 @@ def _read_text(path):
 
 
 def _polys_from_strings(entries, key):
-    """Parse the polynomial entries of doc[key]; a syntax error names the
-    entry, as in coeffs[3], and keeps the line and column within it."""
+    """Parse the polynomial entries of doc[key]; an error names the entry,
+    as in coeffs[3], and a syntax error keeps the line and column within
+    it."""
     polys = []
     for i, s in enumerate(entries):
         if not isinstance(s, str):
-            raise ParseError(f"polynomial entries must be strings, got {json.dumps(s)}")
+            raise ParseError(f"{key}[{i}]: polynomial entries must be strings, "
+                             f"got {json.dumps(s)}")
         try:
             polys.append(parse_poly(s))
         except ParseError as exc:

@@ -1,13 +1,15 @@
 """Groebner engine and ideal toolbox.
 
 Buchberger with a pair heap ordered by the degree and the term order of the
-lcm, the Gebauer-Moller pair criteria, and fraction-free integer reduction;
-reduced grevlex bases, and the ideal operations the analysis pipeline
-needs: membership and the saturation by the irrelevant ideal, one certified
-colon by a linear form (Bayer-Stillman reverse-lex division, checked by the
-Hilbert polynomial). Intersection (which also gives the gcd that names a
-common factor), colon and the saturation by one polynomial eliminate an
-auxiliary variable t; the tests compare the saturation against them.
+lcm, the Gebauer-Moller pair criteria, and fraction-free integer reduction
+by `poly.fraction_free_step`, the step of the section spaces too; reduced
+grevlex bases, and the ideal operations the analysis pipeline needs:
+membership and the saturation by the irrelevant ideal, one certified colon
+by a linear form (Bayer-Stillman reverse-lex division, checked by the
+Hilbert polynomial), whose result keeps that Hilbert data. Intersection
+(which also gives the gcd that names a common factor), colon and the
+saturation by one polynomial eliminate an auxiliary variable t; the tests
+compare the saturation against them.
 Coefficients are exact rationals, or residues mod a prime p for the
 modular cross-check.
 
@@ -22,8 +24,8 @@ the block order that eliminates t), and as MAX_MONOMIAL_DEGREE keeps each
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .errors import DomainError, NonTermination
 from .hilbert import hilbert_from_lt
@@ -32,6 +34,7 @@ from .poly import (
     ZERO_MON,
     Poly,
     add_product,
+    fraction_free_step,
     grevlex_key,
     mon_div,
     mon_divides,
@@ -95,27 +98,6 @@ def _engine_form(t, p):
     return {m: c * inv % p for m, c in t.items()}
 
 
-def _cancel(f, g, s, m, p):
-    """Cancel the term of f at m against g times the monomial s, reading g's
-    terms shifted by s. Over QQ this is `poly.fraction_free_step` with a
-    primitive result; over GF(p) g is monic, so a = 1."""
-    c, lc = f[m], g[m - s]
-    q = gcd(c, lc)
-    a, b = lc // q, c // q
-    out = {k: a * v for k, v in f.items()} if a != 1 else dict(f)
-    for k, v in g.items():
-        k += s
-        v = out.get(k, 0) - b * v
-        if p:
-            v %= p
-        if v:
-            out[k] = v
-        else:
-            del out[k]
-    q = 1 if p else gcd(*out.values())
-    return {k: v // q for k, v in out.items()} if q > 1 else out
-
-
 def _normal_form_terms(f, basis, p):
     """Fully reduce the engine poly f by a list of (lt, engine poly).
 
@@ -132,7 +114,7 @@ def _normal_form_terms(f, basis, p):
         for lt, g in basis:
             if not (lt - m) & _GUARDS:
                 s = m - lt
-                reduced = _cancel(f, g, s, m, p)
+                reduced = fraction_free_step(f, g, m, s, p)
                 for k in g:
                     k += s
                     if k not in f and k in reduced:
@@ -212,7 +194,8 @@ def _buchberger_terms(gens, p=None):
     while pairs:
         _, l, i, j = heappop(pairs)
         si = l - lts[i]
-        s = _cancel({k + si: c for k, c in polys[i].items()}, polys[j], l - lts[j], l, p)
+        s = fraction_free_step({k + si: c for k, c in polys[i].items()}, polys[j],
+                               l, l - lts[j], p)
         r = _normal_form_terms(s, basis, p)
         if r:
             add(_engine_form(r, p))
@@ -226,27 +209,34 @@ def _buchberger_terms(gens, p=None):
 def _monic_basis(reduced):
     """A reduced basis of engine polys over QQ as monic Polys; every basis
     that leaves the engine passes through here."""
-    return tuple(Poly({_unpack(m): c for m, c in g.items()}).monic() for g in reduced)
+    out = []
+    for g in reduced:
+        lc = g[max(g)]
+        out.append(Poly({_unpack(m): Fraction(c, lc) for m, c in g.items()}))
+    return tuple(out)
 
 
 class Ideal:
     """Homogeneous ideal given by generators, with its reduced grevlex basis
     cached: a tuple of monic Polys sorted by leading term, unique for the
-    ideal."""
+    ideal. A saturation also keeps the HilbertData of its certificate,
+    which `hilbert.hilbert` reads."""
 
-    __slots__ = ("gens", "_basis")
+    __slots__ = ("gens", "_basis", "_hilbert")
 
     def __init__(self, gens):
         clean = tuple(g for g in gens if not g.is_zero())
         object.__setattr__(self, "gens", clean)
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_hilbert", None)
 
     @classmethod
-    def _of_reduced(cls, reduced):
+    def _of_reduced(cls, reduced, hilbert=None):
         """The ideal generated by a reduced basis of engine polys, with the
-        cache primed."""
+        cache primed, and its HilbertData when the caller holds it."""
         ideal = cls(_monic_basis(reduced))
         object.__setattr__(ideal, "_basis", ideal.gens)
+        object.__setattr__(ideal, "_hilbert", hilbert)
         return ideal
 
     def __setattr__(self, name, value):
@@ -445,10 +435,6 @@ def _shift_x3(polys, a):
     return out
 
 
-def _hilbert_polynomial(basis):
-    return hilbert_from_lt([_unpack(max(g)) for g in basis]).hp_coeffs
-
-
 def saturate(I):
     """I : m^infinity, the saturation by the irrelevant ideal
     m = (x0, x1, x2, x3).
@@ -462,6 +448,9 @@ def saturate(I):
     fails exactly when l_k lies in an associated prime P != m of I. The
     linear forms in P lie in a hyperplane, which meets the twisted cubic
     (k, k^2, k^3, 1) at most 3 times: at most 3 failures per such prime.
+    A linear change of coordinates keeps the Hilbert series, so the
+    input's polynomial is computed once, at k = 0, and the result keeps
+    the HilbertData of the accepted colon.
     At k = 0 the substitution is the identity and the quotients are a
     Groebner basis of the colon already, so they are only minimalized and
     tail-reduced; for k >= 1 the colon is mapped back and its reduced
@@ -470,12 +459,16 @@ def saturate(I):
     if I.is_zero():
         return Ideal(())
     gens = [primitive_row(g.terms) for g in I.gens]
+    target = None
     for k in itertools.count():
         shifted = _shift_x3(gens, (-k, -k * k, -k ** 3)) if k else gens
         reduced, quotients = _colon_last_variable([_packed(g) for g in shifted])
-        if _hilbert_polynomial(reduced) == _hilbert_polynomial(quotients):
+        if target is None:
+            target = hilbert_from_lt([_unpack(max(g)) for g in reduced]).hp_coeffs
+        h = hilbert_from_lt([_unpack(max(g)) for g in quotients])
+        if h.hp_coeffs == target:
             if k == 0:
-                return Ideal._of_reduced(_reduced_basis(quotients, None))
+                return Ideal._of_reduced(_reduced_basis(quotients, None), h)
             quotients = [{_unpack(m): c for m, c in g.items()} for g in quotients]
             shifted_back = _shift_x3(quotients, (k, k * k, k ** 3))
-            return Ideal._of_reduced(_buchberger_terms([_packed(g) for g in shifted_back]))
+            return Ideal._of_reduced(_buchberger_terms([_packed(g) for g in shifted_back]), h)

@@ -1,9 +1,9 @@
 """Hilbert series and Hilbert polynomials of homogeneous ideals.
 
 The series numerator is computed combinatorially from the leading-term
-ideal by recursive pivot-variable splitting; the Hilbert polynomial, the
-projective dimension and the degree are read in closed form from the
-numerator's integer moments, with no division by (1 - t).
+ideal by recursive splitting on a power of a pivot variable; the Hilbert
+polynomial, the projective dimension and the degree are read in closed
+form from the numerator's integer moments, with no division by (1 - t).
 """
 
 from __future__ import annotations
@@ -56,24 +56,18 @@ def _numerator(gens, memo):
         for m in gens:
             out = _poly_mul(out, {0: 1, sum(m): -1})
     else:
-        # split along the pivot variable x_best:
-        # N(I) = N(I + (x)) + t * N(I : x)
+        # split along x^e, x = x_best and e its least positive exponent:
+        # N(I) = N(I + (x^e)) + t^e * N(I : x^e); each side has fewer
+        # (generator, variable) incidences, which bounds the depth
+        e = min(m[best] for m in gens if m[best])
         plus = [m for m in gens if m[best] == 0]
-        pivot = tuple(1 if i == best else 0 for i in range(NVARS))
-        plus.append(pivot)
-        quot = []
-        for m in gens:
-            if m[best]:
-                mm = list(m)
-                mm[best] -= 1
-                quot.append(tuple(mm))
-            else:
-                quot.append(m)
+        plus.append(tuple(e if i == best else 0 for i in range(NVARS)))
+        quot = [m[:best] + (max(m[best] - e, 0),) + m[best + 1:] for m in gens]
         n_plus = _numerator(tuple(plus), memo)
         n_quot = _numerator(tuple(quot), memo)
         out = dict(n_plus)
         for k, v in n_quot.items():
-            out[k + 1] = out.get(k + 1, 0) + v
+            out[k + e] = out.get(k + e, 0) + v
         out = {k: v for k, v in out.items() if v}
     memo[gens] = out
     return out
@@ -137,8 +131,10 @@ def hilbert_from_lt(lt_monomials):
 
 
 def hilbert(ideal):
-    """HilbertData of R/I. Meaningful for all t >> 0; exact if I saturated."""
-    return hilbert_from_lt(ideal.leading_monomials())
+    """HilbertData of R/I. Meaningful for all t >> 0; exact if I saturated.
+    An ideal that `groebner.saturate` returned holds its data already (the
+    data of the colon its certificate accepted), and that is returned."""
+    return ideal._hilbert or hilbert_from_lt(ideal.leading_monomials())
 
 
 def dimension_degree(ideal):

@@ -35,10 +35,10 @@ def grevlex_key(m):
 
 
 # -- sparse integer rows ------------------------------------------------------
-# A row maps keys (matrix columns, or monomials) to nonzero coefficients.
-# These two steps are the fraction-free arithmetic of the section-space
-# elimination; the Groebner engine shares the first and runs the second
-# with the pivot row's keys shifted (`groebner._cancel`).
+# A row maps keys (matrix columns, or packed monomials) to nonzero
+# coefficients. These two steps are the fraction-free arithmetic of the
+# section-space elimination and of the Groebner engine, which reads the
+# pivot row's keys shifted by a monomial and may work mod a prime.
 
 
 def primitive_row(row):
@@ -52,21 +52,27 @@ def primitive_row(row):
     return {k: c // g for k, c in ints.items()} if g != 1 else ints
 
 
-def fraction_free_step(row, pivot_row, col):
-    """a*row - b*pivot_row, divided by its content, where p = pivot_row[col],
-    f = row[col], g = gcd(p, f), a = p/g and b = f/g; the entry in col
-    cancels. Both rows are integer rows and are not modified."""
-    p, f = pivot_row[col], row[col]
-    g = gcd(p, f)
-    a, b = p // g, f // g
+def fraction_free_step(row, pivot_row, col, shift=0, p=None):
+    """a*row - b*pivot_row, divided by its content, where the pivot row's
+    keys are read shifted by `shift`, q = pivot_row[col - shift],
+    f = row[col], g = gcd(q, f), a = q/g and b = f/g; the entry in col
+    cancels. Both rows are integer rows and are not modified. With a
+    prime p the pivot row is monic, so a = 1, the entries are reduced
+    mod p and no content is divided out."""
+    q, f = pivot_row[col - shift], row[col]
+    g = gcd(q, f)
+    a, b = q // g, f // g
     out = {k: a * c for k, c in row.items()} if a != 1 else dict(row)
     for k, c in pivot_row.items():
+        k += shift
         c = out.get(k, 0) - b * c
+        if p:
+            c %= p
         if c:
             out[k] = c
         else:
             out.pop(k, None)
-    g = gcd(*out.values())
+    g = 1 if p else gcd(*out.values())
     return {k: c // g for k, c in out.items()} if g > 1 else out
 
 

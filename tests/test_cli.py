@@ -162,7 +162,8 @@ def test_parse_input_rejects_non_string_entries(tmp_path, capsys):
     assert cli.main(["analyze-vf", path]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
-    assert err["message"].startswith("polynomial entries must be strings, got 1")
+    assert err["message"] == ("components[0]: polynomial entries must be strings, got 1 "
+                              "(line 1, col 1)")
 
 
 def test_analyze_command(tmp_path, capsys):
@@ -490,4 +491,4 @@ def test_json_exponent_weights_rejected():
             cli.parse_input(logtype_text(lambdas))
     with pytest.raises(ParseError) as exc:
         cli.parse_input('{"kind":"oneform","coeffs":["x1",1.5,"x3","-x2"]}')
-    assert exc.value.args[0] == "polynomial entries must be strings, got 1.5"
+    assert exc.value.args[0] == "coeffs[1]: polynomial entries must be strings, got 1.5"

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,13 @@ from p3dist.groebner import (
     saturate_iterated_colon,
     saturate_single,
 )
+from p3dist.hilbert import hilbert
 from p3dist.poly import Poly, X0, X1, X2, X3, grevlex_key, primitive_row
 
 from conftest import make_rng, random_nonzero_poly
+
+# the package exports the function `hilbert` under the module's name
+hilbert_module = importlib.import_module("p3dist.hilbert")
 
 
 def P(s):
@@ -206,7 +211,7 @@ def _saturate_oracle(I):
     return result
 
 
-def test_saturate_irrelevant_against_oracle():
+def random_saturation_cases():
     rng = make_rng(67)
     cases = []
     for _ in range(50):
@@ -219,6 +224,11 @@ def test_saturate_irrelevant_against_oracle():
                 g = g * random_nonzero_poly(rng, 1, nterms=2)
             gens.append(g)
         cases.append(Ideal(tuple(gens)))
+    return cases
+
+
+def test_saturate_irrelevant_against_oracle():
+    cases = random_saturation_cases()
     names = corpus.corpus_names()
     for name in names["oneforms"]:
         cases.append(Ideal(corpus.load_oneform(name).one_form_coeffs()))
@@ -228,6 +238,33 @@ def test_saturate_irrelevant_against_oracle():
         cases.append(Ideal(build_log_form(corpus.load_logtype(name)).one_form_coeffs()))
     for I in cases:
         assert saturate(I) == _saturate_oracle(I)
+
+
+def test_saturation_keeps_its_hilbert_data(monkeypatch):
+    # the input's Hilbert polynomial is computed once and the colon's once
+    # per k; the result keeps the accepted colon's data, which is the data
+    # of its own leading terms, and `hilbert` reads it without recomputing
+    real = groebner.hilbert_from_lt
+    calls = []
+
+    def counting(lts):
+        calls.append(lts)
+        return real(lts)
+
+    monkeypatch.setattr(groebner, "hilbert_from_lt", counting)
+    monkeypatch.setattr(hilbert_module, "hilbert_from_lt", counting)
+    # x3 * (x0, x1) has the plane (x3) among its primes, so l_0 = x3 fails
+    example2 = Ideal(corpus.load_oneform("example2").one_form_coeffs())
+    for I, k in ((Ideal((X0 * X3, X1 * X3)), 1), (example2, 0)):
+        calls.clear()
+        sat = saturate(I)
+        assert len(calls) == k + 2
+        assert hilbert(sat) is sat._hilbert
+        assert len(calls) == k + 2
+        assert sat._hilbert == real(sat.leading_monomials())
+    for I in random_saturation_cases():
+        sat = saturate(I)
+        assert sat._hilbert == real(sat.leading_monomials())
 
 
 def test_saturate_retries_linear_forms_in_associated_primes():

@@ -140,6 +140,13 @@ def test_hilbert_polynomial_against_interpolated_counts():
     assert dims == {-1, 0, 1, 2, 3} and top >= 18
 
 
+def test_high_exponent_does_not_recurse_per_power():
+    # x0^1499 * (x0, x1): the plane x0 = 0 counted 1499 times; splitting
+    # off one power of x0 per call went 1500 calls deep
+    h = hilbert(Ideal((X0 ** 1500, X0 ** 1499 * X1)))
+    assert (h.projective_dimension, h.degree) == (2, 1499)
+
+
 def test_hilbert_keeps_no_module_cache():
     # the package exports the function `hilbert` under the module's name
     hilbert_module = importlib.import_module("p3dist.hilbert")

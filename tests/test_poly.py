@@ -10,6 +10,7 @@ from p3dist.poly import (
     X3,
     Poly,
     dim_graded_piece,
+    fraction_free_step,
     grevlex_key,
     mon_divides,
     monomials_of_degree,
@@ -40,6 +41,7 @@ def test_fraction_coefficients():
 
 def test_diff_product_rule():
     rng = make_rng(11)
+    nonzero = [c for c in range(-9, 10) if c]
     for _ in range(50):
         f = random_poly(rng, rng.randint(1, 3))
         g = random_poly(rng, rng.randint(1, 3))
@@ -98,3 +100,44 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         p.terms = {}
     assert hash(p) == hash(X1 + X0)
+
+
+def random_row(rng, keys, coeffs):
+    return {k: rng.choice(coeffs) for k in rng.sample(keys, rng.randint(1, 6))}
+
+
+def test_fraction_free_step_reads_the_pivot_shifted():
+    # the engine's step: the pivot's keys shifted by s, as if x^s * pivot
+    rng = make_rng(11)
+    nonzero = [c for c in range(-9, 10) if c]
+    for _ in range(300):
+        shift = rng.randint(-5, 5)
+        pivot = random_row(rng, range(20), nonzero)
+        row = random_row(rng, range(-5, 25), nonzero)
+        col = rng.choice(list(pivot)) + shift
+        row[col] = rng.choice(nonzero)
+        shifted = {k + shift: c for k, c in pivot.items()}
+        out = fraction_free_step(row, pivot, col, shift)
+        assert out == fraction_free_step(row, shifted, col)
+        assert col not in out
+
+
+def test_fraction_free_step_mod_p():
+    # over GF(p) the pivot is monic: row - row[col] * x^s * pivot, mod p
+    p = 13
+    rng = make_rng(12)
+    for _ in range(300):
+        shift = rng.randint(0, 5)
+        pivot = random_row(rng, range(20), range(1, p))
+        lead = rng.choice(list(pivot))
+        pivot[lead] = 1
+        row = random_row(rng, range(25), range(1, p))
+        col = lead + shift
+        row[col] = rng.randint(1, p - 1)
+        shifted = {k + shift: c for k, c in pivot.items()}
+        expected = {}
+        for k in set(row) | set(shifted):
+            c = (row.get(k, 0) - row[col] * shifted.get(k, 0)) % p
+            if c:
+                expected[k] = c
+        assert fraction_free_step(row, pivot, col, shift, p) == expected
