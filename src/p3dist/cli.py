@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import corpus, distribution, foliation, logarithmic
-from .errors import InternalInconsistency, ParseError, ValidationError
+from .errors import InternalInconsistency, NumericContradiction, ParseError, ValidationError
 from .exterior import ExtForm, VField
 from .grammar import format_poly, parse_poly
 from .groebner import leading_monomials_mod_p
@@ -210,22 +210,26 @@ def _emit(doc):
 
 def mod_p_check(ideal, prime):
     """Compare modular and rational leading-term ideals, rotating the prime
-    on mismatch or coefficient blowup. Returns a small result document."""
+    when it divides a denominator. Returns a small result document.
+
+    The check is meant for an ideal whose generators are its reduced basis,
+    as a saturation's are. That basis is monic, so when p divides none of
+    its denominators every S-pair's standard representation has p-integral
+    quotients, and its image mod p is a Groebner basis with the same
+    leading terms: a disagreement is an engine fault, not an unlucky prime.
+    """
     rational = tuple(sorted(ideal.leading_monomials(), key=grevlex_key))
     primes = [prime] + [p for p in _CHECK_PRIMES if p != prime]
-    rotations = 0
-    last = primes[0]
-    for p in primes:
-        last = p
+    for rotations, p in enumerate(primes):
         try:
             modular = leading_monomials_mod_p(ideal, p)
         except ZeroDivisionError:
-            rotations += 1
             continue
-        if modular == rational:
-            return {"prime": p, "agrees": True, "rotations": rotations}
-        rotations += 1
-    return {"prime": last, "agrees": False, "rotations": rotations}
+        if modular != rational:
+            raise NumericContradiction(
+                f"leading terms mod {p} disagree with the rational basis")
+        return {"prime": p, "agrees": True, "rotations": rotations}
+    return {"prime": primes[-1], "agrees": False, "rotations": len(primes)}
 
 
 # ---------------------------------------------------------------------------

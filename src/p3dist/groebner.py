@@ -4,12 +4,12 @@ Buchberger with a pair heap ordered by the degree and the term order of the
 lcm, the Gebauer-Moller pair criteria, and fraction-free integer reduction
 by `poly.fraction_free_step`, the step of the section spaces too; reduced
 grevlex bases, and the ideal operations the analysis pipeline needs:
-membership and the saturation by the irrelevant ideal, one certified colon
-by a linear form (Bayer-Stillman reverse-lex division, checked by the
-Hilbert polynomial), whose result keeps that Hilbert data. Intersection
-(which also gives the gcd that names a common factor), colon and the
-saturation by one polynomial eliminate an auxiliary variable t; the tests
-compare the saturation against them.
+membership and the saturation by the irrelevant ideal, one saturation by a
+linear form certified by the Hilbert polynomial, whose result keeps that
+Hilbert data. By x3 it is a Bayer-Stillman reverse-lex division; by any
+other form, like intersection (which also gives the gcd that names a
+common factor), colon and the saturation by one polynomial, it eliminates
+an auxiliary variable t. The tests compare the saturation against those.
 Coefficients are exact rationals, or residues mod a prime p for the
 modular cross-check.
 
@@ -31,7 +31,6 @@ from .errors import DomainError, NonTermination
 from .hilbert import hilbert_from_lt
 from .poly import (
     NVARS,
-    ZERO_MON,
     Poly,
     add_product,
     fraction_free_step,
@@ -333,12 +332,16 @@ def _extend(p, t_exp):
     return {_pack(m) + t_exp * _T: c for m, c in p.terms.items()}
 
 
+def _t_free(basis):
+    """The t-free part of a reduced block-order basis: the reduced grevlex
+    basis of the elimination ideal, as the block order restricts to
+    grevlex, and the part keeps its leading terms and its order."""
+    return [g for g in basis if max(g) < _T]
+
+
 def _eliminate_t(gens5):
-    """The elimination ideal of the auxiliary variable. The t-free part of
-    the reduced block-order basis is the reduced grevlex basis of the
-    elimination ideal: the block order restricts to grevlex, and the part
-    keeps its leading terms and its order."""
-    return Ideal._of_reduced([g for g in _buchberger_terms(gens5) if max(g) < _T])
+    """The elimination ideal of the auxiliary variable."""
+    return Ideal._of_reduced(_t_free(_buchberger_terms(gens5)))
 
 
 def intersect(I, J):
@@ -402,73 +405,38 @@ def saturate_iterated_colon(I, f, cap=64):
     raise NonTermination(f"colon iteration did not stabilize within {cap} steps")
 
 
-def _colon_last_variable(gens):
-    """Reduced grevlex basis of homogeneous packed dict-polys, and a basis
-    of (I : x3^infinity).
-
-    x3 is the cheapest variable, so dividing each element of the reduced
-    basis by its largest power of x3 gives a basis of the colon
-    (Bayer-Stillman). `saturate` applies it after a change of coordinates
-    that sends its linear form to x3.
-    """
-    reduced = _buchberger_terms(gens)
-    # the largest power of x3 that divides each element, from its x3-fields
-    x3es = [_pack((0, 0, 0, min((-m & _FIELDS) >> 48 for m in g))) for g in reduced]
-    return reduced, [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)]
-
-
-def _shift_x3(polys, a):
-    """The integer dict-polys with x3 replaced by x3 + a[0]*x0 + a[1]*x1 + a[2]*x2,
-    a[i] != 0, from one table of powers of that linear form."""
-    linear = {(0, 0, 0, 1): 1, (1, 0, 0, 0): a[0], (0, 1, 0, 0): a[1], (0, 0, 1, 0): a[2]}
-    powers = [{ZERO_MON: 1}]
-    for _ in range(max(m[3] for t in polys for m in t)):
-        nxt = {}
-        add_product(nxt, powers[-1], linear)
-        powers.append(nxt)
-    out = []
-    for t in polys:
-        shifted = {}
-        for m, c in t.items():
-            add_product(shifted, {m[:3] + (0,): c}, powers[m[3]])
-        out.append(shifted)
-    return out
-
-
 def saturate(I):
     """I : m^infinity, the saturation by the irrelevant ideal
     m = (x0, x1, x2, x3).
 
     It is I : l^infinity for the first l_k = k*x0 + k^2*x1 + k^3*x2 + x3,
-    k = 0, 1, 2, ..., that passes a certificate, computed as the colon by
-    x3 after the substitution x3 -> x3 - (k*x0 + k^2*x1 + k^3*x2), which
-    sends l_k to x3.
+    k = 0, 1, 2, ..., that passes a certificate.
     Certificate: I^sat lies in I : l^infinity, so equal Hilbert polynomials
     leave a quotient of finite length, and the two are equal. The check
     fails exactly when l_k lies in an associated prime P != m of I. The
     linear forms in P lie in a hyperplane, which meets the twisted cubic
     (k, k^2, k^3, 1) at most 3 times: at most 3 failures per such prime.
-    A linear change of coordinates keeps the Hilbert series, so the
-    input's polynomial is computed once, at k = 0, and the result keeps
-    the HilbertData of the accepted colon.
-    At k = 0 the substitution is the identity and the quotients are a
-    Groebner basis of the colon already, so they are only minimalized and
-    tail-reduced; for k >= 1 the colon is mapped back and its reduced
-    basis computed.
+    The reduced basis of I is computed once. l_0 = x3 is the cheapest
+    variable, so dividing each element of that basis by its largest power
+    of x3 gives a Groebner basis of the colon (Bayer-Stillman), which is
+    only minimalized and tail-reduced. For k >= 1 the colon is the t-free
+    part of the reduced block-order basis of that basis plus t*l_k - 1.
+    The result keeps the HilbertData of the accepted colon.
     """
     if I.is_zero():
         return Ideal(())
-    gens = [primitive_row(g.terms) for g in I.gens]
-    target = None
+    reduced = _buchberger_terms([_packed(g.terms) for g in I.gens])
+    target = hilbert_from_lt([_unpack(max(g)) for g in reduced]).hp_coeffs
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     for k in itertools.count():
-        shifted = _shift_x3(gens, (-k, -k * k, -k ** 3)) if k else gens
-        reduced, quotients = _colon_last_variable([_packed(g) for g in shifted])
-        if target is None:
-            target = hilbert_from_lt([_unpack(max(g)) for g in reduced]).hp_coeffs
-        h = hilbert_from_lt([_unpack(max(g)) for g in quotients])
+        if k:
+            rabinowitsch = {_pack(m) + _T: c for m, c in zip(units, (k, k * k, k ** 3, 1))}
+            rabinowitsch[0] = -1  # t*l_k - 1; 1 packs to 0
+            colon = _t_free(_buchberger_terms(reduced + [rabinowitsch]))
+        else:
+            # the largest power of x3 that divides each element, from its x3-fields
+            x3es = [_pack((0, 0, 0, min((-m & _FIELDS) >> 48 for m in g))) for g in reduced]
+            colon = [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)]
+        h = hilbert_from_lt([_unpack(max(g)) for g in colon])
         if h.hp_coeffs == target:
-            if k == 0:
-                return Ideal._of_reduced(_reduced_basis(quotients, None), h)
-            quotients = [{_unpack(m): c for m, c in g.items()} for g in quotients]
-            shifted_back = _shift_x3(quotients, (k, k * k, k ** 3))
-            return Ideal._of_reduced(_buchberger_terms([_packed(g) for g in shifted_back]), h)
+            return Ideal._of_reduced(colon if k else _reduced_basis(colon, None), h)

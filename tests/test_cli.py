@@ -225,6 +225,25 @@ def test_mod_p_rotation_on_bad_prime():
     assert result["prime"] != 32003
 
 
+def test_mod_p_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # the reduced monic basis keeps its leading terms mod any prime that
+    # divides none of its denominators, so a disagreement is an engine
+    # fault: trying the next prime must not hide it
+    real = cli.leading_monomials_mod_p
+
+    def wrong_at_first_prime(ideal, prime):
+        return () if prime == 32003 else real(ideal, prime)
+
+    monkeypatch.setattr(cli, "leading_monomials_mod_p", wrong_at_first_prime)
+    path = write_doc(tmp_path, oneform_doc("example1"))
+    assert cli.main(["analyze", path, "--mod-p", "32003"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "NumericContradiction"
+    assert "mod 32003" in err["message"]
+
+
 def test_analyze_vf_command(tmp_path, capsys):
     path = write_doc(
         tmp_path, {"kind": "vfield", "components": ["x0", "2x1", "3x2", "4x3"]}
@@ -266,6 +285,30 @@ def test_log_audit_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["non_generic"] is False
     assert doc["actual"] == {"degC": 4, "lenU": 4}
+
+
+WRONG_KIND_DOCS = {
+    "oneform": {"kind": "oneform", "coeffs": ["x1", "-x0", "x3", "-x2"]},
+    "vfield": {"kind": "vfield", "components": ["x0", "2x1", "3x2", "4x3"]},
+    "logtype": {"kind": "logtype", "polys": ["x0", "x1"], "lambdas": ["1", "-1"]},
+}
+
+
+@pytest.mark.parametrize("command, kind, given", [
+    ("analyze", "oneform", "vfield"),
+    ("analyze-vf", "vfield", "logtype"),
+    ("find-subfoliation", "oneform", "logtype"),
+    ("log-build", "logtype", "oneform"),
+    ("log-audit", "logtype", "vfield"),
+])
+def test_file_command_rejects_other_kind(tmp_path, capsys, command, kind, given):
+    path = write_doc(tmp_path, WRONG_KIND_DOCS[given])
+    assert cli.main([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith(f"{command} expects a '{kind}' input document")
 
 
 def test_analyze_zero_x0_coefficient(tmp_path, capsys):

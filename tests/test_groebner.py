@@ -21,7 +21,7 @@ from p3dist.groebner import (
     saturate_single,
 )
 from p3dist.hilbert import hilbert
-from p3dist.poly import Poly, X0, X1, X2, X3, grevlex_key, primitive_row
+from p3dist.poly import Poly, X0, X1, X2, X3, grevlex_key
 
 from conftest import make_rng, random_nonzero_poly
 
@@ -99,22 +99,6 @@ def test_divide_exact_rational_multiples():
         q = random_nonzero_poly(rng, rng.randint(0, 3)) * Fraction(-rng.randint(1, 9),
                                                                     rng.randint(2, 7))
         assert divide_exact(f * q, f) == q
-
-
-def test_shift_x3_against_substitution_and_back():
-    rng = make_rng(127)
-    for k in (1, 2, -3):
-        a = (k, k * k, k ** 3)
-        linear = X3 + a[0] * X0 + a[1] * X1 + a[2] * X2
-        polys = [primitive_row(random_nonzero_poly(rng, rng.randint(1, 4)).terms)
-                 for _ in range(6)]
-        shifted = groebner._shift_x3(polys, a)
-        for t, s in zip(polys, shifted):
-            expected = Poly.zero()
-            for m, c in t.items():
-                expected = expected + Poly({m[:3] + (0,): c}) * linear ** m[3]
-            assert Poly(s) == expected
-        assert groebner._shift_x3(shifted, tuple(-c for c in a)) == polys
 
 
 def test_colon_examples():
