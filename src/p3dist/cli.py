@@ -1,8 +1,15 @@
 """Command-line interface: parse input documents, run the analyses, and
 emit deterministic JSON reports.
 
-Subcommands: analyze, analyze-vf, find-subfoliation, log-build, log-audit,
-table1, verify-paper-examples. Input documents are JSON; `-` reads stdin.
+The five file commands, analyze, analyze-vf, find-subfoliation, log-build
+and log-audit, are rows of one table, `_FILE_COMMANDS`: the input kind a
+command reads, that kind's class, its analysis and its report document.
+One runner serves them all. It checks --mod-p where the command takes it,
+parses the document (`-` reads stdin), refuses a document of another kind,
+runs the analysis, adds the mod-p cross-check of the saturated singular
+ideal when asked, and prints the report. table1 and verify-paper-examples
+read no file and keep their own functions.
+
 Exit codes: 0 success, 1 validation error, 2 internal inconsistency.
 Output is plain JSON with sorted keys (no color, so NO_COLOR is honored
 trivially).
@@ -20,7 +27,7 @@ from . import corpus, distribution, foliation, logarithmic
 from .errors import InternalInconsistency, NumericContradiction, ParseError, ValidationError
 from .exterior import ExtForm, VField
 from .grammar import format_poly, parse_poly
-from .groebner import leading_monomials_mod_p
+from .groebner import Ideal, leading_monomials_mod_p
 from .linalg import compute_tF
 from .logarithmic import LogType
 from .poly import grevlex_key
@@ -199,6 +206,25 @@ def log_audit_doc(report):
     }
 
 
+def _subfoliation_doc(omega):
+    d, _, _ = distribution.validate_oneform(omega)
+    tF, section, sdim = compute_tF(omega)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "subfoliation",
+        "degree": d,
+        "tF": tF,
+        "h0_at_tF": sdim.h0,
+        "section": [format_poly(p) for p in section.components],
+        "in_distribution": foliation.contraction_check(section, omega),
+    }
+
+
+def _oneform_doc(omega):
+    """An input document of kind 'oneform', which `analyze -` reads back."""
+    return {"kind": "oneform", "coeffs": [format_poly(p) for p in omega.one_form_coeffs()]}
+
+
 def _emit(doc):
     json.dump(doc, sys.stdout, sort_keys=True, indent=2, ensure_ascii=False)
     sys.stdout.write("\n")
@@ -210,26 +236,28 @@ def _emit(doc):
 
 def mod_p_check(ideal, prime):
     """Compare modular and rational leading-term ideals, rotating the prime
-    when it divides a denominator. Returns a small result document.
+    when it divides a denominator of the reduced basis. Returns a small
+    result document; "agrees" is null when every prime divided one, so
+    that nothing was compared.
 
-    The check is meant for an ideal whose generators are its reduced basis,
-    as a saturation's are. That basis is monic, so when p divides none of
-    its denominators every S-pair's standard representation has p-integral
-    quotients, and its image mod p is a Groebner basis with the same
-    leading terms: a disagreement is an engine fault, not an unlucky prime.
+    The reduced basis is monic, so when p divides none of its denominators
+    every S-pair's standard representation has p-integral quotients, and
+    its image mod p is a Groebner basis with the same leading terms: a
+    disagreement is an engine fault, not an unlucky prime.
     """
+    basis = Ideal(ideal.groebner())
     rational = tuple(sorted(ideal.leading_monomials(), key=grevlex_key))
     primes = [prime] + [p for p in _CHECK_PRIMES if p != prime]
     for rotations, p in enumerate(primes):
         try:
-            modular = leading_monomials_mod_p(ideal, p)
+            modular = leading_monomials_mod_p(basis, p)
         except ZeroDivisionError:
             continue
         if modular != rational:
             raise NumericContradiction(
                 f"leading terms mod {p} disagree with the rational basis")
         return {"prime": p, "agrees": True, "rotations": rotations}
-    return {"prime": primes[-1], "agrees": False, "rotations": len(primes)}
+    return {"prime": primes[-1], "agrees": None, "rotations": len(primes)}
 
 
 # ---------------------------------------------------------------------------
@@ -242,67 +270,32 @@ def _check_mod_p(p):
         raise ValidationError(f"--mod-p must be 0 or a prime below 2**31, got {p}")
 
 
-def _cmd_analyze(args):
-    _check_mod_p(args.mod_p)
-    omega = parse_input(_read_text(args.file))
-    if not isinstance(omega, ExtForm):
-        raise ParseError("analyze expects a 'oneform' input document")
-    report = distribution.classify(omega)
-    doc = dist_report_doc(report)
-    if args.mod_p:
-        doc["mod_p_check"] = mod_p_check(report.sing.sat_ideal, args.mod_p)
+# command -> (input kind, its class, analysis, report document, takes --mod-p).
+# Each analysis looks its function up when it runs, so a patched module
+# attribute is the one called; find-subfoliation's document does its own.
+_FILE_COMMANDS = {
+    "analyze": ("oneform", ExtForm, lambda x: distribution.classify(x), dist_report_doc, True),
+    "analyze-vf": ("vfield", VField, lambda x: foliation.analyze(x), foliation_report_doc, True),
+    "find-subfoliation": ("oneform", ExtForm, lambda x: x, _subfoliation_doc, False),
+    "log-build": ("logtype", LogType, lambda x: logarithmic.build_log_form(x), _oneform_doc, False),
+    "log-audit": ("logtype", LogType, lambda x: logarithmic.audit_log_form(x), log_audit_doc, False),
+}
+
+
+def _run_file_command(args):
+    """Read the input document, check its kind, analyse it and print the
+    report; with --mod-p, cross-check the saturated singular ideal."""
+    kind, cls, analysis, document, with_mod_p = _FILE_COMMANDS[args.command]
+    mod_p = args.mod_p if with_mod_p else 0
+    _check_mod_p(mod_p)
+    given = parse_input(_read_text(args.file))
+    if not isinstance(given, cls):
+        raise ParseError(f"{args.command} expects a '{kind}' input document")
+    report = analysis(given)
+    doc = document(report)
+    if mod_p:
+        doc["mod_p_check"] = mod_p_check(report.sing.sat_ideal, mod_p)
     _emit(doc)
-    return 0
-
-
-def _cmd_analyze_vf(args):
-    _check_mod_p(args.mod_p)
-    v = parse_input(_read_text(args.file))
-    if not isinstance(v, VField):
-        raise ParseError("analyze-vf expects a 'vfield' input document")
-    report = foliation.analyze(v)
-    doc = foliation_report_doc(report)
-    if args.mod_p:
-        doc["mod_p_check"] = mod_p_check(report.sing.sat_ideal, args.mod_p)
-    _emit(doc)
-    return 0
-
-
-def _cmd_find_subfoliation(args):
-    omega = parse_input(_read_text(args.file))
-    if not isinstance(omega, ExtForm):
-        raise ParseError("find-subfoliation expects a 'oneform' input document")
-    d, _, _ = distribution.validate_oneform(omega)
-    tF, section, sdim = compute_tF(omega)
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "kind": "subfoliation",
-        "degree": d,
-        "tF": tF,
-        "h0_at_tF": sdim.h0,
-        "section": [format_poly(p) for p in section.components],
-        "in_distribution": foliation.contraction_check(section, omega),
-    })
-    return 0
-
-
-def _cmd_log_build(args):
-    lt = parse_input(_read_text(args.file))
-    if not isinstance(lt, LogType):
-        raise ParseError("log-build expects a 'logtype' input document")
-    omega = logarithmic.build_log_form(lt)
-    _emit({
-        "kind": "oneform",
-        "coeffs": [format_poly(p) for p in omega.one_form_coeffs()],
-    })
-    return 0
-
-
-def _cmd_log_audit(args):
-    lt = parse_input(_read_text(args.file))
-    if not isinstance(lt, LogType):
-        raise ParseError("log-audit expects a 'logtype' input document")
-    _emit(log_audit_doc(logarithmic.audit_log_form(lt)))
     return 0
 
 
@@ -333,23 +326,18 @@ def verify_examples():
     def check(name, ok):
         checks.append({"name": name, "ok": bool(ok)})
 
-    r1 = distribution.classify(corpus.load_oneform("example1"))
-    check("example1.degree", r1.degree == 3)
-    check("example1.chern", r1.chern.as_tuple() == (-1, 1, 3))
-    check("example1.curve", (r1.sing.degC, r1.sing.pa, r1.sing.lenU) == (10, 12, 3))
-    check("example1.tF", r1.tF == 1)
-    check("example1.stability",
-          r1.stability.klass == "unstable" and r1.stability.order == 1
-          and r1.stability.max_order_flag and r1.stability.family == 1)
-
-    r2 = distribution.classify(corpus.load_oneform("example2"))
-    check("example2.degree", r2.degree == 3)
-    check("example2.chern", r2.chern.as_tuple() == (-1, 2, 6))
-    check("example2.curve", (r2.sing.degC, r2.sing.pa, r2.sing.lenU) == (9, 10, 6))
-    check("example2.tF", r2.tF == 1)
-    check("example2.stability",
-          r2.stability.klass == "unstable" and r2.stability.order == 1
-          and r2.stability.max_order_flag and r2.stability.family == 2)
+    for name, chern, curve, family in (
+        ("example1", (-1, 1, 3), (10, 12, 3), 1),
+        ("example2", (-1, 2, 6), (9, 10, 6), 2),
+    ):
+        r = distribution.classify(corpus.load_oneform(name))
+        check(f"{name}.degree", r.degree == 3)
+        check(f"{name}.chern", r.chern.as_tuple() == chern)
+        check(f"{name}.curve", (r.sing.degC, r.sing.pa, r.sing.lenU) == curve)
+        check(f"{name}.tF", r.tF == 1)
+        check(f"{name}.stability",
+              r.stability.klass == "unstable" and r.stability.order == 1
+              and r.stability.max_order_flag and r.stability.family == family)
 
     rn = distribution.classify(corpus.load_oneform("nullcorrelation"))
     check("nullcorrelation.regular", rn.regular)
@@ -393,25 +381,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, with_file=True, with_modp=False):
+    for name, (_, _, _, _, with_mod_p) in _FILE_COMMANDS.items():
         p = sub.add_parser(name)
-        if with_file:
-            p.add_argument("file", help="input JSON document, or - for stdin")
-        if with_modp:
+        p.add_argument("file", help="input JSON document, or - for stdin")
+        if with_mod_p:
             p.add_argument("--mod-p", type=int, default=0, metavar="P",
                            help="cross-check Groebner leading terms mod P, "
                            "a prime below 2**31 (0: off)")
-        p.set_defaults(func=func)
-        return p
-
-    add("analyze", _cmd_analyze, with_modp=True)
-    add("analyze-vf", _cmd_analyze_vf, with_modp=True)
-    add("find-subfoliation", _cmd_find_subfoliation)
-    add("log-build", _cmd_log_build)
-    add("log-audit", _cmd_log_audit)
-    t1 = add("table1", _cmd_table1, with_file=False)
+        p.set_defaults(func=_run_file_command)
+    t1 = sub.add_parser("table1")
     t1.add_argument("--dmax", type=int, required=True)
-    add("verify-paper-examples", _cmd_verify, with_file=False)
+    t1.set_defaults(func=_cmd_table1)
+    sub.add_parser("verify-paper-examples").set_defaults(func=_cmd_verify)
     return parser
 
 

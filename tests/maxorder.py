@@ -6,13 +6,16 @@ i_R omega = i_v omega = 0 are the kernel of one integer matrix; a seeded
 combination of its RREF kernel basis, with coefficients in [-3, 3], is one
 form. Rows that zero every coefficient monomial outside the ideal of a line
 of Sing(v) put that line into Sing(omega).
+
+`pullback` gives the 1-forms pulled back from P^2, which have no x3 and no
+dx3.
 """
 
 import random
 
 from p3dist.exterior import ExtForm, VField
 from p3dist.linalg import _kernel, _pivot_rows
-from p3dist.poly import Poly, mon_mul, monomials_of_degree, primitive_row
+from p3dist.poly import X0, X1, X2, Poly, mon_mul, monomials_of_degree, primitive_row
 
 
 def _matrix(blocks):
@@ -87,3 +90,14 @@ def oneform(row, d, seed):
     for col, c in vec.items():
         coeffs[col // len(mons)][mons[col % len(mons)]] = c
     return ExtForm.one_form(*(Poly(t) for t in coeffs))
+
+
+def pullback(d, seed):
+    """The seeded 1-form of degree d pulled back from P^2: the contraction by
+    x0 d/dx0 + x1 d/dx1 + x2 d/dx2 of B01 dx0^dx1 + B02 dx0^dx2 + B12 dx1^dx2,
+    each B_ij of degree d in x0, x1, x2 with coefficients in [-3, 3]."""
+    rng = random.Random(f"{seed}:pullback:{d}")
+    mons = [m for m in monomials_of_degree(d) if m[3] == 0]
+    b01, b02, b12 = (Poly({m: rng.randint(-3, 3) for m in mons}) for _ in range(3))
+    return ExtForm.one_form(-X1 * b01 - X2 * b02, X0 * b01 - X2 * b12,
+                            X0 * b02 + X1 * b12, Poly.zero())

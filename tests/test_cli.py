@@ -218,11 +218,24 @@ def test_mod_p_rotation_on_bad_prime():
     from p3dist.groebner import Ideal
     from p3dist.poly import Poly, X0, X1
 
-    I = Ideal((Poly.constant(Fraction(1, 32003)) * X0, X1))
+    I = Ideal((X0 + Poly.constant(Fraction(1, 32003)) * X1,))
     result = cli.mod_p_check(I, 32003)
     assert result["agrees"] is True
     assert result["rotations"] >= 1
     assert result["prime"] != 32003
+
+
+def test_mod_p_check_reads_the_reduced_basis():
+    # only denominators of the reduced basis make a prime rotate, and when
+    # every prime divides one nothing was compared: "agrees" is null
+    from p3dist.groebner import Ideal
+    from p3dist.poly import Poly, X0, X1
+
+    every = Poly.constant(Fraction(1, 32003 * 31991 * 31981 * 31973 * 31963))
+    assert cli.mod_p_check(Ideal((every * X0 + X1,)), 32003) == {
+        "prime": 32003, "agrees": True, "rotations": 0}
+    assert cli.mod_p_check(Ideal((X0 + every * X1,)), 32003) == {
+        "prime": 31963, "agrees": None, "rotations": 5}
 
 
 def test_mod_p_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
