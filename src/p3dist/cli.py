@@ -10,7 +10,8 @@ runs the analysis, adds the mod-p cross-check of the saturated singular
 ideal when asked, and prints the report. table1 and verify-paper-examples
 read no file and keep their own functions.
 
-Exit codes: 0 success, 1 validation error, 2 internal inconsistency.
+Exit codes: 0 success, 1 validation error, 2 internal inconsistency. A
+closed stdout keeps the command's exit code and writes nothing to stderr.
 Output is plain JSON with sorted keys (no color, so NO_COLOR is honored
 trivially).
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -226,8 +228,16 @@ def _oneform_doc(omega):
 
 
 def _emit(doc):
-    json.dump(doc, sys.stdout, sort_keys=True, indent=2, ensure_ascii=False)
-    sys.stdout.write("\n")
+    try:
+        json.dump(doc, sys.stdout, sort_keys=True, indent=2, ensure_ascii=False)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the
+        # interpreter's final flush cannot raise, and keep the exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +411,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, InternalInconsistency) as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):
             doc["line"] = exc.line
             doc["col"] = exc.col
         json.dump(doc, sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
-        return 1
-    except InternalInconsistency as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr,
-                  sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 if __name__ == "__main__":

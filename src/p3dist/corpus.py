@@ -3,12 +3,7 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
-
-from .exterior import ExtForm, VField
-from .grammar import parse_poly
-from .logarithmic import LogType
 
 
 def _raw():
@@ -21,19 +16,19 @@ def corpus_names():
     return {kind: sorted(raw[kind]) for kind in ("oneforms", "vfields", "logtypes")}
 
 
+def _load(kind, name):
+    """The corpus entry read as an input document of its kind."""
+    from .cli import parse_input  # cli imports this module
+    return parse_input(json.dumps({"kind": kind, **_raw()[kind + "s"][name]}))
+
+
 def load_oneform(name):
-    entry = _raw()["oneforms"][name]
-    return ExtForm.one_form(*(parse_poly(s) for s in entry["coeffs"]))
+    return _load("oneform", name)
 
 
 def load_vfield(name):
-    entry = _raw()["vfields"][name]
-    return VField([parse_poly(s) for s in entry["components"]])
+    return _load("vfield", name)
 
 
 def load_logtype(name):
-    entry = _raw()["logtypes"][name]
-    return LogType(
-        polys=tuple(parse_poly(s) for s in entry["polys"]),
-        weights=tuple(Fraction(s) for s in entry["weights"]),
-    )
+    return _load("logtype", name)

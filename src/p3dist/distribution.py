@@ -16,7 +16,7 @@ from .errors import (
     InconsistentInvariants,
     NumericContradiction,
 )
-from .exterior import VField, checked_oneform, oneform_degree
+from .exterior import VField, checked_oneform
 from .groebner import Ideal, divide_exact, intersect, saturate
 from .hilbert import hilbert
 from .linalg import compute_tF
@@ -25,6 +25,12 @@ from .poly import NVARS, ZERO_MON, Poly, add_product, diff_row
 
 # largest d_max that table1 accepts
 TABLE1_DMAX = 100
+
+# the two maximal-order families: family -> its Chern triple at degree d
+FAMILY_CHERN = {
+    1: lambda d: (2 - d, 1, d),
+    2: lambda d: (2 - d, 2, 2 * d),
+}
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,8 @@ def common_factor(polys):
 
 def singular_scheme(omega):
     """Saturated vanishing ideal of the coefficients of a 1-form that
-    defines a distribution (`oneform_degree` raises otherwise)."""
-    oneform_degree(omega)
+    defines a distribution (`checked_oneform` raises otherwise)."""
+    checked_oneform(omega)
     return saturate(Ideal(omega.one_form_coeffs()))
 
 
@@ -109,7 +115,7 @@ def validate_oneform(omega):
     tangent sheaf.
     """
     d, _ = checked_oneform(omega)
-    sat = saturate(Ideal(omega.one_form_coeffs()))
+    sat = singular_scheme(omega)
     degc, pa, lenu = curve_invariants(
         sat,
         hilbert(sat),
@@ -186,43 +192,41 @@ def curve_invariants(sat, h, c3_base):
     return degc, pa, lenu
 
 
+def _split_type(d, t):
+    """O(1 - t) + O(1 + t - d) as (1 - t, 1 + t - d); None when d < 2t."""
+    return None if d < 2 * t else (1 - t, 1 + t - d)
+
+
 def split_test(tF, chern, degree):
     """Split type (a, b) when the twisted second Chern class vanishes."""
     c2_twisted = chern.c2 + chern.c1 * (tF - 1) + (tF - 1) ** 2
     if c2_twisted != 0:
         return None
-    if degree < 2 * tF:
+    split = _split_type(degree, tF)
+    if split is None:
         raise NumericContradiction(
             f"split test passed with d={degree} < 2*tF={2 * tF}"
         )
-    return (1 - tF, 1 + tF - degree)
+    return split
 
 
 def _stability(degree, tF, split, chern):
+    """The class read from the order of nonstability (d + eps)/2 - tF."""
     eps = degree % 2
     if split is not None:
         return StabilityVerdict(eps, "split", 0, False, None)
-    if degree >= 3 and 1 <= tF <= (degree - 2 + eps) // 2:
-        order = (degree + eps) // 2 - tF
-        max_order = tF == 1
-        family = None
-        if max_order:
-            if chern.as_tuple() == (2 - degree, 1, degree):
-                family = 1
-            elif chern.as_tuple() == (2 - degree, 2, 2 * degree):
-                family = 2
-        return StabilityVerdict(eps, "unstable", order, max_order, family)
-    if eps == 0:
-        if tF >= degree // 2 + 1:
-            return StabilityVerdict(eps, "stable", 0, False, None)
-        if tF == degree // 2:
-            return StabilityVerdict(eps, "strictly-semistable", 0, False, None)
-    else:
-        if tF >= (degree + 1) // 2:
-            return StabilityVerdict(eps, "stable", 0, False, None)
-    raise InconsistentInvariants(
-        f"nonsplit sheaf with d={degree}, tF={tF} fits no stability class"
-    )
+    order = (degree + eps) // 2 - tF
+    if order == 0 and eps == 0:
+        return StabilityVerdict(eps, "strictly-semistable", 0, False, None)
+    if order <= 0:
+        return StabilityVerdict(eps, "stable", 0, False, None)
+    if degree < 3 or tF < 1:
+        raise InconsistentInvariants(
+            f"nonsplit sheaf with d={degree}, tF={tF} fits no stability class"
+        )
+    family = next((f for f, triple in FAMILY_CHERN.items()
+                   if tF == 1 and chern.as_tuple() == triple(degree)), None)
+    return StabilityVerdict(eps, "unstable", order, tF == 1, family)
 
 
 def classify(omega):
@@ -260,17 +264,7 @@ def table1(d_max):
         raise DomainError("d_max must be non-negative")
     if d_max > TABLE1_DMAX:
         raise DomainError(f"d_max must be at most TABLE1_DMAX = {TABLE1_DMAX}, got {d_max}")
-    t_max = d_max // 2
-    rows = []
-    for d in range(d_max + 1):
-        row = []
-        for t in range(t_max + 1):
-            if d < 2 * t:
-                row.append(None)
-            else:
-                row.append((1 - t, 1 + t - d))
-        rows.append(row)
-    return rows
+    return [[_split_type(d, t) for t in range(d_max // 2 + 1)] for d in range(d_max + 1)]
 
 
 def splitruim_invariants(t):

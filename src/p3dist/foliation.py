@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
-from .exterior import _radial_minors, annihilates, field_degree, oneform_degree
+from .exterior import _radial_minors, annihilates, checked_oneform, field_degree
 from .groebner import Ideal, saturate
 from .hilbert import hilbert
 from .poly import Poly
@@ -90,5 +90,5 @@ def line_sing_invariants(dprime):
 
 def contraction_check(v, omega):
     """True when the field lies in the distribution cut out by the 1-form."""
-    oneform_degree(omega)
+    checked_oneform(omega)
     return annihilates(v, omega)

@@ -141,15 +141,17 @@ def audit_log_form(log_type):
 
 def exclusion_check(degrees):
     """True when a generic form of this degree tuple cannot realize either
-    maximal-order family: its (curve degree, isolated count) must hit
-    (d^2 + 1, d) or (d^2, 2d) for d = sum(degrees) - 2."""
+    maximal-order family: with d = sum(degrees) - 2, the Chern triple
+    (2 - d, d^2 + 2 - degC, lenU) of its generic curve degree and isolated
+    count is none of `distribution.FAMILY_CHERN`."""
     if len(degrees) < 2 or any(d < 1 for d in degrees):
         raise DomainError("degrees must be a tuple of at least two positive ints")
     d = sum(degrees) - 2
     if d < 3:
         raise DomainError("families require degree at least 3")
-    pair = (expected_curve_degree(degrees), expected_isolated_count(degrees))
-    return pair not in {(d * d + 1, d), (d * d, 2 * d)}
+    chern = (2 - d, d * d + 2 - expected_curve_degree(degrees),
+             expected_isolated_count(degrees))
+    return all(chern != triple(d) for triple in distribution.FAMILY_CHERN.values())
 
 
 def exclusion_sweep(d):

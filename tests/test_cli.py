@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+import p3dist
 from p3dist import cli, corpus, distribution
 from p3dist.errors import (
     InconsistentInvariants,
@@ -468,6 +473,41 @@ def test_verify_paper_examples(capsys):
     assert cli.main(["verify-paper-examples"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_ok"] is True
+
+
+# sha256 of the stdout of the two commands that read no input document;
+# verify-paper-examples reads the corpus through `parse_input`
+COMMAND_SHA256 = {
+    ("verify-paper-examples",):
+        "254bbe4ccd960c1040265a9f18b275b140f7c91c0e9e99a66c62feb9befaeed5",
+    ("table1", "--dmax", "6"):
+        "03073d55b5abcabc1cabcad63b3079211428705bff1f79d1751938b22fb9aa14",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_SHA256))
+def test_command_reports_pinned(argv, capsys):
+    assert cli.main(list(argv)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == COMMAND_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [["verify-paper-examples"], ["analyze", "-"]])
+def test_closed_stdout_keeps_the_exit_code(argv):
+    # the read end of stdout is closed before the command writes; Python
+    # ignores SIGPIPE, so the write raises BrokenPipeError every time
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(p3dist.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "p3dist.cli", *argv],
+            input=b'{"kind":"oneform","coeffs":["x1","-x0","x3","-x2"]}',
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("weight", ["1e5000", "1e-3"])

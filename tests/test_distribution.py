@@ -233,6 +233,72 @@ def test_table1():
         dist.table1(dist.TABLE1_DMAX + 1)
 
 
+# The per-parity thresholds and the split rule as the classification first
+# stated them, kept here as the oracle of the rules read from the order of
+# nonstability and from one split-type helper.
+def _threshold_stability(degree, tF, split, chern):
+    eps = degree % 2
+    if split is not None:
+        return (eps, "split", 0, False, None)
+    if degree >= 3 and 1 <= tF <= (degree - 2 + eps) // 2:
+        family = None
+        if tF == 1:
+            if chern.as_tuple() == (2 - degree, 1, degree):
+                family = 1
+            elif chern.as_tuple() == (2 - degree, 2, 2 * degree):
+                family = 2
+        return (eps, "unstable", (degree + eps) // 2 - tF, tF == 1, family)
+    if eps == 0:
+        if tF >= degree // 2 + 1:
+            return (eps, "stable", 0, False, None)
+        if tF == degree // 2:
+            return (eps, "strictly-semistable", 0, False, None)
+    elif tF >= (degree + 1) // 2:
+        return (eps, "stable", 0, False, None)
+    raise InconsistentInvariants(
+        f"nonsplit sheaf with d={degree}, tF={tF} fits no stability class"
+    )
+
+
+def _threshold_split_test(tF, chern, degree):
+    if chern.c2 + chern.c1 * (tF - 1) + (tF - 1) ** 2 != 0:
+        return None
+    if degree < 2 * tF:
+        raise NumericContradiction(f"split test passed with d={degree} < 2*tF={2 * tF}")
+    return (1 - tF, 1 + tF - degree)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_stability_and_split_rules_on_a_grid():
+    # d = 0..39, tF = -3..44, the two family triples, a near miss and the
+    # triple whose twisted c2 vanishes at tF, each split and nonsplit
+    cases = 0
+    for d in range(40):
+        for t in range(-3, 45):
+            for c2, c3 in ((1, d), (2, 2 * d), (1, 2 * d), ((d - 2) * (t - 1) - (t - 1) ** 2, 0)):
+                chern = ChernTriple(2 - d, c2, c3)
+                assert _outcome(dist.split_test, t, chern, d) == \
+                    _outcome(_threshold_split_test, t, chern, d)
+                for split in (None, (1 - t, 1 + t - d)):
+                    got = _outcome(dist._stability, d, t, split, chern)
+                    if isinstance(got, dist.StabilityVerdict):
+                        got = (got.epsilon, got.klass, got.order, got.max_order_flag, got.family)
+                    assert got == _outcome(_threshold_stability, d, t, split, chern)
+                    cases += 1
+    assert cases == 15360
+    for d_max in range(40):
+        assert dist.table1(d_max) == [
+            [None if d < 2 * t else (1 - t, 1 + t - d) for t in range(d_max // 2 + 1)]
+            for d in range(d_max + 1)
+        ]
+
+
 def test_splitruim_invariants():
     assert dist.splitruim_invariants(0) == (1, 0)
     assert dist.splitruim_invariants(1) == (6, 3)
@@ -292,8 +358,7 @@ def test_classify_checks_its_form_once(example1, monkeypatch):
         calls.append(omega)
         return real(omega)
 
-    for module in (exterior, dist, foliation):
-        monkeypatch.setattr(module, "oneform_degree", counting)
+    monkeypatch.setattr(exterior, "oneform_degree", counting)
     dist.classify(ExtForm.one_form(*example1.one_form_coeffs()))
     assert len(calls) == 1
     # each public function checks a form it has not seen

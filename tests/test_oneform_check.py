@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import p3dist  # noqa: E402
-from p3dist import corpus, distribution, foliation, linalg  # noqa: E402
+from p3dist import corpus, distribution, exterior, foliation, linalg  # noqa: E402
 from p3dist.errors import ValidationError  # noqa: E402
 from p3dist.exterior import ExtForm, contract, radial_field  # noqa: E402
 from p3dist.poly import Poly, monomials_of_degree  # noqa: E402
@@ -87,6 +87,21 @@ malformed_forms = st.one_of(
 def test_malformed_forms_raise_validation_errors(omega, entry):
     with pytest.raises(ValidationError):
         ENTRY_POINTS[entry](omega)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_checks_a_form_once(entry, example1, monkeypatch):
+    # every entry point checks through `checked_oneform`, which keeps the
+    # result on the form: one `oneform_degree` call for a fresh form, and
+    # none when classify then runs on the same form
+    calls = []
+    real = exterior.oneform_degree
+    monkeypatch.setattr(exterior, "oneform_degree", lambda omega: calls.append(omega) or real(omega))
+    omega = ExtForm.one_form(*example1.one_form_coeffs())
+    ENTRY_POINTS[entry](omega)
+    assert len(calls) == 1
+    distribution.classify(omega)
+    assert len(calls) == 1
 
 
 def test_analysis_keeps_no_module_cache():
