@@ -16,7 +16,7 @@ from .errors import (
     InconsistentInvariants,
     NumericContradiction,
 )
-from .exterior import VField, checked_oneform
+from .exterior import VField, checked_oneform, coefficient_ideal
 from .groebner import Ideal, divide_exact, intersect, saturate
 from .hilbert import hilbert
 from .linalg import compute_tF
@@ -101,9 +101,10 @@ def common_factor(polys):
 
 def singular_scheme(omega):
     """Saturated vanishing ideal of the coefficients of a 1-form that
-    defines a distribution (`checked_oneform` raises otherwise)."""
-    checked_oneform(omega)
-    return saturate(Ideal(omega.one_form_coeffs()))
+    defines a distribution (`checked_oneform` raises otherwise). The
+    coefficient ideal stays on the form with its Hilbert data, which
+    `compute_tF` reads."""
+    return saturate(coefficient_ideal(omega))
 
 
 def validate_oneform(omega):

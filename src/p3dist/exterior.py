@@ -8,7 +8,9 @@ coefficients (A0..A3) represent A0*dx0 + ... + A3*dx3.
 build forms with Fraction coefficients. The checks that such a product
 vanishes (`annihilates`, `is_radial_multiple` and the Euler relation in
 `oneform_degree`) run on integer multiples of the coefficients instead, as
-do the field minors that `foliation.sing_scheme_v` saturates.
+do the field minors that `foliation.sing_scheme_v` saturates. A checked
+1-form keeps its coefficient ideal, whose basis and Hilbert data both the
+singular scheme and the section spaces read.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import EulerViolation, GradeOverflow, InvalidForm
+from .groebner import Ideal
 from .poly import NVARS, Poly, add_product, integer_multiples
 
 _INDEX_SETS = {g: tuple(combinations(range(NVARS), g)) for g in range(NVARS + 1)}
@@ -37,7 +40,7 @@ def _merge_sign(a, b):
 class ExtForm:
     """Exterior differential form of grade g with Poly coefficients."""
 
-    __slots__ = ("grade", "coeffs", "_checked")
+    __slots__ = ("grade", "coeffs", "_checked", "_ideal")
 
     def __init__(self, grade, coeffs=None):
         if grade not in range(NVARS + 1):
@@ -52,6 +55,7 @@ class ExtForm:
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "coeffs", table)
         object.__setattr__(self, "_checked", None)
+        object.__setattr__(self, "_ideal", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtForm is immutable")
@@ -136,6 +140,16 @@ def checked_oneform(omega):
         multiples = integer_multiples(omega.one_form_coeffs())[1]
         object.__setattr__(omega, "_checked", (oneform_degree(omega), multiples))
     return omega._checked
+
+
+def coefficient_ideal(omega):
+    """The ideal (A_0, ..., A_3) of a 1-form that `checked_oneform` accepts,
+    kept on the form after the first call, so that its reduced basis and
+    Hilbert data are computed once per form."""
+    checked_oneform(omega)
+    if omega._ideal is None:
+        object.__setattr__(omega, "_ideal", Ideal(omega.one_form_coeffs()))
+    return omega._ideal
 
 
 def wedge(a, b):

@@ -218,8 +218,10 @@ def _monic_basis(reduced):
 class Ideal:
     """Homogeneous ideal given by generators, with its reduced grevlex basis
     cached: a tuple of monic Polys sorted by leading term, unique for the
-    ideal. A saturation also keeps the HilbertData of its certificate,
-    which `hilbert.hilbert` reads."""
+    ideal. `saturate` leaves HilbertData in the slot `_hilbert`, which
+    `hilbert.hilbert` reads: on its result the data of the colon its
+    certificate accepted, and on the ideal it saturates that ideal's own
+    data, the certificate's target."""
 
     __slots__ = ("gens", "_basis", "_hilbert")
 
@@ -421,12 +423,15 @@ def saturate(I):
     of x3 gives a Groebner basis of the colon (Bayer-Stillman), which is
     only minimalized and tail-reduced. For k >= 1 the colon is the t-free
     part of the reduced block-order basis of that basis plus t*l_k - 1.
-    The result keeps the HilbertData of the accepted colon.
+    The result keeps the HilbertData of the accepted colon, and I keeps
+    its own, the target, which `linalg` reads the section spaces from.
     """
     if I.is_zero():
         return Ideal(())
     reduced = _buchberger_terms([_packed(g.terms) for g in I.gens])
-    target = hilbert_from_lt([_unpack(max(g)) for g in reduced]).hp_coeffs
+    own = hilbert_from_lt([_unpack(max(g)) for g in reduced])
+    object.__setattr__(I, "_hilbert", own)
+    target = own.hp_coeffs
     units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     for k in itertools.count():
         if k:

@@ -131,9 +131,12 @@ def hilbert_from_lt(lt_monomials):
 
 
 def hilbert(ideal):
-    """HilbertData of R/I. Meaningful for all t >> 0; exact if I saturated.
-    An ideal that `groebner.saturate` returned holds its data already (the
-    data of the colon its certificate accepted), and that is returned."""
+    """HilbertData of R/I: the numerator gives the Hilbert function of R/I
+    in every degree, and the polynomial that of the scheme. `groebner.saturate`
+    leaves the data in the `_hilbert` slot of the ideal it returns (the data
+    of the colon its certificate accepted) and of the ideal it saturates
+    (its own, the certificate's target), and that is returned; otherwise it
+    is read from the reduced basis."""
     return ideal._hilbert or hilbert_from_lt(ideal.leading_monomials())
 
 

@@ -1,28 +1,41 @@
-"""Exact linear algebra for the section spaces of the tangent sheaf.
+"""Exact section spaces of the tangent sheaf of a codimension-one distribution.
 
-One routine, `_pivot_rows`, runs integer Gauss-Jordan elimination on sparse
-rows. Each step is fraction-free in the sense of Bareiss: a*row - b*pivot,
-divided by its content. Its pivot rows are the reduced row echelon form of
-the row space up to one nonzero scale per row, which gives the rank, the
-canonical RREF kernel basis, and reduction modulo a subspace. Built on top
-of it: the dimension h0 of twisted section spaces of the tangent sheaf of a
-codimension-one distribution, and the minimal twist t_F admitting a section.
-`compute_tF` builds the contraction rows of each twist once, from integer
-multiples of the form's coefficients, and eliminates them: the echelon of
-the first twist with h0 > 0 also gives the minimal section, whose two
-certificates run on integer dicts too. Each public function first
-checks its 1-form with `exterior.checked_oneform`, so a form that defines
-no distribution raises InvalidForm.
+A section at twist t is a degree-t vector field F with sum A_i F_i = 0,
+modulo the radial multiples f*R, f of degree t - 1. The contraction map
+(F_0, ..., F_3) -> sum A_i F_i from R_t^4 to R_{t+d+1} has image I_{t+d+1},
+I = (A_0, ..., A_3), so its rank is read in closed form from the Hilbert
+series numerator N of R/I (the Macaulay-matrix view of D. Lazard, EUROCAL
+1983): the raw kernel at twist t is 4 dim R_t - dim R_{t+d+1} + HF(t+d+1),
+with HF(n) = sum_k N_k dim R_{n-k}. The coefficient ideal is kept on the
+form (`exterior.coefficient_ideal`) and `groebner.saturate` leaves its
+Hilbert data there, so after a saturation h0 costs no Groebner basis.
+
+The section comes from one scan of the columns x^m*A_i of the contraction
+map, in the order i*n + (index of m). Each column is keyed by the grevlex
+rank of its target monomials, with a tag key per column that records the
+combination, and is top-reduced against the earlier pivot columns by
+`poly.fraction_free_step`. Every earlier column is a pivot or a free column,
+so the tag of a column that reduces to zero is the RREF kernel vector of
+that free column, up to scale; the first one not in the radial span,
+reduced modulo it, is the canonical section. `compute_tF` scans only the
+first twist with h0 > 0, and certifies the section on integer dicts. Each
+public function first checks its 1-form with `exterior.checked_oneform`,
+so a form that defines no distribution raises InvalidForm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from heapq import heapify, heappop, heappush
 
 from .errors import BoundViolated, InternalInconsistency
-from .exterior import VField, annihilates, checked_oneform, is_radial_multiple
+from .exterior import (
+    VField,
+    annihilates,
+    checked_oneform,
+    coefficient_ideal,
+    is_radial_multiple,
+)
+from .hilbert import hilbert
 from .poly import (
     NVARS,
     Poly,
@@ -32,63 +45,6 @@ from .poly import (
     monomials_of_degree,
     primitive_row,
 )
-
-
-def _pivot_rows(rows):
-    """Integer Gauss-Jordan elimination on sparse rows (column -> nonzero int).
-
-    Returns [(pivot_col, row)] in increasing pivot column: the reduced row
-    echelon form of the row space, each row a nonzero integer multiple of
-    its RREF row. The length is the rank. The input rows are not modified.
-    """
-    by_lead = {}
-    for r in rows:
-        if r:
-            by_lead.setdefault(min(r), []).append(r)
-    leads = list(by_lead)
-    heapify(leads)
-    echelon = []
-    while leads:
-        col = heappop(leads)
-        here = by_lead.pop(col)
-        # the shortest candidate causes the least fill-in; RREF is unique,
-        # so the choice cannot change the result
-        pivot = min(here, key=len)
-        for r in here:
-            if r is pivot:
-                continue
-            r = fraction_free_step(r, pivot, col)
-            if r:
-                lead = min(r)
-                if lead not in by_lead:
-                    by_lead[lead] = []
-                    heappush(leads, lead)
-                by_lead[lead].append(r)
-        echelon.append((col, pivot))
-    # back substitution: row i is final once every later row has cleared it
-    for i in range(len(echelon) - 1, 0, -1):
-        pc, pr = echelon[i]
-        for j in range(i):
-            qc, qr = echelon[j]
-            if pc in qr:
-                echelon[j] = (qc, fraction_free_step(qr, pr, pc))
-    return echelon
-
-
-def _kernel(echelon, ncols):
-    """Canonical RREF basis of the right kernel: for each free column fc in
-    increasing order, the vector (column -> Fraction) with v[fc] = 1."""
-    pivots = {pc for pc, _ in echelon}
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = {fc: Fraction(1)}
-        for pc, r in echelon:
-            if fc in r:
-                v[pc] = Fraction(-r[fc], r[pc])
-        basis.append(v)
-    return basis
 
 
 @dataclass(frozen=True)
@@ -101,34 +57,14 @@ class SectionSpaceDim:
     h0: int
 
 
-def _contraction_rows(coeffs, dprime):
-    """Rows of (F_0..F_3) -> sum A_i F_i on degree-dprime quadruples, for
-    integer dicts A_i: a common integer multiple of the coefficients.
-
-    Columns: component-major over the degree-dprime monomial basis. One
-    integer row per monomial of the target degree that is hit.
-    """
-    src_mons = monomials_of_degree(dprime)
-    rows = {}
-    col = 0
-    for ai in coeffs:
-        for m in src_mons:
-            for am, ac in ai.items():
-                rows.setdefault(mon_mul(am, m), {})[col] = ac
-            col += 1
-    return list(rows.values()), src_mons
-
-
-def _twist(coeffs, dprime):
-    """Build and eliminate the contraction rows at one twist, for integer
-    multiples of the coefficients of a 1-form that `checked_oneform` has
-    accepted. Returns the SectionSpaceDim, the echelon of the rows and the
-    source monomials; no rows below twist 0."""
-    rows, src_mons = _contraction_rows(coeffs, dprime)
-    echelon = _pivot_rows(rows)
-    nullity = NVARS * len(src_mons) - len(echelon)
+def _dims(numerator, d, dprime):
+    """SectionSpaceDim at one twist, from the Hilbert series numerator of
+    the coefficient ideal of a 1-form of degree d."""
+    n = dprime + d + 1
+    hf = sum(c * dim_graded_piece(n - k) for k, c in enumerate(numerator))
+    raw = NVARS * dim_graded_piece(dprime) - dim_graded_piece(n) + hf
     radial = dim_graded_piece(dprime - 1)
-    return SectionSpaceDim(dprime, nullity, radial, nullity - radial), echelon, src_mons
+    return SectionSpaceDim(dprime, raw, radial, raw - radial)
 
 
 def _vector_to_vfield(vec, src_mons):
@@ -140,37 +76,53 @@ def _vector_to_vfield(vec, src_mons):
     return VField([Poly(t) for t in comps])
 
 
-def _section(echelon, dprime, src_mons):
-    """Canonical non-radial section from the echelon `_twist` returns, or
-    None: the first RREF kernel vector not in the radial span, reduced modulo
-    it. The radial rows (x_0*f, ..., x_3*f), f of degree dprime-1, are in
-    RREF already: each has its pivot at x_0*f, a column no other row has."""
+def _section(coeffs, d, dprime):
+    """Canonical non-radial section at a twist, or None, for integer
+    multiples of the coefficients of a 1-form of degree d: the first RREF
+    kernel vector of the contraction map not in the radial span, reduced
+    modulo it. The radial rows (x_0*f, ..., x_3*f), f of degree dprime-1,
+    are in RREF already: each has its pivot at x_0*f, a column no other
+    row has."""
+    src_mons = monomials_of_degree(dprime)
     n = len(src_mons)
+    rank = {m: k for k, m in enumerate(monomials_of_degree(dprime + d + 1))}
+    tag = len(rank)  # tag keys follow the target keys, so a target key leads
     index = {m: i for i, m in enumerate(src_mons)}
     radial = []
     for f in monomials_of_degree(dprime - 1):
-        r = {i * n + index[mon_mul(f, x)]: 1 for i, x in enumerate(monomials_of_degree(1))}
+        r = {tag + i * n + index[mon_mul(f, x)]: 1 for i, x in enumerate(monomials_of_degree(1))}
         radial.append((min(r), r))
-    for v in _kernel(echelon, NVARS * n):
-        v = primitive_row(v)
+    pivots = {}
+    for col in range(NVARS * n):
+        m = src_mons[col % n]
+        v = {rank[mon_mul(am, m)]: c for am, c in coeffs[col // n].items()}
+        v[tag + col] = 1
+        lead = min(v)
+        while lead in pivots:
+            v = fraction_free_step(v, pivots[lead], lead)
+            lead = min(v)
+        if lead < tag:
+            pivots[lead] = v
+            continue
         for pc, r in radial:
             if pc in v:
                 v = fraction_free_step(v, r, pc)
         if v:
-            return _vector_to_vfield(v, src_mons)
+            return _vector_to_vfield({k - tag: c for k, c in v.items()}, src_mons)
     return None
 
 
 def h0_tangent_twist(omega, dprime):
     """h0 of the twist of the tangent sheaf whose sections are degree-dprime
     vector fields annihilated by the 1-form, modulo radial multiples."""
-    return _twist(checked_oneform(omega)[1], dprime)[0]
+    d, _ = checked_oneform(omega)
+    return _dims(hilbert(coefficient_ideal(omega)).numerator, d, dprime)
 
 
 def minimal_section(omega, dprime):
     """Canonical non-radial section at the given twist, or None."""
-    _, echelon, src_mons = _twist(checked_oneform(omega)[1], dprime)
-    return _section(echelon, dprime, src_mons)
+    d, coeffs = checked_oneform(omega)
+    return _section(coeffs, d, dprime)
 
 
 def compute_tF(omega):
@@ -186,10 +138,11 @@ def compute_tF(omega):
     InternalInconsistency.
     """
     d, coeffs = checked_oneform(omega)
+    numerator = hilbert(coefficient_ideal(omega)).numerator
     for dprime in range(d + 2):
-        s, echelon, src_mons = _twist(coeffs, dprime)
+        s = _dims(numerator, d, dprime)
         if s.h0 > 0:
-            section = _section(echelon, dprime, src_mons)
+            section = _section(coeffs, d, dprime)
             if section is None:
                 raise BoundViolated(
                     "positive h0 but no non-radial kernel vector found"

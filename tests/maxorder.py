@@ -14,8 +14,9 @@ dx3.
 import random
 
 from p3dist.exterior import ExtForm, VField
-from p3dist.linalg import _kernel, _pivot_rows
 from p3dist.poly import X0, X1, X2, Poly, mon_mul, monomials_of_degree, primitive_row
+
+from echelon import _kernel, _pivot_rows
 
 
 def _matrix(blocks):

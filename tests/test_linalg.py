@@ -1,22 +1,18 @@
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+import time
 
 import pytest
 
-from p3dist import linalg
+from p3dist import distribution, groebner, linalg
 from p3dist.errors import InternalInconsistency, InvalidForm
 from p3dist.exterior import ExtForm, VField, contract, field_degree, radial_field
-from p3dist.linalg import (
-    _kernel,
-    _pivot_rows,
-    compute_tF,
-    h0_tangent_twist,
-    minimal_section,
-)
+from p3dist.linalg import compute_tF, h0_tangent_twist, minimal_section
 from p3dist.poly import Poly, X0, X1, X2, X3, monomials_of_degree, primitive_row
 
 from conftest import make_rng
+from echelon import _kernel, _pivot_rows
 
 
 def fraction_rref(rows):
@@ -168,7 +164,7 @@ def test_minimal_section_is_not_radial(example1):
     VField([X0, Poly.zero(), Poly.zero(), Poly.zero()]),  # not in the kernel
 ])
 def test_section_certificate(nullcorrelation, monkeypatch, bad):
-    def section_at(echelon, dprime, src_mons):
+    def section_at(coeffs, d, dprime):
         return bad
 
     monkeypatch.setattr(linalg, "_section", section_at)
@@ -217,15 +213,22 @@ def contraction_matrix(omega, dprime):
     return [[p.terms.get(t, 0) for p in cols] for t in targets], len(cols)
 
 
-def test_compute_tF_matches_step_by_step_sweep(example1, example2, nullcorrelation,
-                                                pencil_of_planes):
+def sweep_forms(example1, example2, nullcorrelation, pencil_of_planes):
+    """The paper's examples, the null-correlation form (h0 = 5), the pencil
+    (t_F = 0), and seeded dense forms of degree 1 and 2 with integer and with
+    rational coefficients."""
     rng = make_rng(97)
     forms = ([example1, example2, nullcorrelation, pencil_of_planes]
              + [random_dense_form(rng, 1) for _ in range(3)]
              + [random_dense_form(rng, 2) for _ in range(2)])
+    return forms + [random_dense_form(rng, d, (1, 2, 3, 5, 7)) for d in (1, 1, 2)]
+
+
+def test_compute_tF_matches_step_by_step_sweep(example1, example2, nullcorrelation,
+                                                pencil_of_planes):
+    forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)
     # coefficients over different denominators, and rational multiples: the
-    # rows are built from one integer multiple of the coefficients
-    forms += [random_dense_form(rng, d, (1, 2, 3, 5, 7)) for d in (1, 1, 2)]
+    # sections are built from one integer multiple of the coefficients
     forms += [omega * Fraction(-7, 3) for omega in forms[:2] + forms[-3:]]
     for omega in forms:
         tF, section, sdim = compute_tF(omega)
@@ -237,33 +240,95 @@ def test_compute_tF_matches_step_by_step_sweep(example1, example2, nullcorrelati
         assert contract(section, omega).is_zero()
         # reduced modulo the radial span, whose pivots are the x0*f in F_0
         assert all(m[0] == 0 for m in section.components[0].terms)
-        for dprime in range(tF + 1):
+
+
+def oracle_section(kernel, dprime):
+    """The first vector of the RREF kernel basis of the contraction matrix
+    at a twist that is not in the radial span, reduced modulo that span, as
+    a vector field with primitive integer components; or None."""
+    mons = monomials_of_degree(dprime)
+    n = len(mons)
+    index = {m: k for k, m in enumerate(mons)}
+    for v in kernel:
+        # the radial row of f is 1 at x_i*f in F_i: clear each x0*f in F_0
+        for f in monomials_of_degree(dprime - 1):
+            c = v[index[(f[0] + 1,) + f[1:]]]
+            for i in range(4):
+                v[i * n + index[f[:i] + (f[i] + 1,) + f[i + 1:]]] -= c
+        if any(v):
+            v = primitive_row({j: c for j, c in enumerate(v) if c})
+            return VField([Poly({mons[j % n]: c for j, c in v.items() if j // n == i})
+                           for i in range(4)])
+    return None
+
+
+def test_sections_against_fraction_oracle(example1, example2, nullcorrelation,
+                                           pencil_of_planes):
+    """h0 at every twist from -1 to d + 2, and the section at t_F and t_F + 1,
+    against a Fraction elimination of the contraction matrix, on the forms of
+    `sweep_forms`, a form with A_0 = 0, and a rational multiple of each,
+    whose matrix has the same kernel."""
+    # eta without dx0 gives A_0 = 0, so d/dx0 is a section at twist 0
+    rng = make_rng(103)
+    eta = ExtForm(2, {ij: Poly({m: rng.choice((-2, -1, 1, 3)) for m in monomials_of_degree(1)})
+                      for ij in combinations(range(1, 4), 2)})
+    no_dx0 = contract(radial_field(), eta)
+    assert no_dx0.one_form_coeffs()[0].is_zero()
+    for omega in sweep_forms(example1, example2, nullcorrelation, pencil_of_planes) + [no_dx0]:
+        d = field_degree(VField(omega.one_form_coeffs())) - 1
+        tF, _, _ = compute_tF(omega)
+        # on the degree-3 examples only to t_F + 1: a matrix past that takes
+        # seconds to eliminate with Fractions
+        for dprime in range(-1, (d if d < 3 else tF - 1) + 3):
             rows, ncols = contraction_matrix(omega, dprime)
-            radial = comb(dprime + 2, 3)
-            assert h0_tangent_twist(omega, dprime).h0 == ncols - gauss_rank(rows) - radial
+            # one vector per free column: ncols - gauss_rank(rows) of them
+            kernel = fraction_kernel(rows, ncols)
+            h0 = len(kernel) - comb(dprime + 2, 3)
+            scan = dprime in (tF, tF + 1)
+            section = oracle_section(kernel, dprime) if scan else None
+            assert section is not None or not scan
+            for form in (omega, omega * Fraction(-7, 3)):
+                assert h0_tangent_twist(form, dprime).h0 == h0
+                if scan:
+                    assert minimal_section(form, dprime) == section
 
 
-def test_compute_tF_eliminates_each_twist_once(monkeypatch, example1, nullcorrelation,
+def test_h0_at_a_high_twist_builds_no_matrix(nullcorrelation):
+    start = time.perf_counter()
+    s = h0_tangent_twist(nullcorrelation, 10 ** 4)
+    assert time.perf_counter() - start < 1
+    # the raw kernel minus the radial multiples stays nonnegative
+    assert s.twist == 10 ** 4 and s.h0 >= 0 and s.radial_dim == comb(10 ** 4 + 2, 3)
+
+
+def fresh(omega):
+    """The same 1-form with nothing kept on it yet."""
+    return ExtForm.one_form(*omega.one_form_coeffs())
+
+
+def test_classify_shares_the_coefficient_basis(monkeypatch, example1, nullcorrelation,
                                                pencil_of_planes):
-    built, eliminated = [], []
-    rows_at, pivot_rows = linalg._contraction_rows, linalg._pivot_rows
+    calls, sections = [], []
+    buchberger, section_at = groebner._buchberger_terms, linalg._section
 
-    def counting_rows(coeffs, dprime):
-        rows, src_mons = rows_at(coeffs, dprime)
-        built.append((dprime, rows))
-        return rows, src_mons
+    def counting_buchberger(*args, **kwargs):
+        calls.append(None)
+        return buchberger(*args, **kwargs)
 
-    def counting_pivots(rows):
-        eliminated.append(rows)
-        return pivot_rows(rows)
+    def counting_section(*args):
+        sections.append(args)
+        return section_at(*args)
 
-    monkeypatch.setattr(linalg, "_contraction_rows", counting_rows)
-    monkeypatch.setattr(linalg, "_pivot_rows", counting_pivots)
+    monkeypatch.setattr(groebner, "_buchberger_terms", counting_buchberger)
+    monkeypatch.setattr(linalg, "_section", counting_section)
     forms = [example1, nullcorrelation, pencil_of_planes, random_dense_form(make_rng(101), 2)]
     for omega in forms:
-        built.clear()
-        eliminated.clear()
-        tF, _, _ = compute_tF(omega)
-        assert [dprime for dprime, _ in built] == list(range(tF + 1))
-        contraction = [r for r in eliminated if any(r is rows for _, rows in built)]
-        assert len(contraction) == tF + 1
+        calls.clear()
+        distribution.validate_oneform(fresh(omega))
+        validated = len(calls)
+        calls.clear()
+        distribution.classify(fresh(omega))
+        assert len(calls) == validated
+        sections.clear()
+        compute_tF(fresh(omega))
+        assert len(sections) == 1
