@@ -6,12 +6,15 @@ by `poly.fraction_free_step`, the step of the section spaces too; reduced
 grevlex bases, and the ideal operations the analysis pipeline needs:
 membership and the saturation by the irrelevant ideal, one saturation by a
 linear form certified by the Hilbert polynomial, whose result keeps that
-Hilbert data. By x3 it is a Bayer-Stillman reverse-lex division; by any
-other form, like intersection (which also gives the gcd that names a
-common factor), colon and the saturation by one polynomial, it eliminates
-an auxiliary variable t. The tests compare the saturation against those.
-Coefficients are exact rationals, or residues mod a prime p for the
-modular cross-check.
+Hilbert data. By x3 it is a Bayer-Stillman reverse-lex division, skipped
+when x3 divides no basis element, as the colon is then I; by any other
+form, like intersection (which also gives the gcd that names a common
+factor), colon and the saturation by one polynomial, it eliminates an
+auxiliary variable t, the saturation's run seeded with the finished basis
+of I. The tests compare the saturation against those. For the section
+spaces of a form that was not saturated, a run capped at a degree gives
+the Hilbert function up to it. Coefficients are exact rationals, or
+residues mod a prime p for the modular cross-check.
 
 The engine packs t^e x0^a0 x1^a1 x2^a2 x3^a3 into one int (Monagan and
 Pearce, J. Symbolic Comput. 46, 2011), unpacked only on the way out:
@@ -139,7 +142,7 @@ def _reduced_basis(G, p):
             for pos, (_, g) in enumerate(minimal)]
 
 
-def _buchberger_terms(gens, p=None):
+def _buchberger_terms(gens, p=None, done=(), cap=None):
     """Reduced Groebner basis of packed dict-polys, as engine polys sorted
     by leading term.
 
@@ -151,9 +154,16 @@ def _buchberger_terms(gens, p=None):
     its degree is at most the lcm's (in the eliminations too: their
     generators are homogeneous once t has weight 0 or -deg f), and checking
     each new pair's lcm keeps every exponent in its field.
+
+    `done`, a reduced basis of engine polys, is taken as a finished
+    Groebner basis: it forms no pairs within itself, only with gens and
+    the elements that follow (Gebauer-Moller's incremental update). With a
+    degree `cap` and homogeneous gens, pairs are taken up to that degree
+    only and the active elements are returned unreduced: their leading
+    terms generate the leading-term ideal in every degree up to the cap.
     """
-    polys, lts = [], []
-    active, basis = [], []
+    polys, lts = list(done), [max(g) for g in done]
+    active, basis = list(range(len(polys))), list(zip(lts, polys))
     pairs = []
 
     def add(h):
@@ -190,7 +200,7 @@ def _buchberger_terms(gens, p=None):
         r = _normal_form_terms(g, basis, p)
         if r:
             add(_engine_form(r, p))
-    while pairs:
+    while pairs and (cap is None or pairs[0][0] <= cap):
         _, l, i, j = heappop(pairs)
         si = l - lts[i]
         s = fraction_free_step({k + si: c for k, c in polys[i].items()}, polys[j],
@@ -198,6 +208,8 @@ def _buchberger_terms(gens, p=None):
         r = _normal_form_terms(s, basis, p)
         if r:
             add(_engine_form(r, p))
+    if cap is not None:
+        return [polys[i] for i in active]
     return _reduced_basis([polys[i] for i in active], p)
 
 
@@ -407,6 +419,18 @@ def saturate_iterated_colon(I, f, cap=64):
     raise NonTermination(f"colon iteration did not stabilize within {cap} steps")
 
 
+def hilbert_numerator(I, degree):
+    """The Hilbert series numerator of R/I, I homogeneous, exact for the
+    Hilbert function in every degree up to `degree`: the data `saturate`
+    left on I if there is any, else the numerator of the leading terms of a
+    Buchberger run that stops at that degree. Nothing is kept on I, as the
+    numerator need not be I's own above that degree."""
+    if I._hilbert is not None:
+        return I._hilbert.numerator
+    lts = _buchberger_terms([_packed(g.terms) for g in I.gens], cap=degree)
+    return hilbert_from_lt([_unpack(max(g)) for g in lts]).numerator
+
+
 def saturate(I):
     """I : m^infinity, the saturation by the irrelevant ideal
     m = (x0, x1, x2, x3).
@@ -421,8 +445,12 @@ def saturate(I):
     The reduced basis of I is computed once. l_0 = x3 is the cheapest
     variable, so dividing each element of that basis by its largest power
     of x3 gives a Groebner basis of the colon (Bayer-Stillman), which is
-    only minimalized and tail-reduced. For k >= 1 the colon is the t-free
-    part of the reduced block-order basis of that basis plus t*l_k - 1.
+    only minimalized and tail-reduced; when x3 divides no element the
+    colon is I, so I is saturated and is returned with its own data. For
+    k >= 1 the colon is the t-free part of the reduced block-order basis
+    of that basis plus t*l_k - 1. The block order is grevlex on t-free
+    polynomials, so the basis of I is already a Groebner basis there: the
+    run forms pairs only with t*l_k - 1 and what follows.
     The result keeps the HilbertData of the accepted colon, and I keeps
     its own, the target, which `linalg` reads the section spaces from.
     """
@@ -437,10 +465,12 @@ def saturate(I):
         if k:
             rabinowitsch = {_pack(m) + _T: c for m, c in zip(units, (k, k * k, k ** 3, 1))}
             rabinowitsch[0] = -1  # t*l_k - 1; 1 packs to 0
-            colon = _t_free(_buchberger_terms(reduced + [rabinowitsch]))
+            colon = _t_free(_buchberger_terms([rabinowitsch], done=reduced))
         else:
             # the largest power of x3 that divides each element, from its x3-fields
             x3es = [_pack((0, 0, 0, min((-m & _FIELDS) >> 48 for m in g))) for g in reduced]
+            if not any(x3es):
+                return Ideal._of_reduced(reduced, own)
             colon = [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)]
         h = hilbert_from_lt([_unpack(max(g)) for g in colon])
         if h.hp_coeffs == target:

@@ -8,7 +8,10 @@ series numerator N of R/I (the Macaulay-matrix view of D. Lazard, EUROCAL
 1983): the raw kernel at twist t is 4 dim R_t - dim R_{t+d+1} + HF(t+d+1),
 with HF(n) = sum_k N_k dim R_{n-k}. The coefficient ideal is kept on the
 form (`exterior.coefficient_ideal`) and `groebner.saturate` leaves its
-Hilbert data there, so after a saturation h0 costs no Groebner basis.
+Hilbert data there, so after a saturation h0 costs no Groebner basis. On a
+form that was not saturated, `groebner.hilbert_numerator` runs Buchberger
+only up to the largest degree t+d+1 read, 2d+2 for `compute_tF`, takes
+the numerator of the leading terms found, and keeps nothing on the form.
 
 The section comes from one scan of the columns x^m*A_i of the contraction
 map, in the order i*n + (index of m). Each column is keyed by the grevlex
@@ -35,7 +38,7 @@ from .exterior import (
     coefficient_ideal,
     is_radial_multiple,
 )
-from .hilbert import hilbert
+from .groebner import hilbert_numerator
 from .poly import (
     NVARS,
     Poly,
@@ -116,7 +119,7 @@ def h0_tangent_twist(omega, dprime):
     """h0 of the twist of the tangent sheaf whose sections are degree-dprime
     vector fields annihilated by the 1-form, modulo radial multiples."""
     d, _ = checked_oneform(omega)
-    return _dims(hilbert(coefficient_ideal(omega)).numerator, d, dprime)
+    return _dims(hilbert_numerator(coefficient_ideal(omega), dprime + d + 1), d, dprime)
 
 
 def minimal_section(omega, dprime):
@@ -138,7 +141,8 @@ def compute_tF(omega):
     InternalInconsistency.
     """
     d, coeffs = checked_oneform(omega)
-    numerator = hilbert(coefficient_ideal(omega)).numerator
+    # the sweep reads the Hilbert function up to degree (d + 1) + d + 1
+    numerator = hilbert_numerator(coefficient_ideal(omega), 2 * d + 2)
     for dprime in range(d + 2):
         s = _dims(numerator, d, dprime)
         if s.h0 > 0:

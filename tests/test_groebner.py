@@ -24,6 +24,8 @@ from p3dist.hilbert import hilbert
 from p3dist.poly import Poly, X0, X1, X2, X3, grevlex_key
 
 from conftest import make_rng, random_nonzero_poly
+from maxorder import ROWS, oneform
+from test_foliation import random_linear_field
 
 # the package exports the function `hilbert` under the module's name
 hilbert_module = importlib.import_module("p3dist.hilbert")
@@ -249,6 +251,89 @@ def test_saturation_keeps_its_hilbert_data(monkeypatch):
     for I in random_saturation_cases():
         sat = saturate(I)
         assert sat._hilbert == real(sat.leading_monomials())
+
+
+def _engine_basis(I):
+    return groebner._buchberger_terms([groebner._packed(g.terms) for g in I.gens])
+
+
+def _linear_form(k):
+    """l_k = k*x0 + k^2*x1 + k^3*x2 + x3, the k-th form `saturate` tries."""
+    return k * X0 + k * k * X1 + k ** 3 * X2 + X3
+
+
+def _eliminations_agree(I, k):
+    """The k >= 1 elimination of `saturate`, seeded with the finished basis
+    of I, against the unseeded run that re-derives every pair within it."""
+    reduced = _engine_basis(I)
+    rabinowitsch = {**groebner._extend(_linear_form(k), 1), 0: -1}
+    oracle = groebner._t_free(groebner._buchberger_terms(reduced + [rabinowitsch]))
+    seeded = groebner._t_free(groebner._buchberger_terms([rabinowitsch], done=reduced))
+    assert groebner._monic_basis(seeded) == groebner._monic_basis(oracle)
+
+
+def test_seeded_elimination_matches_the_unseeded_run():
+    cases = list(_random_ideals(25)) + random_saturation_cases()[:25]
+    cases += [Ideal(oneform(row, 3, seed=1).one_form_coeffs()) for row in sorted(ROWS)]
+    for I in cases:
+        for k in (1, 2):
+            _eliminations_agree(I, k)
+
+
+def test_two_rejected_linear_forms(monkeypatch):
+    # P*m for the prime P = (x3, x0 + x1 + x2): l_0 = x3 and l_1, whose
+    # x3-free part is x0 + x1 + x2, lie in P, so the seeded elimination runs
+    # for k = 1 and for k = 2, which is accepted
+    prime = Ideal((X3, X0 + X1 + X2))
+    I = Ideal(tuple(g * v for g in prime.gens for v in (X0, X1, X2, X3)))
+    calls = []
+    engine = groebner._buchberger_terms
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("done"))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", counting)
+    sat = saturate(I)
+    monkeypatch.setattr(groebner, "_buchberger_terms", engine)
+    assert sat == prime
+    # one basis of I, then two eliminations seeded with it
+    assert len(calls) == 3 and calls[0] is None and calls[1] is calls[2] is not None
+    for k in (1, 2):
+        _eliminations_agree(I, k)
+
+
+def _colon_by_x3(I):
+    """The k = 0 step as a colon: each element of the basis of I divided by
+    its largest power of x3, minimalized and tail-reduced, with its Hilbert
+    data; and whether x3 divides any element."""
+    reduced = _engine_basis(I)
+    x3es = [groebner._pack((0, 0, 0, min(groebner._unpack(m)[3] for m in g))) for g in reduced]
+    colon = groebner._reduced_basis(
+        [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)], None)
+    lts = [groebner._unpack(max(g)) for g in colon]
+    return groebner._monic_basis(colon), groebner.hilbert_from_lt(lts), any(x3es)
+
+
+def test_x3_free_basis_returns_the_ideal():
+    # when x3 divides no element of the basis, I : x3^inf = I: the early
+    # return gives the colon route's basis and Hilbert data
+    fields = [corpus.load_vfield(name) for name in corpus.corpus_names()["vfields"]]
+    rng = make_rng(109)
+    fields += [random_linear_field(rng) for _ in range(40)]
+    returned = 0
+    for v in fields:
+        minors = minors_against_radial(v)
+        if all(m.is_zero() for m in minors):
+            continue
+        I = Ideal(minors)
+        basis, data, divides = _colon_by_x3(I)
+        sat = saturate(I)
+        if not divides:
+            returned += 1
+            assert sat.groebner() == basis and sat._hilbert == data
+            assert I._hilbert is sat._hilbert
+    assert returned >= 20
 
 
 def test_saturate_retries_linear_forms_in_associated_primes():

@@ -5,9 +5,17 @@ import time
 
 import pytest
 
-from p3dist import distribution, groebner, linalg
+from p3dist import cli, distribution, groebner, linalg
 from p3dist.errors import InternalInconsistency, InvalidForm
-from p3dist.exterior import ExtForm, VField, contract, field_degree, radial_field
+from p3dist.exterior import (
+    ExtForm,
+    VField,
+    coefficient_ideal,
+    contract,
+    field_degree,
+    radial_field,
+)
+from p3dist.hilbert import hilbert
 from p3dist.linalg import compute_tF, h0_tangent_twist, minimal_section
 from p3dist.poly import Poly, X0, X1, X2, X3, monomials_of_degree, primitive_row
 
@@ -262,17 +270,21 @@ def oracle_section(kernel, dprime):
     return None
 
 
+def a0_zero_form():
+    """A form with A_0 = 0: eta without dx0, so d/dx0 is a section at twist 0."""
+    rng = make_rng(103)
+    eta = ExtForm(2, {ij: Poly({m: rng.choice((-2, -1, 1, 3)) for m in monomials_of_degree(1)})
+                      for ij in combinations(range(1, 4), 2)})
+    return contract(radial_field(), eta)
+
+
 def test_sections_against_fraction_oracle(example1, example2, nullcorrelation,
                                            pencil_of_planes):
     """h0 at every twist from -1 to d + 2, and the section at t_F and t_F + 1,
     against a Fraction elimination of the contraction matrix, on the forms of
     `sweep_forms`, a form with A_0 = 0, and a rational multiple of each,
     whose matrix has the same kernel."""
-    # eta without dx0 gives A_0 = 0, so d/dx0 is a section at twist 0
-    rng = make_rng(103)
-    eta = ExtForm(2, {ij: Poly({m: rng.choice((-2, -1, 1, 3)) for m in monomials_of_degree(1)})
-                      for ij in combinations(range(1, 4), 2)})
-    no_dx0 = contract(radial_field(), eta)
+    no_dx0 = a0_zero_form()
     assert no_dx0.one_form_coeffs()[0].is_zero()
     for omega in sweep_forms(example1, example2, nullcorrelation, pencil_of_planes) + [no_dx0]:
         d = field_degree(VField(omega.one_form_coeffs())) - 1
@@ -332,3 +344,35 @@ def test_classify_shares_the_coefficient_basis(monkeypatch, example1, nullcorrel
         sections.clear()
         compute_tF(fresh(omega))
         assert len(sections) == 1
+
+
+def test_capped_numerator_gives_every_dimension(example1, example2, nullcorrelation,
+                                                pencil_of_planes):
+    # a Buchberger run that stops at degree n gives the Hilbert function up
+    # to n, so every twist t <= n - d - 1 reads the same dimensions as from
+    # the full basis of the coefficient ideal
+    rng = make_rng(113)
+    forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)
+    forms += [random_dense_form(rng, d) for d in (1, 2, 3)] + [a0_zero_form()]
+    for omega in forms:
+        d = field_degree(VField(omega.one_form_coeffs())) - 1
+        full = hilbert(groebner.Ideal(omega.one_form_coeffs())).numerator
+        swept = groebner.hilbert_numerator(coefficient_ideal(fresh(omega)), 2 * d + 2)
+        for t in range(-1, d + 2):
+            expected = linalg._dims(full, d, t)
+            assert linalg._dims(swept, d, t) == expected
+            # capped at t + d + 1
+            assert h0_tangent_twist(fresh(omega), t) == expected
+
+
+def test_compute_tF_keeps_no_capped_data(example1, nullcorrelation):
+    # the capped numerator is not the ideal's own above the cap, so a bare
+    # compute_tF leaves nothing on the coefficient ideal, and a later
+    # classify of the same form reports what it reports on a fresh one
+    for omega in (example1, nullcorrelation, random_dense_form(make_rng(127), 2)):
+        bare = fresh(omega)
+        compute_tF(bare)
+        ideal = coefficient_ideal(bare)
+        assert ideal._hilbert is None and ideal._basis is None
+        assert (cli.dist_report_doc(distribution.classify(bare))
+                == cli.dist_report_doc(distribution.classify(fresh(omega))))

@@ -6,13 +6,17 @@ On the maximal-order forms c2(T_F) is also tested, not proven, to equal the
 degree of the curve part of I_Sing(s) : I_Sing(omega)^infinity, s the
 section."""
 
+import hashlib
+import json
 from functools import reduce
 
 import pytest
 
+from p3dist import cli
 from p3dist.distribution import classify, line_family_invariants
 from p3dist.foliation import classify_degree1, sing_scheme_v
 from p3dist.groebner import Ideal, intersect, saturate, saturate_single
+from p3dist.grammar import format_poly
 from p3dist.hilbert import dimension_degree
 from p3dist.poly import Poly
 
@@ -54,3 +58,35 @@ def test_pullback_from_p2(d):
     assert tuple(report.minimal_section.components) == (zero, zero, zero, one)
     assert (report.stability.klass, report.split_type) == ("split", (1, 1 - d))
     assert report.chern.as_tuple() == (2 - d, 1 - d, 0)
+
+
+# the sha256 of each report that `tests/bench_maxorder.py --seed 1 --dmax 4`
+# prints, by row and d
+PAPER_DEGREE_DIGESTS = {
+    ("distinct", 3): "0e0bb6a800134adaa69d2e3ba3b7d339289db3c37fedc26449a25b1e029b5aed",
+    ("distinct", 4): "df1e2e13999458236c87f45f85efccdffc3d133b4550c973dfb91a879d783bed",
+    ("jordan2", 3): "cc317d66261df0c0fd34b9a62670f4870597166f7abb575ec0db94e92e67766b",
+    ("jordan2", 4): "c10ac3ebebece6d271c31e9bf746d829062dfe262edb0cf5221a290b53e2c17e",
+    ("jordan3", 3): "be4ff4567390f7881f5620e255e66e57c1a9654354e37f7d6438983edb98f265",
+    ("jordan3", 4): "4e279e28acf7fc612bc64e7f28389ff7bf2f30ac3bd6b42c3a9f5ab8f9b7d69a",
+    ("jordan2x2", 3): "4516e8dd0301f15607dac7c8ab9dbd6180aa87277e1c486f3f51e9e7ec982946",
+    ("jordan2x2", 4): "a62240236ff6dbb411073d87b1ee479032ddeb21b60999382c4098560349c8b4",
+    ("line", 3): "166afa74944b480d5d9eb718920fa140037feb7bf4d42bf8d401bae115f5db67",
+    ("line", 4): "69e52d709fbc785ea62acb1ec53349bab920454505e2832e183cf03d1fdd0634",
+    ("line-in-sing", 3): "fffa066a831c3c54f2981924569e0a39de0fd3b8e7dd9ac32cfad08ee09b5660",
+    ("line-in-sing", 4): "bdf628bf2a787899cf2522f9fb6a833675f8110be10e8d3805c26ed8efbac4ab",
+    ("skew-lines", 3): "2850aa3208b8311e5e557079d806b40042b1cad3a5eec4bb0d4b997727fc1e8e",
+    ("skew-lines", 4): "3147a6a9d3bb65826fa37e3e837a053037b9f7d120629d12b00d0da6a7e5c679",
+    ("skew-line-in-sing", 3): "ad9a5acfb8b4d878de22f8b5cd0bbaabdae9d8f3834beda80675ed54d2925d8e",
+    ("skew-line-in-sing", 4): "be6f5e26c341575c779b3d0b0ffb7b2c05bf219f0bd7540a77a1fc13b8f22cb3",
+}
+
+
+@pytest.mark.parametrize("row, d", sorted(PAPER_DEGREE_DIGESTS))
+def test_paper_degree_reports_pinned(row, d):
+    # the form goes through its document, as in the benchmark
+    coeffs = [format_poly(p) for p in oneform(row, d, seed=1).one_form_coeffs()]
+    omega = cli.parse_input(json.dumps({"kind": "oneform", "coeffs": coeffs}))
+    doc = json.dumps(cli.dist_report_doc(classify(omega)), sort_keys=True, indent=2,
+                     ensure_ascii=False)
+    assert hashlib.sha256(doc.encode()).hexdigest() == PAPER_DEGREE_DIGESTS[row, d]
