@@ -32,7 +32,6 @@ from .grammar import format_poly, parse_poly
 from .groebner import Ideal, leading_monomials_mod_p
 from .linalg import compute_tF
 from .logarithmic import LogType
-from .poly import grevlex_key
 
 SCHEMA_VERSION = 1
 
@@ -256,7 +255,7 @@ def mod_p_check(ideal, prime):
     disagreement is an engine fault, not an unlucky prime.
     """
     basis = Ideal(ideal.groebner())
-    rational = tuple(sorted(ideal.leading_monomials(), key=grevlex_key))
+    rational = ideal.leading_monomials()
     primes = [prime] + [p for p in _CHECK_PRIMES if p != prime]
     for rotations, p in enumerate(primes):
         try:

@@ -9,8 +9,8 @@ build forms with Fraction coefficients. The checks that such a product
 vanishes (`annihilates`, `is_radial_multiple` and the Euler relation in
 `oneform_degree`) run on integer multiples of the coefficients instead, as
 do the field minors that `foliation.sing_scheme_v` saturates. A checked
-1-form keeps its coefficient ideal, whose basis and Hilbert data both the
-singular scheme and the section spaces read.
+1-form keeps its degree, those multiples and its coefficient ideal, whose
+basis and Hilbert data both the singular scheme and the section spaces read.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .groebner import Ideal
 from .poly import NVARS, Poly, add_product, integer_multiples
 
 _INDEX_SETS = {g: tuple(combinations(range(NVARS), g)) for g in range(NVARS + 1)}
+# the components x0..x3 of the radial field, as integer dicts
+_RADIAL = tuple({tuple(int(i == j) for j in range(NVARS)): 1} for i in range(NVARS))
 
 
 def _merge_sign(a, b):
@@ -40,7 +42,7 @@ def _merge_sign(a, b):
 class ExtForm:
     """Exterior differential form of grade g with Poly coefficients."""
 
-    __slots__ = ("grade", "coeffs", "_checked", "_ideal")
+    __slots__ = ("grade", "coeffs", "_checked")
 
     def __init__(self, grade, coeffs=None):
         if grade not in range(NVARS + 1):
@@ -55,7 +57,6 @@ class ExtForm:
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "coeffs", table)
         object.__setattr__(self, "_checked", None)
-        object.__setattr__(self, "_ideal", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtForm is immutable")
@@ -117,9 +118,9 @@ def _common_degree(polys):
 
 
 def oneform_degree(omega):
-    """Degree d of the distribution the 1-form defines, whose coefficients
-    are homogeneous of one degree d + 1 >= 1, not all zero, and satisfy the
-    Euler relation sum x_i A_i = 0. Raises InvalidForm (or EulerViolation)."""
+    """(d, A): the degree d of the distribution the 1-form defines and integer
+    multiples A of its coefficients, which are homogeneous of degree d + 1 >= 1,
+    not all zero, with sum x_i A_i = 0. Raises InvalidForm (or EulerViolation)."""
     coeffs = omega.one_form_coeffs()
     if all(p.is_zero() for p in coeffs):
         raise InvalidForm("zero 1-form")
@@ -128,28 +129,27 @@ def oneform_degree(omega):
         raise InvalidForm("coefficients must be homogeneous of a common degree")
     if dega < 1:
         raise InvalidForm("coefficient degree must be at least 1")
-    if not annihilates(radial_field(), omega):
+    _, a = integer_multiples(coeffs)
+    if _contraction(_RADIAL, a):
         raise EulerViolation("coefficients do not satisfy the Euler relation")
-    return dega - 1
+    return dega - 1, a
 
 
 def checked_oneform(omega):
-    """(d, A): the degree `oneform_degree` reads from a 1-form and integer
-    multiples A of its coefficients, kept on the form after the first call."""
+    """(d, A) of `oneform_degree`, kept on the form after the first call
+    together with the form's coefficient ideal."""
     if omega._checked is None:
-        multiples = integer_multiples(omega.one_form_coeffs())[1]
-        object.__setattr__(omega, "_checked", (oneform_degree(omega), multiples))
-    return omega._checked
+        checked = (oneform_degree(omega), Ideal(omega.one_form_coeffs()))
+        object.__setattr__(omega, "_checked", checked)
+    return omega._checked[0]
 
 
 def coefficient_ideal(omega):
     """The ideal (A_0, ..., A_3) of a 1-form that `checked_oneform` accepts,
-    kept on the form after the first call, so that its reduced basis and
-    Hilbert data are computed once per form."""
+    kept with its check, so that its reduced basis and Hilbert data are
+    computed once per form."""
     checked_oneform(omega)
-    if omega._ideal is None:
-        object.__setattr__(omega, "_ideal", Ideal(omega.one_form_coeffs()))
-    return omega._ideal
+    return omega._checked[1]
 
 
 def wedge(a, b):
@@ -265,27 +265,31 @@ def contract(v, a):
     return ExtForm(a.grade - 1, out)
 
 
+def _contraction(fs, a):
+    """sum F_i A_i of integer dicts."""
+    out = {}
+    for f, c in zip(fs, a):
+        add_product(out, f, c)
+    return out
+
+
 def annihilates(v, omega):
     """True when i_v(omega) = sum F_i A_i is zero, for a field and a 1-form;
     computed on integer multiples of the F_i and of the A_i."""
     _, fs = integer_multiples(v.components)
-    _, coeffs = integer_multiples(omega.one_form_coeffs())
-    out = {}
-    for f, a in zip(fs, coeffs):
-        add_product(out, f, a)
-    return not out
+    _, a = integer_multiples(omega.one_form_coeffs())
+    return not _contraction(fs, a)
 
 
 def _radial_minors(v):
     """The six minors F_i*x_j - F_j*x_i of `minors_against_radial` as integer
     dicts, computed on integer multiples of the F_i."""
     _, fs = integer_multiples(v.components)
-    _, xs = integer_multiples(radial_field().components)
     minors = []
     for i, j in combinations(range(NVARS), 2):
         minor = {}
-        add_product(minor, fs[i], xs[j])
-        add_product(minor, fs[j], xs[i], -1)
+        add_product(minor, fs[i], _RADIAL[j])
+        add_product(minor, fs[j], _RADIAL[i], -1)
         minors.append(minor)
     return minors
 

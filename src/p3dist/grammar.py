@@ -1,4 +1,4 @@
-"""Polynomial text grammar: parser and canonical printer.
+"""Polynomial text grammar: parser and canonical printer of signed terms.
 
 Grammar: variables x0..x3 with aliases x,y,z,w; integer or rational
 coefficients p/q, where q follows the '/' directly; + - * ^ and
@@ -176,13 +176,13 @@ def _format_monomial(m):
     return "*".join(parts)
 
 
-def format_poly(p):
-    """Canonical printing: terms descending under the global order."""
-    if p.is_zero():
-        return "0"
+def _signed_sum(terms, monomial):
+    """Text of the sum of terms (key, c), c nonzero, in the order given, with
+    monomial(key) the monomial's text ("" for a constant): no coefficient when
+    |c| = 1, the first term bare or with "-", then " + " or " - "; "0" if none."""
     chunks = []
-    for m, c in p.sorted_terms():
-        mon = _format_monomial(m)
+    for key, c in terms:
+        mon = monomial(key)
         if not mon:
             body = str(abs(c))
         elif abs(c) == 1:
@@ -193,4 +193,9 @@ def format_poly(p):
             chunks.append(body if c > 0 else f"-{body}")
         else:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+    return " ".join(chunks) if chunks else "0"
+
+
+def format_poly(p):
+    """Canonical printing: terms descending under the global order."""
+    return _signed_sum(p.sorted_terms(), _format_monomial)

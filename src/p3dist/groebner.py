@@ -454,8 +454,6 @@ def saturate(I):
     The result keeps the HilbertData of the accepted colon, and I keeps
     its own, the target, which `linalg` reads the section spaces from.
     """
-    if I.is_zero():
-        return Ideal(())
     reduced = _buchberger_terms([_packed(g.terms) for g in I.gens])
     own = hilbert_from_lt([_unpack(max(g)) for g in reduced])
     object.__setattr__(I, "_hilbert", own)

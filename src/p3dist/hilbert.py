@@ -3,7 +3,8 @@
 The series numerator is computed combinatorially from the leading-term
 ideal by recursive splitting on a power of a pivot variable; the Hilbert
 polynomial, the projective dimension and the degree are read in closed
-form from the numerator's integer moments, with no division by (1 - t).
+form from the numerator's integer moments, with no division by (1 - t),
+and the polynomial is printed by the signed-term joiner of `grammar`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .grammar import _signed_sum
 from .poly import NVARS, ZERO_MON, mon_divides
 
 
@@ -87,22 +89,8 @@ class HilbertData:
         return sum(c * t ** k for k, c in enumerate(self.hp_coeffs))
 
     def hp_string(self):
-        if not self.hp_coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.hp_coeffs) - 1, -1, -1):
-            c = self.hp_coeffs[k]
-            if not c:
-                continue
-            term = f"{abs(c)}" if k == 0 else (
-                ("t" if k == 1 else f"t^{k}") if abs(c) == 1 else
-                (f"{abs(c)}*t" if k == 1 else f"{abs(c)}*t^{k}")
-            )
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts) if parts else "0"
+        terms = [(k, c) for k, c in enumerate(self.hp_coeffs) if c]
+        return _signed_sum(reversed(terms), lambda k: f"t^{k}" if k > 1 else "t" * k)
 
 
 def hilbert_from_lt(lt_monomials):

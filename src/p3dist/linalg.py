@@ -20,10 +20,10 @@ combination, and is top-reduced against the earlier pivot columns by
 `poly.fraction_free_step`. Every earlier column is a pivot or a free column,
 so the tag of a column that reduces to zero is the RREF kernel vector of
 that free column, up to scale; the first one not in the radial span,
-reduced modulo it, is the canonical section. `compute_tF` scans only the
-first twist with h0 > 0, and certifies the section on integer dicts. Each
-public function first checks its 1-form with `exterior.checked_oneform`,
-so a form that defines no distribution raises InvalidForm.
+reduced modulo it, is the canonical section. `compute_tF` calls
+`minimal_section` at the first twist with h0 > 0 alone and certifies the
+section on integer dicts. Each public function first checks its 1-form
+with `exterior.checked_oneform`: InvalidForm unless it defines a distribution.
 """
 
 from __future__ import annotations
@@ -140,13 +140,13 @@ def compute_tF(omega):
     field (`exterior.is_radial_multiple`); a failed certificate raises
     InternalInconsistency.
     """
-    d, coeffs = checked_oneform(omega)
+    d, _ = checked_oneform(omega)
     # the sweep reads the Hilbert function up to degree (d + 1) + d + 1
     numerator = hilbert_numerator(coefficient_ideal(omega), 2 * d + 2)
     for dprime in range(d + 2):
         s = _dims(numerator, d, dprime)
         if s.h0 > 0:
-            section = _section(coeffs, d, dprime)
+            section = minimal_section(omega, dprime)
             if section is None:
                 raise BoundViolated(
                     "positive h0 but no non-radial kernel vector found"

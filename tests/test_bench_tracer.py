@@ -84,11 +84,10 @@ def test_tracer_wraps_every_target_and_sizes_each_saturation():
     assert run["unwrapped"] == []
     # one input of each kind passes every layer boundary but these: the gcd
     # runs only for a singular scheme that contains a surface, and
-    # compute_tF eliminates each twist itself instead of calling
-    # h0_tangent_twist and minimal_section
+    # compute_tF reads h0 at every twist from one Hilbert numerator instead
+    # of calling h0_tangent_twist; its section comes from minimal_section
     expected = {name for _, _, name in run["targets"]} - {
-        "distribution.common_factor", "groebner.intersect",
-        "linalg.h0_twist", "linalg.minimal_section",
+        "distribution.common_factor", "groebner.intersect", "linalg.h0_twist",
     }
     assert expected <= set(run["spans"])
     assert run["saturate_extras"]

@@ -2,6 +2,8 @@ import importlib
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal
 from p3dist.hilbert import dimension_degree, hilbert
@@ -36,6 +38,20 @@ def test_twisted_cubic():
     assert h.hp_string() == "3*t + 1"
     assert h.degree == 3
     assert h.projective_dimension == 1
+
+
+@pytest.mark.parametrize("gens, expected", [
+    ((), "1/6*t^3 + t^2 + 11/6*t + 1"),
+    ((X0,), "1/2*t^2 + 3/2*t + 1"),
+    ((X0 * X1,), "t^2 + 2*t + 1"),
+    ((X0, X1, X2), "1"),
+    ((X0 ** 2, X1, X2), "2"),
+    ((X0, X1, X2, X3), "0"),
+])
+def test_hp_string_prints_every_degree(gens, expected):
+    # fractional and unit coefficients, t^k for k > 1, a bare constant, and
+    # the empty scheme
+    assert hilbert(Ideal(gens)).hp_string() == expected
 
 
 def test_points_and_unit():

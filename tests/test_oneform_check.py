@@ -104,6 +104,31 @@ def test_entry_point_checks_a_form_once(entry, example1, monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_form_is_scaled_to_integers_once(example1, monkeypatch):
+    # oneform_degree scales the coefficients once and checkers read the
+    # radial field as integer dicts; classify's other three scalings are
+    # compute_tF's certificate: annihilates scales the section and the form,
+    # is_radial_multiple the section
+    calls = {"integer_multiples": 0, "radial_field": 0}
+    for name in calls:
+        def counting(*args, name=name, real=getattr(exterior, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(exterior, name, counting)
+
+    def counts(run, arg):
+        calls.update(dict.fromkeys(calls, 0))
+        run(arg)
+        return calls["integer_multiples"], calls["radial_field"]
+
+    def fresh():
+        return ExtForm.one_form(*example1.one_form_coeffs())
+
+    assert counts(exterior.checked_oneform, fresh()) == (1, 0)
+    assert counts(distribution.classify, fresh()) == (4, 0)
+    assert counts(foliation.analyze, corpus.load_vfield("four_points")) == (1, 0)
+
+
 def test_analysis_keeps_no_module_cache():
     modules = [importlib.import_module(f"p3dist.{m.name}")
                for m in pkgutil.iter_modules(p3dist.__path__)]
