@@ -117,13 +117,12 @@ def validate_oneform(omega):
     """
     d, _ = checked_oneform(omega)
     sat = singular_scheme(omega)
-    degc, pa, lenu = curve_invariants(
+    sing = curve_invariants(
         sat,
         hilbert(sat),
         lambda degc: d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2) - 2,
     )
-    chern = ChernTriple(2 - d, d ** 2 + 2 - degc, lenu)
-    return d, SingInvariants(degc, pa, lenu, sat), chern
+    return d, sing, ChernTriple(2 - d, d ** 2 + 2 - sing.degC, sing.lenU)
 
 
 def is_integrable(omega):
@@ -157,7 +156,7 @@ def invariants(omega):
 
 
 def curve_invariants(sat, h, c3_base):
-    """(degC, pa, lenU) of a singular scheme made of a curve C and lenU points.
+    """SingInvariants of a singular scheme made of a curve C and lenU points.
 
     `sat` is the saturated ideal of the scheme and `h` its HilbertData. The
     Hilbert polynomial is HP(t) = degC*t + 1 - pa + lenU and the sheaf's
@@ -181,7 +180,7 @@ def curve_invariants(sat, h, c3_base):
             raise InconsistentInvariants(
                 f"isolated length {h.degree} contradicts the invariant count"
             )
-        return 0, 1, h.degree
+        return SingInvariants(0, 1, h.degree, sat)
     degc = h.degree
     k = h.constant_term
     if k.denominator != 1:
@@ -190,7 +189,7 @@ def curve_invariants(sat, h, c3_base):
     lenu = c3_base(degc) + 2 * pa
     if lenu < 0:
         raise InconsistentInvariants(f"negative isolated length {lenu}")
-    return degc, pa, lenu
+    return SingInvariants(degc, pa, lenu, sat)
 
 
 def _split_type(d, t):

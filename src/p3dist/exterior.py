@@ -6,11 +6,10 @@ coefficients (A0..A3) represent A0*dx0 + ... + A3*dx3.
 
 `wedge`, `exterior_derivative`, `contract` and `minors_against_radial`
 build forms with Fraction coefficients. The checks that such a product
-vanishes (`annihilates`, `is_radial_multiple` and the Euler relation in
-`oneform_degree`) run on integer multiples of the coefficients instead, as
-do the field minors that `foliation.sing_scheme_v` saturates. A checked
-1-form keeps its degree, those multiples and its coefficient ideal, whose
-basis and Hilbert data both the singular scheme and the section spaces read.
+vanishes run on integer multiples of the coefficients instead: sum F_i A_i
+through `_contraction` and the field minors through `_radial_minors`. A
+checked 1-form keeps its degree, those multiples and its coefficient ideal,
+whose basis and Hilbert data the singular scheme and the section spaces read.
 """
 
 from __future__ import annotations
@@ -273,18 +272,9 @@ def _contraction(fs, a):
     return out
 
 
-def annihilates(v, omega):
-    """True when i_v(omega) = sum F_i A_i is zero, for a field and a 1-form;
-    computed on integer multiples of the F_i and of the A_i."""
-    _, fs = integer_multiples(v.components)
-    _, a = integer_multiples(omega.one_form_coeffs())
-    return not _contraction(fs, a)
-
-
-def _radial_minors(v):
+def _radial_minors(fs):
     """The six minors F_i*x_j - F_j*x_i of `minors_against_radial` as integer
-    dicts, computed on integer multiples of the F_i."""
-    _, fs = integer_multiples(v.components)
+    dicts, for integer multiples fs of the components F_i of a field."""
     minors = []
     for i, j in combinations(range(NVARS), 2):
         minor = {}
@@ -292,9 +282,3 @@ def _radial_minors(v):
         add_product(minor, fs[j], _RADIAL[i], -1)
         minors.append(minor)
     return minors
-
-
-def is_radial_multiple(v):
-    """True when every minor F_i*x_j - F_j*x_i vanishes (see
-    `minors_against_radial`); computed on integer multiples of the F_i."""
-    return not any(_radial_minors(v))

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
-from .exterior import _radial_minors, annihilates, checked_oneform, field_degree
+from .exterior import _contraction, _radial_minors, checked_oneform, field_degree
 from .groebner import Ideal, saturate
 from .hilbert import hilbert
-from .poly import Poly
+from .poly import Poly, integer_multiples
 
 _DEGREE1_CASES = {
     (0, 6, 4): "stable-points",
@@ -35,7 +35,8 @@ class FoliationCurveReport:
 def sing_scheme_v(v):
     """Saturated ideal of the locus where the field is radially dependent."""
     field_degree(v)
-    minors = [Poly(m) for m in _radial_minors(v) if m]
+    _, fs = integer_multiples(v.components)
+    minors = [Poly(m) for m in _radial_minors(fs) if m]
     if not minors:
         raise RadialField("field is a multiple of the radial field")
     return saturate(Ideal(tuple(minors)))
@@ -45,13 +46,12 @@ def conormal_invariants(v):
     """Singular-scheme invariants and the Chern triple for a degree-d' field."""
     d = field_degree(v)
     sat = sing_scheme_v(v)
-    degc, pa, lenu = curve_invariants(
+    sing = curve_invariants(
         sat,
         hilbert(sat),
         lambda degc: d ** 3 + d ** 2 + d - 3 * degc * (d - 1) - 1,
     )
-    chern = ChernTriple(-3 - d, d ** 2 + 2 * d + 3 - degc, lenu)
-    return SingInvariants(degc, pa, lenu, sat), chern
+    return sing, ChernTriple(-3 - d, d ** 2 + 2 * d + 3 - sing.degC, sing.lenU)
 
 
 def analyze(v):
@@ -90,5 +90,6 @@ def line_sing_invariants(dprime):
 
 def contraction_check(v, omega):
     """True when the field lies in the distribution cut out by the 1-form."""
-    checked_oneform(omega)
-    return annihilates(v, omega)
+    _, a = checked_oneform(omega)
+    _, fs = integer_multiples(v.components)
+    return not _contraction(fs, a)

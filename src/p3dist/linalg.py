@@ -20,10 +20,10 @@ combination, and is top-reduced against the earlier pivot columns by
 `poly.fraction_free_step`. Every earlier column is a pivot or a free column,
 so the tag of a column that reduces to zero is the RREF kernel vector of
 that free column, up to scale; the first one not in the radial span,
-reduced modulo it, is the canonical section. `compute_tF` calls
-`minimal_section` at the first twist with h0 > 0 alone and certifies the
-section on integer dicts. Each public function first checks its 1-form
-with `exterior.checked_oneform`: InvalidForm unless it defines a distribution.
+reduced modulo it, is the canonical section; `minimal_section` certifies it
+on integer dicts and `compute_tF` calls it at the first twist with h0 > 0.
+Each public function first checks its 1-form with `exterior.checked_oneform`:
+InvalidForm unless it defines a distribution.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from .errors import BoundViolated, InternalInconsistency
 from .exterior import (
     VField,
-    annihilates,
+    _contraction,
+    _radial_minors,
     checked_oneform,
     coefficient_ideal,
-    is_radial_multiple,
 )
 from .groebner import hilbert_numerator
 from .poly import (
@@ -44,6 +44,7 @@ from .poly import (
     Poly,
     dim_graded_piece,
     fraction_free_step,
+    integer_multiples,
     mon_mul,
     monomials_of_degree,
     primitive_row,
@@ -123,9 +124,21 @@ def h0_tangent_twist(omega, dprime):
 
 
 def minimal_section(omega, dprime):
-    """Canonical non-radial section at the given twist, or None."""
+    """Canonical non-radial section at the given twist, or None. It is
+    certified on integer multiples of its components and the form's
+    coefficients: it must annihilate the 1-form and must not be radial; a
+    failed certificate raises InternalInconsistency."""
     d, coeffs = checked_oneform(omega)
-    return _section(coeffs, d, dprime)
+    section = _section(coeffs, d, dprime)
+    if section is not None:
+        _, fs = integer_multiples(section.components)
+        if _contraction(fs, coeffs):
+            raise InternalInconsistency(
+                f"minimal section at twist {dprime} does not annihilate the 1-form"
+            )
+        if not any(_radial_minors(fs)):
+            raise InternalInconsistency(f"minimal section at twist {dprime} is radial")
+    return section
 
 
 def compute_tF(omega):
@@ -134,11 +147,7 @@ def compute_tF(omega):
     `checked_oneform` checks the form and gives its degree d. The sweep
     stops by dprime = d + 1; hitting that cap without a section is an
     internal bug, since a section is guaranteed to exist by then. The
-    section is certified before it is returned, on integer multiples of
-    its components and of the coefficients: it must annihilate the 1-form
-    (`exterior.annihilates`) and must not be a multiple of the radial
-    field (`exterior.is_radial_multiple`); a failed certificate raises
-    InternalInconsistency.
+    section comes certified from `minimal_section`.
     """
     d, _ = checked_oneform(omega)
     # the sweep reads the Hilbert function up to degree (d + 1) + d + 1
@@ -150,14 +159,6 @@ def compute_tF(omega):
             if section is None:
                 raise BoundViolated(
                     "positive h0 but no non-radial kernel vector found"
-                )
-            if not annihilates(section, omega):
-                raise InternalInconsistency(
-                    f"minimal section at twist {dprime} does not annihilate the 1-form"
-                )
-            if is_radial_multiple(section):
-                raise InternalInconsistency(
-                    f"minimal section at twist {dprime} is radial"
                 )
             return dprime, section, s
     raise BoundViolated(

@@ -167,17 +167,28 @@ def test_minimal_section_is_not_radial(example1):
     assert contract(section, example1).is_zero()
 
 
-@pytest.mark.parametrize("bad", [
-    VField([X0, X1, X2, X3]),             # radial
-    VField([X0, Poly.zero(), Poly.zero(), Poly.zero()]),  # not in the kernel
+RADIAL = VField([X0, X1, X2, X3])
+NOT_IN_KERNEL = VField([X0, Poly.zero(), Poly.zero(), Poly.zero()])
+
+
+def section_at_one(omega):
+    return minimal_section(omega, 1)
+
+
+# compute_tF takes its section from minimal_section, which certifies it
+@pytest.mark.parametrize("run, bad, message", [
+    pytest.param(compute_tF, RADIAL, "is radial", id="bad0"),
+    pytest.param(compute_tF, NOT_IN_KERNEL, "does not annihilate", id="bad1"),
+    pytest.param(section_at_one, RADIAL, "is radial", id="minimal_section-bad0"),
+    pytest.param(section_at_one, NOT_IN_KERNEL, "does not annihilate", id="minimal_section-bad1"),
 ])
-def test_section_certificate(nullcorrelation, monkeypatch, bad):
+def test_section_certificate(nullcorrelation, monkeypatch, run, bad, message):
     def section_at(coeffs, d, dprime):
         return bad
 
     monkeypatch.setattr(linalg, "_section", section_at)
-    with pytest.raises(InternalInconsistency):
-        compute_tF(nullcorrelation)
+    with pytest.raises(InternalInconsistency, match=message):
+        run(nullcorrelation)
 
 
 def test_invalid_form_rejected():

@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import p3dist  # noqa: E402
-from p3dist import corpus, distribution, exterior, foliation, linalg  # noqa: E402
+from p3dist import cli, corpus, distribution, exterior, foliation, linalg  # noqa: E402
 from p3dist.errors import ValidationError  # noqa: E402
 from p3dist.exterior import ExtForm, contract, radial_field  # noqa: E402
 from p3dist.poly import Poly, monomials_of_degree  # noqa: E402
@@ -105,16 +105,26 @@ def test_entry_point_checks_a_form_once(entry, example1, monkeypatch):
 
 
 def test_each_form_is_scaled_to_integers_once(example1, monkeypatch):
-    # oneform_degree scales the coefficients once and checkers read the
-    # radial field as integer dicts; classify's other three scalings are
-    # compute_tF's certificate: annihilates scales the section and the form,
-    # is_radial_multiple the section
+    # oneform_degree scales the coefficients once and the checks read them
+    # from the form's check record; minimal_section scales its section once
+    # for the certificate, and a field is scaled once per check of it. The
+    # radial field is read as integer dicts, never built.
     calls = {"integer_multiples": 0, "radial_field": 0}
+    modules = [importlib.import_module(f"p3dist.{m.name}")
+               for m in pkgutil.iter_modules(p3dist.__path__)]
+    binders = []
     for name in calls:
-        def counting(*args, name=name, real=getattr(exterior, name)):
+        real = getattr(exterior, name)
+
+        def counting(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
-        monkeypatch.setattr(exterior, name, counting)
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+                binders.append(f"{module.__name__}.{name}")
+    assert {"p3dist.exterior.integer_multiples", "p3dist.linalg.integer_multiples",
+            "p3dist.foliation.integer_multiples"} <= set(binders)
 
     def counts(run, arg):
         calls.update(dict.fromkeys(calls, 0))
@@ -125,7 +135,10 @@ def test_each_form_is_scaled_to_integers_once(example1, monkeypatch):
         return ExtForm.one_form(*example1.one_form_coeffs())
 
     assert counts(exterior.checked_oneform, fresh()) == (1, 0)
-    assert counts(distribution.classify, fresh()) == (4, 0)
+    assert counts(distribution.classify, fresh()) == (2, 0)
+    assert counts(linalg.compute_tF, fresh()) == (2, 0)
+    # compute_tF, then contraction_check scales the section once more
+    assert counts(cli._subfoliation_doc, fresh()) == (3, 0)
     assert counts(foliation.analyze, corpus.load_vfield("four_points")) == (1, 0)
 
 
