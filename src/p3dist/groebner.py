@@ -403,7 +403,6 @@ def saturate_single(I, f):
     if I.is_zero():
         return Ideal(())
     gens5 = [_extend(g, 0) for g in I.gens]
-    # t*f - 1
     gens5.append({**_extend(f, 1), 0: -1})  # t*f - 1; 1 packs to 0
     return _eliminate_t(gens5)
 
@@ -461,8 +460,8 @@ def saturate(I):
     units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     for k in itertools.count():
         if k:
-            rabinowitsch = {_pack(m) + _T: c for m, c in zip(units, (k, k * k, k ** 3, 1))}
-            rabinowitsch[0] = -1  # t*l_k - 1; 1 packs to 0
+            l_k = Poly(dict(zip(units, (k, k * k, k ** 3, 1))))
+            rabinowitsch = {**_extend(l_k, 1), 0: -1}  # t*l_k - 1; 1 packs to 0
             colon = _t_free(_buchberger_terms([rabinowitsch], done=reduced))
         else:
             # the largest power of x3 that divides each element, from its x3-fields

@@ -20,8 +20,10 @@ combination, and is top-reduced against the earlier pivot columns by
 `poly.fraction_free_step`. Every earlier column is a pivot or a free column,
 so the tag of a column that reduces to zero is the RREF kernel vector of
 that free column, up to scale; the first one not in the radial span,
-reduced modulo it, is the canonical section; `minimal_section` certifies it
-on integer dicts and `compute_tF` calls it at the first twist with h0 > 0.
+reduced modulo it, is the canonical section. The scan returns it as
+primitive integer components; `minimal_section` certifies those integers
+and builds the `VField` once, and `compute_tF` calls it at the first twist
+with h0 > 0.
 Each public function first checks its 1-form with `exterior.checked_oneform`:
 InvalidForm unless it defines a distribution.
 """
@@ -44,7 +46,6 @@ from .poly import (
     Poly,
     dim_graded_piece,
     fraction_free_step,
-    integer_multiples,
     mon_mul,
     monomials_of_degree,
     primitive_row,
@@ -71,22 +72,14 @@ def _dims(numerator, d, dprime):
     return SectionSpaceDim(dprime, raw, radial, raw - radial)
 
 
-def _vector_to_vfield(vec, src_mons):
-    """Vector field of a nonzero vector, printed the same for every multiple."""
-    n = len(src_mons)
-    comps = [{} for _ in range(NVARS)]
-    for col, c in sorted(primitive_row(vec).items()):
-        comps[col // n][src_mons[col % n]] = c
-    return VField([Poly(t) for t in comps])
-
-
 def _section(coeffs, d, dprime):
     """Canonical non-radial section at a twist, or None, for integer
     multiples of the coefficients of a 1-form of degree d: the first RREF
     kernel vector of the contraction map not in the radial span, reduced
-    modulo it. The radial rows (x_0*f, ..., x_3*f), f of degree dprime-1,
-    are in RREF already: each has its pivot at x_0*f, a column no other
-    row has."""
+    modulo it, as four integer dicts, primitive together and positive at
+    the first column, so that every multiple prints the same. The radial
+    rows (x_0*f, ..., x_3*f), f of degree dprime-1, are in RREF already:
+    each has its pivot at x_0*f, a column no other row has."""
     src_mons = monomials_of_degree(dprime)
     n = len(src_mons)
     rank = {m: k for k, m in enumerate(monomials_of_degree(dprime + d + 1))}
@@ -112,7 +105,10 @@ def _section(coeffs, d, dprime):
             if pc in v:
                 v = fraction_free_step(v, r, pc)
         if v:
-            return _vector_to_vfield({k - tag: c for k, c in v.items()}, src_mons)
+            comps = [{} for _ in range(NVARS)]
+            for col, c in primitive_row({k - tag: c for k, c in v.items()}).items():
+                comps[col // n][src_mons[col % n]] = c
+            return comps
     return None
 
 
@@ -124,21 +120,22 @@ def h0_tangent_twist(omega, dprime):
 
 
 def minimal_section(omega, dprime):
-    """Canonical non-radial section at the given twist, or None. It is
-    certified on integer multiples of its components and the form's
-    coefficients: it must annihilate the 1-form and must not be radial; a
-    failed certificate raises InternalInconsistency."""
+    """Canonical non-radial section at the given twist, or None. The scan's
+    integer components are certified against the form's integer
+    coefficients before the field is built: they must annihilate the
+    1-form and must not be radial; a failed certificate raises
+    InternalInconsistency."""
     d, coeffs = checked_oneform(omega)
-    section = _section(coeffs, d, dprime)
-    if section is not None:
-        _, fs = integer_multiples(section.components)
-        if _contraction(fs, coeffs):
-            raise InternalInconsistency(
-                f"minimal section at twist {dprime} does not annihilate the 1-form"
-            )
-        if not any(_radial_minors(fs)):
-            raise InternalInconsistency(f"minimal section at twist {dprime} is radial")
-    return section
+    fs = _section(coeffs, d, dprime)
+    if fs is None:
+        return None
+    if _contraction(fs, coeffs):
+        raise InternalInconsistency(
+            f"minimal section at twist {dprime} does not annihilate the 1-form"
+        )
+    if not any(_radial_minors(fs)):
+        raise InternalInconsistency(f"minimal section at twist {dprime} is radial")
+    return VField([Poly(f) for f in fs])
 
 
 def compute_tF(omega):

@@ -65,16 +65,14 @@ class LogType:
 def build_log_form(log_type):
     """The 1-form sum_i lambda_i (prod_{j!=i} f_j) df_i.
 
-    It is built on integers: with W_i = c lambda_i and F_i = c_i f_i the
-    integer multiples of the weights and of the f_i, the form is
-    sum_i W_i (prod_{j!=i} F_j) dF_i over the one denominator c * prod c_i.
+    It is built on integers: with W_i = c lambda_i and F_i = c' f_i the
+    integer multiples of the weights and of the tuple of the f_i, the form
+    is sum_i W_i (prod_{j!=i} F_j) dF_i over the one denominator c * c'^k,
+    k the number of hypersurfaces.
     """
     den, weights = integer_multiples([Poly.constant(w) for w in log_type.weights])
-    polys = []
-    for f in log_type.polys:
-        c, (row,) = integer_multiples((f,))
-        den *= c
-        polys.append(row)
+    c, polys = integer_multiples(log_type.polys)
+    den *= c ** len(polys)
     coeffs = [{} for _ in range(NVARS)]
     for i, rest in enumerate(weights):
         for j, g in enumerate(polys):

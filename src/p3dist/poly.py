@@ -314,20 +314,9 @@ ONE = Poly.constant(1)
 
 def monomials_of_degree(d):
     """All exponent tuples of total degree d, sorted descending grevlex."""
-    if d < 0:
-        return []
-    out = []
-
-    def rec(prefix, rest, left):
-        if rest == 1:
-            out.append(prefix + (left,))
-            return
-        for e in range(left + 1):
-            rec(prefix + (e,), rest - 1, left - e)
-
-    rec((), NVARS, d)
-    out.sort(key=grevlex_key, reverse=True)
-    return out
+    return sorted(((a, b, c, d - a - b - c) for a in range(d + 1)
+                   for b in range(d + 1 - a) for c in range(d + 1 - a - b)),
+                  key=grevlex_key, reverse=True)
 
 
 def dim_graded_piece(d):

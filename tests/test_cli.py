@@ -68,6 +68,34 @@ def test_corpus_reports_pinned(tmp_path, capsys):
     assert digests == REPORT_SHA256
 
 
+# sha256 of the stdout of `find-subfoliation` on the corpus 1-forms and of
+# `log-build` on the corpus log types
+BUILD_REPORT_SHA256 = {
+    "example1": "2256564df739e855ae2d2ae1d5386791dfe8941e903576bb3b9cd23af21029da",
+    "example2": "2631c9f83cf299987229b7f93784b759b4e2b7f1c9d53ac3cb9f3b91c234c3a7",
+    "nullcorrelation": "99e15e20b2bbea3b66526f45b2d8c498d227336c6e670a2be635d7c46d6078bd",
+    "pencil_of_planes": "34c25a8a4317fa01b565296d00dff7c4efd7c5b52c38711479375aa0c3b05f53",
+    "planes_and_quadric": "c00c9b3863a605f3bacafc5586ea39870de729b8321516a543313515cafbf2be",
+    "quadric_pencil": "d25f01aa786b435008844811734774ad2b7fb2fc43d725d4403662ade92a85b5",
+    "quadric_pencil_tangent": "102b23d3a44dc2007136a1e06fa3fe1cfcdda005d43a2551ac0f75e975790456",
+}
+
+
+def test_subfoliation_and_log_build_reports_pinned(tmp_path, capsys):
+    raw = json.loads(corpus_text())
+    commands = (
+        ("oneforms", "find-subfoliation", lambda e: {"kind": "oneform", "coeffs": e["coeffs"]}),
+        ("logtypes", "log-build",
+         lambda e: {"kind": "logtype", "polys": e["polys"], "lambdas": e["weights"]}),
+    )
+    digests = {}
+    for kind, command, doc in commands:
+        for name, entry in raw[kind].items():
+            assert cli.main([command, write_doc(tmp_path, doc(entry))]) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == BUILD_REPORT_SHA256
+
+
 # sha256 of the stdout of `analyze --mod-p 32003` on the corpus 1-forms and
 # of `analyze-vf --mod-p 7` on the corpus fields (the Groebner engine over
 # GF(p)), and of the stderr of `analyze` on a form whose coefficients share

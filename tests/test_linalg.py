@@ -17,7 +17,9 @@ from p3dist.exterior import (
 )
 from p3dist.hilbert import hilbert
 from p3dist.linalg import compute_tF, h0_tangent_twist, minimal_section
-from p3dist.poly import Poly, X0, X1, X2, X3, monomials_of_degree, primitive_row
+from p3dist.poly import (
+    Poly, X0, X1, X2, X3, integer_multiples, monomials_of_degree, primitive_row,
+)
 
 from conftest import make_rng
 from echelon import _kernel, _pivot_rows
@@ -184,7 +186,7 @@ def section_at_one(omega):
 ])
 def test_section_certificate(nullcorrelation, monkeypatch, run, bad, message):
     def section_at(coeffs, d, dprime):
-        return bad
+        return integer_multiples(bad.components)[1]
 
     monkeypatch.setattr(linalg, "_section", section_at)
     with pytest.raises(InternalInconsistency, match=message):

@@ -106,9 +106,9 @@ def test_entry_point_checks_a_form_once(entry, example1, monkeypatch):
 
 def test_each_form_is_scaled_to_integers_once(example1, monkeypatch):
     # oneform_degree scales the coefficients once and the checks read them
-    # from the form's check record; minimal_section scales its section once
-    # for the certificate, and a field is scaled once per check of it. The
-    # radial field is read as integer dicts, never built.
+    # from the form's check record; the section scan builds its section as
+    # integers, which minimal_section certifies, and a field is scaled once
+    # per check of it. The radial field is read as integer dicts, never built.
     calls = {"integer_multiples": 0, "radial_field": 0}
     modules = [importlib.import_module(f"p3dist.{m.name}")
                for m in pkgutil.iter_modules(p3dist.__path__)]
@@ -123,8 +123,8 @@ def test_each_form_is_scaled_to_integers_once(example1, monkeypatch):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
                 binders.append(f"{module.__name__}.{name}")
-    assert {"p3dist.exterior.integer_multiples", "p3dist.linalg.integer_multiples",
-            "p3dist.foliation.integer_multiples"} <= set(binders)
+    assert {"p3dist.exterior.integer_multiples", "p3dist.foliation.integer_multiples",
+            "p3dist.logarithmic.integer_multiples"} <= set(binders)
 
     def counts(run, arg):
         calls.update(dict.fromkeys(calls, 0))
@@ -135,10 +135,9 @@ def test_each_form_is_scaled_to_integers_once(example1, monkeypatch):
         return ExtForm.one_form(*example1.one_form_coeffs())
 
     assert counts(exterior.checked_oneform, fresh()) == (1, 0)
-    assert counts(distribution.classify, fresh()) == (2, 0)
-    assert counts(linalg.compute_tF, fresh()) == (2, 0)
-    # compute_tF, then contraction_check scales the section once more
-    assert counts(cli._subfoliation_doc, fresh()) == (3, 0)
+    assert counts(distribution.classify, fresh()) == (1, 0)
+    assert counts(linalg.compute_tF, fresh()) == (1, 0)
+    assert counts(cli._subfoliation_doc, fresh()) == (1, 0)
     assert counts(foliation.analyze, corpus.load_vfield("four_points")) == (1, 0)
 
 

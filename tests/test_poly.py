@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -86,11 +87,12 @@ def test_monomial_helpers():
 
 
 def test_monomials_of_degree_count_and_order():
-    for d in range(5):
+    for d in range(-2, 9):
         mons = monomials_of_degree(d)
         assert len(mons) == dim_graded_piece(d)
         keys = [grevlex_key(m) for m in mons]
         assert keys == sorted(keys, reverse=True)
+        assert set(mons) == {m for m in product(range(d + 1), repeat=4) if sum(m) == d}
     assert monomials_of_degree(-1) == []
     assert dim_graded_piece(-2) == 0
 
