@@ -8,7 +8,7 @@ coefficients (A0..A3) represent A0*dx0 + ... + A3*dx3.
 build forms with Fraction coefficients. The checks that such a product
 vanishes run on integer multiples of the coefficients instead: sum F_i A_i
 through `_contraction` and the field minors through `_radial_minors`. A
-checked 1-form keeps its degree, those multiples and its coefficient ideal,
+checked 1-form keeps its degree, those multiples and the ideal they generate,
 whose basis and Hilbert data the singular scheme and the section spaces read.
 """
 
@@ -138,8 +138,8 @@ def checked_oneform(omega):
     """(d, A) of `oneform_degree`, kept on the form after the first call
     together with the form's coefficient ideal."""
     if omega._checked is None:
-        checked = (oneform_degree(omega), Ideal(omega.one_form_coeffs()))
-        object.__setattr__(omega, "_checked", checked)
+        d, a = oneform_degree(omega)
+        object.__setattr__(omega, "_checked", ((d, a), Ideal._of_rows(a)))
     return omega._checked[0]
 
 

@@ -15,7 +15,7 @@ from .distribution import ChernTriple, SingInvariants, curve_invariants
 from .exterior import _contraction, _radial_minors, checked_oneform, field_degree
 from .groebner import Ideal, saturate
 from .hilbert import hilbert
-from .poly import Poly, integer_multiples
+from .poly import integer_multiples
 
 _DEGREE1_CASES = {
     (0, 6, 4): "stable-points",
@@ -36,10 +36,10 @@ def sing_scheme_v(v):
     """Saturated ideal of the locus where the field is radially dependent."""
     field_degree(v)
     _, fs = integer_multiples(v.components)
-    minors = [Poly(m) for m in _radial_minors(fs) if m]
+    minors = [m for m in _radial_minors(fs) if m]
     if not minors:
         raise RadialField("field is a multiple of the radial field")
-    return saturate(Ideal(tuple(minors)))
+    return saturate(Ideal._of_rows(minors))
 
 
 def conormal_invariants(v):

@@ -17,7 +17,8 @@ the Hilbert function up to it. Coefficients are exact rationals, or
 residues mod a prime p for the modular cross-check.
 
 The engine packs t^e x0^a0 x1^a1 x2^a2 x3^a3 into one int (Monagan and
-Pearce, J. Symbolic Comput. 46, 2011), unpacked only on the way out:
+Pearce, J. Symbolic Comput. 46, 2011). An `Ideal` keeps its generators and
+its reduced basis packed, and unpacks them only when its Polys are read:
     e*2^96 + (a0 + a1 + a2 + a3)*2^80 - (e<<64 | a3<<48 | a2<<32 | a1<<16 | a0).
 A product is +, a quotient is -, integer comparison is grevlex (for e > 0
 the block order that eliminates t), and as MAX_MONOMIAL_DEGREE keeps each
@@ -47,8 +48,8 @@ from .poly import (
 # engine core: polynomials as dicts packed monomial -> nonzero coefficient.
 # Over QQ (p is None) a basis element is kept as a primitive integer
 # multiple and reduced fraction-free; over GF(p) it is kept monic. Bases
-# leave the engine reduced and in that form; they become monic Polys only
-# in `_monic_basis`, when an Ideal takes them.
+# leave the engine reduced and in that form, which an Ideal keeps; they
+# become monic Polys only when `Ideal.groebner` or `Ideal.gens` is read.
 
 MAX_MONOMIAL_DEGREE = 2 ** 15 - 1
 _FIELDS = (1 << 80) - 1
@@ -217,52 +218,54 @@ def _buchberger_terms(gens, p=None, done=(), cap=None):
 # public types
 
 
-def _monic_basis(reduced):
-    """A reduced basis of engine polys over QQ as monic Polys; every basis
-    that leaves the engine passes through here."""
-    out = []
-    for g in reduced:
-        lc = g[max(g)]
-        out.append(Poly({_unpack(m): Fraction(c, lc) for m, c in g.items()}))
-    return tuple(out)
-
-
 class Ideal:
-    """Homogeneous ideal given by generators, with its reduced grevlex basis
-    cached: a tuple of monic Polys sorted by leading term, unique for the
-    ideal. `saturate` leaves HilbertData in the slot `_hilbert`, which
-    `hilbert.hilbert` reads: on its result the data of the colon its
-    certificate accepted, and on the ideal it saturates that ideal's own
-    data, the certificate's target."""
+    """Homogeneous ideal kept as packed generators and, once computed, their
+    reduced basis of engine polys. `groebner()` builds that basis as monic
+    Polys sorted by leading term, and `gens` is that basis on an ideal the
+    engine made, else the given generators. `saturate` leaves HilbertData in
+    `_hilbert` for `hilbert.hilbert`: on its result the accepted colon's, on
+    the ideal it saturates that ideal's own, the certificate's target."""
 
-    __slots__ = ("gens", "_basis", "_hilbert")
+    __slots__ = ("_rows", "_reduced", "_hilbert")
 
     def __init__(self, gens):
-        clean = tuple(g for g in gens if not g.is_zero())
-        object.__setattr__(self, "gens", clean)
-        object.__setattr__(self, "_basis", None)
-        object.__setattr__(self, "_hilbert", None)
+        self._keep(tuple(_packed(g.terms) for g in gens if not g.is_zero()))
+
+    def _keep(self, rows, reduced=None, hilbert=None):
+        for name, value in zip(self.__slots__, (rows, reduced, hilbert)):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
-    def _of_reduced(cls, reduced, hilbert=None):
-        """The ideal generated by a reduced basis of engine polys, with the
-        cache primed, and its HilbertData when the caller holds it."""
-        ideal = cls(_monic_basis(reduced))
-        object.__setattr__(ideal, "_basis", ideal.gens)
-        object.__setattr__(ideal, "_hilbert", hilbert)
-        return ideal
+    def _of_rows(cls, rows):
+        """The ideal of integer dict-polys keyed by exponent tuples, packed
+        here without building a Poly."""
+        return cls.__new__(cls)._keep(tuple(_packed(t) for t in rows if t))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal generators are immutable")
 
+    @property
+    def gens(self):
+        """The given generators, or the monic reduced basis on an ideal the
+        engine made."""
+        if self._rows is self._reduced:
+            return self.groebner()
+        return tuple(Poly({_unpack(m): c for m, c in g.items()}) for g in self._rows)
+
+    def _basis(self):
+        """The reduced basis of engine polys, computed once."""
+        if self._reduced is None:
+            object.__setattr__(self, "_reduced", _buchberger_terms(self._rows))
+        return self._reduced
+
     def groebner(self):
-        """The reduced basis."""
-        if self._basis is None:
-            object.__setattr__(self, "_basis", buchberger(self))
-        return self._basis
+        """The reduced basis as monic Polys, each coefficient Fraction(c, lc)."""
+        return tuple(Poly({_unpack(m): Fraction(c, lc) for m, c in g.items()})
+                     for g in self._basis() for lc in (g[max(g)],))
 
     def leading_monomials(self):
-        return tuple(g.leading_monomial() for g in self.groebner())
+        return tuple(_unpack(max(g)) for g in self._basis())
 
     def contains(self, p):
         return normal_form(p, self).is_zero()
@@ -271,11 +274,10 @@ class Ideal:
         return all(self.contains(g) for g in other.gens)
 
     def is_zero(self):
-        return not self.gens
+        return not self._rows
 
     def is_unit(self):
-        basis = self.groebner()
-        return len(basis) == 1 and basis[0].is_constant()
+        return self.leading_monomials() == ((0, 0, 0, 0),)
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -289,6 +291,12 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
 
+def _engine_ideal(reduced, hilbert=None):
+    """The ideal the engine made, generated by its reduced basis of engine
+    polys, with its HilbertData when the caller holds it."""
+    return Ideal.__new__(Ideal)._keep(reduced, reduced, hilbert)
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -296,7 +304,7 @@ class Ideal:
 def buchberger(ideal):
     """Reduced Groebner basis of an ideal: monic Polys sorted by leading
     term. Idempotent."""
-    return _monic_basis(_buchberger_terms([_packed(g.terms) for g in ideal.gens]))
+    return ideal.groebner()
 
 
 def normal_form(p, ideal):
@@ -308,8 +316,8 @@ def normal_form(p, ideal):
     """
     if p.is_zero():
         return p
-    reducers = [_packed(primitive_row(g.terms)) for g in ideal.groebner()]
-    r = _normal_form_terms(_packed(primitive_row(p.terms)), [(max(g), g) for g in reducers], None)
+    reducers = [(max(g), g) for g in ideal._basis()]
+    r = _normal_form_terms(_packed(primitive_row(p.terms)), reducers, None)
     return Poly({_unpack(m): c for m, c in r.items()}).monic()
 
 
@@ -322,16 +330,16 @@ def leading_monomials_mod_p(ideal, prime):
     no zero coefficients.
     """
     gens = []
-    for g in ideal.gens:
+    for g in ideal._rows:
         t = {}
-        for m, c in g.terms.items():
+        for m, c in g.items():
             den = c.denominator % prime
             if den == 0:
                 raise ZeroDivisionError(f"denominator vanishes mod {prime}")
             r = c.numerator * pow(den, -1, prime) % prime
             if r:
                 t[m] = r
-        gens.append(_packed(t))
+        gens.append(t)
     return tuple(_unpack(max(g)) for g in _buchberger_terms(gens, prime))
 
 
@@ -341,9 +349,9 @@ def leading_monomials_mod_p(ideal, prime):
 _T = _pack((1, 0, 0, 0, 0))  # t, the least monomial that involves t
 
 
-def _extend(p, t_exp):
-    """t^t_exp times a 4-variable Poly, as a packed dict-poly."""
-    return {_pack(m) + t_exp * _T: c for m, c in p.terms.items()}
+def _extend(g):
+    """t times a t-free packed dict-poly."""
+    return {m + _T: c for m, c in g.items()}
 
 
 def _t_free(basis):
@@ -355,17 +363,14 @@ def _t_free(basis):
 
 def _eliminate_t(gens5):
     """The elimination ideal of the auxiliary variable."""
-    return Ideal._of_reduced(_t_free(_buchberger_terms(gens5)))
+    return _engine_ideal(_t_free(_buchberger_terms(gens5)))
 
 
 def intersect(I, J):
     """Intersection of two ideals via t*I + (1-t)*J, eliminating t."""
-    if I.is_zero() or J.is_zero():
-        return Ideal(())
-    gens5 = [_extend(g, 1) for g in I.gens]
-    for g in J.gens:
-        h = _extend(g, 0)
-        gens5.append({**h, **{m + _T: -c for m, c in h.items()}})
+    gens5 = [_extend(g) for g in I._rows]
+    for g in J._rows:
+        gens5.append({**g, **{m + _T: -c for m, c in g.items()}})
     return _eliminate_t(gens5)
 
 
@@ -392,18 +397,13 @@ def colon(I, f):
     """Ideal quotient (I : f) = {g : g*f in I}."""
     if f.is_zero():
         raise ZeroDivisionError("colon by zero polynomial")
-    if I.is_zero():
-        return Ideal(())
     inter = intersect(I, Ideal((f,)))
     return Ideal(tuple(divide_exact(g, f) for g in inter.gens))
 
 
 def saturate_single(I, f):
     """(I : f^infinity) by the auxiliary-variable (Rabinowitsch) trick."""
-    if I.is_zero():
-        return Ideal(())
-    gens5 = [_extend(g, 0) for g in I.gens]
-    gens5.append({**_extend(f, 1), 0: -1})  # t*f - 1; 1 packs to 0
+    gens5 = [*I._rows, {**_extend(_packed(f.terms)), 0: -1}]  # t*f - 1; 1 packs to 0
     return _eliminate_t(gens5)
 
 
@@ -426,7 +426,7 @@ def hilbert_numerator(I, degree):
     numerator need not be I's own above that degree."""
     if I._hilbert is not None:
         return I._hilbert.numerator
-    lts = _buchberger_terms([_packed(g.terms) for g in I.gens], cap=degree)
+    lts = _buchberger_terms(I._rows, cap=degree)
     return hilbert_from_lt([_unpack(max(g)) for g in lts]).numerator
 
 
@@ -441,9 +441,9 @@ def saturate(I):
     fails exactly when l_k lies in an associated prime P != m of I. The
     linear forms in P lie in a hyperplane, which meets the twisted cubic
     (k, k^2, k^3, 1) at most 3 times: at most 3 failures per such prime.
-    The reduced basis of I is computed once. l_0 = x3 is the cheapest
-    variable, so dividing each element of that basis by its largest power
-    of x3 gives a Groebner basis of the colon (Bayer-Stillman), which is
+    The reduced basis of I is computed once and kept on I. l_0 = x3 is the
+    cheapest variable, so dividing each element of that basis by its largest
+    power of x3 gives a Groebner basis of the colon (Bayer-Stillman), which is
     only minimalized and tail-reduced; when x3 divides no element the
     colon is I, so I is saturated and is returned with its own data. For
     k >= 1 the colon is the t-free part of the reduced block-order basis
@@ -453,22 +453,21 @@ def saturate(I):
     The result keeps the HilbertData of the accepted colon, and I keeps
     its own, the target, which `linalg` reads the section spaces from.
     """
-    reduced = _buchberger_terms([_packed(g.terms) for g in I.gens])
-    own = hilbert_from_lt([_unpack(max(g)) for g in reduced])
+    own = hilbert_from_lt(I.leading_monomials())
     object.__setattr__(I, "_hilbert", own)
-    target = own.hp_coeffs
-    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    reduced, target = I._basis(), own.hp_coeffs
+    units = [_pack(u) for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
     for k in itertools.count():
         if k:
-            l_k = Poly(dict(zip(units, (k, k * k, k ** 3, 1))))
-            rabinowitsch = {**_extend(l_k, 1), 0: -1}  # t*l_k - 1; 1 packs to 0
+            l_k = dict(zip(units, (k, k * k, k ** 3, 1)))
+            rabinowitsch = {**_extend(l_k), 0: -1}  # t*l_k - 1; 1 packs to 0
             colon = _t_free(_buchberger_terms([rabinowitsch], done=reduced))
         else:
             # the largest power of x3 that divides each element, from its x3-fields
             x3es = [_pack((0, 0, 0, min((-m & _FIELDS) >> 48 for m in g))) for g in reduced]
             if not any(x3es):
-                return Ideal._of_reduced(reduced, own)
+                return _engine_ideal(reduced, own)
             colon = [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)]
         h = hilbert_from_lt([_unpack(max(g)) for g in colon])
         if h.hp_coeffs == target:
-            return Ideal._of_reduced(colon if k else _reduced_basis(colon, None), h)
+            return _engine_ideal(colon if k else _reduced_basis(colon, None), h)

@@ -124,7 +124,7 @@ def hilbert(ideal):
     leaves the data in the `_hilbert` slot of the ideal it returns (the data
     of the colon its certificate accepted) and of the ideal it saturates
     (its own, the certificate's target), and that is returned; otherwise it
-    is read from the reduced basis."""
+    is read from the leading terms of the reduced basis."""
     return ideal._hilbert or hilbert_from_lt(ideal.leading_monomials())
 
 

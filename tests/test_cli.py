@@ -405,17 +405,26 @@ def test_validation_error_exit_code(tmp_path, capsys):
 
 
 def test_analyze_vf_common_factor_exit_code(tmp_path, capsys):
-    # x1 * (x0, x1, x2, x3 + x0): radially dependent on the surface x0*x1 = 0
-    path = write_doc(
-        tmp_path,
-        {"kind": "vfield", "components": ["x0*x1", "x1^2", "x1*x2", "x1*x3+x0*x1"]},
-    )
-    assert cli.main(["analyze-vf", path]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err == {
-        "error": "DivisorialSingularity",
-        "message": "coefficients share the factor x0*x1",
-    }
+    # x1 * (x0, x1, x2, x3 + x0): radially dependent on the surface x0*x1 = 0;
+    # then factors that are not monomials, named from the saturated basis:
+    # (x0 + 2*x1 - x3) * (x1 dx0 - x0 dx1) and (x0 - x2) * (x0, 2x1, 3x2, 4x3)
+    oneform = {"kind": "oneform",
+               "coeffs": ["x0*x1+2*x1^2-x1*x3", "-x0^2-2*x0*x1+x0*x3", "0", "0"]}
+    vfield = {"kind": "vfield", "components": ["x0^2-x0*x2", "2*x0*x1-2*x1*x2",
+                                               "3*x0*x2-3*x2^2", "4*x0*x3-4*x2*x3"]}
+    for command, doc, factor in (
+        ("analyze-vf", {"kind": "vfield",
+                        "components": ["x0*x1", "x1^2", "x1*x2", "x1*x3+x0*x1"]}, "x0*x1"),
+        ("analyze", oneform, "x0 + 2*x1 - x3"),
+        ("find-subfoliation", oneform, "x0 + 2*x1 - x3"),
+        ("analyze-vf", vfield, "x0 - x2"),
+    ):
+        assert cli.main([command, write_doc(tmp_path, doc)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "DivisorialSingularity",
+            "message": f"coefficients share the factor {factor}",
+        }
 
 
 def test_mistyped_variable_exit_code(tmp_path, capsys):

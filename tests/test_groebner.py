@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from p3dist import corpus, groebner
+from p3dist import corpus, distribution, foliation, groebner
 from p3dist.errors import NonTermination
-from p3dist.exterior import minors_against_radial
+from p3dist.exterior import ExtForm, VField, coefficient_ideal, minors_against_radial
 from p3dist.grammar import parse_poly
 from p3dist.logarithmic import build_log_form
 from p3dist.groebner import (
@@ -83,6 +83,10 @@ def test_unit_and_zero_ideals():
     assert Ideal((X0, X0 + Poly.constant(1))).is_unit()
     assert Ideal(()).is_zero()
     assert not Ideal((X0,)).is_unit()
+    # the given generators, zeros dropped, are read back unscaled
+    f, g = Poly.constant(Fraction(1, 2)) * X0 - X1 * Fraction(2, 3), X2 * X3
+    assert Ideal((f, Poly.zero(), g)).gens == (f, g)
+    assert repr(Ideal((f, Poly.zero(), g))) == "Ideal(1/2*x0 - 2/3*x1, x2*x3)"
 
 
 def test_divide_exact():
@@ -152,7 +156,7 @@ def test_elimination_runs_buchberger_once(monkeypatch):
             result = op(*args)
             assert len(calls) == 1
             monkeypatch.setattr(groebner, "_buchberger_terms", engine)
-            assert result.gens == Ideal(result.gens).groebner()
+            assert result.gens == Ideal(result.gens).groebner() == result.groebner()
 
 
 def test_saturate_point_blowup():
@@ -186,6 +190,8 @@ def test_saturate_contains_and_fixpoint():
         assert S.contains_ideal(I)
         # saturating again changes nothing
         assert saturate(S) == S
+        # an ideal the engine made is generated by its monic reduced basis
+        assert S.gens == S.groebner()
         count += 1
 
 
@@ -266,10 +272,10 @@ def _eliminations_agree(I, k):
     """The k >= 1 elimination of `saturate`, seeded with the finished basis
     of I, against the unseeded run that re-derives every pair within it."""
     reduced = _engine_basis(I)
-    rabinowitsch = {**groebner._extend(_linear_form(k), 1), 0: -1}
+    rabinowitsch = {**groebner._extend(groebner._packed(_linear_form(k).terms)), 0: -1}
     oracle = groebner._t_free(groebner._buchberger_terms(reduced + [rabinowitsch]))
     seeded = groebner._t_free(groebner._buchberger_terms([rabinowitsch], done=reduced))
-    assert groebner._monic_basis(seeded) == groebner._monic_basis(oracle)
+    assert groebner._engine_ideal(seeded).groebner() == groebner._engine_ideal(oracle).groebner()
 
 
 def test_seeded_elimination_matches_the_unseeded_run():
@@ -312,7 +318,7 @@ def _colon_by_x3(I):
     colon = groebner._reduced_basis(
         [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)], None)
     lts = [groebner._unpack(max(g)) for g in colon]
-    return groebner._monic_basis(colon), groebner.hilbert_from_lt(lts), any(x3es)
+    return groebner._engine_ideal(colon).groebner(), groebner.hilbert_from_lt(lts), any(x3es)
 
 
 def test_x3_free_basis_returns_the_ideal():
@@ -334,6 +340,44 @@ def test_x3_free_basis_returns_the_ideal():
             assert sat.groebner() == basis and sat._hilbert == data
             assert I._hilbert is sat._hilbert
     assert returned >= 20
+
+
+def test_no_poly_is_built_on_the_way_into_the_engine(monkeypatch):
+    # a field's minors and a 1-form's coefficients reach the engine as
+    # integer rows, and the saturated basis becomes Polys only when read.
+    # x3 * (x1 dx0 - x0 dx1) and x3 * (x0, 2x1, 3x2, 4x3) have the plane x3
+    # among their primes, so l_0 = x3 fails there and l_1 is built too.
+    built, runs = [], []
+    init, engine = Poly.__init__, groebner._buchberger_terms
+
+    def counting_init(self, terms=None):
+        built.append(terms)
+        init(self, terms)
+
+    def counting_engine(*args, **kwargs):
+        runs.append(kwargs.get("done"))
+        return engine(*args, **kwargs)
+
+    fields = [corpus.load_vfield(name) for name in corpus.corpus_names()["vfields"]]
+    fields.append(VField([X3 * X0, 2 * X3 * X1, 3 * X3 * X2, 4 * X3 * X3]))
+    omegas = [corpus.load_oneform(name) for name in corpus.corpus_names()["oneforms"]]
+    omegas.append(ExtForm.one_form(X1 * X3, -X0 * X3, Poly.zero(), Poly.zero()))
+    monkeypatch.setattr(groebner, "_buchberger_terms", counting_engine)
+    for scheme, inputs in ((foliation.sing_scheme_v, fields),
+                           (distribution.singular_scheme, omegas)):
+        for x in inputs:
+            monkeypatch.setattr(Poly, "__init__", counting_init)
+            sat = scheme(x)
+            assert built == []
+            assert sat.gens and built
+            monkeypatch.setattr(Poly, "__init__", init)
+            built.clear()
+    assert sum(done is not None for done in runs) >= 2
+    # saturate keeps the basis of the coefficient ideal on it
+    runs.clear()
+    for omega in omegas:
+        coefficient_ideal(omega).leading_monomials()
+    assert runs == []
 
 
 def test_saturate_retries_linear_forms_in_associated_primes():
@@ -359,9 +403,12 @@ def test_mod_p_leading_terms_agree():
 
 
 def test_mod_p_denominator_blowup_raises():
-    I = Ideal((Poly.constant(Fraction(1, 32003)) * X0,))
-    with pytest.raises(ZeroDivisionError):
-        leading_monomials_mod_p(I, 32003)
+    # given Fraction generators, and the monic basis of x0 + x1/32003
+    # that the --mod-p check reads
+    for I in (Ideal((Poly.constant(Fraction(1, 32003)) * X0,)),
+              Ideal(saturate(Ideal((32003 * X0 + X1,))).groebner())):
+        with pytest.raises(ZeroDivisionError):
+            leading_monomials_mod_p(I, 32003)
 
 
 def test_nontermination_guard():

@@ -386,6 +386,6 @@ def test_compute_tF_keeps_no_capped_data(example1, nullcorrelation):
         bare = fresh(omega)
         compute_tF(bare)
         ideal = coefficient_ideal(bare)
-        assert ideal._hilbert is None and ideal._basis is None
+        assert ideal._hilbert is None and ideal._reduced is None
         assert (cli.dist_report_doc(distribution.classify(bare))
                 == cli.dist_report_doc(distribution.classify(fresh(omega))))
