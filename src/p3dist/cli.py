@@ -29,7 +29,7 @@ from . import corpus, distribution, foliation, logarithmic
 from .errors import InternalInconsistency, NumericContradiction, ParseError, ValidationError
 from .exterior import ExtForm, VField
 from .grammar import format_poly, parse_poly
-from .groebner import Ideal, leading_monomials_mod_p
+from .groebner import _engine_ideal, leading_monomials_mod_p
 from .linalg import compute_tF
 from .logarithmic import LogType
 
@@ -253,9 +253,10 @@ def mod_p_check(ideal, prime):
     The reduced basis is monic, so when p divides none of its denominators
     every S-pair's standard representation has p-integral quotients, and
     its image mod p is a Groebner basis with the same leading terms: a
-    disagreement is an engine fault, not an unlucky prime.
+    disagreement is an engine fault, not an unlucky prime. The basis is
+    read as the engine's primitive integer rows, so no Poly is built.
     """
-    basis = Ideal(ideal.groebner())
+    basis = _engine_ideal(ideal._basis())
     rational = ideal.leading_monomials()
     primes = [prime] + [p for p in _CHECK_PRIMES if p != prime]
     for rotations, p in enumerate(primes):

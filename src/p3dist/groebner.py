@@ -13,8 +13,11 @@ factor), colon and the saturation by one polynomial, it eliminates an
 auxiliary variable t, the saturation's run seeded with the finished basis
 of I. The tests compare the saturation against those. For the section
 spaces of a form that was not saturated, a run capped at a degree gives
-the Hilbert function up to it. Coefficients are exact rationals, or
-residues mod a prime p for the modular cross-check.
+the Hilbert function up to it; told a certified bound on dim I_n by the
+caller (`linalg` has one from the radial and Koszul sections), it drops
+the pairs of degree n once its leading terms fill the bound, as they all
+reduce to zero (Traverso's Hilbert-driven stop). Coefficients are exact
+rationals, or residues mod a prime p for the modular cross-check.
 
 The engine packs t^e x0^a0 x1^a1 x2^a2 x3^a3 into one int (Monagan and
 Pearce, J. Symbolic Comput. 46, 2011). An `Ideal` keeps its generators and
@@ -31,7 +34,7 @@ import itertools
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .errors import DomainError, NonTermination
+from .errors import DomainError, InternalInconsistency, NonTermination
 from .hilbert import hilbert_from_lt
 from .poly import (
     NVARS,
@@ -143,7 +146,23 @@ def _reduced_basis(G, p):
             for pos, (_, g) in enumerate(minimal)]
 
 
-def _buchberger_terms(gens, p=None, done=(), cap=None):
+_VARS = tuple(_pack(u) for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+def _lt_piece(lts, deg, piece, at):
+    """The monomials of degree deg in the ideal of the packed homogeneous
+    leading terms lts, given its monomials `piece` of degree at < deg, or
+    none when at is None: each degree's are the previous degree's times
+    each variable, and the leading terms of that degree."""
+    if at is None:
+        at = min(map(_degree, lts)) - 1
+    for k in range(at + 1, deg + 1):
+        piece = {m + x for m in piece for x in _VARS}
+        piece.update(lt for lt in lts if _degree(lt) == k)
+    return piece
+
+
+def _buchberger_terms(gens, p=None, done=(), cap=None, bound=None):
     """Reduced Groebner basis of packed dict-polys, as engine polys sorted
     by leading term.
 
@@ -162,6 +181,18 @@ def _buchberger_terms(gens, p=None, done=(), cap=None):
     degree `cap` and homogeneous gens, pairs are taken up to that degree
     only and the active elements are returned unreduced: their leading
     terms generate the leading-term ideal in every degree up to the cap.
+
+    `bound` maps a degree n to a certified upper bound on dim I_n, for
+    homogeneous gens (Traverso's Hilbert-driven stop, J. Symbolic Comput.
+    22, 1996). The leading terms found span at most dim I_n monomials of
+    degree n, so once they span the bound they span all of LT(I)_n, and
+    every pair left at n reduces to zero: the run drops them. Entering a
+    bounded degree, it counts that degree's leading monomials once, from
+    the last bounded degree's, and adds one per element added there. A
+    count above the bound on entering raises InternalInconsistency; a
+    bound that is too small but not below that count goes unseen, so the
+    caller certifies it. Only where the run stops changes, so the result
+    is the same with or without a valid bound.
     """
     polys, lts = list(done), [max(g) for g in done]
     active, basis = list(range(len(polys))), list(zip(lts, polys))
@@ -201,14 +232,27 @@ def _buchberger_terms(gens, p=None, done=(), cap=None):
         r = _normal_form_terms(g, basis, p)
         if r:
             add(_engine_form(r, p))
+    bound = bound or {}
+    at, filled = None, set()  # the bounded degree being run, its leading monomials
     while pairs and (cap is None or pairs[0][0] <= cap):
-        _, l, i, j = heappop(pairs)
+        deg, l, i, j = heappop(pairs)
+        if deg in bound:
+            if deg != at:
+                filled, at = _lt_piece(lts, deg, filled, at), deg
+                if len(filled) > bound[deg]:
+                    raise InternalInconsistency(
+                        f"leading terms span {len(filled)} monomials of degree {deg},"
+                        f" above the bound {bound[deg]}")
+            if len(filled) == bound[deg]:
+                continue  # LT(I) is full in this degree: the pair reduces to zero
         si = l - lts[i]
         s = fraction_free_step({k + si: c for k, c in polys[i].items()}, polys[j],
                                l, l - lts[j], p)
         r = _normal_form_terms(s, basis, p)
         if r:
             add(_engine_form(r, p))
+            if deg == at:
+                filled.add(lts[-1])
     if cap is not None:
         return [polys[i] for i in active]
     return _reduced_basis([polys[i] for i in active], p)
@@ -322,15 +366,22 @@ def normal_form(p, ideal):
 
 
 def leading_monomials_mod_p(ideal, prime):
-    """Leading monomials of the reduced basis over GF(prime).
+    """Leading monomials of the reduced basis over GF(prime) of the ideal's
+    generators: on an ideal the engine made, its reduced basis of primitive
+    integer rows.
 
     Used only as a consistency check against the rational computation.
-    Raises ZeroDivisionError when the prime divides a denominator. Terms
-    whose coefficient vanishes mod prime are dropped, as the engine keeps
-    no zero coefficients.
+    Raises ZeroDivisionError when the prime divides a denominator of a
+    generator, or a leading coefficient of an engine ideal's row, which is
+    exactly when it divides a denominator of the monic reduced basis, as
+    the rows are primitive. Terms whose coefficient vanishes mod prime are
+    dropped, as the engine keeps no zero coefficients.
     """
+    engine = ideal._rows is ideal._reduced
     gens = []
     for g in ideal._rows:
+        if engine and not g[max(g)] % prime:
+            raise ZeroDivisionError(f"leading coefficient vanishes mod {prime}")
         t = {}
         for m, c in g.items():
             den = c.denominator % prime
@@ -418,15 +469,16 @@ def saturate_iterated_colon(I, f, cap=64):
     raise NonTermination(f"colon iteration did not stabilize within {cap} steps")
 
 
-def hilbert_numerator(I, degree):
+def hilbert_numerator(I, degree, bound=None):
     """The Hilbert series numerator of R/I, I homogeneous, exact for the
     Hilbert function in every degree up to `degree`: the data `saturate`
     left on I if there is any, else the numerator of the leading terms of a
-    Buchberger run that stops at that degree. Nothing is kept on I, as the
-    numerator need not be I's own above that degree."""
+    Buchberger run that stops at that degree. `bound`, called only for
+    that run, gives its certified bounds on dim I_n by degree n. Nothing is
+    kept on I, as the numerator need not be I's own above that degree."""
     if I._hilbert is not None:
         return I._hilbert.numerator
-    lts = _buchberger_terms(I._rows, cap=degree)
+    lts = _buchberger_terms(I._rows, cap=degree, bound=bound and bound())
     return hilbert_from_lt([_unpack(max(g)) for g in lts]).numerator
 
 
@@ -456,10 +508,9 @@ def saturate(I):
     own = hilbert_from_lt(I.leading_monomials())
     object.__setattr__(I, "_hilbert", own)
     reduced, target = I._basis(), own.hp_coeffs
-    units = [_pack(u) for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
     for k in itertools.count():
         if k:
-            l_k = dict(zip(units, (k, k * k, k ** 3, 1)))
+            l_k = dict(zip(_VARS, (k, k * k, k ** 3, 1)))
             rabinowitsch = {**_extend(l_k), 0: -1}  # t*l_k - 1; 1 packs to 0
             colon = _t_free(_buchberger_terms([rabinowitsch], done=reduced))
         else:

@@ -271,6 +271,35 @@ def test_mod_p_check_reads_the_reduced_basis():
         "prime": 31963, "agrees": None, "rotations": 5}
 
 
+def test_mod_p_check_builds_no_poly(monkeypatch):
+    # the check reads the saturation's reduced basis as the engine's
+    # primitive integer rows; mod p they give the leading terms that the
+    # monic Polys of that basis give, and fail exactly when these do
+    from p3dist import foliation
+    from p3dist.groebner import Ideal, leading_monomials_mod_p
+    from p3dist.poly import Poly
+
+    names = corpus.corpus_names()
+    sats = [distribution.singular_scheme(corpus.load_oneform(n)) for n in names["oneforms"]]
+    sats += [foliation.sing_scheme_v(corpus.load_vfield(n)) for n in names["vfields"]]
+    init = Poly.__init__
+    for sat in sats:
+        built = []
+        monkeypatch.setattr(Poly, "__init__", lambda self, terms=None: built.append(terms))
+        assert cli.mod_p_check(sat, 32003)["agrees"] is True
+        assert built == []
+        monkeypatch.setattr(Poly, "__init__", init)
+        monic = Ideal(sat.groebner())
+        for p in (2, 3, 5, 7, 32003):
+            try:
+                expected = leading_monomials_mod_p(monic, p)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    leading_monomials_mod_p(sat, p)
+            else:
+                assert leading_monomials_mod_p(sat, p) == expected
+
+
 def test_mod_p_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # the reduced monic basis keeps its leading terms mod any prime that
     # divides none of its denominators, so a disagreement is an engine

@@ -10,6 +10,7 @@ from p3dist.errors import InternalInconsistency, InvalidForm
 from p3dist.exterior import (
     ExtForm,
     VField,
+    checked_oneform,
     coefficient_ideal,
     contract,
     field_degree,
@@ -21,6 +22,7 @@ from p3dist.poly import (
     Poly, X0, X1, X2, X3, integer_multiples, monomials_of_degree, primitive_row,
 )
 
+import maxorder
 from conftest import make_rng
 from echelon import _kernel, _pivot_rows
 
@@ -333,8 +335,11 @@ def fresh(omega):
 
 def test_classify_shares_the_coefficient_basis(monkeypatch, example1, nullcorrelation,
                                                pencil_of_planes):
-    calls, sections = [], []
+    # the bounds of the capped run are computed only for that run, so a
+    # classify, which reads the saturated data, never ranks the Koszul fields
+    calls, sections, ranks = [], [], []
     buchberger, section_at = groebner._buchberger_terms, linalg._section
+    koszul_rank = linalg._koszul_rank
 
     def counting_buchberger(*args, **kwargs):
         calls.append(None)
@@ -344,8 +349,13 @@ def test_classify_shares_the_coefficient_basis(monkeypatch, example1, nullcorrel
         sections.append(args)
         return section_at(*args)
 
+    def counting_rank(*args):
+        ranks.append(args)
+        return koszul_rank(*args)
+
     monkeypatch.setattr(groebner, "_buchberger_terms", counting_buchberger)
     monkeypatch.setattr(linalg, "_section", counting_section)
+    monkeypatch.setattr(linalg, "_koszul_rank", counting_rank)
     forms = [example1, nullcorrelation, pencil_of_planes, random_dense_form(make_rng(101), 2)]
     for omega in forms:
         calls.clear()
@@ -353,29 +363,111 @@ def test_classify_shares_the_coefficient_basis(monkeypatch, example1, nullcorrel
         validated = len(calls)
         calls.clear()
         distribution.classify(fresh(omega))
-        assert len(calls) == validated
+        assert len(calls) == validated and ranks == []
         sections.clear()
         compute_tF(fresh(omega))
-        assert len(sections) == 1
+        assert len(sections) == 1 and len(ranks) == 1
+        ranks.clear()
 
 
 def test_capped_numerator_gives_every_dimension(example1, example2, nullcorrelation,
                                                 pencil_of_planes):
     # a Buchberger run that stops at degree n gives the Hilbert function up
     # to n, so every twist t <= n - d - 1 reads the same dimensions as from
-    # the full basis of the coefficient ideal
+    # the full basis of the coefficient ideal. The bounds of the radial and
+    # Koszul sections only move where the run stops: bounded and unbounded
+    # runs return the same elements, on forms with t_F = d + 1, on the
+    # maximal-order rows (t_F = 1 <= d, so the bound is not met below
+    # 2d + 2), on forms with a zero coefficient and on the pencil (d = 0)
     rng = make_rng(113)
     forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)
     forms += [random_dense_form(rng, d) for d in (1, 2, 3)] + [a0_zero_form()]
+    forms += [maxorder.oneform(row, 3, 1) for row in ("distinct", "line", "skew-lines")]
+    forms += [maxorder.pullback(2, 1)]
     for omega in forms:
-        d = field_degree(VField(omega.one_form_coeffs())) - 1
+        d, coeffs = checked_oneform(omega)
         full = hilbert(groebner.Ideal(omega.one_form_coeffs())).numerator
         swept = groebner.hilbert_numerator(coefficient_ideal(fresh(omega)), 2 * d + 2)
+        rows = coefficient_ideal(fresh(omega))._rows
+        for top in range(d + 1, 2 * d + 3):
+            bounded = groebner._buchberger_terms(
+                rows, cap=top, bound=linalg._dim_bounds(coeffs, d, top))
+            assert bounded == groebner._buchberger_terms(rows, cap=top)
         for t in range(-1, d + 2):
             expected = linalg._dims(full, d, t)
             assert linalg._dims(swept, d, t) == expected
             # capped at t + d + 1
             assert h0_tangent_twist(fresh(omega), t) == expected
+
+
+def koszul_fields(coeffs, d):
+    """The rows of the radial multiples and of the six Koszul fields at
+    twist d + 1, column i * n + (index of m) for x^m e_i."""
+    mons = monomials_of_degree(d + 1)
+    n, index = len(mons), {m: k for k, m in enumerate(mons)}
+    radial = []
+    for f in monomials_of_degree(d):
+        radial.append({i * n + index[f[:i] + (f[i] + 1,) + f[i + 1:]]: 1 for i in range(4)})
+    koszul = []
+    for i, j in combinations(range(4), 2):
+        v = {i * n + index[m]: c for m, c in coeffs[j].items()}
+        v.update({j * n + index[m]: -c for m, c in coeffs[i].items()})
+        koszul.append(v)
+    return radial, koszul
+
+
+def test_koszul_rank_against_echelon(example1, example2, nullcorrelation, pencil_of_planes):
+    # the rank beyond the radial multiples, against the integer elimination
+    # of all the rows; the pencil and forms with a zero coefficient have
+    # dependent or zero Koszul fields
+    ranks = set()
+    forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)
+    forms += [a0_zero_form(), maxorder.pullback(1, 1), maxorder.pullback(2, 2),
+              maxorder.oneform("line", 3, 1)]
+    for omega in forms:
+        d, coeffs = checked_oneform(omega)
+        radial, koszul = koszul_fields(coeffs, d)
+        expected = len(_pivot_rows(radial + koszul)) - len(_pivot_rows(radial))
+        assert linalg._koszul_rank(coeffs, d) == expected
+        ranks.add(expected)
+    assert 6 in ranks and len(ranks) > 1
+
+
+def test_bound_below_the_leading_terms_raises(example1):
+    # a forged bound below the monomials that the leading terms already
+    # span on entering a degree is an engine fault
+    rng = make_rng(131)
+    for omega in (example1, random_dense_form(rng, 1), random_dense_form(rng, 2)):
+        d, coeffs = checked_oneform(omega)
+        rows = coefficient_ideal(fresh(omega))._rows
+        bounds = linalg._dim_bounds(coeffs, d, 2 * d + 2)
+        # the interreduced generators' leading terms times the variables
+        lead = [max(g) for g in groebner._buchberger_terms(rows, cap=d + 1)]
+        spanned = len(groebner._lt_piece(lead, d + 2, set(), None))
+        assert spanned <= bounds[d + 2]
+        with pytest.raises(InternalInconsistency, match="above the bound"):
+            groebner._buchberger_terms(rows, cap=2 * d + 2,
+                                       bound={**bounds, d + 2: spanned - 1})
+
+
+def test_full_top_degree_drops_its_zero_reductions(monkeypatch):
+    # on a dense degree-2 form the radial and Koszul sections fill degree
+    # 2d + 2 after one new element, and compute_tF proves fewer S-pairs
+    # zero there than the run without the bound
+    degrees = []
+    normal_form = groebner._normal_form_terms
+
+    def counting(f, basis, p):
+        degrees.append(groebner._degree(max(f)))
+        return normal_form(f, basis, p)
+
+    monkeypatch.setattr(groebner, "_normal_form_terms", counting)
+    omega = random_dense_form(make_rng(137), 2)
+    assert compute_tF(fresh(omega))[0] == 3
+    bounded = degrees.count(6)
+    degrees.clear()
+    groebner._buchberger_terms(coefficient_ideal(fresh(omega))._rows, cap=6)
+    assert bounded < degrees.count(6)
 
 
 def test_compute_tF_keeps_no_capped_data(example1, nullcorrelation):
