@@ -208,7 +208,8 @@ def log_audit_doc(report):
 
 
 def _subfoliation_doc(omega):
-    d, _, _ = distribution.validate_oneform(omega)
+    # no ideal is printed, so none is saturated
+    d, _, _ = distribution._oneform_numbers(omega)
     tF, section, sdim = compute_tF(omega)
     return {
         "schema_version": SCHEMA_VERSION,

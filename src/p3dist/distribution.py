@@ -107,22 +107,28 @@ def singular_scheme(omega):
     return saturate(coefficient_ideal(omega))
 
 
+def _oneform_numbers(omega):
+    """(d, (degC, pa, lenU), chern) of a checked 1-form, from the Hilbert data
+    of its coefficient ideal, which stays there for `compute_tF`."""
+    d, _ = checked_oneform(omega)
+    degc, pa, lenu = curve_invariants(
+        coefficient_ideal(omega),
+        lambda degc: d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2) - 2,
+    )
+    return d, (degc, pa, lenu), ChernTriple(2 - d, d ** 2 + 2 - degc, lenu)
+
+
 def validate_oneform(omega):
     """Check the 1-form defines a distribution and read its singular scheme.
 
-    `checked_oneform` checks the form; reading the singular scheme then
-    rejects one that contains a surface. Returns (d, sing, chern): the
-    degree, the singular-scheme invariants and the Chern triple of the
-    tangent sheaf.
+    `checked_oneform` checks the form; the Hilbert data of its coefficient
+    ideal gives the numbers and rejects a scheme that contains a surface
+    before any elimination runs, and the saturation only fills `sat_ideal`.
+    Returns (d, sing, chern): the degree, the singular-scheme invariants
+    and the Chern triple of the tangent sheaf.
     """
-    d, _ = checked_oneform(omega)
-    sat = singular_scheme(omega)
-    sing = curve_invariants(
-        sat,
-        hilbert(sat),
-        lambda degc: d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2) - 2,
-    )
-    return d, sing, ChernTriple(2 - d, d ** 2 + 2 - sing.degC, sing.lenU)
+    d, numbers, chern = _oneform_numbers(omega)
+    return d, SingInvariants(*numbers, singular_scheme(omega)), chern
 
 
 def is_integrable(omega):
@@ -155,22 +161,23 @@ def invariants(omega):
     return sing, chern
 
 
-def curve_invariants(sat, h, c3_base):
-    """SingInvariants of a singular scheme made of a curve C and lenU points.
+def curve_invariants(ideal, c3_base):
+    """(degC, pa, lenU) of a singular scheme made of a curve C and lenU points.
 
-    `sat` is the saturated ideal of the scheme and `h` its HilbertData. The
-    Hilbert polynomial is HP(t) = degC*t + 1 - pa + lenU and the sheaf's
-    third Chern class is lenU = c3_base(degC) + 2*pa, so pa is solved from
-    the constant term. Height-one primes of a UFD are principal: a scheme
-    of dimension 2 is exactly a common factor g of the polynomials whose
-    vanishing defines it (the coefficients of a 1-form, or the 2x2 minors
-    of a vector field against the radial field), and it is rejected naming
-    g. Those polynomials generate g*J with J of codimension >= 2, so the
-    saturated ideal is g*J^sat and g is the gcd of its basis.
+    `ideal` is generated by the polynomials whose vanishing defines the
+    scheme (the coefficients of a 1-form, or the 2x2 minors of a vector
+    field against the radial field), or is its saturation: the two agree in
+    high degree, so `hilbert(ideal)` gives their one Hilbert polynomial
+    HP(t) = degC*t + 1 - pa + lenU. With c3 = lenU = c3_base(degC) + 2*pa,
+    pa is solved from the constant term. Height-one primes of a UFD are
+    principal: a scheme of dimension 2 is exactly a common factor g of
+    those polynomials, rejected naming g. They generate g*J, J of
+    codimension >= 2, so I^sat = g*J^sat, and g is the gcd of the gens of either.
     """
+    h = hilbert(ideal)
     dim = h.projective_dimension
     if dim == 2:
-        g = common_factor(sat.gens)
+        g = common_factor(ideal.gens)
         if g.is_constant():
             raise InconsistentInvariants("surface in the singular scheme without a common factor")
         raise DivisorialSingularity(f"coefficients share the factor {g}")
@@ -180,7 +187,7 @@ def curve_invariants(sat, h, c3_base):
             raise InconsistentInvariants(
                 f"isolated length {h.degree} contradicts the invariant count"
             )
-        return SingInvariants(0, 1, h.degree, sat)
+        return 0, 1, h.degree
     degc = h.degree
     k = h.constant_term
     if k.denominator != 1:
@@ -189,7 +196,7 @@ def curve_invariants(sat, h, c3_base):
     lenu = c3_base(degc) + 2 * pa
     if lenu < 0:
         raise InconsistentInvariants(f"negative isolated length {lenu}")
-    return SingInvariants(degc, pa, lenu, sat)
+    return degc, pa, lenu
 
 
 def _split_type(d, t):

@@ -14,7 +14,7 @@ from .errors import DomainError, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
 from .exterior import _contraction, _radial_minors, checked_oneform, field_degree
 from .groebner import Ideal, saturate
-from .hilbert import hilbert
+from .hilbert import hilbert  # noqa: F401  unused, a tracer target: tests/test_bench_tracer.py
 from .poly import integer_multiples
 
 _DEGREE1_CASES = {
@@ -46,12 +46,10 @@ def conormal_invariants(v):
     """Singular-scheme invariants and the Chern triple for a degree-d' field."""
     d = field_degree(v)
     sat = sing_scheme_v(v)
-    sing = curve_invariants(
-        sat,
-        hilbert(sat),
-        lambda degc: d ** 3 + d ** 2 + d - 3 * degc * (d - 1) - 1,
+    degc, pa, lenu = curve_invariants(
+        sat, lambda degc: d ** 3 + d ** 2 + d - 3 * degc * (d - 1) - 1,
     )
-    return sing, ChernTriple(-3 - d, d ** 2 + 2 * d + 3 - sing.degC, sing.lenU)
+    return SingInvariants(degc, pa, lenu, sat), ChernTriple(-3 - d, d ** 2 + 2 * d + 3 - degc, lenu)
 
 
 def analyze(v):

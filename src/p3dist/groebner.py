@@ -35,7 +35,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .errors import DomainError, InternalInconsistency, NonTermination
-from .hilbert import hilbert_from_lt
+from .hilbert import hilbert, hilbert_from_lt
 from .poly import (
     NVARS,
     Poly,
@@ -266,9 +266,9 @@ class Ideal:
     """Homogeneous ideal kept as packed generators and, once computed, their
     reduced basis of engine polys. `groebner()` builds that basis as monic
     Polys sorted by leading term, and `gens` is that basis on an ideal the
-    engine made, else the given generators. `saturate` leaves HilbertData in
-    `_hilbert` for `hilbert.hilbert`: on its result the accepted colon's, on
-    the ideal it saturates that ideal's own, the certificate's target."""
+    engine made, else the given generators. `hilbert.hilbert` keeps the
+    ideal's HilbertData in `_hilbert`; the ideal `saturate` returns is made
+    with the data of the colon its certificate accepted."""
 
     __slots__ = ("_rows", "_reduced", "_hilbert")
 
@@ -471,8 +471,8 @@ def saturate_iterated_colon(I, f, cap=64):
 
 def hilbert_numerator(I, degree, bound=None):
     """The Hilbert series numerator of R/I, I homogeneous, exact for the
-    Hilbert function in every degree up to `degree`: the data `saturate`
-    left on I if there is any, else the numerator of the leading terms of a
+    Hilbert function in every degree up to `degree`: the data `hilbert`
+    kept on I if there is any, else the numerator of the leading terms of a
     Buchberger run that stops at that degree. `bound`, called only for
     that run, gives its certified bounds on dim I_n by degree n. Nothing is
     kept on I, as the numerator need not be I's own above that degree."""
@@ -502,11 +502,10 @@ def saturate(I):
     of that basis plus t*l_k - 1. The block order is grevlex on t-free
     polynomials, so the basis of I is already a Groebner basis there: the
     run forms pairs only with t*l_k - 1 and what follows.
-    The result keeps the HilbertData of the accepted colon, and I keeps
-    its own, the target, which `linalg` reads the section spaces from.
+    The target is `hilbert(I)`, kept on I, and the result keeps the
+    HilbertData of the accepted colon.
     """
-    own = hilbert_from_lt(I.leading_monomials())
-    object.__setattr__(I, "_hilbert", own)
+    own = hilbert(I)
     reduced, target = I._basis(), own.hp_coeffs
     for k in itertools.count():
         if k:

@@ -120,12 +120,12 @@ def hilbert_from_lt(lt_monomials):
 
 def hilbert(ideal):
     """HilbertData of R/I: the numerator gives the Hilbert function of R/I
-    in every degree, and the polynomial that of the scheme. `groebner.saturate`
-    leaves the data in the `_hilbert` slot of the ideal it returns (the data
-    of the colon its certificate accepted) and of the ideal it saturates
-    (its own, the certificate's target), and that is returned; otherwise it
-    is read from the leading terms of the reduced basis."""
-    return ideal._hilbert or hilbert_from_lt(ideal.leading_monomials())
+    in every degree, and the polynomial that of the scheme. It is read once,
+    from the leading terms of the reduced basis, and kept in the ideal's
+    `_hilbert` slot; the ideal that `groebner.saturate` returns comes with it."""
+    if ideal._hilbert is None:
+        object.__setattr__(ideal, "_hilbert", hilbert_from_lt(ideal.leading_monomials()))
+    return ideal._hilbert
 
 
 def dimension_degree(ideal):

@@ -7,9 +7,9 @@ I = (A_0, ..., A_3), so its rank is read in closed form from the Hilbert
 series numerator N of R/I (the Macaulay-matrix view of D. Lazard, EUROCAL
 1983): the raw kernel at twist t is 4 dim R_t - dim R_{t+d+1} + HF(t+d+1),
 with HF(n) = sum_k N_k dim R_{n-k}. The coefficient ideal is kept on the
-form (`exterior.coefficient_ideal`) and `groebner.saturate` leaves its
-Hilbert data there, so after a saturation h0 costs no Groebner basis. On a
-form that was not saturated, `groebner.hilbert_numerator` runs Buchberger
+form (`exterior.coefficient_ideal`) and `hilbert.hilbert` keeps its data
+there, so once the invariants are read h0 costs no Groebner basis. On a
+form whose data was not read, `groebner.hilbert_numerator` runs Buchberger
 only up to the largest degree t+d+1 read, 2d+2 for `compute_tF`, takes
 the numerator of the leading terms found, and keeps nothing on the form.
 That run is told a bound on dim I_n for each n = t+d+1 <= 2d+2, from the

@@ -1,5 +1,5 @@
-"""Paper-degree timing record: `distribution.classify` on the maximal-order
-forms of tests/maxorder.py, each form in a fresh process.
+"""Paper-degree timing record: `distribution.classify` and `find-subfoliation`
+on the maximal-order forms of tests/maxorder.py, each form in a fresh process.
 
 Usage, from the root of a checkout:
 
@@ -9,7 +9,9 @@ The package analysed is the one first on PYTHONPATH. Prints one JSON line
 per form, every row of the table at d = 3..dmax: the row, d, t_F, the
 seconds `classify` took scaled to the reference CPU speed of
 perfbench/run.py (by `reference_time` of perfbench/worker.py, timed just
-before and just after), and the sha256 of the report document.
+before and just after), and the sha256 of the report document; then the
+same two for the `find-subfoliation` document of a fresh parse of the form,
+which shares nothing computed with the classified one.
 """
 
 import argparse
@@ -25,25 +27,28 @@ sys.path[:0] = [HERE, os.path.join(HERE, os.pardir, "perfbench")]
 
 
 def classify_one():
-    """Classify the 1-form document on stdin; print t_F, the scaled
-    seconds and the report's digest."""
+    """Classify the 1-form document on stdin, then find the subfoliation of
+    a fresh parse of it; print t_F, and the scaled seconds and the digest
+    of each document."""
     from run import REFERENCE_S
     from worker import reference_time
 
     from p3dist import cli, distribution
 
-    omega = cli.parse_input(sys.stdin.read())
-    before = reference_time()
-    start = time.perf_counter()
-    report = distribution.classify(omega)
-    seconds = time.perf_counter() - start
-    after = reference_time()
-    doc = json.dumps(cli.dist_report_doc(report), sort_keys=True, indent=2, ensure_ascii=False)
-    print(json.dumps({
-        "tF": report.tF,
-        "seconds": round(seconds * REFERENCE_S * 2 / (before + after), 4),
-        "sha256": hashlib.sha256(doc.encode()).hexdigest(),
-    }))
+    text = sys.stdin.read()
+    omega, fresh = cli.parse_input(text), cli.parse_input(text)
+    references = [reference_time()]
+    out = {}
+    for key, run in (("", lambda: cli.dist_report_doc(distribution.classify(omega))),
+                     ("subfoliation_", lambda: cli._subfoliation_doc(fresh))):
+        start = time.perf_counter()
+        doc = run()
+        seconds = time.perf_counter() - start
+        references.append(reference_time())
+        out[key + "seconds"] = round(seconds * REFERENCE_S * 2 / sum(references[-2:]), 4)
+        dumped = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+        out[key + "sha256"] = hashlib.sha256(dumped.encode()).hexdigest()
+    print(json.dumps({"tF": doc["tF"], **out}))
 
 
 def main():

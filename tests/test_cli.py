@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 
 import p3dist
-from p3dist import cli, corpus, distribution
+from p3dist import cli, corpus, distribution, foliation, groebner
 from p3dist.errors import (
     InconsistentInvariants,
     ParseError,
@@ -19,8 +19,10 @@ from p3dist.errors import (
     WeightRelationViolated,
 )
 from p3dist.exterior import ExtForm, VField
-from p3dist.grammar import parse_poly
+from p3dist.grammar import format_poly, parse_poly
 from p3dist.logarithmic import LogType
+
+import maxorder
 
 CORPUS_SHA256 = "8fd4bef70dcefcb81306acea0c90f9dac9e0b2bd43962b067b25b8c51c35ecd6"
 
@@ -338,6 +340,37 @@ def test_find_subfoliation(tmp_path, capsys):
     assert doc["in_distribution"] is True
 
 
+def test_find_subfoliation_saturates_nothing(tmp_path, capsys, monkeypatch):
+    # find-subfoliation prints no ideal: it runs no saturation, and
+    # compute_tF reads the Hilbert data of the coefficient ideal with no
+    # capped Buchberger run; analyze saturates once, for its sat_ideal. The
+    # line-row form needs a k >= 1 elimination, a run seeded with a basis
+    calls = []
+    for module in (distribution, foliation):
+        monkeypatch.setattr(module, "saturate",
+                            lambda I, real=module.saturate: calls.append("saturate") or real(I))
+    engine = groebner._buchberger_terms
+
+    def recording_engine(gens, p=None, done=(), cap=None, bound=None):
+        calls.extend(["capped"] * (cap is not None) + ["seeded"] * bool(done))
+        return engine(gens, p, done, cap, bound)
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", recording_engine)
+    docs = [oneform_doc(name) for name in corpus.corpus_names()["oneforms"]]
+    docs.append({"kind": "oneform", "coeffs": [
+        format_poly(a) for a in maxorder.oneform("line", 5, 1).one_form_coeffs()]})
+    for doc in docs:
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["find-subfoliation", path]) == 0
+        assert calls == []
+        assert cli.main(["analyze", path]) == 0
+        assert calls.count("saturate") == 1 and "capped" not in calls
+        capsys.readouterr()
+        eliminated = "seeded" in calls
+        calls.clear()
+    assert eliminated  # on the line-row form, the last one
+
+
 def test_log_build_pipes_into_analyze(tmp_path, capsys):
     raw = json.loads(corpus_text())["logtypes"]["quadric_pencil"]
     path = write_doc(
@@ -435,10 +468,17 @@ def test_validation_error_exit_code(tmp_path, capsys):
 
 def test_analyze_vf_common_factor_exit_code(tmp_path, capsys):
     # x1 * (x0, x1, x2, x3 + x0): radially dependent on the surface x0*x1 = 0;
-    # then factors that are not monomials, named from the saturated basis:
-    # (x0 + 2*x1 - x3) * (x1 dx0 - x0 dx1) and (x0 - x2) * (x0, 2x1, 3x2, 4x3)
+    # then factors that are not monomials, named from the coefficients or
+    # the saturated basis: g = x0 + 2*x1 - x3 times x1 dx0 - x0 dx1, and
+    # times the line-row form of degree 4 and the field (x0, 3x1, 5x2, 7x3);
+    # and (x0 - x2) * (x0, 2x1, 3x2, 4x3)
+    g = parse_poly("x0 + 2*x1 - x3")
     oneform = {"kind": "oneform",
                "coeffs": ["x0*x1+2*x1^2-x1*x3", "-x0^2-2*x0*x1+x0*x3", "0", "0"]}
+    line_form = {"kind": "oneform", "coeffs": [
+        format_poly(g * a) for a in maxorder.oneform("line", 4, 1).one_form_coeffs()]}
+    g_field = {"kind": "vfield", "components": [
+        format_poly(g * parse_poly(c)) for c in ("x0", "3x1", "5x2", "7x3")]}
     vfield = {"kind": "vfield", "components": ["x0^2-x0*x2", "2*x0*x1-2*x1*x2",
                                                "3*x0*x2-3*x2^2", "4*x0*x3-4*x2*x3"]}
     for command, doc, factor in (
@@ -446,6 +486,9 @@ def test_analyze_vf_common_factor_exit_code(tmp_path, capsys):
                         "components": ["x0*x1", "x1^2", "x1*x2", "x1*x3+x0*x1"]}, "x0*x1"),
         ("analyze", oneform, "x0 + 2*x1 - x3"),
         ("find-subfoliation", oneform, "x0 + 2*x1 - x3"),
+        ("analyze", line_form, "x0 + 2*x1 - x3"),
+        ("find-subfoliation", line_form, "x0 + 2*x1 - x3"),
+        ("analyze-vf", g_field, "x0 + 2*x1 - x3"),
         ("analyze-vf", vfield, "x0 - x2"),
     ):
         assert cli.main([command, write_doc(tmp_path, doc)]) == 1

@@ -19,7 +19,7 @@ from p3dist.exterior import (
     wedge,
 )
 from p3dist.grammar import parse_poly
-from p3dist.groebner import Ideal
+from p3dist.groebner import Ideal, _engine_ideal
 from p3dist.hilbert import dimension_degree, hilbert
 from p3dist.linalg import compute_tF
 from p3dist.poly import Poly, X0, X1, X2, X3
@@ -117,12 +117,14 @@ def test_curve_invariants_checks():
         Poly.variable(i) * Poly.variable(j) for i in range(4) for j in range(i + 1, 4)
     ))
     with pytest.raises(InconsistentInvariants, match="isolated length 4"):
-        dist.curve_invariants(four_points, hilbert(four_points), c3_base)
-    plane = hilbert(Ideal((X0,)))
+        dist.curve_invariants(four_points, c3_base)
     with pytest.raises(DivisorialSingularity, match=r"factor x0$"):
-        dist.curve_invariants(Ideal((X0 * X1, X0 * X2)), plane, c3_base)
+        dist.curve_invariants(Ideal((X0 * X1, X0 * X2)), c3_base)
+    # consistent input cannot reach this branch: the ideal of a line is
+    # given the Hilbert data of a plane
+    line = _engine_ideal(Ideal((X1, X2))._basis(), hilbert(Ideal((X0,))))
     with pytest.raises(InconsistentInvariants, match="without a common factor"):
-        dist.curve_invariants(Ideal((X1, X2)), plane, c3_base)
+        dist.curve_invariants(line, c3_base)
 
 
 def test_integrability(nullcorrelation, example1, example2, pencil_of_planes):

@@ -61,7 +61,7 @@ def test_pullback_from_p2(d):
 
 
 # the sha256 of each report that `tests/bench_maxorder.py --seed 1 --dmax 4`
-# prints, by row and d
+# prints, by row and d, and of each find-subfoliation document
 PAPER_DEGREE_DIGESTS = {
     ("distinct", 3): "0e0bb6a800134adaa69d2e3ba3b7d339289db3c37fedc26449a25b1e029b5aed",
     ("distinct", 4): "df1e2e13999458236c87f45f85efccdffc3d133b4550c973dfb91a879d783bed",
@@ -80,6 +80,24 @@ PAPER_DEGREE_DIGESTS = {
     ("skew-line-in-sing", 3): "ad9a5acfb8b4d878de22f8b5cd0bbaabdae9d8f3834beda80675ed54d2925d8e",
     ("skew-line-in-sing", 4): "be6f5e26c341575c779b3d0b0ffb7b2c05bf219f0bd7540a77a1fc13b8f22cb3",
 }
+SUBFOLIATION_DIGESTS = {
+    ("distinct", 3): "123e2aa68102f1ec2fe5e50acd21d5b56b99afb705d5d6160a89ae1c8308d1b8",
+    ("distinct", 4): "a3e0c1afece7227bade16747b02374d7785151277a0b81bd771d0c154d12a202",
+    ("jordan2", 3): "b0811e70655c41e10b6a23149917690e709634c8af3795cbf42a8eeeefab51b8",
+    ("jordan2", 4): "4bd0d1cd6be0135f61e932bd0ddf20ac296ce80599f95ef4e04f3679d3dd01fa",
+    ("jordan2x2", 3): "abb354df103ad3ebeec8b06d9b4f8a7c00d4ed1f3ec6e1c01a50990a4064ab23",
+    ("jordan2x2", 4): "d2ac2fe510e7b126f8f0fdf124637e45658b5602427505caa847ac4f2f4b65d6",
+    ("jordan3", 3): "813e39b364a8baf4c437c9ac5098cc9dc4355dfee10804c6a87ab9017e2758ac",
+    ("jordan3", 4): "bffe5dba5a2b881a7f02bf7e717e33dbcaac7316f9de7b2d361d4ba3d1c76b0f",
+    ("line", 3): "0b41c5e9f76c5aff89cac8492db249b864df22ceacf214f6721f6e2ab646aa40",
+    ("line", 4): "0347dedc83556cb71b49dd289285e99127224ff339d60dfcc8736e1d671cd1ad",
+    ("line-in-sing", 3): "0b41c5e9f76c5aff89cac8492db249b864df22ceacf214f6721f6e2ab646aa40",
+    ("line-in-sing", 4): "0347dedc83556cb71b49dd289285e99127224ff339d60dfcc8736e1d671cd1ad",
+    ("skew-line-in-sing", 3): "a3f40f485b6303d9d4941a435e5529981564656f36876c4687f456ffc62bd2b6",
+    ("skew-line-in-sing", 4): "7c0421eff5f390bcf4c63a6f3c46bbb313f30174d0078767d36d0c8f621d1278",
+    ("skew-lines", 3): "a3f40f485b6303d9d4941a435e5529981564656f36876c4687f456ffc62bd2b6",
+    ("skew-lines", 4): "7c0421eff5f390bcf4c63a6f3c46bbb313f30174d0078767d36d0c8f621d1278",
+}
 
 
 @pytest.mark.parametrize("row, d", sorted(PAPER_DEGREE_DIGESTS))
@@ -90,3 +108,12 @@ def test_paper_degree_reports_pinned(row, d):
     doc = json.dumps(cli.dist_report_doc(classify(omega)), sort_keys=True, indent=2,
                      ensure_ascii=False)
     assert hashlib.sha256(doc.encode()).hexdigest() == PAPER_DEGREE_DIGESTS[row, d]
+
+
+@pytest.mark.parametrize("row, d", sorted(SUBFOLIATION_DIGESTS))
+def test_paper_degree_subfoliation_pinned(row, d):
+    coeffs = [format_poly(p) for p in oneform(row, d, seed=1).one_form_coeffs()]
+    omega = cli.parse_input(json.dumps({"kind": "oneform", "coeffs": coeffs}))
+    doc = json.dumps(cli._subfoliation_doc(omega), sort_keys=True, indent=2,
+                     ensure_ascii=False)
+    assert hashlib.sha256(doc.encode()).hexdigest() == SUBFOLIATION_DIGESTS[row, d]
