@@ -344,7 +344,7 @@ def verify_examples():
     ):
         r = distribution.classify(corpus.load_oneform(name))
         check(f"{name}.degree", r.degree == 3)
-        check(f"{name}.chern", r.chern.as_tuple() == chern)
+        check(f"{name}.chern", r.chern == chern)
         check(f"{name}.curve", (r.sing.degC, r.sing.pa, r.sing.lenU) == curve)
         check(f"{name}.tF", r.tF == 1)
         check(f"{name}.stability",
@@ -353,7 +353,7 @@ def verify_examples():
 
     rn = distribution.classify(corpus.load_oneform("nullcorrelation"))
     check("nullcorrelation.regular", rn.regular)
-    check("nullcorrelation.chern", rn.chern.as_tuple() == (2, 2, 0))
+    check("nullcorrelation.chern", rn.chern == (2, 2, 0))
     check("nullcorrelation.tF_h0", rn.tF == 1 and rn.h0_at_tF == 5)
     check("nullcorrelation.nonintegrable", not rn.integrable)
     check("nullcorrelation.stable", rn.stability.klass == "stable")

@@ -3,12 +3,13 @@
 Validation, singular scheme, numerical invariants, integrability, the
 minimal twist with a section, split detection, stability class with order
 of nonstability, and matching against the two maximal-order families.
+The results are immutable records, named tuples read by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     DivisorialSingularity,
@@ -33,26 +34,23 @@ FAMILY_CHERN = {
 }
 
 
-@dataclass(frozen=True)
-class ChernTriple:
+class ChernTriple(NamedTuple):
     c1: int
     c2: int
     c3: int
 
     def as_tuple(self):
-        return (self.c1, self.c2, self.c3)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class SingInvariants:
+class SingInvariants(NamedTuple):
     degC: int
     pa: int
     lenU: int
     sat_ideal: Ideal
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     epsilon: int
     klass: str          # split | stable | strictly-semistable | unstable
     order: int
@@ -60,8 +58,7 @@ class StabilityVerdict:
     family: int | None
 
 
-@dataclass(frozen=True)
-class DistReport:
+class DistReport(NamedTuple):
     degree: int
     integrable: bool
     regular: bool
@@ -72,7 +69,7 @@ class DistReport:
     minimal_section: VField
     stability: StabilityVerdict
     split_type: tuple | None
-    notes: tuple = field(default_factory=tuple)
+    notes: tuple = ()
 
 
 def poly_gcd(f, g):
@@ -232,7 +229,7 @@ def _stability(degree, tF, split, chern):
             f"nonsplit sheaf with d={degree}, tF={tF} fits no stability class"
         )
     family = next((f for f, triple in FAMILY_CHERN.items()
-                   if tF == 1 and chern.as_tuple() == triple(degree)), None)
+                   if tF == 1 and chern == triple(degree)), None)
     return StabilityVerdict(eps, "unstable", order, tF == 1, family)
 
 

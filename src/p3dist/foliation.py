@@ -8,7 +8,7 @@ and the contraction pairing with codimension-one distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
@@ -24,8 +24,7 @@ _DEGREE1_CASES = {
 }
 
 
-@dataclass(frozen=True)
-class FoliationCurveReport:
+class FoliationCurveReport(NamedTuple):
     degree: int
     sing: SingInvariants
     chern: ChernTriple  # invariants of the conormal-type sheaf

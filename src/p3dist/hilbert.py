@@ -9,9 +9,9 @@ and the polynomial is printed by the signed-term joiner of `grammar`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .grammar import _signed_sum
 from .poly import NVARS, ZERO_MON, mon_divides
@@ -75,8 +75,7 @@ def _numerator(gens, memo):
     return out
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(NamedTuple):
     """Series numerator plus the polynomial data extracted from it."""
 
     numerator: tuple

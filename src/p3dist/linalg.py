@@ -37,8 +37,8 @@ InvalidForm unless it defines a distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import BoundViolated, InternalInconsistency
 from .exterior import (
@@ -60,8 +60,7 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class SectionSpaceDim:
+class SectionSpaceDim(NamedTuple):
     """Dimension bookkeeping for sections of the tangent sheaf at a twist."""
 
     twist: int

@@ -11,10 +11,10 @@ maximal-order families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import DegreeMismatch, DomainError, WeightRelationViolated
 from .exterior import ExtForm
@@ -26,24 +26,23 @@ from . import distribution
 _SHOWN_DIGITS = 1000
 
 
-@dataclass(frozen=True)
-class LogType:
-    """Weighted hypersurface tuple; validates degrees and the weight relation."""
+class LogType(NamedTuple("LogType", [("polys", tuple), ("weights", tuple)])):
+    """Weighted hypersurface tuple; validates degrees and the weight relation
+    on every construction, `_make` and `_replace` included."""
 
-    polys: tuple
-    weights: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.polys) < 2 or len(self.polys) != len(self.weights):
+    def __new__(cls, polys, weights):
+        if len(polys) < 2 or len(polys) != len(weights):
             raise DomainError("need at least two weighted polynomials")
-        for f in self.polys:
+        for f in polys:
             if f.homogeneous_degree() is None or f.homogeneous_degree() < 1:
                 raise DegreeMismatch(
                     "each polynomial must be homogeneous of positive degree"
                 )
         rel = sum(
             Fraction(w) * f.homogeneous_degree()
-            for w, f in zip(self.weights, self.polys)
+            for w, f in zip(weights, polys)
         )
         if rel != 0:
             # str() of an int past the interpreter's digit limit raises
@@ -52,6 +51,12 @@ class LogType:
             raise WeightRelationViolated(
                 f"sum of weight*degree is {shown}, expected 0"
             )
+        return super().__new__(cls, polys, weights)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`, which would skip `__new__`
+        return cls(*iterable)
 
     @property
     def degrees(self):
@@ -103,8 +108,7 @@ def expected_isolated_count(degrees):
     return series[3]
 
 
-@dataclass(frozen=True)
-class LogAuditReport:
+class LogAuditReport(NamedTuple):
     degrees: tuple
     form_degree: int
     integrable: bool

@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 
 import p3dist
-from p3dist import cli, corpus, distribution, foliation, groebner
+from p3dist import cli, corpus, distribution, foliation, groebner, linalg
 from p3dist.errors import (
     InconsistentInvariants,
     ParseError,
@@ -319,6 +319,40 @@ def test_mod_p_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
     err = json.loads(captured.err)
     assert err["error"] == "NumericContradiction"
     assert "mod 32003" in err["message"]
+
+
+def no_section(omega, dprime):
+    return None
+
+
+def no_h0(numerator, d, dprime):
+    return linalg.SectionSpaceDim(dprime, 0, 0, 0)
+
+
+def unclassified_invariants(v):
+    sing = distribution.SingInvariants(0, 0, 0, None)
+    return sing, distribution.ChernTriple(-4, 0, 0)
+
+
+# the internal-error branches no valid input reaches, each forced: positive
+# h0 with no section, no twist with h0 > 0 up to d + 1, and a degree-1
+# field that fits none of the three cases
+@pytest.mark.parametrize("command, doc, module, name, fake, error", [
+    pytest.param("find-subfoliation", oneform_doc("example1"), linalg, "minimal_section",
+                 no_section, "BoundViolated", id="no-section"),
+    pytest.param("find-subfoliation", oneform_doc("example1"), linalg, "_dims",
+                 no_h0, "BoundViolated", id="no-h0"),
+    pytest.param("analyze-vf", {"kind": "vfield", "components": ["x0", "2x1", "3x2", "4x3"]},
+                 foliation, "conormal_invariants", unclassified_invariants,
+                 "UnclassifiedDegree1", id="unclassified"),
+])
+def test_internal_errors_exit_2(tmp_path, capsys, monkeypatch, command, doc, module, name,
+                                fake, error):
+    monkeypatch.setattr(module, name, fake)
+    assert cli.main([command, write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == error
 
 
 def test_analyze_vf_command(tmp_path, capsys):

@@ -206,6 +206,11 @@ def test_negative_twist():
     assert s.h0 == 0
 
 
+def test_no_section_below_tF(example1):
+    assert compute_tF(example1)[0] == 1
+    assert minimal_section(example1, 0) is None
+
+
 def test_minimal_section_deterministic(example1):
     a = minimal_section(example1, 1)
     b = minimal_section(example1, 1)

@@ -28,6 +28,41 @@ def test_logtype_validation():
     assert lt.form_degree == 0
 
 
+# the inputs of test_logtype_validation, each with the message it raises
+INVALID_LOGTYPES = [
+    pytest.param((X0, X1), (1, 1), WeightRelationViolated,
+                 "sum of weight*degree is 2, expected 0", id="weights"),
+    pytest.param((X0, Poly.constant(2)), (1, -1), DegreeMismatch,
+                 "each polynomial must be homogeneous of positive degree", id="degree"),
+    pytest.param((X0,), (1,), DomainError,
+                 "need at least two weighted polynomials", id="length"),
+]
+
+VALID = log.LogType(polys=(X0, X1), weights=(1, -1))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda polys, weights: log.LogType(polys, weights), id="call"),
+    pytest.param(lambda polys, weights: log.LogType._make((polys, weights)), id="_make"),
+    pytest.param(lambda polys, weights: VALID._replace(polys=polys, weights=weights),
+                 id="_replace"),
+])
+@pytest.mark.parametrize("polys, weights, error, message", INVALID_LOGTYPES)
+def test_logtype_validates_on_every_constructor(build, polys, weights, error, message):
+    with pytest.raises(error) as exc:
+        build(polys, weights)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_logtype_record():
+    assert VALID._replace(weights=(-2, 2)) == log.LogType((X0, X1), (-2, 2))
+    assert log.LogType._make(iter([(X0, X1), (1, -1)])) == VALID
+    assert repr(VALID) == "LogType(polys=(Poly(x0), Poly(x1)), weights=(1, -1))"
+    with pytest.raises(AttributeError):
+        VALID.weights = (2, -2)
+
+
 def test_build_two_planes():
     lt = log.LogType(polys=(X0, X1), weights=(1, -1))
     omega = log.build_log_form(lt)
