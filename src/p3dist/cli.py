@@ -40,10 +40,17 @@ _CHECK_PRIMES = (32003, 31991, 31981, 31973, 31963)
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of the input file, `-` for stdin; a file that cannot be
+    read, or bytes that are not UTF-8, raise a ValidationError naming it."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        name = "stdin" if path == "-" else path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot read {name}: {reason}") from None
 
 
 def _polys_from_strings(entries, key):

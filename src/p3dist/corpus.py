@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 
 def _raw():
-    with resources.files("p3dist.data").joinpath("corpus.json").open() as fh:
+    with open(os.path.join(os.path.dirname(__file__), "data", "corpus.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
 

@@ -51,8 +51,9 @@ from .poly import (
 # engine core: polynomials as dicts packed monomial -> nonzero coefficient.
 # Over QQ (p is None) a basis element is kept as a primitive integer
 # multiple and reduced fraction-free; over GF(p) it is kept monic. Bases
-# leave the engine reduced and in that form, which an Ideal keeps; they
-# become monic Polys only when `Ideal.groebner` or `Ideal.gens` is read.
+# leave the engine reduced, in that form and with a positive leading
+# coefficient, which an Ideal keeps; they become monic Polys only when
+# `Ideal.groebner` or `Ideal.gens` is read.
 
 MAX_MONOMIAL_DEGREE = 2 ** 15 - 1
 _FIELDS = (1 << 80) - 1
@@ -133,7 +134,9 @@ def _normal_form_terms(f, basis, p):
 def _reduced_basis(G, p):
     """Reduced basis of engine polys, sorted by leading term, from a
     Groebner basis of engine polys: minimalize, then reduce each tail by
-    the others."""
+    the others. A fraction-free tail reduction can flip a row's sign, so
+    each row is scaled to a positive leading coefficient: the rows are then
+    the ideal's identity."""
     lts = [max(g) for g in G]
     minimal = sorted((
         (lt, g) for idx, (lt, g) in enumerate(zip(lts, G))
@@ -142,8 +145,9 @@ def _reduced_basis(G, p):
             for jdx, lt2 in enumerate(lts) if jdx != idx
         )
     ), key=lambda t: t[0])
-    return [_normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], p)
-            for pos, (_, g) in enumerate(minimal)]
+    reduced = (_normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], p)
+               for pos, (_, g) in enumerate(minimal))
+    return [{m: -c for m, c in g.items()} if g[max(g)] < 0 else g for g in reduced]
 
 
 _VARS = tuple(_pack(u) for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
@@ -326,10 +330,10 @@ class Ideal:
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
-        return self.groebner() == other.groebner()
+        return self._basis() == other._basis()
 
     def __hash__(self):
-        return hash(self.groebner())
+        return hash(tuple(frozenset(g.items()) for g in self._basis()))
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens)})"

@@ -612,6 +612,34 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert doc["regular"] is True
 
 
+def test_unreadable_input_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    # a missing file, a directory, bytes that are not UTF-8 in a file and on
+    # a strict stdin: each ends in the one-line JSON error, not a traceback
+    import io
+
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    missing = str(tmp_path / "missing.json")
+    for path, stdin, reason in (
+        (missing, None, "No such file or directory"),
+        (str(tmp_path), None, "Is a directory"),
+        (str(undecodable), None, "can't decode byte 0xff"),
+        ("-", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8", errors="strict"),
+         "can't decode byte 0xff"),
+    ):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", stdin)
+        assert cli.main(["analyze", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "ValidationError"
+        assert doc["message"].startswith(f"cannot read {'stdin' if path == '-' else path}: ")
+        assert reason in doc["message"]
+
+
 def test_verify_paper_examples(capsys):
     assert cli.main(["verify-paper-examples"]) == 0
     doc = json.loads(capsys.readouterr().out)

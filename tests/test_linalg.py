@@ -438,6 +438,27 @@ def test_koszul_rank_against_echelon(example1, example2, nullcorrelation, pencil
     assert 6 in ranks and len(ranks) > 1
 
 
+def test_koszul_rank_closed_form(example1, example2, nullcorrelation, pencil_of_planes):
+    # for a constant bivector C and its dual constant 2-form C~, C.A lies in
+    # R_d.x iff i_omega(C) ^ R = i_omega(C ^ R) = 0, as omega(R) = 0, iff
+    # omega ^ i_R(C~) = 0; i_R(C~) has coprime linear coefficients, so iff
+    # omega = g.i_R(C~) with deg g = d. So kappa is 5 on the forms of
+    # degree 0 and their polynomial multiples, and 6 on every other form
+    def times(g, omega):
+        return ExtForm.one_form(*(g * a for a in omega.one_form_coeffs()))
+
+    g1, g2 = X0 + 2 * X1 - X3, X0 * X0 - 3 * X1 * X2 + X3 * X3
+    five = [nullcorrelation, pencil_of_planes]
+    five += [times(g, omega) for g in (g1, g2) for omega in (nullcorrelation, pencil_of_planes)]
+    six = [example1, example2, times(g1, example1), maxorder.pullback(2, 1)]
+    six += [maxorder.oneform(row, 3, 1) for row in maxorder.ROWS]
+    for kappa, forms in ((5, five), (6, six)):
+        for omega in forms:
+            d, coeffs = checked_oneform(omega)
+            assert linalg._koszul_rank(coeffs, d) == kappa, (d, omega)
+    assert {checked_oneform(omega)[0] for omega in five} == {0, 1, 2}
+
+
 def test_bound_below_the_leading_terms_raises(example1):
     # a forged bound below the monomials that the leading terms already
     # span on entering a degree is an engine fault

@@ -10,7 +10,10 @@ from pathlib import Path
 from p3dist import corpus, distribution
 from p3dist.distribution import ChernTriple, classify
 from p3dist.exterior import coefficient_ideal
+from p3dist.foliation import sing_scheme_v
 from p3dist.groebner import Ideal, saturate
+from p3dist.logarithmic import build_log_form
+from p3dist.poly import Poly
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,11 +27,34 @@ def test_reports_of_two_parses_are_equal_and_hash_equal():
     assert hash(a.sing) == hash(b.sing)
 
 
-def test_saturated_ideal_hashes_as_its_basis():
-    sat = saturate(coefficient_ideal(corpus.load_oneform("example1")))
-    again = Ideal(sat.groebner())
-    assert sat == again
-    assert hash(sat) == hash(again)
+def corpus_ideals():
+    """The saturated singular ideal of every corpus document: of each 1-form,
+    of each field, and of the log form of each log type."""
+    names = corpus.corpus_names()
+    forms = [corpus.load_oneform(n) for n in names["oneforms"]]
+    forms += [build_log_form(corpus.load_logtype(n)) for n in names["logtypes"]]
+    ideals = [saturate(coefficient_ideal(omega)) for omega in forms]
+    return ideals + [sing_scheme_v(corpus.load_vfield(n)) for n in names["vfields"]]
+
+
+def test_saturated_ideal_hashes_as_its_basis(monkeypatch):
+    # the engine's reduced rows are canonical, primitive with a positive
+    # leading coefficient, so equality and hash read them and build no Poly;
+    # the monic basis, and its multiples by 3 in reverse order, give the
+    # same ideal
+    ideals = corpus_ideals()
+    triples = [(sat, Ideal(basis), Ideal(g * 3 for g in reversed(basis)))
+               for sat in ideals for basis in (sat.groebner(),)]
+
+    def no_poly(self, *args, **kwargs):
+        raise AssertionError("a Poly was built")
+
+    monkeypatch.setattr(Poly, "__init__", no_poly)
+    for sat, again, scaled in triples:
+        assert sat == again == scaled
+        assert hash(sat) == hash(again) == hash(scaled)
+        assert all(g[max(g)] > 0 for g in sat._basis())
+    assert len(set(ideals)) == len(ideals)
 
 
 def test_records_differing_in_one_field_are_unequal():
@@ -51,16 +77,19 @@ def test_record_fields_and_defaults():
 
 
 def test_import_loads_no_dataclasses():
-    # the package and every command it runs import no dataclasses, which
-    # pulls in inspect, ast, dis and tokenize; inspect itself is not
-    # asserted, as importlib.resources loads it on Python 3.12 and later
+    # the package and every command it runs load none of these: dataclasses
+    # pulls in inspect, ast, dis and tokenize, and importlib.resources loads
+    # inspect, tempfile and pathlib on some versions
+    heavy = {"dataclasses", "importlib.resources", "inspect", "tempfile", "pathlib"}
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "import p3dist; from p3dist import cli, distribution, foliation, logarithmic; "
-        "sys.exit('dataclasses' in sys.modules)"
+        f"print(*sorted({heavy!r} & set(sys.modules)))"
     )
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")])
-    assert proc.returncode == 0
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def readme_library_block():
