@@ -41,10 +41,11 @@ _CHECK_PRIMES = (32003, 31991, 31981, 31973, 31963)
 
 def _read_text(path):
     """The text of the input file, `-` for stdin; a file that cannot be
-    read, or bytes that are not UTF-8, raise a ValidationError naming it."""
+    read, or bytes that are not UTF-8, raise a ValidationError naming it.
+    Stdin's bytes are decoded strictly, whatever the locale."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:

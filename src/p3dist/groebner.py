@@ -2,7 +2,10 @@
 
 Buchberger with a pair heap ordered by the degree and the term order of the
 lcm, the Gebauer-Moller pair criteria, and fraction-free integer reduction
-by `poly.fraction_free_step`, the step of the section spaces too; reduced
+by `poly.fraction_free_step`, the step of the section spaces too, which
+only cancels: a row's content is divided out once, by `_engine_form`, when
+the row is kept as a generator, a new basis element or a tail-reduced row
+of a reduced basis, and never for a remainder that is zero; reduced
 grevlex bases, and the ideal operations the analysis pipeline needs:
 membership and the saturation by the irrelevant ideal, one saturation by a
 linear form certified by the Hilbert polynomial, whose result keeps that
@@ -50,10 +53,10 @@ from .poly import (
 # ---------------------------------------------------------------------------
 # engine core: polynomials as dicts packed monomial -> nonzero coefficient.
 # Over QQ (p is None) a basis element is kept as a primitive integer
-# multiple and reduced fraction-free; over GF(p) it is kept monic. Bases
-# leave the engine reduced, in that form and with a positive leading
-# coefficient, which an Ideal keeps; they become monic Polys only when
-# `Ideal.groebner` or `Ideal.gens` is read.
+# multiple with a positive leading coefficient and reduced fraction-free;
+# over GF(p) it is kept monic (`_engine_form`). Bases leave the engine
+# reduced and in that form, which an Ideal keeps; they become monic Polys
+# only when `Ideal.groebner` or `Ideal.gens` is read.
 
 MAX_MONOMIAL_DEGREE = 2 ** 15 - 1
 _FIELDS = (1 << 80) - 1
@@ -98,9 +101,11 @@ def _packed(t):
 
 
 def _engine_form(t, p):
-    """A nonzero dict-poly as the engine keeps it."""
+    """A nonzero dict-poly as the engine keeps it: over QQ primitive with a
+    positive leading coefficient, over GF(p) monic. The engine divides out
+    a content only here, on each row it keeps."""
     if p is None:
-        return primitive_row(t)
+        return primitive_row(t, max(t))
     inv = pow(t[max(t)], -1, p)
     return {m: c * inv % p for m, c in t.items()}
 
@@ -108,7 +113,9 @@ def _engine_form(t, p):
 def _normal_form_terms(f, basis, p):
     """Fully reduce the engine poly f by a list of (lt, engine poly).
 
-    Over QQ the result is a primitive integer multiple of the remainder.
+    Over QQ the result is an integer multiple of the remainder, its
+    content left in by every step; a caller that keeps it calls
+    `_engine_form`.
     A heap of monomials, largest first, gives the next term to reduce;
     terms already passed are the remainder, and every later one is smaller.
     """
@@ -134,9 +141,8 @@ def _normal_form_terms(f, basis, p):
 def _reduced_basis(G, p):
     """Reduced basis of engine polys, sorted by leading term, from a
     Groebner basis of engine polys: minimalize, then reduce each tail by
-    the others. A fraction-free tail reduction can flip a row's sign, so
-    each row is scaled to a positive leading coefficient: the rows are then
-    the ideal's identity."""
+    the others. Each tail-reduced row is put in `_engine_form`, so the rows
+    are the ideal's identity."""
     lts = [max(g) for g in G]
     minimal = sorted((
         (lt, g) for idx, (lt, g) in enumerate(zip(lts, G))
@@ -145,9 +151,8 @@ def _reduced_basis(G, p):
             for jdx, lt2 in enumerate(lts) if jdx != idx
         )
     ), key=lambda t: t[0])
-    reduced = (_normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], p)
-               for pos, (_, g) in enumerate(minimal))
-    return [{m: -c for m, c in g.items()} if g[max(g)] < 0 else g for g in reduced]
+    return [_engine_form(_normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], p), p)
+            for pos, (_, g) in enumerate(minimal)]
 
 
 _VARS = tuple(_pack(u) for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))

@@ -17,16 +17,19 @@ sections known in advance: the radial multiples f*R, f of degree t-1, and
 at t = d+1 the six Koszul fields A_j*e_i - A_i*e_j, lie in the kernel, so
 dim I_n <= 4 dim R_t - dim R_{t-1} - [t = d+1]*kappa, kappa the rank of
 the Koszul fields modulo the radial rows (`_koszul_rank`, one small
-fraction-free elimination). Where the leading terms fill the bound the
-run stops proving S-pairs zero; its result is the same.
+fraction-free elimination, its pivots kept primitive). Where the leading
+terms fill the bound the run stops proving S-pairs zero; its result is
+the same.
 
 The section comes from one scan of the columns x^m*A_i of the contraction
 map, in the order i*n + (index of m). Each column is keyed by the grevlex
 rank of its target monomials, with a tag key per column that records the
 combination, and is top-reduced against the earlier pivot columns by
-`poly.fraction_free_step`. Every earlier column is a pivot or a free column,
-so the tag of a column that reduces to zero is the RREF kernel vector of
-that free column, up to scale; the first one not in the radial span,
+`poly.fraction_free_step`, which only cancels: a column that becomes a
+pivot is stored as its `primitive_row`, and no other column's content is
+divided out. Every earlier column is a pivot or a free column, so the tag
+of a column that reduces to zero is the RREF kernel vector of that free
+column, up to scale; the first one not in the radial span,
 reduced modulo it, is the canonical section. The scan returns it as
 primitive integer components; `minimal_section` certifies those integers
 and builds the `VField` once, and `compute_tF` calls it at the first twist
@@ -123,7 +126,7 @@ def _koszul_rank(coeffs, d):
             v = fraction_free_step(v, pivots[lead], lead)
             lead = min(v, default=None)
         if v:
-            pivots[lead] = v
+            pivots[lead] = primitive_row(v)
     return len(pivots)
 
 
@@ -169,7 +172,7 @@ def _section(coeffs, d, dprime):
             v = fraction_free_step(v, pivots[lead], lead)
             lead = min(v)
         if lead < tag:
-            pivots[lead] = v
+            pivots[lead] = primitive_row(v)
             continue
         if _clear_radial(v, radial):
             comps = [{} for _ in range(NVARS)]

@@ -3,6 +3,11 @@
 Monomials are exponent 4-tuples. The global term order is graded reverse
 lexicographic with x0 > x1 > x2 > x3; every canonical printing and every
 deterministic choice in the package goes through it.
+
+The sparse integer rows below carry the fraction-free eliminations of the
+Groebner engine and of the section spaces. Their one step only cancels a
+term: a row's content is divided out, by `primitive_row`, only where a
+caller keeps the row, never inside a reduction.
 """
 
 from __future__ import annotations
@@ -41,24 +46,24 @@ def grevlex_key(m):
 # pivot row's keys shifted by a monomial and may work mod a prime.
 
 
-def primitive_row(row):
+def primitive_row(row, lead=None):
     """A nonzero row of rationals scaled to a primitive integer row whose
-    entry at the smallest key is positive."""
+    entry at the key `lead`, by default the smallest key, is positive."""
     den = lcm(*(c.denominator for c in row.values()))
     ints = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
     g = gcd(*ints.values())
-    if ints[min(ints)] < 0:
+    if ints[min(ints) if lead is None else lead] < 0:
         g = -g
     return {k: c // g for k, c in ints.items()} if g != 1 else ints
 
 
 def fraction_free_step(row, pivot_row, col, shift=0, p=None):
-    """a*row - b*pivot_row, divided by its content, where the pivot row's
-    keys are read shifted by `shift`, q = pivot_row[col - shift],
-    f = row[col], g = gcd(q, f), a = q/g and b = f/g; the entry in col
-    cancels. Both rows are integer rows and are not modified. With a
-    prime p the pivot row is monic, so a = 1, the entries are reduced
-    mod p and no content is divided out."""
+    """a*row - b*pivot_row, where the pivot row's keys are read shifted by
+    `shift`, q = pivot_row[col - shift], f = row[col], g = gcd(q, f),
+    a = q/g and b = f/g; the entry in col cancels. Both rows are integer
+    rows and are not modified. The step only cancels: the content stays
+    in, for the caller that keeps the row to divide out. With a prime p
+    the pivot row is monic, so a = 1, and the entries are reduced mod p."""
     q, f = pivot_row[col - shift], row[col]
     g = gcd(q, f)
     a, b = q // g, f // g
@@ -72,8 +77,7 @@ def fraction_free_step(row, pivot_row, col, shift=0, p=None):
             out[k] = c
         else:
             out.pop(k, None)
-    g = 1 if p else gcd(*out.values())
-    return {k: c // g for k, c in out.items()} if g > 1 else out
+    return out
 
 
 # -- integer polynomials ------------------------------------------------------
@@ -222,14 +226,7 @@ class Poly:
                 return Poly()
             return Poly({m: a * c for m, a in self.terms.items()})
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mon_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        add_product(out, self.terms, other.terms)
         return Poly(out)
 
     __rmul__ = __mul__
@@ -248,14 +245,7 @@ class Poly:
 
     def diff(self, i):
         """Partial derivative with respect to x_i."""
-        out = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                mm = list(m)
-                mm[i] = e - 1
-                out[tuple(mm)] = c * e
-        return Poly(out)
+        return Poly(diff_row(self.terms, i))
 
     # -- structure ---------------------------------------------------------
 
@@ -277,10 +267,7 @@ class Poly:
         """Clear denominators, divide by content, make leading coeff > 0."""
         if not self.terms:
             return self
-        row = primitive_row(self.terms)
-        if row[self.leading_monomial()] < 0:
-            row = {m: -c for m, c in row.items()}
-        return Poly(row)
+        return Poly(primitive_row(self.terms, self.leading_monomial()))
 
     def sorted_terms(self):
         """Terms sorted descending under the global order."""

@@ -8,7 +8,7 @@ compare that against these and against a plain Fraction elimination.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from p3dist.poly import fraction_free_step
+from p3dist.poly import fraction_free_step, primitive_row
 
 
 def _pivot_rows(rows):
@@ -16,7 +16,9 @@ def _pivot_rows(rows):
 
     Returns [(pivot_col, row)] in increasing pivot column: the reduced row
     echelon form of the row space, each row a nonzero integer multiple of
-    its RREF row. The length is the rank. The input rows are not modified.
+    its RREF row, made primitive wherever it is kept after a step, as the
+    step leaves the content in. The length is the rank. The input rows are
+    not modified.
     """
     by_lead = {}
     for r in rows:
@@ -36,6 +38,7 @@ def _pivot_rows(rows):
                 continue
             r = fraction_free_step(r, pivot, col)
             if r:
+                r = primitive_row(r)
                 lead = min(r)
                 if lead not in by_lead:
                     by_lead[lead] = []
@@ -48,7 +51,7 @@ def _pivot_rows(rows):
         for j in range(i):
             qc, qr = echelon[j]
             if pc in qr:
-                echelon[j] = (qc, fraction_free_step(qr, pr, pc))
+                echelon[j] = (qc, primitive_row(fraction_free_step(qr, pr, pc)))
     return echelon
 
 

@@ -605,7 +605,7 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(
         "sys.stdin",
-        io.StringIO('{"kind":"oneform","coeffs":["x1","-x0","x3","-x2"]}'),
+        io.TextIOWrapper(io.BytesIO(b'{"kind":"oneform","coeffs":["x1","-x0","x3","-x2"]}')),
     )
     assert cli.main(["analyze", "-"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -638,6 +638,20 @@ def test_unreadable_input_is_a_validation_error(tmp_path, capsys, monkeypatch):
         assert doc["error"] == "ValidationError"
         assert doc["message"].startswith(f"cannot read {'stdin' if path == '-' else path}: ")
         assert reason in doc["message"]
+    # a real pipe in the POSIX locale, whose own stdin decoding would turn
+    # the byte into a surrogate: stdin is decoded strictly as UTF-8
+    env = dict(os.environ, PYTHONPATH=str(Path(p3dist.__file__).parents[1]), LC_ALL="C")
+    env.pop("PYTHONUTF8", None)
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "p3dist.cli", "analyze", "-"],
+        input=b'{"kind":"oneform","coeffs":["x1\xff","-x0","x3","-x2"]}',
+        capture_output=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    doc = json.loads(proc.stderr)
+    assert doc["error"] == "ValidationError"
+    assert doc["message"].startswith("cannot read stdin: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_verify_paper_examples(capsys):

@@ -97,7 +97,8 @@ commands = st.one_of(
 
 def run(argv, text):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), \
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()))
+    with mock.patch("sys.stdin", stdin), redirect_stdout(out), \
             redirect_stderr(err):
         code = cli.main(argv + ["-"])
     return code, out.getvalue(), err.getvalue()

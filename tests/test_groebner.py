@@ -1,5 +1,6 @@
 import importlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -393,6 +394,53 @@ def test_saturate_retries_linear_forms_in_associated_primes():
 def test_intersect_with_principal_linear():
     I = intersect(Ideal((X1 - X2,)), Ideal((X0,)))
     assert I == Ideal((X0 * (X1 - X2),))
+
+
+def _in_engine_form(row, p=None):
+    """Monic mod p; over QQ integral and primitive with a positive leading
+    coefficient."""
+    lc = row[max(row)]
+    if p:
+        return lc == 1 and all(0 < c < p for c in row.values())
+    return lc > 0 and all(type(c) is int for c in row.values()) and gcd(*row.values()) == 1
+
+
+def test_every_kept_row_is_in_engine_form(monkeypatch):
+    # the step leaves the content in, so each row the engine keeps is put in
+    # its form where it is kept: the elements a run returns, capped or not,
+    # over QQ and mod p, and the basis of a saturation by either route
+    runs = []
+    engine = groebner._buchberger_terms
+
+    def recording(gens, p=None, **kwargs):
+        rows = engine(gens, p, **kwargs)
+        runs.append((p, kwargs.get("cap"), rows))
+        return rows
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+    # example2 saturates at k = 0 by dividing out x3, the two lines at k = 1
+    ideals = [Ideal(corpus.load_oneform("example2").one_form_coeffs()), Ideal((X0 * X3, X1 * X3))]
+    ideals += [Ideal(oneform(row, 4, seed=1).one_form_coeffs()) for row in sorted(ROWS)]
+    for I in ideals:
+        sat = saturate(I)
+        assert all(_in_engine_form(g) for g in sat._basis())
+        top = max(map(Poly.degree, I.gens)) + 2
+        groebner.hilbert_numerator(Ideal(I.gens), top)
+        leading_monomials_mod_p(I, 32003)
+        leading_monomials_mod_p(sat, 32003)
+    assert {(p, cap is None) for p, cap, _ in runs} == {(None, True), (None, False), (32003, True)}
+    for p, _, rows in runs:
+        assert rows and all(_in_engine_form(g, p) for g in rows)
+
+
+def test_scaled_generators_give_the_same_basis():
+    # content is divided out where a row is kept, so a common factor of
+    # the generators, however large, leaves no trace in the basis
+    for name in corpus.corpus_names()["oneforms"]:
+        gens = corpus.load_oneform(name).one_form_coeffs()
+        I, scaled = Ideal(gens), Ideal(tuple(3 * 2 ** 64 * g for g in gens))
+        assert scaled._basis() == I._basis()
+        assert scaled.groebner() == I.groebner()
 
 
 def test_mod_p_leading_terms_agree():

@@ -240,7 +240,8 @@ def test_log_audit_on_huge_weights_ends_in_report_or_error(log_type):
     doc = {"kind": "logtype", "polys": [format_poly(f) for f in log_type.polys],
            "lambdas": [str(w) for w in log_type.weights]}
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), redirect_stdout(out), \
+    stdin = io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode()))
+    with mock.patch("sys.stdin", stdin), redirect_stdout(out), \
             redirect_stderr(err):
         code = cli.main(["log-audit", "-"])
     assert code in (0, 1)

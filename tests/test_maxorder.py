@@ -60,43 +60,59 @@ def test_pullback_from_p2(d):
     assert report.chern.as_tuple() == (2 - d, 1 - d, 0)
 
 
-# the sha256 of each report that `tests/bench_maxorder.py --seed 1 --dmax 4`
+# the sha256 of each report that `tests/bench_maxorder.py --seed 1 --dmax 5`
 # prints, by row and d, and of each find-subfoliation document
 PAPER_DEGREE_DIGESTS = {
     ("distinct", 3): "0e0bb6a800134adaa69d2e3ba3b7d339289db3c37fedc26449a25b1e029b5aed",
     ("distinct", 4): "df1e2e13999458236c87f45f85efccdffc3d133b4550c973dfb91a879d783bed",
+    ("distinct", 5): "76c9853eefedd4e2559c871ce37f1f79be77cc9a020699af7bb5427d9f6359a7",
     ("jordan2", 3): "cc317d66261df0c0fd34b9a62670f4870597166f7abb575ec0db94e92e67766b",
     ("jordan2", 4): "c10ac3ebebece6d271c31e9bf746d829062dfe262edb0cf5221a290b53e2c17e",
-    ("jordan3", 3): "be4ff4567390f7881f5620e255e66e57c1a9654354e37f7d6438983edb98f265",
-    ("jordan3", 4): "4e279e28acf7fc612bc64e7f28389ff7bf2f30ac3bd6b42c3a9f5ab8f9b7d69a",
+    ("jordan2", 5): "d0611736f4cc1eaf20401006ad1717286d1262693cfbf7ce78d1928cb0ecaddc",
     ("jordan2x2", 3): "4516e8dd0301f15607dac7c8ab9dbd6180aa87277e1c486f3f51e9e7ec982946",
     ("jordan2x2", 4): "a62240236ff6dbb411073d87b1ee479032ddeb21b60999382c4098560349c8b4",
+    ("jordan2x2", 5): "5b4d244659ebfc53ea39472be2000fb35c4aac39ea6920dd64b233775505e28e",
+    ("jordan3", 3): "be4ff4567390f7881f5620e255e66e57c1a9654354e37f7d6438983edb98f265",
+    ("jordan3", 4): "4e279e28acf7fc612bc64e7f28389ff7bf2f30ac3bd6b42c3a9f5ab8f9b7d69a",
+    ("jordan3", 5): "07fccddffe34a2647fa0fc2a9dc20b1ec4dd6006ca293b56fe241868d2524042",
     ("line", 3): "166afa74944b480d5d9eb718920fa140037feb7bf4d42bf8d401bae115f5db67",
     ("line", 4): "69e52d709fbc785ea62acb1ec53349bab920454505e2832e183cf03d1fdd0634",
+    ("line", 5): "68639973f5686bcf58b5e66b91b5c1e6ab2e561ae5712bae7db3260977e9cb4e",
     ("line-in-sing", 3): "fffa066a831c3c54f2981924569e0a39de0fd3b8e7dd9ac32cfad08ee09b5660",
     ("line-in-sing", 4): "bdf628bf2a787899cf2522f9fb6a833675f8110be10e8d3805c26ed8efbac4ab",
-    ("skew-lines", 3): "2850aa3208b8311e5e557079d806b40042b1cad3a5eec4bb0d4b997727fc1e8e",
-    ("skew-lines", 4): "3147a6a9d3bb65826fa37e3e837a053037b9f7d120629d12b00d0da6a7e5c679",
+    ("line-in-sing", 5): "db55115e8b99a36fcb75d4ae7c4adde986f7112f0b990b8a95984f43bd7f771f",
     ("skew-line-in-sing", 3): "ad9a5acfb8b4d878de22f8b5cd0bbaabdae9d8f3834beda80675ed54d2925d8e",
     ("skew-line-in-sing", 4): "be6f5e26c341575c779b3d0b0ffb7b2c05bf219f0bd7540a77a1fc13b8f22cb3",
+    ("skew-line-in-sing", 5): "926ff6f95e0a477271e999941925afcc875573ca66bab03e3cc2ac35ebb74204",
+    ("skew-lines", 3): "2850aa3208b8311e5e557079d806b40042b1cad3a5eec4bb0d4b997727fc1e8e",
+    ("skew-lines", 4): "3147a6a9d3bb65826fa37e3e837a053037b9f7d120629d12b00d0da6a7e5c679",
+    ("skew-lines", 5): "76492785e7134a0c2acbc01511084b68192e018485552faf81ee656cda4665d7",
 }
 SUBFOLIATION_DIGESTS = {
     ("distinct", 3): "123e2aa68102f1ec2fe5e50acd21d5b56b99afb705d5d6160a89ae1c8308d1b8",
     ("distinct", 4): "a3e0c1afece7227bade16747b02374d7785151277a0b81bd771d0c154d12a202",
+    ("distinct", 5): "4632e66cedb8222bca1612c101e0bd70b8271f058b3ae617e09821443d87b4d2",
     ("jordan2", 3): "b0811e70655c41e10b6a23149917690e709634c8af3795cbf42a8eeeefab51b8",
     ("jordan2", 4): "4bd0d1cd6be0135f61e932bd0ddf20ac296ce80599f95ef4e04f3679d3dd01fa",
+    ("jordan2", 5): "7cde412218bc1f54556856b862b7759a672e8fc4de29929b3374054e8b8f486c",
     ("jordan2x2", 3): "abb354df103ad3ebeec8b06d9b4f8a7c00d4ed1f3ec6e1c01a50990a4064ab23",
     ("jordan2x2", 4): "d2ac2fe510e7b126f8f0fdf124637e45658b5602427505caa847ac4f2f4b65d6",
+    ("jordan2x2", 5): "e32c75ac1d876140720eb4f73310f9e2fb00b1d03e2bfa1cf35a98193caa2d06",
     ("jordan3", 3): "813e39b364a8baf4c437c9ac5098cc9dc4355dfee10804c6a87ab9017e2758ac",
     ("jordan3", 4): "bffe5dba5a2b881a7f02bf7e717e33dbcaac7316f9de7b2d361d4ba3d1c76b0f",
+    ("jordan3", 5): "e6ccf45275b6e23f7b076f4914cf388557acbb1a2fe8c7d625938914cda8ad32",
     ("line", 3): "0b41c5e9f76c5aff89cac8492db249b864df22ceacf214f6721f6e2ab646aa40",
     ("line", 4): "0347dedc83556cb71b49dd289285e99127224ff339d60dfcc8736e1d671cd1ad",
+    ("line", 5): "b2456bbf4a6a4f4fdf4643a727dbbafb924f352044f25eb74e9dbc56cd42c802",
     ("line-in-sing", 3): "0b41c5e9f76c5aff89cac8492db249b864df22ceacf214f6721f6e2ab646aa40",
     ("line-in-sing", 4): "0347dedc83556cb71b49dd289285e99127224ff339d60dfcc8736e1d671cd1ad",
+    ("line-in-sing", 5): "b2456bbf4a6a4f4fdf4643a727dbbafb924f352044f25eb74e9dbc56cd42c802",
     ("skew-line-in-sing", 3): "a3f40f485b6303d9d4941a435e5529981564656f36876c4687f456ffc62bd2b6",
     ("skew-line-in-sing", 4): "7c0421eff5f390bcf4c63a6f3c46bbb313f30174d0078767d36d0c8f621d1278",
+    ("skew-line-in-sing", 5): "50060889a23b09da7db3adf0e7ac6b26372ae86b1384e0b86e3daafc31ef304f",
     ("skew-lines", 3): "a3f40f485b6303d9d4941a435e5529981564656f36876c4687f456ffc62bd2b6",
     ("skew-lines", 4): "7c0421eff5f390bcf4c63a6f3c46bbb313f30174d0078767d36d0c8f621d1278",
+    ("skew-lines", 5): "50060889a23b09da7db3adf0e7ac6b26372ae86b1384e0b86e3daafc31ef304f",
 }
 
 

@@ -143,3 +143,9 @@ def test_fraction_free_step_mod_p():
             if c:
                 expected[k] = c
         assert fraction_free_step(row, pivot, col, shift, p) == expected
+
+
+def test_fraction_free_step_leaves_the_content_in():
+    # the step only cancels; the caller that keeps the row divides it out
+    assert fraction_free_step({0: 2, 1: 4}, {0: 1, 1: 1}, 0) == {1: 2}
+    assert fraction_free_step({0: 3, 1: 6}, {0: 1, 1: 5}, 0, p=7) == {1: 5}
