@@ -104,6 +104,12 @@ def singular_scheme(omega):
     return saturate(coefficient_ideal(omega))
 
 
+def _oneform_chern(d, degc, lenu):
+    """The Chern triple of the tangent sheaf of a 1-form of degree d whose
+    singular scheme is a curve of degree degC and lenU points."""
+    return ChernTriple(2 - d, d ** 2 + 2 - degc, lenu)
+
+
 def _oneform_numbers(omega):
     """(d, (degC, pa, lenU), chern) of a checked 1-form, from the Hilbert data
     of its coefficient ideal, which stays there for `compute_tF`."""
@@ -112,7 +118,7 @@ def _oneform_numbers(omega):
         coefficient_ideal(omega),
         lambda degc: d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2) - 2,
     )
-    return d, (degc, pa, lenu), ChernTriple(2 - d, d ** 2 + 2 - degc, lenu)
+    return d, (degc, pa, lenu), _oneform_chern(d, degc, lenu)
 
 
 def validate_oneform(omega):

@@ -17,10 +17,11 @@ auxiliary variable t, the saturation's run seeded with the finished basis
 of I. The tests compare the saturation against those. For the section
 spaces of a form that was not saturated, a run capped at a degree gives
 the Hilbert function up to it; told a certified bound on dim I_n by the
-caller (`linalg` has one from the radial and Koszul sections), it drops
-the pairs of degree n once its leading terms fill the bound, as they all
-reduce to zero (Traverso's Hilbert-driven stop). Coefficients are exact
-rationals, or residues mod a prime p for the modular cross-check.
+caller (`linalg` reads one in closed form from the radial and Koszul
+sections), it drops the pairs of degree n once its leading terms fill the
+bound, as they all reduce to zero (Traverso's Hilbert-driven stop).
+Coefficients are exact rationals, or residues mod a prime p for the
+modular cross-check.
 
 The engine packs t^e x0^a0 x1^a1 x2^a2 x3^a3 into one int (Monagan and
 Pearce, J. Symbolic Comput. 46, 2011). An `Ideal` keeps its generators and
@@ -199,9 +200,10 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, bound=None):
     bounded degree, it counts that degree's leading monomials once, from
     the last bounded degree's, and adds one per element added there. A
     count above the bound on entering raises InternalInconsistency; a
-    bound that is too small but not below that count goes unseen, so the
-    caller certifies it. Only where the run stops changes, so the result
-    is the same with or without a valid bound.
+    bound that is too small but not below that count goes unseen, so it
+    must be a theorem (`linalg._dim_bounds` proves its own). Only where
+    the run stops changes, so the result is the same with or without a
+    valid bound.
     """
     polys, lts = list(done), [max(g) for g in done]
     active, basis = list(range(len(polys))), list(zip(lts, polys))
@@ -482,12 +484,12 @@ def hilbert_numerator(I, degree, bound=None):
     """The Hilbert series numerator of R/I, I homogeneous, exact for the
     Hilbert function in every degree up to `degree`: the data `hilbert`
     kept on I if there is any, else the numerator of the leading terms of a
-    Buchberger run that stops at that degree. `bound`, called only for
-    that run, gives its certified bounds on dim I_n by degree n. Nothing is
-    kept on I, as the numerator need not be I's own above that degree."""
+    Buchberger run that stops at that degree. `bound` maps a degree n to a
+    certified bound on dim I_n for that run. Nothing is kept on I, as the
+    numerator need not be I's own above that degree."""
     if I._hilbert is not None:
         return I._hilbert.numerator
-    lts = _buchberger_terms(I._rows, cap=degree, bound=bound and bound())
+    lts = _buchberger_terms(I._rows, cap=degree, bound=bound)
     return hilbert_from_lt([_unpack(max(g)) for g in lts]).numerator
 
 

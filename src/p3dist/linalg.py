@@ -15,11 +15,15 @@ the numerator of the leading terms found, and keeps nothing on the form.
 That run is told a bound on dim I_n for each n = t+d+1 <= 2d+2, from the
 sections known in advance: the radial multiples f*R, f of degree t-1, and
 at t = d+1 the six Koszul fields A_j*e_i - A_i*e_j, lie in the kernel, so
-dim I_n <= 4 dim R_t - dim R_{t-1} - [t = d+1]*kappa, kappa the rank of
-the Koszul fields modulo the radial rows (`_koszul_rank`, one small
-fraction-free elimination, its pivots kept primitive). Where the leading
-terms fill the bound the run stops proving S-pairs zero; its result is
-the same.
+dim I_n <= 4 dim R_t - dim R_{t-1} - [t = d+1]*kappa, kappa their rank
+modulo the radial rows. That rank is a theorem: for a constant bivector C
+and its dual 2-form C~, C.A is radial iff omega ^ i_R(C~) = 0, iff omega =
+g*i_R(C~), so kappa is 5 on those forms and 6 on every other. Every form
+of degree 0 is some i_R(C~); at d >= 1 the bound takes kappa = 6, certified
+also where it is 5, as there I = g*J, J generated by linear forms, and
+dim I_{2d+2} <= dim R_{d+2} < 4 dim R_{d+1} - dim R_d - 6. Where the
+leading terms fill the bound the run stops proving S-pairs zero; its
+result is the same.
 
 The section comes from one scan of the columns x^m*A_i of the contraction
 map, in the order i*n + (index of m). Each column is keyed by the grevlex
@@ -40,7 +44,6 @@ InvalidForm unless it defines a distribution.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import BoundViolated, InternalInconsistency
@@ -108,47 +111,22 @@ def _clear_radial(v, radial):
     return v
 
 
-def _koszul_rank(coeffs, d):
-    """The rank of the six Koszul fields A_j*e_i - A_i*e_j of a 1-form of
-    degree d modulo the radial multiples, sections at twist d + 1: each is
-    reduced modulo the radial rows, then against the others."""
-    src_mons = monomials_of_degree(d + 1)
-    n = len(src_mons)
-    index = {m: i for i, m in enumerate(src_mons)}
-    radial = _radial_rows(d + 1, src_mons, 0)
-    pivots = {}
-    for i, j in combinations(range(NVARS), 2):
-        v = {i * n + index[m]: c for m, c in coeffs[j].items()}
-        v.update({j * n + index[m]: -c for m, c in coeffs[i].items()})
-        _clear_radial(v, radial)
-        lead = min(v, default=None)
-        while lead in pivots:
-            v = fraction_free_step(v, pivots[lead], lead)
-            lead = min(v, default=None)
-        if v:
-            pivots[lead] = primitive_row(v)
-    return len(pivots)
-
-
-def _dim_bounds(coeffs, d, degree):
-    """Upper bounds on dim I_n for the coefficient ideal I, n = t + d + 1
-    up to min(degree, 2d + 2): the kernel of the contraction map at twist
-    t holds the radial multiples, and at t = d + 1 the Koszul fields, so
-    dim I_n <= 4 dim R_t - dim R_{t-1} - [t = d + 1] * (their rank beyond
-    the radial multiples)."""
+def _dim_bounds(d, degree):
+    """The bounds of the module docstring on dim I_n, I the coefficient
+    ideal of a 1-form of degree d, n = t + d + 1 up to min(degree, 2d + 2):
+    dim I_n <= 4 dim R_t - dim R_{t-1} - [t = d + 1] * (6 - [d = 0])."""
     bounds = {t + d + 1: NVARS * dim_graded_piece(t) - dim_graded_piece(t - 1)
               for t in range(min(degree, 2 * d + 2) - d)}
     if 2 * d + 2 in bounds:
-        bounds[2 * d + 2] -= _koszul_rank(coeffs, d)
+        bounds[2 * d + 2] -= 6 - (d == 0)
     return bounds
 
 
 def _numerator(omega, degree):
     """The Hilbert series numerator of the coefficient ideal, exact up to
     `degree`, with the bounds of `_dim_bounds` for a Buchberger run."""
-    d, coeffs = checked_oneform(omega)
-    return hilbert_numerator(coefficient_ideal(omega), degree,
-                             lambda: _dim_bounds(coeffs, d, degree))
+    d, _ = checked_oneform(omega)
+    return hilbert_numerator(coefficient_ideal(omega), degree, _dim_bounds(d, degree))
 
 
 def _section(coeffs, d, dprime):

@@ -33,8 +33,10 @@ class LogType(NamedTuple("LogType", [("polys", tuple), ("weights", tuple)])):
     __slots__ = ()
 
     def __new__(cls, polys, weights):
-        if len(polys) < 2 or len(polys) != len(weights):
+        if len(polys) < 2:
             raise DomainError("need at least two weighted polynomials")
+        if len(polys) != len(weights):
+            raise DomainError(f"got {len(polys)} polynomials and {len(weights)} weights")
         for f in polys:
             if f.homogeneous_degree() is None or f.homogeneous_degree() < 1:
                 raise DegreeMismatch(
@@ -144,15 +146,15 @@ def audit_log_form(log_type):
 def exclusion_check(degrees):
     """True when a generic form of this degree tuple cannot realize either
     maximal-order family: with d = sum(degrees) - 2, the Chern triple
-    (2 - d, d^2 + 2 - degC, lenU) of its generic curve degree and isolated
-    count is none of `distribution.FAMILY_CHERN`."""
+    of its generic curve degree and isolated count is none of
+    `distribution.FAMILY_CHERN`."""
     if len(degrees) < 2 or any(d < 1 for d in degrees):
         raise DomainError("degrees must be a tuple of at least two positive ints")
     d = sum(degrees) - 2
     if d < 3:
         raise DomainError("families require degree at least 3")
-    chern = (2 - d, d * d + 2 - expected_curve_degree(degrees),
-             expected_isolated_count(degrees))
+    chern = distribution._oneform_chern(d, expected_curve_degree(degrees),
+                                        expected_isolated_count(degrees))
     return all(chern != triple(d) for triple in distribution.FAMILY_CHERN.values())
 
 

@@ -19,7 +19,8 @@ from p3dist.exterior import (
 from p3dist.hilbert import hilbert
 from p3dist.linalg import compute_tF, h0_tangent_twist, minimal_section
 from p3dist.poly import (
-    Poly, X0, X1, X2, X3, integer_multiples, monomials_of_degree, primitive_row,
+    Poly, X0, X1, X2, X3, dim_graded_piece, integer_multiples, monomials_of_degree,
+    primitive_row,
 )
 
 import maxorder
@@ -340,11 +341,10 @@ def fresh(omega):
 
 def test_classify_shares_the_coefficient_basis(monkeypatch, example1, nullcorrelation,
                                                pencil_of_planes):
-    # the bounds of the capped run are computed only for that run, so a
-    # classify, which reads the saturated data, never ranks the Koszul fields
-    calls, sections, ranks = [], [], []
+    # a classify reads the saturated data, so it runs no Buchberger beyond
+    # validation's, and compute_tF scans for one section
+    calls, sections = [], []
     buchberger, section_at = groebner._buchberger_terms, linalg._section
-    koszul_rank = linalg._koszul_rank
 
     def counting_buchberger(*args, **kwargs):
         calls.append(None)
@@ -354,13 +354,8 @@ def test_classify_shares_the_coefficient_basis(monkeypatch, example1, nullcorrel
         sections.append(args)
         return section_at(*args)
 
-    def counting_rank(*args):
-        ranks.append(args)
-        return koszul_rank(*args)
-
     monkeypatch.setattr(groebner, "_buchberger_terms", counting_buchberger)
     monkeypatch.setattr(linalg, "_section", counting_section)
-    monkeypatch.setattr(linalg, "_koszul_rank", counting_rank)
     forms = [example1, nullcorrelation, pencil_of_planes, random_dense_form(make_rng(101), 2)]
     for omega in forms:
         calls.clear()
@@ -368,11 +363,23 @@ def test_classify_shares_the_coefficient_basis(monkeypatch, example1, nullcorrel
         validated = len(calls)
         calls.clear()
         distribution.classify(fresh(omega))
-        assert len(calls) == validated and ranks == []
+        assert len(calls) == validated
         sections.clear()
         compute_tF(fresh(omega))
-        assert len(sections) == 1 and len(ranks) == 1
-        ranks.clear()
+        assert len(sections) == 1
+
+
+def times(g, omega):
+    """The 1-form g * omega."""
+    return ExtForm.one_form(*(g * a for a in omega.one_form_coeffs()))
+
+
+def radial_multiples(nullcorrelation, pencil_of_planes):
+    """The forms g * i_R(C~), C~ a constant 2-form and deg g = 0, 1, 2: the
+    null-correlation form and the pencil, alone and times g1 and g2."""
+    g1, g2 = X0 + 2 * X1 - X3, X0 * X0 - 3 * X1 * X2 + X3 * X3
+    forms = [nullcorrelation, pencil_of_planes]
+    return forms + [times(g, omega) for g in (g1, g2) for omega in forms]
 
 
 def test_capped_numerator_gives_every_dimension(example1, example2, nullcorrelation,
@@ -383,20 +390,20 @@ def test_capped_numerator_gives_every_dimension(example1, example2, nullcorrelat
     # Koszul sections only move where the run stops: bounded and unbounded
     # runs return the same elements, on forms with t_F = d + 1, on the
     # maximal-order rows (t_F = 1 <= d, so the bound is not met below
-    # 2d + 2), on forms with a zero coefficient and on the pencil (d = 0)
+    # 2d + 2), on forms with a zero coefficient, on the pencil (d = 0) and
+    # on the forms g * i_R(C~), whose Koszul rank is 5, not 6
     rng = make_rng(113)
     forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)
     forms += [random_dense_form(rng, d) for d in (1, 2, 3)] + [a0_zero_form()]
     forms += [maxorder.oneform(row, 3, 1) for row in ("distinct", "line", "skew-lines")]
-    forms += [maxorder.pullback(2, 1)]
+    forms += [maxorder.pullback(2, 1)] + radial_multiples(nullcorrelation, pencil_of_planes)[2:]
     for omega in forms:
-        d, coeffs = checked_oneform(omega)
+        d, _ = checked_oneform(omega)
         full = hilbert(groebner.Ideal(omega.one_form_coeffs())).numerator
         swept = groebner.hilbert_numerator(coefficient_ideal(fresh(omega)), 2 * d + 2)
         rows = coefficient_ideal(fresh(omega))._rows
         for top in range(d + 1, 2 * d + 3):
-            bounded = groebner._buchberger_terms(
-                rows, cap=top, bound=linalg._dim_bounds(coeffs, d, top))
+            bounded = groebner._buchberger_terms(rows, cap=top, bound=linalg._dim_bounds(d, top))
             assert bounded == groebner._buchberger_terms(rows, cap=top)
         for t in range(-1, d + 2):
             expected = linalg._dims(full, d, t)
@@ -422,9 +429,10 @@ def koszul_fields(coeffs, d):
 
 
 def test_koszul_rank_against_echelon(example1, example2, nullcorrelation, pencil_of_planes):
-    # the rank beyond the radial multiples, against the integer elimination
-    # of all the rows; the pencil and forms with a zero coefficient have
-    # dependent or zero Koszul fields
+    # the rank beyond the radial multiples, from the integer elimination of
+    # all the rows, is the one the capped run's bound at 2d + 2 takes off;
+    # the pencil and forms with a zero coefficient have dependent or zero
+    # Koszul fields
     ranks = set()
     forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)
     forms += [a0_zero_form(), maxorder.pullback(1, 1), maxorder.pullback(2, 2),
@@ -433,7 +441,9 @@ def test_koszul_rank_against_echelon(example1, example2, nullcorrelation, pencil
         d, coeffs = checked_oneform(omega)
         radial, koszul = koszul_fields(coeffs, d)
         expected = len(_pivot_rows(radial + koszul)) - len(_pivot_rows(radial))
-        assert linalg._koszul_rank(coeffs, d) == expected
+        n = 2 * d + 2
+        assert linalg._dim_bounds(d, n)[n] == (
+            4 * dim_graded_piece(d + 1) - dim_graded_piece(d) - expected), (d, omega)
         ranks.add(expected)
     assert 6 in ranks and len(ranks) > 1
 
@@ -442,20 +452,27 @@ def test_koszul_rank_closed_form(example1, example2, nullcorrelation, pencil_of_
     # for a constant bivector C and its dual constant 2-form C~, C.A lies in
     # R_d.x iff i_omega(C) ^ R = i_omega(C ^ R) = 0, as omega(R) = 0, iff
     # omega ^ i_R(C~) = 0; i_R(C~) has coprime linear coefficients, so iff
-    # omega = g.i_R(C~) with deg g = d. So kappa is 5 on the forms of
-    # degree 0 and their polynomial multiples, and 6 on every other form
-    def times(g, omega):
-        return ExtForm.one_form(*(g * a for a in omega.one_form_coeffs()))
-
-    g1, g2 = X0 + 2 * X1 - X3, X0 * X0 - 3 * X1 * X2 + X3 * X3
-    five = [nullcorrelation, pencil_of_planes]
-    five += [times(g, omega) for g in (g1, g2) for omega in (nullcorrelation, pencil_of_planes)]
-    six = [example1, example2, times(g1, example1), maxorder.pullback(2, 1)]
+    # omega = g.i_R(C~) with deg g = d. So the rank of the Koszul fields
+    # beyond the radial multiples, from the integer elimination of all the
+    # rows, is 5 on the forms of degree 0 and their polynomial multiples,
+    # and 6 on every other form, forms with a zero coefficient included.
+    # The capped run's bound takes it as 6 - [d = 0], and still bounds
+    # dim I_{2d+2} on the multiples, where I = g.J, J linear
+    five = radial_multiples(nullcorrelation, pencil_of_planes)
+    six = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)[4:]
+    six += [example1, example2, times(X0 + 2 * X1 - X3, example1), a0_zero_form()]
+    six += [maxorder.pullback(1, 1), maxorder.pullback(2, 1), maxorder.pullback(2, 2)]
     six += [maxorder.oneform(row, 3, 1) for row in maxorder.ROWS]
     for kappa, forms in ((5, five), (6, six)):
         for omega in forms:
             d, coeffs = checked_oneform(omega)
-            assert linalg._koszul_rank(coeffs, d) == kappa, (d, omega)
+            radial, koszul = koszul_fields(coeffs, d)
+            rank = len(_pivot_rows(radial + koszul)) - len(_pivot_rows(radial))
+            assert rank == kappa, (d, omega)
+            n = 2 * d + 2
+            hf = sum(c * dim_graded_piece(n - k) for k, c in
+                     enumerate(hilbert(groebner.Ideal(omega.one_form_coeffs())).numerator))
+            assert linalg._dim_bounds(d, n)[n] >= dim_graded_piece(n) - hf, (d, omega)
     assert {checked_oneform(omega)[0] for omega in five} == {0, 1, 2}
 
 
@@ -464,9 +481,9 @@ def test_bound_below_the_leading_terms_raises(example1):
     # span on entering a degree is an engine fault
     rng = make_rng(131)
     for omega in (example1, random_dense_form(rng, 1), random_dense_form(rng, 2)):
-        d, coeffs = checked_oneform(omega)
+        d, _ = checked_oneform(omega)
         rows = coefficient_ideal(fresh(omega))._rows
-        bounds = linalg._dim_bounds(coeffs, d, 2 * d + 2)
+        bounds = linalg._dim_bounds(d, 2 * d + 2)
         # the interreduced generators' leading terms times the variables
         lead = [max(g) for g in groebner._buchberger_terms(rows, cap=d + 1)]
         spanned = len(groebner._lt_piece(lead, d + 2, set(), None))

@@ -7,7 +7,7 @@ from p3dist import logarithmic as log
 from p3dist.errors import DegreeMismatch, DomainError, WeightRelationViolated
 from p3dist.exterior import contract, radial_field
 from p3dist.grammar import parse_poly
-from p3dist.poly import Poly, X0, X1
+from p3dist.poly import Poly, X0, X1, X2
 
 from conftest import make_rng, random_nonzero_poly
 
@@ -36,6 +36,8 @@ INVALID_LOGTYPES = [
                  "each polynomial must be homogeneous of positive degree", id="degree"),
     pytest.param((X0,), (1,), DomainError,
                  "need at least two weighted polynomials", id="length"),
+    pytest.param((X0, X1, X2), (1, -1), DomainError,
+                 "got 3 polynomials and 2 weights", id="mismatch"),
 ]
 
 VALID = log.LogType(polys=(X0, X1), weights=(1, -1))

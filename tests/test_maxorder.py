@@ -4,24 +4,34 @@ forms pulled back from P^2, whose sheaf splits with the section d/dx3.
 
 On the maximal-order forms c2(T_F) is also tested, not proven, to equal the
 degree of the curve part of I_Sing(s) : I_Sing(omega)^infinity, s the
-section."""
+section, and every number of the classification is tested to be invariant
+under a change of coordinates."""
 
 import hashlib
 import json
+import os
+import sys
 from functools import reduce
 
 import pytest
 
-from p3dist import cli
+from p3dist import cli, groebner
 from p3dist.distribution import classify, line_family_invariants
+from p3dist.exterior import ExtForm
 from p3dist.foliation import classify_degree1, sing_scheme_v
 from p3dist.groebner import Ideal, intersect, saturate, saturate_single
 from p3dist.grammar import format_poly
 from p3dist.hilbert import dimension_degree
-from p3dist.poly import Poly
+from p3dist.poly import Poly, add_product, integer_multiples, monomials_of_degree
 
+from conftest import make_rng
 from maxorder import ROWS, linear_field, oneform, pullback
 from test_groebner import _saturate_oracle
+
+# the benchmark's seeded unimodular matrices, read from perfbench/inputs.py
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
+from inputs import unimodular_pair  # noqa: E402
 
 
 @pytest.mark.parametrize("d", (3, 4))
@@ -48,6 +58,71 @@ def test_maxorder_classification(row, d):
     if d == 3:
         I = Ideal(omega.one_form_coeffs())
         assert saturate(I) == _saturate_oracle(I)
+
+
+def substitute(polys, P):
+    """Integer multiples, scaled together, of the polynomials f(P y):
+    x_i = sum_j P_ij y_j, each monomial expanded once."""
+    units = monomials_of_degree(1)
+    lin = [{m: c for m, c in zip(units, row) if c} for row in P]
+    expanded = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
+
+    def expand(m):
+        if m not in expanded:
+            i = next(i for i, e in enumerate(m) if e)
+            expanded[m] = {}
+            add_product(expanded[m], expand(m[:i] + (m[i] - 1,) + m[i + 1:]), lin[i])
+        return expanded[m]
+
+    out = []
+    for row in integer_multiples(polys)[1]:
+        f = {}
+        for m, c in row.items():
+            add_product(f, expand(m), {(0, 0, 0, 0): c})
+        out.append(Poly(f))
+    return out
+
+
+def report_numbers(report):
+    """Every number of a classification that a change of coordinates keeps."""
+    return (report.degree, report.integrable, report.regular, report.chern,
+            report.sing[:3], report.tF, report.h0_at_tF, report.stability,
+            report.split_type)
+
+
+SUPERDIAGONAL = [[int(j in (i, i + 1)) for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("d", (3, 4))
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_invariant_under_a_change_of_coordinates(monkeypatch, row, d):
+    # x = P y with P in SL4(Z), which takes omega = sum A_i dx_i to
+    # sum_j A*_j dy_j, A*_j(y) = sum_i P_ij A_i(P y), and its coefficient
+    # ideal I to I o P. Two seeded P of 8 steps, and P = 1 + superdiagonal,
+    # under which x3 fails as the first linear form on the rows with lines,
+    # and on skew-lines the saturation rejects l_1 and accepts l_2
+    rng = make_rng(151)
+    omega = oneform(row, d, seed=1)
+    report = classify(omega)
+    seeded = []
+    engine = groebner._buchberger_terms
+
+    def counting(*args, **kwargs):
+        seeded.append("done" in kwargs)
+        return engine(*args, **kwargs)
+
+    for P in [unimodular_pair(rng, 8)[0] for _ in range(2)] + [SUPERDIAGONAL]:
+        coeffs = substitute(omega.one_form_coeffs(), P)
+        moved = ExtForm.one_form(*(sum((P[i][j] * coeffs[i] for i in range(4)), Poly.zero())
+                                   for j in range(4)))
+        assert report_numbers(classify(moved)) == report_numbers(report), P
+        seeded.clear()
+        monkeypatch.setattr(groebner, "_buchberger_terms", counting)
+        sat = saturate(Ideal(tuple(coeffs)))
+        monkeypatch.setattr(groebner, "_buchberger_terms", engine)
+        assert sat == Ideal(tuple(substitute(report.sing.sat_ideal.gens, P))), P
+        if (row, P) == ("skew-lines", SUPERDIAGONAL):
+            assert seeded.count(True) == 2
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 4))
