@@ -137,25 +137,25 @@ def validate_oneform(omega):
 def is_integrable(omega):
     """Frobenius condition for a 1-form: omega wedge d(omega) = 0.
 
-    `checked_oneform` checks the form first. The check runs on integer
-    multiples A_i of the coefficients: d(omega) has the dx_i^dx_j
-    coefficient B_ij = d_i A_j - d_j A_i (i < j), and the dx_i^dx_j^dx_k
-    coefficient of omega ^ d(omega) (i < j < k) is
-    A_i B_jk - A_j B_ik + A_k B_ij.
+    `checked_oneform` checks the form, the Euler relation i_R omega = 0
+    among its checks. The check runs on integer multiples A_i of the
+    coefficients: d(omega) has the dx_i^dx_j coefficient
+    B_ij = d_i A_j - d_j A_i (i < j). By Euler, i_R d(omega) = L_R omega =
+    (d + 2)*omega, so i_R(omega ^ d(omega)) = -(d + 2)*omega ^ omega = 0,
+    and as the Koszul complex of R is exact at 3-forms, omega ^ d(omega)
+    = i_R(h*dx0^dx1^dx2^dx3), whose dx1^dx2^dx3 coefficient is x0*h. So
+    omega ^ d(omega) = 0 iff A_1 B_23 - A_2 B_13 + A_3 B_12 = 0.
     """
     _, a = checked_oneform(omega)
     b = {}
-    for i, j in combinations(range(NVARS), 2):
+    for i, j in combinations(range(1, NVARS), 2):
         b[i, j] = diff_row(a[j], i)
         add_product(b[i, j], diff_row(a[i], j), {ZERO_MON: 1}, -1)
-    for i, j, k in combinations(range(NVARS), 3):
-        out = {}
-        add_product(out, a[i], b[j, k])
-        add_product(out, a[j], b[i, k], -1)
-        add_product(out, a[k], b[i, j])
-        if out:
-            return False
-    return True
+    out = {}
+    add_product(out, a[1], b[2, 3])
+    add_product(out, a[2], b[1, 3], -1)
+    add_product(out, a[3], b[1, 2])
+    return not out
 
 
 def invariants(omega):
@@ -164,7 +164,7 @@ def invariants(omega):
     return sing, chern
 
 
-def curve_invariants(ideal, c3_base):
+def curve_invariants(ideal, c3_base, gens_name="coefficients"):
     """(degC, pa, lenU) of a singular scheme made of a curve C and lenU points.
 
     `ideal` is generated by the polynomials whose vanishing defines the
@@ -174,8 +174,9 @@ def curve_invariants(ideal, c3_base):
     HP(t) = degC*t + 1 - pa + lenU. With c3 = lenU = c3_base(degC) + 2*pa,
     pa is solved from the constant term. Height-one primes of a UFD are
     principal: a scheme of dimension 2 is exactly a common factor g of
-    those polynomials, rejected naming g. They generate g*J, J of
-    codimension >= 2, so I^sat = g*J^sat, and g is the gcd of the gens of either.
+    those polynomials, rejected naming g and the generators by `gens_name`.
+    They generate g*J, J of codimension >= 2, so I^sat = g*J^sat, and g is
+    the gcd of the gens of either.
     """
     h = hilbert(ideal)
     dim = h.projective_dimension
@@ -183,7 +184,7 @@ def curve_invariants(ideal, c3_base):
         g = common_factor(ideal.gens)
         if g.is_constant():
             raise InconsistentInvariants("surface in the singular scheme without a common factor")
-        raise DivisorialSingularity(f"coefficients share the factor {g}")
+        raise DivisorialSingularity(f"{gens_name} share the factor {g}")
     if dim <= 0:
         # no curve (degC = 0, pa = 1): the points alone must give c3
         if h.degree != c3_base(0) + 2:

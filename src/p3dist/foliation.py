@@ -47,6 +47,7 @@ def conormal_invariants(v):
     sat = sing_scheme_v(v)
     degc, pa, lenu = curve_invariants(
         sat, lambda degc: d ** 3 + d ** 2 + d - 3 * degc * (d - 1) - 1,
+        "minors against the radial field",
     )
     return SingInvariants(degc, pa, lenu, sat), ChernTriple(-3 - d, d ** 2 + 2 * d + 3 - degc, lenu)
 

@@ -16,14 +16,14 @@ That run is told a bound on dim I_n for each n = t+d+1 <= 2d+2, from the
 sections known in advance: the radial multiples f*R, f of degree t-1, and
 at t = d+1 the six Koszul fields A_j*e_i - A_i*e_j, lie in the kernel, so
 dim I_n <= 4 dim R_t - dim R_{t-1} - [t = d+1]*kappa, kappa their rank
-modulo the radial rows. That rank is a theorem: for a constant bivector C
-and its dual 2-form C~, C.A is radial iff omega ^ i_R(C~) = 0, iff omega =
-g*i_R(C~), so kappa is 5 on those forms and 6 on every other. Every form
-of degree 0 is some i_R(C~); at d >= 1 the bound takes kappa = 6, certified
-also where it is 5, as there I = g*J, J generated by linear forms, and
-dim I_{2d+2} <= dim R_{d+2} < 4 dim R_{d+1} - dim R_d - 6. Where the
-leading terms fill the bound the run stops proving S-pairs zero; its
-result is the same.
+modulo the radial multiples. That rank is a theorem: for a constant
+bivector C and its dual 2-form C~, C.A is radial iff omega ^ i_R(C~) = 0,
+iff omega = g*i_R(C~), so kappa is 5 on those forms and 6 on every
+other. Every form of degree 0 is some i_R(C~); at d >= 1 the bound takes
+kappa = 6, certified also where it is 5, as there I = g*J, J generated by
+linear forms, and dim I_{2d+2} <= dim R_{d+2} < 4 dim R_{d+1} - dim R_d - 6.
+Where the leading terms fill the bound the run stops proving S-pairs
+zero; its result is the same.
 
 The section comes from one scan of the columns x^m*A_i of the contraction
 map, in the order i*n + (index of m). Each column is keyed by the grevlex
@@ -33,11 +33,13 @@ combination, and is top-reduced against the earlier pivot columns by
 pivot is stored as its `primitive_row`, and no other column's content is
 divided out. Every earlier column is a pivot or a free column, so the tag
 of a column that reduces to zero is the RREF kernel vector of that free
-column, up to scale; the first one not in the radial span,
-reduced modulo it, is the canonical section. The scan returns it as
-primitive integer components; `minimal_section` certifies those integers
-and builds the `VField` once, and `compute_tF` calls it at the first twist
-with h0 > 0.
+column, up to scale. A radial multiple f*R is 1 at x_i*f in each F_i,
+so each class modulo them has one representative whose F_0 has no
+monomial divisible by x_0: the first kernel vector F not in the radial
+span, reduced by clearing each x_0*f of F_0 with f*R, is the canonical
+section. The scan returns it as primitive integer components;
+`minimal_section` certifies those integers and builds the `VField` once,
+and `compute_tF` calls it at the first twist with h0 > 0.
 Each public function first checks its 1-form with `exterior.checked_oneform`:
 InvalidForm unless it defines a distribution.
 """
@@ -85,32 +87,6 @@ def _dims(numerator, d, dprime):
     return SectionSpaceDim(dprime, raw, radial, raw - radial)
 
 
-def _radial_rows(dprime, src_mons, base):
-    """The radial rows (x_0*f, ..., x_3*f), f of degree dprime - 1, each the
-    tuple of its columns x^m*e_i, keyed base + i*n + (index of m), pivot
-    x_0*f first. They are in RREF already: each row is 1 at its columns
-    and has its pivot at a column no other row has."""
-    n = len(src_mons)
-    index = {m: i for i, m in enumerate(src_mons)}
-    units = monomials_of_degree(1)
-    return [tuple(base + i * n + index[mon_mul(f, x)] for i, x in enumerate(units))
-            for f in monomials_of_degree(dprime - 1)]
-
-
-def _clear_radial(v, radial):
-    """The integer row v reduced in place modulo the radial rows: v minus
-    its entry at each pivot times that row, which clears the pivot and
-    keeps v integral, as the row is 1 at each of its columns."""
-    for pc, *rest in radial:
-        c = v.pop(pc, 0)
-        if c:
-            for k in rest:
-                v[k] = v.get(k, 0) - c
-                if not v[k]:
-                    del v[k]
-    return v
-
-
 def _dim_bounds(d, degree):
     """The bounds of the module docstring on dim I_n, I the coefficient
     ideal of a 1-form of degree d, n = t + d + 1 up to min(degree, 2d + 2):
@@ -132,14 +108,15 @@ def _numerator(omega, degree):
 def _section(coeffs, d, dprime):
     """Canonical non-radial section at a twist, or None, for integer
     multiples of the coefficients of a 1-form of degree d: the first RREF
-    kernel vector of the contraction map not in the radial span, reduced
-    modulo it, as four integer dicts, primitive together and positive at
-    the first column, so that every multiple prints the same."""
+    kernel vector F of the contraction map not in the radial span, reduced
+    modulo it by clearing each x_0*f of F_0 with f*R, as four integer
+    dicts, primitive together and positive at the first column, so that
+    every multiple prints the same."""
     src_mons = monomials_of_degree(dprime)
     n = len(src_mons)
+    index = {m: k for k, m in enumerate(src_mons)}
     rank = {m: k for k, m in enumerate(monomials_of_degree(dprime + d + 1))}
     tag = len(rank)  # tag keys follow the target keys, so a target key leads
-    radial = _radial_rows(dprime, src_mons, tag)
     pivots = {}
     for col in range(NVARS * n):
         m = src_mons[col % n]
@@ -152,9 +129,18 @@ def _section(coeffs, d, dprime):
         if lead < tag:
             pivots[lead] = primitive_row(v)
             continue
-        if _clear_radial(v, radial):
+        v = {k - tag: c for k, c in v.items()}
+        # m = x_0*f: f*R is 1 at m in F_0 and at x_i*f in F_i
+        for k in [k for k in v if k < n and src_mons[k][0]]:
+            c, m = v.pop(k), src_mons[k]
+            for i in range(1, NVARS):
+                j = i * n + index[(m[0] - 1,) + m[1:i] + (m[i] + 1,) + m[i + 1:]]
+                v[j] = v.get(j, 0) - c
+                if not v[j]:
+                    del v[j]
+        if v:
             comps = [{} for _ in range(NVARS)]
-            for col, c in primitive_row({k - tag: c for k, c in v.items()}).items():
+            for col, c in primitive_row(v).items():
                 comps[col // n][src_mons[col % n]] = c
             return comps
     return None

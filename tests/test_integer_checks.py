@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from p3dist import cli, corpus  # noqa: E402
 from p3dist.distribution import is_integrable  # noqa: E402
@@ -38,6 +38,7 @@ from p3dist.grammar import format_poly  # noqa: E402
 from p3dist.groebner import Ideal, saturate  # noqa: E402
 from p3dist.logarithmic import LogType, build_log_form  # noqa: E402
 from p3dist.poly import NVARS, Poly, integer_multiples, monomials_of_degree  # noqa: E402
+from test_linalg import a0_zero_form  # noqa: E402
 
 FUZZ = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -149,15 +150,28 @@ def test_euler_check_agrees_with_contract(omega):
             oneform_degree(omega)
 
 
+# g*(x1 dx0 - x0 dx1), g a quadric: its dx1^dx2^dx3 coefficient vanishes as
+# A_2 = A_3 = 0 and B_23 = 0, and the form is integrable
+G = Poly({(2, 0, 0, 0): Fraction(1, 2), (0, 1, 1, 0): 1, (0, 0, 0, 2): -3})
+G_PENCIL = ExtForm.one_form(G * Poly.variable(1), -G * Poly.variable(0), Poly.zero(), Poly.zero())
+
+
 @FUZZ
 @given(euler_forms)
+@example(a0_zero_form())
+@example(G_PENCIL)
 def test_integrability_agrees_with_wedge(omega):
     assume(not omega.is_zero())
-    assert is_integrable(omega) == wedge(omega, exterior_derivative(omega)).is_zero()
+    theta = wedge(omega, exterior_derivative(omega))
+    # Euler gives theta = i_R(h dx0^dx1^dx2^dx3), whose dx1^dx2^dx3
+    # coefficient is x0*h: it vanishes exactly when all four do
+    assert theta.coeffs[1, 2, 3].is_zero() == theta.is_zero()
+    assert is_integrable(omega) == theta.is_zero()
 
 
 @FUZZ
 @given(integrable_forms)
+@example(G_PENCIL)
 def test_pencils_and_log_forms_are_integrable(omega):
     assume(not omega.is_zero())
     assert wedge(omega, exterior_derivative(omega)).is_zero()

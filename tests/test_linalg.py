@@ -303,11 +303,14 @@ def test_sections_against_fraction_oracle(example1, example2, nullcorrelation,
                                            pencil_of_planes):
     """h0 at every twist from -1 to d + 2, and the section at t_F and t_F + 1,
     against a Fraction elimination of the contraction matrix, on the forms of
-    `sweep_forms`, a form with A_0 = 0, and a rational multiple of each,
-    whose matrix has the same kernel."""
+    `sweep_forms`, a form with A_0 = 0, the maximal-order rows at d = 3, and
+    a rational multiple of each, whose matrix has the same kernel. The
+    section's F_0 has no monomial divisible by x0, as each class modulo the
+    radial multiples has one such representative."""
     no_dx0 = a0_zero_form()
     assert no_dx0.one_form_coeffs()[0].is_zero()
-    for omega in sweep_forms(example1, example2, nullcorrelation, pencil_of_planes) + [no_dx0]:
+    forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes) + [no_dx0]
+    for omega in forms + [maxorder.oneform(row, 3, 1) for row in sorted(maxorder.ROWS)]:
         d = field_degree(VField(omega.one_form_coeffs())) - 1
         tF, _, _ = compute_tF(omega)
         # on the degree-3 examples only to t_F + 1: a matrix past that takes
@@ -320,6 +323,7 @@ def test_sections_against_fraction_oracle(example1, example2, nullcorrelation,
             scan = dprime in (tF, tF + 1)
             section = oracle_section(kernel, dprime) if scan else None
             assert section is not None or not scan
+            assert not scan or not any(m[0] for m in section.components[0].terms)
             for form in (omega, omega * Fraction(-7, 3)):
                 assert h0_tangent_twist(form, dprime).h0 == h0
                 if scan:
