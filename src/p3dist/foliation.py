@@ -3,7 +3,11 @@ fields up to radial equivalence.
 
 Singular scheme from the 2x2 minors against the radial field, conormal
 invariants extracted from the Hilbert polynomial, the degree-1 trichotomy,
-and the contraction pairing with codimension-one distributions.
+and the contraction pairing with codimension-one distributions. When the
+singular scheme is finite the minors have height 3, their Eagon-Northcott
+complex gives the Hilbert series in closed form, and that series certifies
+the interreduced minors as the saturated basis, with no S-pair run
+(`sing_scheme_v`).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import NamedTuple
 from .errors import DomainError, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
 from .exterior import _contraction, _radial_minors, checked_oneform, field_degree
-from .groebner import Ideal, saturate
+from .groebner import Ideal, certify_by_numerator, saturate
 from .hilbert import hilbert  # noqa: F401  unused, a tracer target: tests/test_bench_tracer.py
 from .poly import integer_multiples
 
@@ -31,14 +35,45 @@ class FoliationCurveReport(NamedTuple):
     degree1_case: str | None
 
 
+def _eagon_northcott(e):
+    """The numerator N_e of HS(R/J), as `hilbert_from_lt` gives it, for the
+    minors J of a field of degree e with height J = 3 (see `sing_scheme_v`)."""
+    n = {}
+    for k, c in ((0, 1), (e + 1, -6), (e + 2, 4), (2 * e + 1, 4),
+                 (e + 3, -1), (2 * e + 2, -1), (3 * e + 1, -1)):
+        n[k] = n.get(k, 0) + c
+    return tuple(n.get(k, 0) for k in range(max(e + 3, 3 * e + 1) + 1))
+
+
 def sing_scheme_v(v):
-    """Saturated ideal of the locus where the field is radially dependent."""
-    field_degree(v)
+    """Saturated ideal of the locus where the field is radially dependent.
+
+    Let e be the degree of v and J the ideal of the 2x2 minors of the 2x4
+    matrix with rows (x0, ..., x3) and (v0, ..., v3).
+    (a) J is proper, so height J <= 3 (Eagon-Northcott's bound for maximal
+        minors).
+    (b) When height J = 3 the Eagon-Northcott complex resolves R/J (Eagon
+        and Northcott, Proc. Roy. Soc. A 269, 1962), and its shifts give
+        HS(R/J) = N_e(t)/(1 - t)^4 with
+            N_e = 1 - 6t^(e+1) + 4t^(e+2) + 4t^(2e+1)
+                    - t^(e+3) - t^(2e+2) - t^(3e+1),
+        for e = 1 this is 1 - 6t^2 + 8t^3 - 3t^4, and the Hilbert
+        polynomial is the constant e^3 + e^2 + e + 1.
+    (c) The resolution has length 3, so R/J has depth 1 (Auslander-
+        Buchsbaum): m is not associated to J, and J is saturated.
+    So R/J has numerator N_e whenever R/J has Krull dimension <= 1 (by (a)
+    that is height J = 3), which `groebner.certify_by_numerator` needs to
+    certify the interreduced minors as J's basis. A field whose singular
+    scheme is finite is then done, by (c), with no S-pair run; any other
+    is saturated from its interreduced minors.
+    """
+    e = field_degree(v)
     _, fs = integer_multiples(v.components)
     minors = [m for m in _radial_minors(fs) if m]
     if not minors:
         raise RadialField("field is a multiple of the radial field")
-    return saturate(Ideal._of_rows(minors))
+    J, certified = certify_by_numerator(Ideal._of_rows(minors), _eagon_northcott(e))
+    return J if certified else saturate(J)
 
 
 def conormal_invariants(v):

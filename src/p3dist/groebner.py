@@ -14,7 +14,14 @@ when x3 divides no basis element, as the colon is then I; by any other
 form, like intersection (which also gives the gcd that names a common
 factor), colon and the saturation by one polynomial, it eliminates an
 auxiliary variable t, the saturation's run seeded with the finished basis
-of I. The tests compare the saturation against those. For the section
+of I. A run returns its minimal basis, and the eliminations tail-reduce
+only the t-free rows they keep (only a t-free leading term divides a t-free
+monomial), the saturation only the colon it accepts. The tests compare the
+saturation against those. A caller that knows the Hilbert numerator of R/I
+whenever R/I has Krull dimension <= 1 (a field's minors, by Eagon and
+Northcott: `foliation.sing_scheme_v`) has the interreduced generators
+certified as the basis by their leading terms, with no S-pair run
+(`certify_by_numerator`); else the full run starts from them. For the section
 spaces of a form that was not saturated, a run capped at a degree gives
 the Hilbert function up to it; told a certified bound on dim I_n by the
 caller (`linalg` reads one in closed form from the radial and Koszul
@@ -55,9 +62,9 @@ from .poly import (
 # engine core: polynomials as dicts packed monomial -> nonzero coefficient.
 # Over QQ (p is None) a basis element is kept as a primitive integer
 # multiple with a positive leading coefficient and reduced fraction-free;
-# over GF(p) it is kept monic (`_engine_form`). Bases leave the engine
-# reduced and in that form, which an Ideal keeps; they become monic Polys
-# only when `Ideal.groebner` or `Ideal.gens` is read.
+# over GF(p) it is kept monic (`_engine_form`). A run returns its rows in
+# that form, and an Ideal keeps its basis reduced (`_reduced_basis`); the
+# rows become monic Polys only when `Ideal.groebner` or `Ideal.gens` is read.
 
 MAX_MONOMIAL_DEGREE = 2 ** 15 - 1
 _FIELDS = (1 << 80) - 1
@@ -173,8 +180,9 @@ def _lt_piece(lts, deg, piece, at):
 
 
 def _buchberger_terms(gens, p=None, done=(), cap=None, bound=None):
-    """Reduced Groebner basis of packed dict-polys, as engine polys sorted
-    by leading term.
+    """A minimal Groebner basis of packed dict-polys: the run's active
+    engine polys, in the order they were kept. A caller that keeps the
+    rows makes them the reduced basis with `_reduced_basis`.
 
     Pairs wait in a heap keyed by (total degree of the lcm, lcm) and are
     pruned by the Gebauer-Moller update when an element is added. `active`
@@ -189,8 +197,8 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, bound=None):
     Groebner basis: it forms no pairs within itself, only with gens and
     the elements that follow (Gebauer-Moller's incremental update). With a
     degree `cap` and homogeneous gens, pairs are taken up to that degree
-    only and the active elements are returned unreduced: their leading
-    terms generate the leading-term ideal in every degree up to the cap.
+    only: the leading terms of the elements returned generate the
+    leading-term ideal in every degree up to the cap.
 
     `bound` maps a degree n to a certified upper bound on dim I_n, for
     homogeneous gens (Traverso's Hilbert-driven stop, J. Symbolic Comput.
@@ -264,9 +272,7 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, bound=None):
             add(_engine_form(r, p))
             if deg == at:
                 filled.add(lts[-1])
-    if cap is not None:
-        return [polys[i] for i in active]
-    return _reduced_basis([polys[i] for i in active], p)
+    return [polys[i] for i in active]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +317,7 @@ class Ideal:
     def _basis(self):
         """The reduced basis of engine polys, computed once."""
         if self._reduced is None:
-            object.__setattr__(self, "_reduced", _buchberger_terms(self._rows))
+            object.__setattr__(self, "_reduced", _reduced_basis(_buchberger_terms(self._rows), None))
         return self._reduced
 
     def groebner(self):
@@ -402,7 +408,7 @@ def leading_monomials_mod_p(ideal, prime):
             if r:
                 t[m] = r
         gens.append(t)
-    return tuple(_unpack(max(g)) for g in _buchberger_terms(gens, prime))
+    return tuple(_unpack(lt) for lt in sorted(max(g) for g in _buchberger_terms(gens, prime)))
 
 
 # -- auxiliary-variable machinery (t in the top field of a packed monomial) -
@@ -417,15 +423,17 @@ def _extend(g):
 
 
 def _t_free(basis):
-    """The t-free part of a reduced block-order basis: the reduced grevlex
-    basis of the elimination ideal, as the block order restricts to
-    grevlex, and the part keeps its leading terms and its order."""
+    """The t-free part of a minimal block-order Groebner basis: a minimal
+    grevlex Groebner basis of the elimination ideal, as the block order
+    restricts to grevlex. Only a t-free leading term divides a t-free
+    monomial, so the reduced basis of the part is the t-free part of the
+    reduced basis, and only the part's rows need tail-reducing."""
     return [g for g in basis if max(g) < _T]
 
 
 def _eliminate_t(gens5):
     """The elimination ideal of the auxiliary variable."""
-    return _engine_ideal(_t_free(_buchberger_terms(gens5)))
+    return _engine_ideal(_reduced_basis(_t_free(_buchberger_terms(gens5)), None))
 
 
 def intersect(I, J):
@@ -493,6 +501,30 @@ def hilbert_numerator(I, degree, bound=None):
     return hilbert_from_lt([_unpack(max(g)) for g in lts]).numerator
 
 
+def certify_by_numerator(I, numerator):
+    """(ideal, certified): I kept with its reduced basis and HilbertData when
+    its interreduced generators prove them, else the ideal of those
+    generators, for a full run to start from, and False.
+
+    The caller guarantees: R/I has numerator N whenever R/I has Krull
+    dimension <= 1. The run capped at the generators' top degree gives
+    elements G0 of I, so LT(G0) lies in LT(I) and HF(R/I) <= HF(R/LT(G0))
+    in every degree. When LT(G0) gives the numerator N and a projective
+    dimension <= 0, HF(R/I) is bounded, so R/I has Krull dimension <= 1
+    and numerator N: the two Hilbert functions are equal, LT(G0) = LT(I),
+    and G0 is a Groebner basis. Generators of one degree c form no pair
+    below the cap, so the run only interreduces them, and LT(G0) has the
+    numerator 1 - len(G0)*t^c + ...: where N disagrees at t^c, no numerator
+    is computed."""
+    top = max(_degree(max(g)) for g in I._rows)
+    G0 = _buchberger_terms(I._rows, cap=top)
+    if numerator[top:top + 1] == (-len(G0),):
+        h = hilbert_from_lt([_unpack(max(g)) for g in G0])
+        if h.numerator == numerator and h.projective_dimension <= 0:
+            return _engine_ideal(_reduced_basis(G0, None), h), True
+    return Ideal.__new__(Ideal)._keep(tuple(G0)), False
+
+
 def saturate(I):
     """I : m^infinity, the saturation by the irrelevant ideal
     m = (x0, x1, x2, x3).
@@ -509,12 +541,13 @@ def saturate(I):
     power of x3 gives a Groebner basis of the colon (Bayer-Stillman), which is
     only minimalized and tail-reduced; when x3 divides no element the
     colon is I, so I is saturated and is returned with its own data. For
-    k >= 1 the colon is the t-free part of the reduced block-order basis
+    k >= 1 the colon is the t-free part of a block-order Groebner basis
     of that basis plus t*l_k - 1. The block order is grevlex on t-free
     polynomials, so the basis of I is already a Groebner basis there: the
     run forms pairs only with t*l_k - 1 and what follows.
-    The target is `hilbert(I)`, kept on I, and the result keeps the
-    HilbertData of the accepted colon.
+    The target is `hilbert(I)`, kept on I, and each colon is tested by its
+    leading terms alone: only the accepted one is tail-reduced, and the
+    result keeps its HilbertData.
     """
     own = hilbert(I)
     reduced, target = I._basis(), own.hp_coeffs
@@ -531,4 +564,4 @@ def saturate(I):
             colon = [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)]
         h = hilbert_from_lt([_unpack(max(g)) for g in colon])
         if h.hp_coeffs == target:
-            return _engine_ideal(colon if k else _reduced_basis(colon, None), h)
+            return _engine_ideal(_reduced_basis(colon, None), h)

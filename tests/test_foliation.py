@@ -1,14 +1,16 @@
 import pytest
 
-from p3dist import corpus
+from p3dist import corpus, groebner
 from p3dist import foliation as fol
 from p3dist.errors import DivisorialSingularity, DomainError, InvalidForm, RadialField
-from p3dist.exterior import VField, field_degree, radial_field
+from p3dist.exterior import VField, field_degree, minors_against_radial, radial_field
 from p3dist.grammar import parse_poly
-from p3dist.groebner import Ideal
-from p3dist.poly import Poly, X0, X1, X2, X3
+from p3dist.groebner import Ideal, saturate
+from p3dist.hilbert import hilbert
+from p3dist.poly import Poly, X0, X1, X2, X3, monomials_of_degree
 
 from conftest import make_rng, random_nonzero_poly
+from maxorder import linear_field
 
 
 def test_four_points_case():
@@ -158,3 +160,68 @@ def test_degree1_trichotomy_random():
         classified += 1
     # the random sample should hit at least the generic case
     assert "stable-points" in cases
+
+
+# the tests/maxorder.py rows by the case of their field v: four points, or a
+# line (the "-in-sing" rows share the field of the row they extend)
+STABLE_POINT_ROWS = ("distinct", "jordan2", "jordan3", "jordan2x2")
+LINE_ROWS = ("line", "line-in-sing", "skew-lines", "skew-line-in-sing")
+
+
+def dense_integer_field(rng, degree):
+    """A field whose components have every monomial of the degree, with
+    nonzero coefficients in [-3, 3]."""
+    return VField([Poly({m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in monomials_of_degree(degree)})
+                   for _ in range(4)])
+
+
+def points_fields():
+    """Degree-1 fields whose singular scheme is four points, counted with
+    multiplicity: the stable-points rows, the corpus field and a diagonal
+    field."""
+    fields = [linear_field(row) for row in STABLE_POINT_ROWS]
+    return fields + [corpus.load_vfield("four_points"), VField([X0, 2 * X1, 3 * X2, 4 * X3])]
+
+
+def test_minors_have_the_eagon_northcott_numerator():
+    # on the plain route, with no certificate: the minors of a field whose
+    # singular scheme is finite have height 3, so the numerator N_e of their
+    # Eagon-Northcott resolution and the constant Hilbert polynomial
+    # e^3 + e^2 + e + 1; a constant field (e = 0) cuts out one point, and
+    # the seeded dense fields of degree 2 and 3 have degC = 0. On the line
+    # rows the scheme is a curve.
+    rng = make_rng(163)
+    fields = [VField([Poly.constant(c) for c in (1, 2, 3, 5)])] + points_fields()
+    fields += [dense_integer_field(rng, e) for e in (2, 2, 3, 3)]
+    for v in fields:
+        e = field_degree(v)
+        h = hilbert(Ideal(minors_against_radial(v)))
+        assert h.numerator == fol._eagon_northcott(e)
+        assert h.hp_coeffs == (e ** 3 + e ** 2 + e + 1,)
+    for row in LINE_ROWS:
+        assert hilbert(Ideal(minors_against_radial(linear_field(row)))).projective_dimension == 1
+
+
+def test_finite_schemes_are_certified_with_no_s_pair(monkeypatch):
+    # the interreduced minors of a degree-1 field with isolated singular
+    # points have the numerator N_1, so sing_scheme_v keeps them as the
+    # basis after one run capped at degree 2, and saturates nothing; on the
+    # line rows the certificate fails and the saturation runs. Either way
+    # the result is the saturation of the minors, Hilbert data included
+    caps = []
+    engine = groebner._buchberger_terms
+
+    def recording(*args, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return engine(*args, **kwargs)
+
+    lines = [linear_field(row) for row in LINE_ROWS]
+    for fields, certified in ((points_fields(), True), (lines, False)):
+        for v in fields:
+            caps.clear()
+            monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+            sat = fol.sing_scheme_v(v)
+            monkeypatch.setattr(groebner, "_buchberger_terms", engine)
+            assert caps == [2] if certified else caps[0] == 2 and None in caps
+            expected = saturate(Ideal(minors_against_radial(v)))
+            assert sat == expected and sat._hilbert == expected._hilbert

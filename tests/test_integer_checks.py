@@ -34,7 +34,7 @@ from p3dist.exterior import (  # noqa: E402
     wedge,
 )
 from p3dist.foliation import sing_scheme_v  # noqa: E402
-from p3dist.grammar import format_poly  # noqa: E402
+from p3dist.grammar import format_poly, parse_poly  # noqa: E402
 from p3dist.groebner import Ideal, saturate  # noqa: E402
 from p3dist.logarithmic import LogType, build_log_form  # noqa: E402
 from p3dist.poly import NVARS, Poly, integer_multiples, monomials_of_degree  # noqa: E402
@@ -212,6 +212,10 @@ def assert_sing_scheme_from_fraction_minors(v):
 
 @settings(FUZZ, max_examples=40)
 @given(rational_fields)
+# a dense integer field with four isolated singular points, which
+# `sing_scheme_v` certifies by its Eagon-Northcott numerator
+@example(VField([parse_poly(s) for s in ("3*x0 - 3*x1 - 2*x2 + x3", "x0 + x1 - 2*x2 - 3*x3",
+                                          "3*x0 + 3*x1 - 3*x2 - 2*x3", "-3*x0 - 3*x1 - 3*x2 + 2*x3")]))
 def test_sing_scheme_agrees_with_fraction_minors(v):
     assume(any(minors_against_radial(v)))
     assert_sing_scheme_from_fraction_minors(v)
