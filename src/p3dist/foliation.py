@@ -3,10 +3,10 @@ fields up to radial equivalence.
 
 Singular scheme from the 2x2 minors against the radial field, conormal
 invariants extracted from the Hilbert polynomial, the degree-1 trichotomy,
-and the contraction pairing with codimension-one distributions. When the
-singular scheme is finite the minors have height 3, their Eagon-Northcott
-complex gives the Hilbert series in closed form, and that series certifies
-the interreduced minors as the saturated basis, with no S-pair run
+and the contraction pairing with codimension-one distributions. The
+Eagon-Northcott series of the minors bounds their graded pieces for every
+field of its degree, so one Buchberger run, told that bound, gives their
+basis; when the singular scheme is finite that basis is already saturated
 (`sing_scheme_v`).
 """
 
@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DomainError, RadialField, UnclassifiedDegree1
+from .errors import DomainError, InternalInconsistency, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
 from .exterior import _contraction, _radial_minors, checked_oneform, field_degree
-from .groebner import Ideal, certify_by_numerator, saturate
-from .hilbert import hilbert  # noqa: F401  unused, a tracer target: tests/test_bench_tracer.py
-from .poly import integer_multiples
+from .groebner import bounded_ideal, saturate
+from .hilbert import hilbert
+from .poly import dim_graded_piece, integer_multiples
 
 _DEGREE1_CASES = {
     (0, 6, 4): "stable-points",
@@ -45,6 +45,13 @@ def _eagon_northcott(e):
     return tuple(n.get(k, 0) for k in range(max(e + 3, 3 * e + 1) + 1))
 
 
+def _dim_bound(n_e):
+    """bound[n] = dim R_n - HF(n) for HS = N_e/(1 - t)^4, n <= deg N_e: by
+    (d) of `sing_scheme_v`, dim J_n <= bound[n] for every field of degree e."""
+    return {n: -sum(c * dim_graded_piece(n - k) for k, c in enumerate(n_e) if k)
+            for n in range(len(n_e))}
+
+
 def sing_scheme_v(v):
     """Saturated ideal of the locus where the field is radially dependent.
 
@@ -61,19 +68,31 @@ def sing_scheme_v(v):
         polynomial is the constant e^3 + e^2 + e + 1.
     (c) The resolution has length 3, so R/J has depth 1 (Auslander-
         Buchsbaum): m is not associated to J, and J is saturated.
-    So R/J has numerator N_e whenever R/J has Krull dimension <= 1 (by (a)
-    that is height J = 3), which `groebner.certify_by_numerator` needs to
-    certify the interreduced minors as J's basis. A field whose singular
-    scheme is finite is then done, by (c), with no S-pair run; any other
-    is saturated from its interreduced minors.
+    (d) dim J_n <= dim R_n - HF_{N_e}(n), the height-3 rank by (b), for
+        every field of degree e: the rank of J_n is lower semicontinuous in
+        the field's coefficients, which range over an irreducible affine
+        space, so its largest value holds on an open set, which meets the
+        nonempty open set of height-3 fields, witnessed by (1, 2, 3, 5) for
+        e = 0, (x0, 2x1, 3x2, 4x3) for e = 1 and (x0^e, ..., x3^e) for e >= 2.
+    So one Buchberger run told the bound of (d) gives J's basis (Traverso's
+    stop, `groebner._buchberger_terms`; pairs above deg N_e run unbounded).
+    A finite scheme has height J = 3, so numerator N_e (checked) and J is
+    saturated by (c); any other J is saturated from that basis.
     """
     e = field_degree(v)
     _, fs = integer_multiples(v.components)
     minors = [m for m in _radial_minors(fs) if m]
     if not minors:
         raise RadialField("field is a multiple of the radial field")
-    J, certified = certify_by_numerator(Ideal._of_rows(minors), _eagon_northcott(e))
-    return J if certified else saturate(J)
+    n_e = _eagon_northcott(e)
+    J = bounded_ideal(minors, _dim_bound(n_e))
+    h = hilbert(J)
+    if h.projective_dimension > 0:
+        return saturate(J)
+    if h.numerator != n_e:
+        raise InternalInconsistency(f"minors with a finite scheme have the numerator"
+                                    f" {h.numerator}, not the Eagon-Northcott {n_e}")
+    return J
 
 
 def conormal_invariants(v):

@@ -17,16 +17,13 @@ auxiliary variable t, the saturation's run seeded with the finished basis
 of I. A run returns its minimal basis, and the eliminations tail-reduce
 only the t-free rows they keep (only a t-free leading term divides a t-free
 monomial), the saturation only the colon it accepts. The tests compare the
-saturation against those. A caller that knows the Hilbert numerator of R/I
-whenever R/I has Krull dimension <= 1 (a field's minors, by Eagon and
-Northcott: `foliation.sing_scheme_v`) has the interreduced generators
-certified as the basis by their leading terms, with no S-pair run
-(`certify_by_numerator`); else the full run starts from them. For the section
-spaces of a form that was not saturated, a run capped at a degree gives
-the Hilbert function up to it; told a certified bound on dim I_n by the
-caller (`linalg` reads one in closed form from the radial and Koszul
-sections), it drops the pairs of degree n once its leading terms fill the
-bound, as they all reduce to zero (Traverso's Hilbert-driven stop).
+saturation against those. For the section spaces of a form that was not
+saturated, a run capped at a degree gives the Hilbert function up to it.
+A run told a certified bound on dim I_n drops the pairs of degree n once
+its leading terms fill it, as they all reduce to zero (Traverso's
+Hilbert-driven stop): `linalg` reads one from the radial and Koszul
+sections, `foliation.sing_scheme_v` one from the Eagon-Northcott series
+of a field's minors, which `bounded_ideal` hands to an uncapped run.
 Coefficients are exact rationals, or residues mod a prime p for the
 modular cross-check.
 
@@ -209,9 +206,10 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, bound=None):
     the last bounded degree's, and adds one per element added there. A
     count above the bound on entering raises InternalInconsistency; a
     bound that is too small but not below that count goes unseen, so it
-    must be a theorem (`linalg._dim_bounds` proves its own). Only where
-    the run stops changes, so the result is the same with or without a
-    valid bound.
+    must be a theorem (`linalg._dim_bounds` and `foliation._dim_bound`
+    prove their own). Degrees the bound leaves out run unbounded, capped
+    or not. Only where the run stops changes, so the result is the same
+    with or without a valid bound.
     """
     polys, lts = list(done), [max(g) for g in done]
     active, basis = list(range(len(polys))), list(zip(lts, polys))
@@ -501,28 +499,10 @@ def hilbert_numerator(I, degree, bound=None):
     return hilbert_from_lt([_unpack(max(g)) for g in lts]).numerator
 
 
-def certify_by_numerator(I, numerator):
-    """(ideal, certified): I kept with its reduced basis and HilbertData when
-    its interreduced generators prove them, else the ideal of those
-    generators, for a full run to start from, and False.
-
-    The caller guarantees: R/I has numerator N whenever R/I has Krull
-    dimension <= 1. The run capped at the generators' top degree gives
-    elements G0 of I, so LT(G0) lies in LT(I) and HF(R/I) <= HF(R/LT(G0))
-    in every degree. When LT(G0) gives the numerator N and a projective
-    dimension <= 0, HF(R/I) is bounded, so R/I has Krull dimension <= 1
-    and numerator N: the two Hilbert functions are equal, LT(G0) = LT(I),
-    and G0 is a Groebner basis. Generators of one degree c form no pair
-    below the cap, so the run only interreduces them, and LT(G0) has the
-    numerator 1 - len(G0)*t^c + ...: where N disagrees at t^c, no numerator
-    is computed."""
-    top = max(_degree(max(g)) for g in I._rows)
-    G0 = _buchberger_terms(I._rows, cap=top)
-    if numerator[top:top + 1] == (-len(G0),):
-        h = hilbert_from_lt([_unpack(max(g)) for g in G0])
-        if h.numerator == numerator and h.projective_dimension <= 0:
-            return _engine_ideal(_reduced_basis(G0, None), h), True
-    return Ideal.__new__(Ideal)._keep(tuple(G0)), False
+def bounded_ideal(rows, bound):
+    """The ideal of integer dict-polys keyed by exponent tuples, kept with
+    its reduced basis from one run told a certified `bound` on dim I_n."""
+    return _engine_ideal(_reduced_basis(_buchberger_terms(map(_packed, rows), bound=bound), None))
 
 
 def saturate(I):

@@ -2,12 +2,14 @@ import pytest
 
 from p3dist import corpus, groebner
 from p3dist import foliation as fol
-from p3dist.errors import DivisorialSingularity, DomainError, InvalidForm, RadialField
+from p3dist.errors import (
+    DivisorialSingularity, DomainError, InternalInconsistency, InvalidForm, RadialField,
+)
 from p3dist.exterior import VField, field_degree, minors_against_radial, radial_field
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal, saturate
 from p3dist.hilbert import hilbert
-from p3dist.poly import Poly, X0, X1, X2, X3, monomials_of_degree
+from p3dist.poly import Poly, X0, X1, X2, X3, dim_graded_piece, monomials_of_degree
 
 from conftest import make_rng, random_nonzero_poly
 from maxorder import linear_field
@@ -183,45 +185,81 @@ def points_fields():
     return fields + [corpus.load_vfield("four_points"), VField([X0, 2 * X1, 3 * X2, 4 * X3])]
 
 
-def test_minors_have_the_eagon_northcott_numerator():
-    # on the plain route, with no certificate: the minors of a field whose
+def pieces_and_bound(v):
+    """(HilbertData of the minors on the plain route, dim J_n and the bound
+    sing_scheme_v runs with, each for n = e + 1 ... 3e + 1)."""
+    e = field_degree(v)
+    h = hilbert(Ideal(minors_against_radial(v)))
+    bound = fol._dim_bound(fol._eagon_northcott(e))
+    degrees = range(e + 1, 3 * e + 2)
+    dims = [dim_graded_piece(n) - sum(c * dim_graded_piece(n - k) for k, c in enumerate(h.numerator))
+            for n in degrees]
+    return h, dims, [bound[n] for n in degrees]
+
+
+def test_minors_have_the_eagon_northcott_numerator(monkeypatch):
+    # on the plain route, with no bound: the minors of a field whose
     # singular scheme is finite have height 3, so the numerator N_e of their
     # Eagon-Northcott resolution and the constant Hilbert polynomial
     # e^3 + e^2 + e + 1; a constant field (e = 0) cuts out one point, and
-    # the seeded dense fields of degree 2 and 3 have degC = 0. On the line
-    # rows the scheme is a curve.
+    # the seeded dense fields of degree 2 and 3 have degC = 0. Their graded
+    # pieces fill the bound that sing_scheme_v runs with, which no field of
+    # degree e exceeds: not the line rows, whose scheme is a curve, nor a
+    # field whose minors share the factor x1. A top coefficient -2 for -1
+    # only loosens the bound at 3e + 1, so the run still gives the basis of
+    # a point field, and the numerator check rejects it
     rng = make_rng(163)
     fields = [VField([Poly.constant(c) for c in (1, 2, 3, 5)])] + points_fields()
     fields += [dense_integer_field(rng, e) for e in (2, 2, 3, 3)]
     for v in fields:
         e = field_degree(v)
-        h = hilbert(Ideal(minors_against_radial(v)))
+        h, dims, bounds = pieces_and_bound(v)
         assert h.numerator == fol._eagon_northcott(e)
         assert h.hp_coeffs == (e ** 3 + e ** 2 + e + 1,)
-    for row in LINE_ROWS:
-        assert hilbert(Ideal(minors_against_radial(linear_field(row)))).projective_dimension == 1
+        assert dims == bounds
+    divisorial = VField([parse_poly(s) for s in ("x0*x1", "x1^2", "x1*x2", "x1*x3 + x0*x1")])
+    for v, dim in [(linear_field(row), 1) for row in LINE_ROWS] + [(divisorial, 2)]:
+        h, dims, bounds = pieces_and_bound(v)
+        assert h.projective_dimension == dim
+        assert all(d <= b for d, b in zip(dims, bounds))
+    right = fol._eagon_northcott
+    monkeypatch.setattr(fol, "_eagon_northcott", lambda e: right(e)[:-1] + (right(e)[-1] - 1,))
+    with pytest.raises(InternalInconsistency, match="Eagon-Northcott"):
+        fol.sing_scheme_v(VField([X0, 2 * X1, 3 * X2, 4 * X3]))
+
+
+def recorder(log, f):
+    """f, appending the keyword arguments of each call to log."""
+    def recording(*args, **kwargs):
+        log.append(kwargs)
+        return f(*args, **kwargs)
+    return recording
 
 
 def test_finite_schemes_are_certified_with_no_s_pair(monkeypatch):
-    # the interreduced minors of a degree-1 field with isolated singular
-    # points have the numerator N_1, so sing_scheme_v keeps them as the
-    # basis after one run capped at degree 2, and saturates nothing; on the
-    # line rows the certificate fails and the saturation runs. Either way
-    # the result is the saturation of the minors, Hilbert data included
-    caps = []
-    engine = groebner._buchberger_terms
-
-    def recording(*args, **kwargs):
-        caps.append(kwargs.get("cap"))
-        return engine(*args, **kwargs)
-
-    lines = [linear_field(row) for row in LINE_ROWS]
-    for fields, certified in ((points_fields(), True), (lines, False)):
-        for v in fields:
-            caps.clear()
-            monkeypatch.setattr(groebner, "_buchberger_terms", recording)
-            sat = fol.sing_scheme_v(v)
-            monkeypatch.setattr(groebner, "_buchberger_terms", engine)
-            assert caps == [2] if certified else caps[0] == 2 and None in caps
-            expected = saturate(Ideal(minors_against_radial(v)))
-            assert sat == expected and sat._hilbert == expected._hilbert
+    # one Buchberger run, told the Eagon-Northcott bound, gives the basis of
+    # the minors. On a degree-1 field with four isolated singular points
+    # its leading terms fill the bound in every degree a pair has, so it
+    # reduces no S-polynomial (one normal form per minor, one tail
+    # reduction per basis element) and nothing is saturated. On the line
+    # rows that run is the one interreduction of the minors, and the
+    # saturation's colon runs start from its basis (done=). Either way the
+    # result is the saturation of the minors, Hilbert data included
+    bound = fol._dim_bound(fol._eagon_northcott(1))
+    runs, forms, sats = [], [], []
+    monkeypatch.setattr(groebner, "_buchberger_terms", recorder(runs, groebner._buchberger_terms))
+    monkeypatch.setattr(groebner, "_normal_form_terms", recorder(forms, groebner._normal_form_terms))
+    monkeypatch.setattr(fol, "saturate", recorder(sats, fol.saturate))
+    for v in points_fields() + [linear_field(row) for row in LINE_ROWS]:
+        minors = [m for m in minors_against_radial(v) if m]
+        for log in (runs, forms, sats):
+            log.clear()
+        sat = fol.sing_scheme_v(v)
+        if hilbert(sat).projective_dimension == 0:
+            assert runs == [{"bound": bound}] and sats == []
+            assert len(forms) == len(minors) + len(sat.groebner())
+        else:
+            assert [r for r in runs if "done" not in r] == [{"bound": bound}]
+            assert len(sats) == 1
+        expected = saturate(Ideal(minors))
+        assert sat == expected and sat._hilbert == expected._hilbert

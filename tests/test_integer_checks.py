@@ -212,8 +212,8 @@ def assert_sing_scheme_from_fraction_minors(v):
 
 @settings(FUZZ, max_examples=40)
 @given(rational_fields)
-# a dense integer field with four isolated singular points, which
-# `sing_scheme_v` certifies by its Eagon-Northcott numerator
+# a dense integer field with four isolated singular points, whose minors
+# fill the Eagon-Northcott bound of `sing_scheme_v` with no S-pair reduced
 @example(VField([parse_poly(s) for s in ("3*x0 - 3*x1 - 2*x2 + x3", "x0 + x1 - 2*x2 - 3*x3",
                                           "3*x0 + 3*x1 - 3*x2 - 2*x3", "-3*x0 - 3*x1 - 3*x2 + 2*x3")]))
 def test_sing_scheme_agrees_with_fraction_minors(v):
