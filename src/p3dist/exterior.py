@@ -9,7 +9,8 @@ build forms with Fraction coefficients. The checks that such a product
 vanishes run on integer multiples of the coefficients instead: sum F_i A_i
 through `_contraction` and the field minors through `_radial_minors`. A
 checked 1-form keeps its degree, those multiples and the ideal they generate,
-whose basis and Hilbert data the singular scheme and the section spaces read.
+which carries the numerator K_d of its radial and Koszul syzygies for every
+Buchberger run of it; the singular scheme and the section spaces read it.
 """
 
 from __future__ import annotations
@@ -134,12 +135,22 @@ def oneform_degree(omega):
     return dega - 1, a
 
 
+def _koszul_numerator(d):
+    """K_d = 1 - 4t^(d+1) + t^(d+2) + (6 - [d = 0])t^(2d+2): the coefficient
+    ideal I of every 1-form of degree d has HF_{R/I}(n) >= HF_{K_d}(n) for
+    n <= 2d + 2, as the `linalg` module docstring proves."""
+    k = [0] * (2 * d + 3)
+    for n, c in ((0, 1), (d + 1, -4), (d + 2, 1), (2 * d + 2, 6 - (d == 0))):
+        k[n] += c
+    return tuple(k)
+
+
 def checked_oneform(omega):
     """(d, A) of `oneform_degree`, kept on the form after the first call
-    together with the form's coefficient ideal."""
+    together with the form's coefficient ideal, which carries K_d."""
     if omega._checked is None:
         d, a = oneform_degree(omega)
-        object.__setattr__(omega, "_checked", ((d, a), Ideal._of_rows(a)))
+        object.__setattr__(omega, "_checked", ((d, a), Ideal._of_rows(a, _koszul_numerator(d))))
     return omega._checked[0]
 
 

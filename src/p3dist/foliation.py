@@ -4,10 +4,10 @@ fields up to radial equivalence.
 Singular scheme from the 2x2 minors against the radial field, conormal
 invariants extracted from the Hilbert polynomial, the degree-1 trichotomy,
 and the contraction pairing with codimension-one distributions. The
-Eagon-Northcott series of the minors bounds their graded pieces for every
-field of its degree, so one Buchberger run, told that bound, gives their
-basis; when the singular scheme is finite that basis is already saturated
-(`sing_scheme_v`).
+Eagon-Northcott numerator of the minors bounds their graded pieces for
+every field of its degree, so the ideal of the minors carries it, and
+its one Buchberger run is told it; when the singular scheme is finite
+that basis is already saturated (`sing_scheme_v`).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from typing import NamedTuple
 from .errors import DomainError, InternalInconsistency, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, curve_invariants
 from .exterior import _contraction, _radial_minors, checked_oneform, field_degree
-from .groebner import bounded_ideal, saturate
+from .groebner import Ideal, _engine_ideal, saturate
 from .hilbert import hilbert
-from .poly import dim_graded_piece, integer_multiples
+from .poly import integer_multiples
 
 _DEGREE1_CASES = {
     (0, 6, 4): "stable-points",
@@ -45,13 +45,6 @@ def _eagon_northcott(e):
     return tuple(n.get(k, 0) for k in range(max(e + 3, 3 * e + 1) + 1))
 
 
-def _dim_bound(n_e):
-    """bound[n] = dim R_n - HF(n) for HS = N_e/(1 - t)^4, n <= deg N_e: by
-    (d) of `sing_scheme_v`, dim J_n <= bound[n] for every field of degree e."""
-    return {n: -sum(c * dim_graded_piece(n - k) for k, c in enumerate(n_e) if k)
-            for n in range(len(n_e))}
-
-
 def sing_scheme_v(v):
     """Saturated ideal of the locus where the field is radially dependent.
 
@@ -74,10 +67,11 @@ def sing_scheme_v(v):
         space, so its largest value holds on an open set, which meets the
         nonempty open set of height-3 fields, witnessed by (1, 2, 3, 5) for
         e = 0, (x0, 2x1, 3x2, 4x3) for e = 1 and (x0^e, ..., x3^e) for e >= 2.
-    So one Buchberger run told the bound of (d) gives J's basis (Traverso's
-    stop, `groebner._buchberger_terms`; pairs above deg N_e run unbounded).
-    A finite scheme has height J = 3, so numerator N_e (checked) and J is
-    saturated by (c); any other J is saturated from that basis.
+    So J carries N_e, and its one Buchberger run is told the bound of (d)
+    (Traverso's stop, `groebner._buchberger_terms`; pairs above deg N_e run
+    unbounded). A finite scheme has height J = 3, so numerator N_e
+    (checked) and J is saturated by (c), returned as the ideal of its
+    reduced basis; any other J is saturated from that basis.
     """
     e = field_degree(v)
     _, fs = integer_multiples(v.components)
@@ -85,14 +79,14 @@ def sing_scheme_v(v):
     if not minors:
         raise RadialField("field is a multiple of the radial field")
     n_e = _eagon_northcott(e)
-    J = bounded_ideal(minors, _dim_bound(n_e))
+    J = Ideal._of_rows(minors, n_e)
     h = hilbert(J)
     if h.projective_dimension > 0:
         return saturate(J)
     if h.numerator != n_e:
         raise InternalInconsistency(f"minors with a finite scheme have the numerator"
                                     f" {h.numerator}, not the Eagon-Northcott {n_e}")
-    return J
+    return _engine_ideal(J._basis(), h)
 
 
 def conormal_invariants(v):

@@ -19,11 +19,13 @@ only the t-free rows they keep (only a t-free leading term divides a t-free
 monomial), the saturation only the colon it accepts. The tests compare the
 saturation against those. For the section spaces of a form that was not
 saturated, a run capped at a degree gives the Hilbert function up to it.
-A run told a certified bound on dim I_n drops the pairs of degree n once
-its leading terms fill it, as they all reduce to zero (Traverso's
-Hilbert-driven stop): `linalg` reads one from the radial and Koszul
-sections, `foliation.sing_scheme_v` one from the Eagon-Northcott series
-of a field's minors, which `bounded_ideal` hands to an uncapped run.
+An ideal may carry a certified numerator N, HF_{R/I}(n) >= HF_N(n) for
+n <= deg N (`Ideal._of_rows`): every run of it, capped or full, drops the
+pairs of degree n once its leading terms fill dim R_n - HF_N(n), as they
+all reduce to zero (Traverso's Hilbert-driven stop). A 1-form's
+coefficient ideal carries one from its radial and Koszul syzygies
+(`exterior.checked_oneform`), a field's minors the Eagon-Northcott
+numerator (`foliation.sing_scheme_v`).
 Coefficients are exact rationals, or residues mod a prime p for the
 modular cross-check.
 
@@ -43,11 +45,12 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .errors import DomainError, InternalInconsistency, NonTermination
-from .hilbert import hilbert, hilbert_from_lt
+from .hilbert import hilbert, hilbert_from_lt, hilbert_function
 from .poly import (
     NVARS,
     Poly,
     add_product,
+    dim_graded_piece,
     fraction_free_step,
     grevlex_key,
     mon_div,
@@ -176,7 +179,7 @@ def _lt_piece(lts, deg, piece, at):
     return piece
 
 
-def _buchberger_terms(gens, p=None, done=(), cap=None, bound=None):
+def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None):
     """A minimal Groebner basis of packed dict-polys: the run's active
     engine polys, in the order they were kept. A caller that keeps the
     rows makes them the reduced basis with `_reduced_basis`.
@@ -197,19 +200,20 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, bound=None):
     only: the leading terms of the elements returned generate the
     leading-term ideal in every degree up to the cap.
 
-    `bound` maps a degree n to a certified upper bound on dim I_n, for
-    homogeneous gens (Traverso's Hilbert-driven stop, J. Symbolic Comput.
+    `lower` is a Hilbert series numerator N with HF_{R/I}(n) >= HF_N(n)
+    for n <= deg N, for homogeneous gens over QQ, so dim I_n <= bound[n] =
+    dim R_n - HF_N(n) (Traverso's Hilbert-driven stop, J. Symbolic Comput.
     22, 1996). The leading terms found span at most dim I_n monomials of
     degree n, so once they span the bound they span all of LT(I)_n, and
     every pair left at n reduces to zero: the run drops them. Entering a
     bounded degree, it counts that degree's leading monomials once, from
     the last bounded degree's, and adds one per element added there. A
     count above the bound on entering raises InternalInconsistency; a
-    bound that is too small but not below that count goes unseen, so it
-    must be a theorem (`linalg._dim_bounds` and `foliation._dim_bound`
-    prove their own). Degrees the bound leaves out run unbounded, capped
-    or not. Only where the run stops changes, so the result is the same
-    with or without a valid bound.
+    bound that is too small but not below that count goes unseen, so N
+    must be a theorem (`exterior.checked_oneform` and
+    `foliation.sing_scheme_v` name theirs). Degrees above deg N run
+    unbounded, capped or not. Only where the run stops changes, so the
+    result is the same with or without a valid N.
     """
     polys, lts = list(done), [max(g) for g in done]
     active, basis = list(range(len(polys))), list(zip(lts, polys))
@@ -249,7 +253,8 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, bound=None):
         r = _normal_form_terms(g, basis, p)
         if r:
             add(_engine_form(r, p))
-    bound = bound or {}
+    bound = {} if lower is None else {
+        n: dim_graded_piece(n) - hilbert_function(lower, n) for n in range(len(lower))}
     at, filled = None, set()  # the bounded degree being run, its leading monomials
     while pairs and (cap is None or pairs[0][0] <= cap):
         deg, l, i, j = heappop(pairs)
@@ -283,23 +288,25 @@ class Ideal:
     Polys sorted by leading term, and `gens` is that basis on an ideal the
     engine made, else the given generators. `hilbert.hilbert` keeps the
     ideal's HilbertData in `_hilbert`; the ideal `saturate` returns is made
-    with the data of the colon its certificate accepted."""
+    with the data of the colon its certificate accepted. `_lower` is the
+    certified numerator that every Buchberger run of the ideal is told."""
 
-    __slots__ = ("_rows", "_reduced", "_hilbert")
+    __slots__ = ("_rows", "_reduced", "_hilbert", "_lower")
 
     def __init__(self, gens):
         self._keep(tuple(_packed(g.terms) for g in gens if not g.is_zero()))
 
-    def _keep(self, rows, reduced=None, hilbert=None):
-        for name, value in zip(self.__slots__, (rows, reduced, hilbert)):
+    def _keep(self, rows, reduced=None, hilbert=None, lower=None):
+        for name, value in zip(self.__slots__, (rows, reduced, hilbert, lower)):
             object.__setattr__(self, name, value)
         return self
 
     @classmethod
-    def _of_rows(cls, rows):
+    def _of_rows(cls, rows, lower=None):
         """The ideal of integer dict-polys keyed by exponent tuples, packed
-        here without building a Poly."""
-        return cls.__new__(cls)._keep(tuple(_packed(t) for t in rows if t))
+        here without building a Poly, carrying the numerator `lower` of
+        `_buchberger_terms` when its maker proves one."""
+        return cls.__new__(cls)._keep(tuple(_packed(t) for t in rows if t), lower=lower)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal generators are immutable")
@@ -315,7 +322,8 @@ class Ideal:
     def _basis(self):
         """The reduced basis of engine polys, computed once."""
         if self._reduced is None:
-            object.__setattr__(self, "_reduced", _reduced_basis(_buchberger_terms(self._rows), None))
+            minimal = _buchberger_terms(self._rows, lower=self._lower)
+            object.__setattr__(self, "_reduced", _reduced_basis(minimal, None))
         return self._reduced
 
     def groebner(self):
@@ -486,23 +494,17 @@ def saturate_iterated_colon(I, f, cap=64):
     raise NonTermination(f"colon iteration did not stabilize within {cap} steps")
 
 
-def hilbert_numerator(I, degree, bound=None):
+def hilbert_numerator(I, degree):
     """The Hilbert series numerator of R/I, I homogeneous, exact for the
     Hilbert function in every degree up to `degree`: the data `hilbert`
     kept on I if there is any, else the numerator of the leading terms of a
-    Buchberger run that stops at that degree. `bound` maps a degree n to a
-    certified bound on dim I_n for that run. Nothing is kept on I, as the
-    numerator need not be I's own above that degree."""
+    Buchberger run, told I's certified numerator, that stops at that
+    degree. Nothing is kept on I, as the numerator need not be I's own
+    above that degree."""
     if I._hilbert is not None:
         return I._hilbert.numerator
-    lts = _buchberger_terms(I._rows, cap=degree, bound=bound)
+    lts = _buchberger_terms(I._rows, cap=degree, lower=I._lower)
     return hilbert_from_lt([_unpack(max(g)) for g in lts]).numerator
-
-
-def bounded_ideal(rows, bound):
-    """The ideal of integer dict-polys keyed by exponent tuples, kept with
-    its reduced basis from one run told a certified `bound` on dim I_n."""
-    return _engine_ideal(_reduced_basis(_buchberger_terms(map(_packed, rows), bound=bound), None))
 
 
 def saturate(I):

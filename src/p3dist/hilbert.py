@@ -5,6 +5,8 @@ ideal by recursive splitting on a power of a pivot variable; the Hilbert
 polynomial, the projective dimension and the degree are read in closed
 form from the numerator's integer moments, with no division by (1 - t),
 and the polynomial is printed by the signed-term joiner of `grammar`.
+`hilbert_function` serves the section spaces and the Groebner engine,
+which turns the certified numerator an ideal carries into a bound.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .grammar import _signed_sum
-from .poly import NVARS, ZERO_MON, mon_divides
+from .poly import NVARS, ZERO_MON, dim_graded_piece, mon_divides
 
 
 def _minimalize(mons):
@@ -73,6 +75,11 @@ def _numerator(gens, memo):
         out = {k: v for k, v in out.items() if v}
     memo[gens] = out
     return out
+
+
+def hilbert_function(numerator, n):
+    """HF(n) = sum_k N_k dim R_(n-k) for the series N(t)/(1-t)^4."""
+    return sum(c * dim_graded_piece(n - k) for k, c in enumerate(numerator))
 
 
 class HilbertData(NamedTuple):

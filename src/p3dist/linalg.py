@@ -12,9 +12,10 @@ there, so once the invariants are read h0 costs no Groebner basis. On a
 form whose data was not read, `groebner.hilbert_numerator` runs Buchberger
 only up to the largest degree t+d+1 read, 2d+2 for `compute_tF`, takes
 the numerator of the leading terms found, and keeps nothing on the form.
-That run is told a bound on dim I_n for each n = t+d+1 <= 2d+2, from the
-sections known in advance: the radial multiples f*R, f of degree t-1, and
-at t = d+1 the six Koszul fields A_j*e_i - A_i*e_j, lie in the kernel, so
+The ideal carries a numerator K_d (`exterior._koszul_numerator`) whose
+bound on dim I_n, n = t+d+1 <= 2d+2, the sections known in advance give:
+the radial multiples f*R, f of degree t-1, and at t = d+1 the six Koszul
+fields A_j*e_i - A_i*e_j, lie in the kernel, so
 dim I_n <= 4 dim R_t - dim R_{t-1} - [t = d+1]*kappa, kappa their rank
 modulo the radial multiples. That rank is a theorem: for a constant
 bivector C and its dual 2-form C~, C.A is radial iff omega ^ i_R(C~) = 0,
@@ -22,8 +23,9 @@ iff omega = g*i_R(C~), so kappa is 5 on those forms and 6 on every
 other. Every form of degree 0 is some i_R(C~); at d >= 1 the bound takes
 kappa = 6, certified also where it is 5, as there I = g*J, J generated by
 linear forms, and dim I_{2d+2} <= dim R_{d+2} < 4 dim R_{d+1} - dim R_d - 6.
-Where the leading terms fill the bound the run stops proving S-pairs
-zero; its result is the same.
+So K_d = 1 - 4t^(d+1) + t^(d+2) + (6 - [d = 0])t^(2d+2). Every run of I,
+capped here or full in `analyze`, stops proving S-pairs zero where its
+leading terms fill the bound; its result is the same.
 
 The section comes from one scan of the columns x^m*A_i of the contraction
 map, in the order i*n + (index of m). Each column is keyed by the grevlex
@@ -57,6 +59,7 @@ from .exterior import (
     coefficient_ideal,
 )
 from .groebner import hilbert_numerator
+from .hilbert import hilbert_function
 from .poly import (
     NVARS,
     Poly,
@@ -81,28 +84,9 @@ def _dims(numerator, d, dprime):
     """SectionSpaceDim at one twist, from the Hilbert series numerator of
     the coefficient ideal of a 1-form of degree d."""
     n = dprime + d + 1
-    hf = sum(c * dim_graded_piece(n - k) for k, c in enumerate(numerator))
-    raw = NVARS * dim_graded_piece(dprime) - dim_graded_piece(n) + hf
+    raw = NVARS * dim_graded_piece(dprime) - dim_graded_piece(n) + hilbert_function(numerator, n)
     radial = dim_graded_piece(dprime - 1)
     return SectionSpaceDim(dprime, raw, radial, raw - radial)
-
-
-def _dim_bounds(d, degree):
-    """The bounds of the module docstring on dim I_n, I the coefficient
-    ideal of a 1-form of degree d, n = t + d + 1 up to min(degree, 2d + 2):
-    dim I_n <= 4 dim R_t - dim R_{t-1} - [t = d + 1] * (6 - [d = 0])."""
-    bounds = {t + d + 1: NVARS * dim_graded_piece(t) - dim_graded_piece(t - 1)
-              for t in range(min(degree, 2 * d + 2) - d)}
-    if 2 * d + 2 in bounds:
-        bounds[2 * d + 2] -= 6 - (d == 0)
-    return bounds
-
-
-def _numerator(omega, degree):
-    """The Hilbert series numerator of the coefficient ideal, exact up to
-    `degree`, with the bounds of `_dim_bounds` for a Buchberger run."""
-    d, _ = checked_oneform(omega)
-    return hilbert_numerator(coefficient_ideal(omega), degree, _dim_bounds(d, degree))
 
 
 def _section(coeffs, d, dprime):
@@ -150,7 +134,7 @@ def h0_tangent_twist(omega, dprime):
     """h0 of the twist of the tangent sheaf whose sections are degree-dprime
     vector fields annihilated by the 1-form, modulo radial multiples."""
     d, _ = checked_oneform(omega)
-    return _dims(_numerator(omega, dprime + d + 1), d, dprime)
+    return _dims(hilbert_numerator(coefficient_ideal(omega), dprime + d + 1), d, dprime)
 
 
 def minimal_section(omega, dprime):
@@ -182,7 +166,7 @@ def compute_tF(omega):
     """
     d, _ = checked_oneform(omega)
     # the sweep reads the Hilbert function up to degree (d + 1) + d + 1
-    numerator = _numerator(omega, 2 * d + 2)
+    numerator = hilbert_numerator(coefficient_ideal(omega), 2 * d + 2)
     for dprime in range(d + 2):
         s = _dims(numerator, d, dprime)
         if s.h0 > 0:

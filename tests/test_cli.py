@@ -385,9 +385,9 @@ def test_find_subfoliation_saturates_nothing(tmp_path, capsys, monkeypatch):
                             lambda I, real=module.saturate: calls.append("saturate") or real(I))
     engine = groebner._buchberger_terms
 
-    def recording_engine(gens, p=None, done=(), cap=None, bound=None):
+    def recording_engine(gens, p=None, done=(), cap=None, lower=None):
         calls.extend(["capped"] * (cap is not None) + ["seeded"] * bool(done))
-        return engine(gens, p, done, cap, bound)
+        return engine(gens, p, done, cap, lower)
 
     monkeypatch.setattr(groebner, "_buchberger_terms", recording_engine)
     docs = [oneform_doc(name) for name in corpus.corpus_names()["oneforms"]]

@@ -8,7 +8,7 @@ from p3dist.errors import (
 from p3dist.exterior import VField, field_degree, minors_against_radial, radial_field
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal, saturate
-from p3dist.hilbert import hilbert
+from p3dist.hilbert import hilbert, hilbert_function
 from p3dist.poly import Poly, X0, X1, X2, X3, dim_graded_piece, monomials_of_degree
 
 from conftest import make_rng, random_nonzero_poly
@@ -187,14 +187,14 @@ def points_fields():
 
 def pieces_and_bound(v):
     """(HilbertData of the minors on the plain route, dim J_n and the bound
-    sing_scheme_v runs with, each for n = e + 1 ... 3e + 1)."""
+    dim R_n - HF_{N_e}(n) of the numerator N_e that sing_scheme_v's ideal
+    carries, each for n = e + 1 ... 3e + 1)."""
     e = field_degree(v)
     h = hilbert(Ideal(minors_against_radial(v)))
-    bound = fol._dim_bound(fol._eagon_northcott(e))
+    n_e = fol._eagon_northcott(e)
     degrees = range(e + 1, 3 * e + 2)
-    dims = [dim_graded_piece(n) - sum(c * dim_graded_piece(n - k) for k, c in enumerate(h.numerator))
-            for n in degrees]
-    return h, dims, [bound[n] for n in degrees]
+    dims = [dim_graded_piece(n) - hilbert_function(h.numerator, n) for n in degrees]
+    return h, dims, [dim_graded_piece(n) - hilbert_function(n_e, n) for n in degrees]
 
 
 def test_minors_have_the_eagon_northcott_numerator(monkeypatch):
@@ -237,15 +237,16 @@ def recorder(log, f):
 
 
 def test_finite_schemes_are_certified_with_no_s_pair(monkeypatch):
-    # one Buchberger run, told the Eagon-Northcott bound, gives the basis of
-    # the minors. On a degree-1 field with four isolated singular points
-    # its leading terms fill the bound in every degree a pair has, so it
-    # reduces no S-polynomial (one normal form per minor, one tail
-    # reduction per basis element) and nothing is saturated. On the line
-    # rows that run is the one interreduction of the minors, and the
-    # saturation's colon runs start from its basis (done=). Either way the
-    # result is the saturation of the minors, Hilbert data included
-    bound = fol._dim_bound(fol._eagon_northcott(1))
+    # one Buchberger run, told the Eagon-Northcott numerator that the ideal
+    # of the minors carries, gives their basis. On a degree-1 field with
+    # four isolated singular points its leading terms fill the bound in
+    # every degree a pair has, so it reduces no S-polynomial (one normal
+    # form per minor, one tail reduction per basis element) and nothing is
+    # saturated. On the line rows that run is the one interreduction of the
+    # minors, and the saturation's colon runs start from its basis (done=).
+    # Either way the result is the saturation of the minors, Hilbert data
+    # included
+    lower = {"lower": fol._eagon_northcott(1)}
     runs, forms, sats = [], [], []
     monkeypatch.setattr(groebner, "_buchberger_terms", recorder(runs, groebner._buchberger_terms))
     monkeypatch.setattr(groebner, "_normal_form_terms", recorder(forms, groebner._normal_form_terms))
@@ -256,10 +257,10 @@ def test_finite_schemes_are_certified_with_no_s_pair(monkeypatch):
             log.clear()
         sat = fol.sing_scheme_v(v)
         if hilbert(sat).projective_dimension == 0:
-            assert runs == [{"bound": bound}] and sats == []
+            assert runs == [lower] and sats == []
             assert len(forms) == len(minors) + len(sat.groebner())
         else:
-            assert [r for r in runs if "done" not in r] == [{"bound": bound}]
+            assert [r for r in runs if "done" not in r] == [lower]
             assert len(sats) == 1
         expected = saturate(Ideal(minors))
         assert sat == expected and sat._hilbert == expected._hilbert

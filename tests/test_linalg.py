@@ -10,13 +10,14 @@ from p3dist.errors import InternalInconsistency, InvalidForm
 from p3dist.exterior import (
     ExtForm,
     VField,
+    _koszul_numerator,
     checked_oneform,
     coefficient_ideal,
     contract,
     field_degree,
     radial_field,
 )
-from p3dist.hilbert import hilbert
+from p3dist.hilbert import hilbert, hilbert_function
 from p3dist.linalg import compute_tF, h0_tangent_twist, minimal_section
 from p3dist.poly import (
     Poly, X0, X1, X2, X3, dim_graded_piece, integer_multiples, monomials_of_degree,
@@ -390,12 +391,12 @@ def test_capped_numerator_gives_every_dimension(example1, example2, nullcorrelat
                                                 pencil_of_planes):
     # a Buchberger run that stops at degree n gives the Hilbert function up
     # to n, so every twist t <= n - d - 1 reads the same dimensions as from
-    # the full basis of the coefficient ideal. The bounds of the radial and
-    # Koszul sections only move where the run stops: bounded and unbounded
-    # runs return the same elements, on forms with t_F = d + 1, on the
-    # maximal-order rows (t_F = 1 <= d, so the bound is not met below
-    # 2d + 2), on forms with a zero coefficient, on the pencil (d = 0) and
-    # on the forms g * i_R(C~), whose Koszul rank is 5, not 6
+    # the full basis of the coefficient ideal. The numerator K_d of the
+    # radial and Koszul sections only moves where the run stops: bounded
+    # and unbounded runs return the same elements, on forms with
+    # t_F = d + 1, on the maximal-order rows (t_F = 1 <= d, so the bound is
+    # not met below 2d + 2), on forms with a zero coefficient, on the pencil
+    # (d = 0) and on the forms g * i_R(C~), whose Koszul rank is 5, not 6
     rng = make_rng(113)
     forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)
     forms += [random_dense_form(rng, d) for d in (1, 2, 3)] + [a0_zero_form()]
@@ -407,7 +408,7 @@ def test_capped_numerator_gives_every_dimension(example1, example2, nullcorrelat
         swept = groebner.hilbert_numerator(coefficient_ideal(fresh(omega)), 2 * d + 2)
         rows = coefficient_ideal(fresh(omega))._rows
         for top in range(d + 1, 2 * d + 3):
-            bounded = groebner._buchberger_terms(rows, cap=top, bound=linalg._dim_bounds(d, top))
+            bounded = groebner._buchberger_terms(rows, cap=top, lower=_koszul_numerator(d))
             assert bounded == groebner._buchberger_terms(rows, cap=top)
         for t in range(-1, d + 2):
             expected = linalg._dims(full, d, t)
@@ -434,8 +435,8 @@ def koszul_fields(coeffs, d):
 
 def test_koszul_rank_against_echelon(example1, example2, nullcorrelation, pencil_of_planes):
     # the rank beyond the radial multiples, from the integer elimination of
-    # all the rows, is the one the capped run's bound at 2d + 2 takes off;
-    # the pencil and forms with a zero coefficient have dependent or zero
+    # all the rows, is the one the bound of K_d at 2d + 2 takes off; the
+    # pencil and forms with a zero coefficient have dependent or zero
     # Koszul fields
     ranks = set()
     forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)
@@ -446,7 +447,7 @@ def test_koszul_rank_against_echelon(example1, example2, nullcorrelation, pencil
         radial, koszul = koszul_fields(coeffs, d)
         expected = len(_pivot_rows(radial + koszul)) - len(_pivot_rows(radial))
         n = 2 * d + 2
-        assert linalg._dim_bounds(d, n)[n] == (
+        assert dim_graded_piece(n) - hilbert_function(_koszul_numerator(d), n) == (
             4 * dim_graded_piece(d + 1) - dim_graded_piece(d) - expected), (d, omega)
         ranks.add(expected)
     assert 6 in ranks and len(ranks) > 1
@@ -460,8 +461,8 @@ def test_koszul_rank_closed_form(example1, example2, nullcorrelation, pencil_of_
     # beyond the radial multiples, from the integer elimination of all the
     # rows, is 5 on the forms of degree 0 and their polynomial multiples,
     # and 6 on every other form, forms with a zero coefficient included.
-    # The capped run's bound takes it as 6 - [d = 0], and still bounds
-    # dim I_{2d+2} on the multiples, where I = g.J, J linear
+    # K_d takes it as 6 - [d = 0], and its bound still bounds dim I_{2d+2}
+    # on the multiples, where I = g.J, J linear
     five = radial_multiples(nullcorrelation, pencil_of_planes)
     six = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)[4:]
     six += [example1, example2, times(X0 + 2 * X1 - X3, example1), a0_zero_form()]
@@ -474,27 +475,29 @@ def test_koszul_rank_closed_form(example1, example2, nullcorrelation, pencil_of_
             rank = len(_pivot_rows(radial + koszul)) - len(_pivot_rows(radial))
             assert rank == kappa, (d, omega)
             n = 2 * d + 2
-            hf = sum(c * dim_graded_piece(n - k) for k, c in
-                     enumerate(hilbert(groebner.Ideal(omega.one_form_coeffs())).numerator))
-            assert linalg._dim_bounds(d, n)[n] >= dim_graded_piece(n) - hf, (d, omega)
+            hf = hilbert_function(hilbert(groebner.Ideal(omega.one_form_coeffs())).numerator, n)
+            assert hilbert_function(_koszul_numerator(d), n) <= hf, (d, omega)
     assert {checked_oneform(omega)[0] for omega in five} == {0, 1, 2}
 
 
 def test_bound_below_the_leading_terms_raises(example1):
-    # a forged bound below the monomials that the leading terms already
-    # span on entering a degree is an engine fault
+    # a forged numerator whose bound is below the monomials that the leading
+    # terms already span on entering a degree is an engine fault, in the
+    # capped run and in the full one
     rng = make_rng(131)
     for omega in (example1, random_dense_form(rng, 1), random_dense_form(rng, 2)):
-        d, _ = checked_oneform(omega)
+        d, coeffs = checked_oneform(omega)
         rows = coefficient_ideal(fresh(omega))._rows
-        bounds = linalg._dim_bounds(d, 2 * d + 2)
+        k_d = _koszul_numerator(d)
+        bound = dim_graded_piece(d + 2) - hilbert_function(k_d, d + 2)
         # the interreduced generators' leading terms times the variables
         lead = [max(g) for g in groebner._buchberger_terms(rows, cap=d + 1)]
         spanned = len(groebner._lt_piece(lead, d + 2, set(), None))
-        assert spanned <= bounds[d + 2]
-        with pytest.raises(InternalInconsistency, match="above the bound"):
-            groebner._buchberger_terms(rows, cap=2 * d + 2,
-                                       bound={**bounds, d + 2: spanned - 1})
+        assert spanned <= bound
+        forged = k_d[:d + 2] + (k_d[d + 2] + bound - spanned + 1,) + k_d[d + 3:]
+        for run in (lambda I: groebner.hilbert_numerator(I, 2 * d + 2), groebner.Ideal._basis):
+            with pytest.raises(InternalInconsistency, match="above the bound"):
+                run(groebner.Ideal._of_rows(coeffs, forged))
 
 
 def test_full_top_degree_drops_its_zero_reductions(monkeypatch):
@@ -515,6 +518,38 @@ def test_full_top_degree_drops_its_zero_reductions(monkeypatch):
     degrees.clear()
     groebner._buchberger_terms(coefficient_ideal(fresh(omega))._rows, cap=6)
     assert bounded < degrees.count(6)
+
+
+def test_classify_tells_the_full_run_its_numerator(monkeypatch):
+    # classify reads the Hilbert data of the coefficient ideal from its
+    # full reduced basis: that run is told K_1 too, so on a sparse form of
+    # degree 1 it proves fewer S-pairs zero than the run without it
+    runs, zeros = [], []
+    engine, normal_form = groebner._buchberger_terms, groebner._normal_form_terms
+
+    def counting(f, basis, p):
+        r = normal_form(f, basis, p)
+        zeros.append(not r)
+        return r
+
+    def recording(gens, *args, **kwargs):
+        start = len(zeros)
+        basis = engine(gens, *args, **kwargs)
+        runs.append((kwargs, zeros[start:].count(True)))
+        return basis
+
+    monkeypatch.setattr(groebner, "_normal_form_terms", counting)
+    monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+    rng = make_rng(139)
+    eta = ExtForm(2, {ij: Poly({m: rng.choice((-3, -2, -1, 1, 2, 3))
+                                for m in rng.sample(monomials_of_degree(1), 2)})
+                      for ij in combinations(range(4), 2)})
+    omega = contract(radial_field(), eta)
+    distribution.classify(omega)
+    (kwargs, bounded), *_ = runs
+    assert kwargs == {"lower": _koszul_numerator(1)}
+    groebner._buchberger_terms(coefficient_ideal(fresh(omega))._rows)
+    assert runs[-1][0] == {} and bounded < runs[-1][1]
 
 
 def test_compute_tF_keeps_no_capped_data(example1, nullcorrelation):
