@@ -41,7 +41,24 @@ monomial divisible by x_0: the first kernel vector F not in the radial
 span, reduced by clearing each x_0*f of F_0 with f*R, is the canonical
 section. The scan returns it as primitive integer components;
 `minimal_section` certifies those integers and builds the `VField` once,
-and `compute_tF` calls it at the first twist with h0 > 0.
+and `compute_tF` calls it at the first twist t_F with h0 > 0 when t_F <= d.
+
+At t_F = d + 1 no column is scanned. Theorem: if h0(t) = 0 for every
+t <= d, which the sweep has read, the scan at twist d + 1 returns the
+Koszul field K = (A_1, -A_0, 0, 0), reduced as above. Proof: A_0 != 0
+and A_1 != 0, or e_0 or e_1 is a section at twist 0. gcd(A_0, A_1) = 1,
+or with g that gcd, (A_1/g, -A_0/g, 0, 0) is a section at twist
+d + 1 - deg g <= d, not radial as its F_3 is 0 while f*R has F_3 = x_3*f.
+So A_0 F_0 + A_1 F_1 = 0 with deg F_i = d + 1 forces
+(F_0, F_1) = c*(A_1, -A_0), c constant: the kernel vectors supported on
+the F_0 and F_1 columns are exactly the multiples of K, and none ends
+before K's last column. The scan's first free column is then that
+column, its RREF kernel vector is K up to scale, and K is not radial, so
+the scan returns the reduced K. More generally the scan at d + 1 returns
+the reduced K exactly when gcd(A_0, A_1) = 1. `_koszul_section` builds
+it in closed form, and it passes the same certificate as the scan's
+section.
+
 Each public function first checks its 1-form with `exterior.checked_oneform`:
 InvalidForm unless it defines a distribution.
 """
@@ -89,13 +106,34 @@ def _dims(numerator, d, dprime):
     return SectionSpaceDim(dprime, raw, radial, raw - radial)
 
 
+def _reduced(v, mons, index):
+    """The class of a kernel vector v of the contraction map at the twist
+    whose monomials are mons, keyed i*n + (index of m) for x^m*e_i, modulo
+    the radial span: each x_0*f of F_0 cleared with f*R, as four integer
+    dicts, primitive together and positive at the first column, so that
+    every multiple prints the same; None if v is radial."""
+    n = len(mons)
+    # m = x_0*f: f*R is 1 at m in F_0 and at x_i*f in F_i
+    for k in [k for k in v if k < n and mons[k][0]]:
+        c, m = v.pop(k), mons[k]
+        for i in range(1, NVARS):
+            j = i * n + index[(m[0] - 1,) + m[1:i] + (m[i] + 1,) + m[i + 1:]]
+            v[j] = v.get(j, 0) - c
+            if not v[j]:
+                del v[j]
+    if not v:
+        return None
+    comps = [{} for _ in range(NVARS)]
+    for col, c in primitive_row(v).items():
+        comps[col // n][mons[col % n]] = c
+    return comps
+
+
 def _section(coeffs, d, dprime):
     """Canonical non-radial section at a twist, or None, for integer
     multiples of the coefficients of a 1-form of degree d: the first RREF
-    kernel vector F of the contraction map not in the radial span, reduced
-    modulo it by clearing each x_0*f of F_0 with f*R, as four integer
-    dicts, primitive together and positive at the first column, so that
-    every multiple prints the same."""
+    kernel vector F of the contraction map not in the radial span, as
+    `_reduced` gives it."""
     src_mons = monomials_of_degree(dprime)
     n = len(src_mons)
     index = {m: k for k, m in enumerate(src_mons)}
@@ -113,21 +151,23 @@ def _section(coeffs, d, dprime):
         if lead < tag:
             pivots[lead] = primitive_row(v)
             continue
-        v = {k - tag: c for k, c in v.items()}
-        # m = x_0*f: f*R is 1 at m in F_0 and at x_i*f in F_i
-        for k in [k for k in v if k < n and src_mons[k][0]]:
-            c, m = v.pop(k), src_mons[k]
-            for i in range(1, NVARS):
-                j = i * n + index[(m[0] - 1,) + m[1:i] + (m[i] + 1,) + m[i + 1:]]
-                v[j] = v.get(j, 0) - c
-                if not v[j]:
-                    del v[j]
-        if v:
-            comps = [{} for _ in range(NVARS)]
-            for col, c in primitive_row(v).items():
-                comps[col // n][src_mons[col % n]] = c
+        comps = _reduced({k - tag: c for k, c in v.items()}, src_mons, index)
+        if comps is not None:
             return comps
     return None
+
+
+def _koszul_section(coeffs, d):
+    """The canonical section at twist d + 1 of a form with no section at a
+    lower twist, in closed form: the Koszul field (A_1, -A_0, 0, 0) as
+    `_reduced` gives it, which is `_section(coeffs, d, d + 1)` by the
+    theorem of the module docstring."""
+    mons = monomials_of_degree(d + 1)
+    n = len(mons)
+    index = {m: k for k, m in enumerate(mons)}
+    v = {index[m]: c for m, c in coeffs[1].items()}
+    v.update({n + index[m]: -c for m, c in coeffs[0].items()})
+    return _reduced(v, mons, index)
 
 
 def h0_tangent_twist(omega, dprime):
@@ -137,14 +177,11 @@ def h0_tangent_twist(omega, dprime):
     return _dims(hilbert_numerator(coefficient_ideal(omega), dprime + d + 1), d, dprime)
 
 
-def minimal_section(omega, dprime):
-    """Canonical non-radial section at the given twist, or None. The scan's
-    integer components are certified against the form's integer
-    coefficients before the field is built: they must annihilate the
-    1-form and must not be radial; a failed certificate raises
-    InternalInconsistency."""
-    d, coeffs = checked_oneform(omega)
-    fs = _section(coeffs, d, dprime)
+def _certified(fs, coeffs, dprime):
+    """The field of a section's integer components, or None for no section,
+    once they are certified against the form's integer coefficients: they
+    must annihilate the 1-form and must not be radial; a failed
+    certificate raises InternalInconsistency."""
     if fs is None:
         return None
     if _contraction(fs, coeffs):
@@ -156,21 +193,34 @@ def minimal_section(omega, dprime):
     return VField([Poly(f) for f in fs])
 
 
+def minimal_section(omega, dprime):
+    """Canonical non-radial section at the given twist, or None, from the
+    scan, certified by `_certified` before the field is built."""
+    d, coeffs = checked_oneform(omega)
+    return _certified(_section(coeffs, d, dprime), coeffs, dprime)
+
+
 def compute_tF(omega):
     """Minimal twist with a section, and a canonical minimal section.
 
     `checked_oneform` checks the form and gives its degree d. The sweep
     stops by dprime = d + 1; hitting that cap without a section is an
-    internal bug, since a section is guaranteed to exist by then. The
-    section comes certified from `minimal_section`.
+    internal bug, since a section is guaranteed to exist by then. Below
+    d + 1 the section comes from `minimal_section`'s scan; at d + 1, where
+    the sweep has read that no lower twist has a section, it is the
+    reduced Koszul field (A_1, -A_0, 0, 0), and no column is scanned. Both
+    pass the same certificate.
     """
-    d, _ = checked_oneform(omega)
+    d, coeffs = checked_oneform(omega)
     # the sweep reads the Hilbert function up to degree (d + 1) + d + 1
     numerator = hilbert_numerator(coefficient_ideal(omega), 2 * d + 2)
     for dprime in range(d + 2):
         s = _dims(numerator, d, dprime)
         if s.h0 > 0:
-            section = minimal_section(omega, dprime)
+            if dprime <= d:
+                section = minimal_section(omega, dprime)
+            else:
+                section = _certified(_koszul_section(coeffs, d), coeffs, dprime)
             if section is None:
                 raise BoundViolated(
                     "positive h0 but no non-radial kernel vector found"

@@ -85,7 +85,9 @@ def test_tracer_wraps_every_target_and_sizes_each_saturation():
     # one input of each kind passes every layer boundary but these: the gcd
     # runs only for a singular scheme that contains a surface, and
     # compute_tF reads h0 at every twist from one Hilbert numerator instead
-    # of calling h0_tangent_twist; its section comes from minimal_section
+    # of calling h0_tangent_twist; example1's section (t_F = 1 <= d) comes
+    # from minimal_section, the null-correlation form's (t_F = d + 1) from
+    # the Koszul field, with no minimal_section call
     expected = {name for _, _, name in run["targets"]} - {
         "distribution.common_factor", "groebner.intersect", "linalg.h0_twist",
     }

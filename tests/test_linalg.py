@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from p3dist import cli, distribution, groebner, linalg
+from p3dist import cli, corpus, distribution, groebner, linalg
+from p3dist.distribution import common_factor
 from p3dist.errors import InternalInconsistency, InvalidForm
 from p3dist.exterior import (
     ExtForm,
@@ -181,20 +182,30 @@ def section_at_one(omega):
     return minimal_section(omega, 1)
 
 
-# compute_tF takes its section from minimal_section, which certifies it
-@pytest.mark.parametrize("run, bad, message", [
-    pytest.param(compute_tF, RADIAL, "is radial", id="bad0"),
-    pytest.param(compute_tF, NOT_IN_KERNEL, "does not annihilate", id="bad1"),
-    pytest.param(section_at_one, RADIAL, "is radial", id="minimal_section-bad0"),
-    pytest.param(section_at_one, NOT_IN_KERNEL, "does not annihilate", id="minimal_section-bad1"),
+# below t_F = d + 1 compute_tF takes its section from minimal_section's
+# scan; at d + 1 from the Koszul field; each route passes the certificate
+@pytest.mark.parametrize("run, form, route, bad, message", [
+    pytest.param(compute_tF, "example1", "_section", RADIAL, "is radial", id="bad0"),
+    pytest.param(compute_tF, "example1", "_section", NOT_IN_KERNEL, "does not annihilate",
+                 id="bad1"),
+    pytest.param(section_at_one, "nullcorrelation", "_section", RADIAL, "is radial",
+                 id="minimal_section-bad0"),
+    pytest.param(section_at_one, "nullcorrelation", "_section", NOT_IN_KERNEL,
+                 "does not annihilate", id="minimal_section-bad1"),
+    pytest.param(compute_tF, "nullcorrelation", "_koszul_section", RADIAL, "is radial",
+                 id="koszul-bad0"),
+    pytest.param(compute_tF, "nullcorrelation", "_koszul_section", NOT_IN_KERNEL,
+                 "does not annihilate", id="koszul-bad1"),
 ])
-def test_section_certificate(nullcorrelation, monkeypatch, run, bad, message):
-    def section_at(coeffs, d, dprime):
+def test_section_certificate(request, monkeypatch, run, form, route, bad, message):
+    # t_F = 1 on example1 (d = 3) and on the null-correlation form (d = 0)
+    def section_at(coeffs, d, *dprime):
         return integer_multiples(bad.components)[1]
 
-    monkeypatch.setattr(linalg, "_section", section_at)
+    omega = request.getfixturevalue(form)
+    monkeypatch.setattr(linalg, route, section_at)
     with pytest.raises(InternalInconsistency, match=message):
-        run(nullcorrelation)
+        run(omega)
 
 
 def test_invalid_form_rejected():
@@ -347,7 +358,8 @@ def fresh(omega):
 def test_classify_shares_the_coefficient_basis(monkeypatch, example1, nullcorrelation,
                                                pencil_of_planes):
     # a classify reads the saturated data, so it runs no Buchberger beyond
-    # validation's, and compute_tF scans for one section
+    # validation's, and compute_tF scans for one section when t_F <= d and
+    # for none at t_F = d + 1
     calls, sections = [], []
     buchberger, section_at = groebner._buchberger_terms, linalg._section
 
@@ -370,8 +382,48 @@ def test_classify_shares_the_coefficient_basis(monkeypatch, example1, nullcorrel
         distribution.classify(fresh(omega))
         assert len(calls) == validated
         sections.clear()
-        compute_tF(fresh(omega))
-        assert len(sections) == 1
+        tF = compute_tF(fresh(omega))[0]
+        assert len(sections) == (tF <= checked_oneform(omega)[0])
+
+
+def test_koszul_section_is_the_scan_at_d_plus_one(monkeypatch, example1, example2,
+                                                 nullcorrelation, pencil_of_planes):
+    # the theorem of the linalg docstring, against the scan: at twist d + 1
+    # the reduced Koszul field (A_1, -A_0, 0, 0) is the scan's section
+    # exactly when gcd(A_0, A_1) = 1, which the skew-line rows and a form
+    # with A_0 = 0 break; minimal_section scans there all the same. On every
+    # form with t_F = d + 1 the scan finds no section at twist d, and
+    # compute_tF returns the scan's section with no scan run
+    no_dx0 = a0_zero_form()
+    forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes) + [no_dx0]
+    forms += [corpus.load_oneform(name) for name in corpus.corpus_names()["oneforms"]]
+    rows = [(row, d) for row in sorted(maxorder.ROWS) for d in (3, 4)]
+    forms += [maxorder.oneform(row, d, 1) for row, d in rows]
+    skew = [maxorder.oneform(row, d, 1) for row, d in rows if row.startswith("skew")]
+    section_at, scans = linalg._section, []
+
+    def counting_section(*args):
+        scans.append(args)
+        return section_at(*args)
+
+    monkeypatch.setattr(linalg, "_section", counting_section)
+    coprime, top = [], 0
+    for omega in forms:
+        d, coeffs = checked_oneform(omega)
+        scan = section_at(coeffs, d, d + 1)
+        koszul = linalg._koszul_section(coeffs, d)
+        coprime.append(common_factor(omega.one_form_coeffs()[:2]).is_constant())
+        assert (koszul == scan) == coprime[-1], omega
+        assert minimal_section(omega, d + 1) == VField([Poly(f) for f in scan])
+        scans.clear()
+        tF, section, _ = compute_tF(fresh(omega))
+        if tF == d + 1:
+            top += 1
+            assert scans == [] and section_at(coeffs, d, d) is None
+            assert section == minimal_section(omega, d + 1)
+    assert [omega for omega, ok in zip(forms, coprime) if not ok] == [no_dx0] + skew
+    # the null-correlation form, twice, and the eight dense forms
+    assert top == 10
 
 
 def times(g, omega):
