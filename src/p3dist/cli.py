@@ -136,7 +136,7 @@ def parse_input(text):
 
 
 def _ideal_doc(ideal):
-    return sorted(format_poly(g) for g in ideal.gens)
+    return sorted(ideal.basis_strings())
 
 
 def _chern_doc(c):

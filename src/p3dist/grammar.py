@@ -1,4 +1,4 @@
-"""Polynomial text grammar: parser and canonical printer of signed terms.
+"""Polynomial text grammar: parser and canonical, Fraction-free printer of signed terms.
 
 Grammar: variables x0..x3 with aliases x,y,z,w; integer or rational
 coefficients p/q, where q follows the '/' directly; + - * ^ and
@@ -177,25 +177,23 @@ def _format_monomial(m):
 
 
 def _signed_sum(terms, monomial):
-    """Text of the sum of terms (key, c), c nonzero, in the order given, with
-    monomial(key) the monomial's text ("" for a constant): no coefficient when
-    |c| = 1, the first term bare or with "-", then " + " or " - "; "0" if none."""
+    """Text of the sum of terms (key, n, den), n/den nonzero in lowest terms
+    and den > 0, in the order given, with monomial(key) the monomial's text
+    ("" for a constant): no coefficient when n/den = +-1, the first term bare
+    or with "-", then " + " or " - "; "0" if none. No Fraction is built."""
     chunks = []
-    for key, c in terms:
+    for key, n, den in terms:
         mon = monomial(key)
-        if not mon:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mon
-        else:
-            body = f"{abs(c)}*{mon}"
+        c = f"{abs(n)}/{den}" if den != 1 else str(abs(n))
+        body = c if not mon else mon if c == "1" else f"{c}*{mon}"
         if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
+            chunks.append(body if n > 0 else f"-{body}")
         else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+            chunks.append(f"+ {body}" if n > 0 else f"- {body}")
     return " ".join(chunks) if chunks else "0"
 
 
 def format_poly(p):
     """Canonical printing: terms descending under the global order."""
-    return _signed_sum(p.sorted_terms(), _format_monomial)
+    return _signed_sum(((m, c.numerator, c.denominator) for m, c in p.sorted_terms()),
+                       _format_monomial)

@@ -31,7 +31,7 @@ modular cross-check.
 
 The engine packs t^e x0^a0 x1^a1 x2^a2 x3^a3 into one int (Monagan and
 Pearce, J. Symbolic Comput. 46, 2011). An `Ideal` keeps its generators and
-its reduced basis packed, and unpacks them only when its Polys are read:
+its reduced basis packed, and unpacks them only to print or read its Polys:
     e*2^96 + (a0 + a1 + a2 + a3)*2^80 - (e<<64 | a3<<48 | a2<<32 | a1<<16 | a0).
 A product is +, a quotient is -, integer comparison is grevlex (for e > 0
 the block order that eliminates t), and as MAX_MONOMIAL_DEGREE keeps each
@@ -43,8 +43,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .errors import DomainError, InternalInconsistency, NonTermination
+from .grammar import _format_monomial, _signed_sum
 from .hilbert import hilbert, hilbert_from_lt, hilbert_function
 from .poly import (
     NVARS,
@@ -63,8 +65,8 @@ from .poly import (
 # Over QQ (p is None) a basis element is kept as a primitive integer
 # multiple with a positive leading coefficient and reduced fraction-free;
 # over GF(p) it is kept monic (`_engine_form`). A run returns its rows in
-# that form, and an Ideal keeps its basis reduced (`_reduced_basis`); the
-# rows become monic Polys only when `Ideal.groebner` or `Ideal.gens` is read.
+# that form, and an Ideal keeps its basis reduced (`_reduced_basis`), prints
+# it as it is (`basis_strings`) and makes monic Polys only for `groebner`/`gens`.
 
 MAX_MONOMIAL_DEGREE = 2 ** 15 - 1
 _FIELDS = (1 << 80) - 1
@@ -285,11 +287,12 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None):
 class Ideal:
     """Homogeneous ideal kept as packed generators and, once computed, their
     reduced basis of engine polys. `groebner()` builds that basis as monic
-    Polys sorted by leading term, and `gens` is that basis on an ideal the
-    engine made, else the given generators. `hilbert.hilbert` keeps the
-    ideal's HilbertData in `_hilbert`; the ideal `saturate` returns is made
-    with the data of the colon its certificate accepted. `_lower` is the
-    certified numerator that every Buchberger run of the ideal is told."""
+    Polys sorted by leading term, `basis_strings()` prints it, and `gens` is
+    that basis on an ideal the engine made, else the given generators.
+    `hilbert.hilbert` keeps the ideal's HilbertData in `_hilbert`; the ideal
+    `saturate` returns is made with the data of the colon its certificate
+    accepted. `_lower` is the certified numerator that every Buchberger run
+    of the ideal is told."""
 
     __slots__ = ("_rows", "_reduced", "_hilbert", "_lower")
 
@@ -330,6 +333,14 @@ class Ideal:
         """The reduced basis as monic Polys, each coefficient Fraction(c, lc)."""
         return tuple(Poly({_unpack(m): Fraction(c, lc) for m, c in g.items()})
                      for g in self._basis() for lc in (g[max(g)],))
+
+    def basis_strings(self):
+        """`format_poly` of each element of `groebner()`, read off the rows: keys
+        descending (packed order is grevlex), c/lc reduced by one gcd (lc > 0)."""
+        return [_signed_sum(((_unpack(k), c // q, lc // q)
+                             for k, c in sorted(g.items(), reverse=True) for q in (gcd(c, lc),)),
+                            _format_monomial)
+                for g in self._basis() for lc in (g[max(g)],)]
 
     def leading_monomials(self):
         return tuple(_unpack(max(g)) for g in self._basis())

@@ -95,7 +95,7 @@ class HilbertData(NamedTuple):
         return sum(c * t ** k for k, c in enumerate(self.hp_coeffs))
 
     def hp_string(self):
-        terms = [(k, c) for k, c in enumerate(self.hp_coeffs) if c]
+        terms = [(k, c.numerator, c.denominator) for k, c in enumerate(self.hp_coeffs) if c]
         return _signed_sum(reversed(terms), lambda k: f"t^{k}" if k > 1 else "t" * k)
 
 

@@ -7,8 +7,8 @@ import pytest
 from p3dist import corpus, distribution, foliation, groebner
 from p3dist.errors import NonTermination
 from p3dist.exterior import ExtForm, VField, coefficient_ideal, minors_against_radial
-from p3dist.grammar import parse_poly
-from p3dist.logarithmic import build_log_form
+from p3dist.grammar import format_poly, parse_poly
+from p3dist.logarithmic import audit_log_form, build_log_form
 from p3dist.groebner import (
     Ideal,
     buchberger,
@@ -579,3 +579,43 @@ def test_intersect_principal_against_sympy_lcm():
         g = common * random_nonzero_poly(rng, 1, nterms=3)
         lcm = sympy.lcm(_to_sympy(sympy, xs, f), _to_sympy(sympy, xs, g))
         assert intersect(Ideal((f,)), Ideal((g,))) == Ideal((_from_sympy(sympy, xs, lcm),))
+
+
+@pytest.fixture(scope="module")
+def report_ideals():
+    """The sat_ideal that `analyze`, `analyze-vf` and `log-audit` print for
+    every corpus document, by name."""
+    names = corpus.corpus_names()
+    return {
+        **{n: distribution.classify(corpus.load_oneform(n)).sing.sat_ideal
+           for n in names["oneforms"]},
+        **{n: foliation.analyze(corpus.load_vfield(n)).sing.sat_ideal for n in names["vfields"]},
+        **{n: audit_log_form(corpus.load_logtype(n)).dist_report.sing.sat_ideal
+           for n in names["logtypes"]},
+    }
+
+
+def test_reports_print_engine_made_ideals(report_ideals):
+    # the report prints the reduced basis, which `gens` also gives only on an
+    # ideal the engine made (else the given generators)
+    assert len(report_ideals) == 10
+    for name, ideal in report_ideals.items():
+        assert ideal._rows is ideal._reduced, name
+
+
+def test_basis_strings_print_the_monic_reduced_basis(report_ideals):
+    ideals = list(report_ideals.values())
+    ideals += [distribution.validate_oneform(oneform(row, d, 1))[1].sat_ideal
+               for row in ROWS for d in (3, 4)]
+    # leading coefficients other than 1, c/lc integral and not (-3/9 and 4/2
+    # reduce by a gcd), negative leading and inner terms, +-1 with and without a
+    # monomial, the unit ideal and the zero ideal
+    for gens in (("2x0^2 - 3x1*x2 + x3^2", "x0*x1 - 5/3*x2^2"),
+                 ("-2x0 - 4x1 + x2", "-3x1^2 + 6x2*x3 - 2x3^2"),
+                 ("x0^2 - x1", "x1*x2 + 1", "x3 - 1"),
+                 ("1",), ()):
+        ideals.append(Ideal(tuple(map(P, gens))))
+    for ideal in ideals:
+        assert ideal.basis_strings() == [format_poly(g) for g in ideal.groebner()]
+    assert ideals[-2].basis_strings() == ["1"] and ideals[-1].basis_strings() == []
+    assert ideals[-5].basis_strings()[-1] == "x1^2*x2 - 10/9*x0*x2^2 - 1/3*x1*x3^2"

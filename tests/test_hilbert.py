@@ -50,7 +50,8 @@ def test_twisted_cubic():
 ])
 def test_hp_string_prints_every_degree(gens, expected):
     # fractional and unit coefficients, t^k for k > 1, a bare constant, and
-    # the empty scheme
+    # the empty scheme: each coefficient reaches grammar._signed_sum as a
+    # (k, n, den) triple
     assert hilbert(Ideal(gens)).hp_string() == expected
 
 
