@@ -7,7 +7,6 @@ from .distribution import (
     SingInvariants,
     StabilityVerdict,
     classify,
-    family_dim,
     invariants,
     is_integrable,
     line_family_invariants,
@@ -47,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChernTriple", "DistReport", "SingInvariants", "StabilityVerdict",
-    "classify", "family_dim", "invariants", "is_integrable",
+    "classify", "invariants", "is_integrable",
     "line_family_invariants", "singular_scheme", "split_test",
     "splitruim_invariants", "table1", "validate_oneform",
     "InternalInconsistency", "P3DistError", "ValidationError",

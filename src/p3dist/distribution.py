@@ -3,7 +3,10 @@
 Validation, singular scheme, numerical invariants, integrability, the
 minimal twist with a section, split detection, stability class with order
 of nonstability, and matching against the two maximal-order families.
-The results are immutable records, named tuples read by field.
+The tangent sheaf T_F = ker(T_P3 -> I_Z(d + 2)) and the conormal sheaf of
+a field (`foliation`) are one kernel sheaf, whose Chern triple `_chern`
+gives from the sheaf's (s, delta) and the curve's degree and genus. The
+results are immutable records, named tuples read by field.
 """
 
 from __future__ import annotations
@@ -104,21 +107,24 @@ def singular_scheme(omega):
     return saturate(coefficient_ideal(omega))
 
 
-def _oneform_chern(d, degc, lenu):
-    """The Chern triple of the tangent sheaf of a 1-form of degree d whose
-    singular scheme is a curve of degree degC and lenU points."""
-    return ChernTriple(2 - d, d ** 2 + 2 - degc, lenu)
+def _chern(s, delta, degc, pa):
+    """The Chern triple of F = ker(E -> I_Z(delta)), c(E) = (1 + sH)^4, when Z
+    is a curve of degree degC and arithmetic genus pa plus c3 points: the
+    tangent sheaf of a 1-form of degree d (E = T_P3, s = 1, delta = d + 2)
+    or the conormal sheaf of a field of degree d' (E = Omega^1, s = -1,
+    delta = d' - 1). c(F) c(I_Z(delta)) = c(E) gives c1 and c2, and
+    Riemann-Roch, chi(F(k)) = chi(E(k)) - chi(I_Z(k + delta)) for every k,
+    gives c3 = base + 2*pa (Hartshorne, Math. Ann. 254, 1980, Sec. 2)."""
+    base = (delta ** 3 - 4 * s * delta ** 2 + 6 * delta - 2 - 4 * s
+            - (3 * delta - 4 * s - 4) * degc)
+    return ChernTriple(4 * s - delta, delta ** 2 - 4 * s * delta + 6 - degc, base + 2 * pa)
 
 
 def _oneform_numbers(omega):
     """(d, (degC, pa, lenU), chern) of a checked 1-form, from the Hilbert data
     of its coefficient ideal, which stays there for `compute_tF`."""
     d, _ = checked_oneform(omega)
-    degc, pa, lenu = curve_invariants(
-        coefficient_ideal(omega),
-        lambda degc: d ** 3 + 2 * d ** 2 + 2 * d - degc * (3 * d - 2) - 2,
-    )
-    return d, (degc, pa, lenu), _oneform_chern(d, degc, lenu)
+    return d, *curve_invariants(coefficient_ideal(omega), 1, d + 2)
 
 
 def validate_oneform(omega):
@@ -164,19 +170,21 @@ def invariants(omega):
     return sing, chern
 
 
-def curve_invariants(ideal, c3_base, gens_name="coefficients"):
-    """(degC, pa, lenU) of a singular scheme made of a curve C and lenU points.
+def curve_invariants(ideal, s, delta, gens_name="coefficients"):
+    """((degC, pa, lenU), chern) of a singular scheme Z made of a curve C and
+    lenU points, for the sheaf F = ker(E -> I_Z(delta)) of `_chern`.
 
     `ideal` is generated by the polynomials whose vanishing defines the
     scheme (the coefficients of a 1-form, or the 2x2 minors of a vector
     field against the radial field), or is its saturation: the two agree in
     high degree, so `hilbert(ideal)` gives their one Hilbert polynomial
-    HP(t) = degC*t + 1 - pa + lenU. With c3 = lenU = c3_base(degC) + 2*pa,
-    pa is solved from the constant term. Height-one primes of a UFD are
-    principal: a scheme of dimension 2 is exactly a common factor g of
-    those polynomials, rejected naming g and the generators by `gens_name`.
-    They generate g*J, J of codimension >= 2, so I^sat = g*J^sat, and g is
-    the gcd of the gens of either.
+    HP(t) = degC*t + 1 - pa + lenU. With lenU = c3 = base + 2*pa, pa is
+    solved from the constant term; points alone are a curve of degree 0,
+    whose pa must be 1. Height-one primes of a UFD are principal: a scheme
+    of dimension 2 is exactly a common factor g of those polynomials,
+    rejected naming g and the generators by `gens_name`. They generate g*J,
+    J of codimension >= 2, so I^sat = g*J^sat, and g is the gcd of the gens
+    of either.
     """
     h = hilbert(ideal)
     dim = h.projective_dimension
@@ -185,22 +193,17 @@ def curve_invariants(ideal, c3_base, gens_name="coefficients"):
         if g.is_constant():
             raise InconsistentInvariants("surface in the singular scheme without a common factor")
         raise DivisorialSingularity(f"{gens_name} share the factor {g}")
-    if dim <= 0:
-        # no curve (degC = 0, pa = 1): the points alone must give c3
-        if h.degree != c3_base(0) + 2:
-            raise InconsistentInvariants(
-                f"isolated length {h.degree} contradicts the invariant count"
-            )
-        return 0, 1, h.degree
-    degc = h.degree
+    degc = h.degree if dim > 0 else 0
     k = h.constant_term
     if k.denominator != 1:
         raise InconsistentInvariants("non-integral Hilbert constant term")
-    pa = int(k) - 1 - c3_base(degc)
-    lenu = c3_base(degc) + 2 * pa
-    if lenu < 0:
-        raise InconsistentInvariants(f"negative isolated length {lenu}")
-    return degc, pa, lenu
+    pa = int(k) - 1 - _chern(s, delta, degc, 0).c3
+    if dim <= 0 and pa != 1:
+        raise InconsistentInvariants(f"isolated length {h.degree} contradicts the invariant count")
+    chern = _chern(s, delta, degc, pa)
+    if chern.c3 < 0:
+        raise InconsistentInvariants(f"negative isolated length {chern.c3}")
+    return (degc, pa, chern.c3), chern
 
 
 def _split_type(d, t):
@@ -290,14 +293,3 @@ def line_family_invariants(d, t):
     if d < 2 * (t - 1):
         raise DomainError(f"requires d >= 2(t-1), got d={d}, t={t}")
     return ChernTriple(2 - d, -t * t + d * (t - 1) + 2, d - 2 * (t - 1))
-
-
-def family_dim(family, d):
-    """Dimension of the parameter variety of each maximal-order family."""
-    if d < 3:
-        raise DomainError("families require degree at least 3")
-    if family == 1:
-        return d + 4
-    if family == 2:
-        return 2 * d + 7
-    raise DomainError(f"unknown family {family}")

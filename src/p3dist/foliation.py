@@ -4,10 +4,12 @@ fields up to radial equivalence.
 Singular scheme from the 2x2 minors against the radial field, conormal
 invariants extracted from the Hilbert polynomial, the degree-1 trichotomy,
 and the contraction pairing with codimension-one distributions. The
-Eagon-Northcott numerator of the minors bounds their graded pieces for
-every field of its degree, so the ideal of the minors carries it, and
-its one Buchberger run is told it; when the singular scheme is finite
-that basis is already saturated (`sing_scheme_v`).
+conormal sheaf N* = ker(Omega^1 -> I_Z(d' - 1)) is the kernel sheaf of
+`distribution._chern` with s = -1 and delta = d' - 1. The Eagon-Northcott
+numerator of the minors bounds their graded pieces for every field of its
+degree, so the ideal of the minors carries it, and its one Buchberger run
+is told it; when the singular scheme is finite that basis is already
+saturated (`sing_scheme_v`).
 """
 
 from __future__ import annotations
@@ -90,14 +92,12 @@ def sing_scheme_v(v):
 
 
 def conormal_invariants(v):
-    """Singular-scheme invariants and the Chern triple for a degree-d' field."""
+    """Singular-scheme invariants and the Chern triple of N* for a degree-d'
+    field."""
     d = field_degree(v)
     sat = sing_scheme_v(v)
-    degc, pa, lenu = curve_invariants(
-        sat, lambda degc: d ** 3 + d ** 2 + d - 3 * degc * (d - 1) - 1,
-        "minors against the radial field",
-    )
-    return SingInvariants(degc, pa, lenu, sat), ChernTriple(-3 - d, d ** 2 + 2 * d + 3 - degc, lenu)
+    numbers, chern = curve_invariants(sat, -1, d - 1, "minors against the radial field")
+    return SingInvariants(*numbers, sat), chern
 
 
 def analyze(v):

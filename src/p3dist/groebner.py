@@ -148,8 +148,8 @@ def _normal_form_terms(f, basis, p):
     return f
 
 
-def _reduced_basis(G, p):
-    """Reduced basis of engine polys, sorted by leading term, from a
+def _reduced_basis(G):
+    """Reduced basis of engine polys over QQ, sorted by leading term, from a
     Groebner basis of engine polys: minimalize, then reduce each tail by
     the others. Each tail-reduced row is put in `_engine_form`, so the rows
     are the ideal's identity."""
@@ -161,7 +161,7 @@ def _reduced_basis(G, p):
             for jdx, lt2 in enumerate(lts) if jdx != idx
         )
     ), key=lambda t: t[0])
-    return [_engine_form(_normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], p), p)
+    return [_engine_form(_normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], None), None)
             for pos, (_, g) in enumerate(minimal)]
 
 
@@ -326,7 +326,7 @@ class Ideal:
         """The reduced basis of engine polys, computed once."""
         if self._reduced is None:
             minimal = _buchberger_terms(self._rows, lower=self._lower)
-            object.__setattr__(self, "_reduced", _reduced_basis(minimal, None))
+            object.__setattr__(self, "_reduced", _reduced_basis(minimal))
         return self._reduced
 
     def groebner(self):
@@ -450,7 +450,7 @@ def _t_free(basis):
 
 def _eliminate_t(gens5):
     """The elimination ideal of the auxiliary variable."""
-    return _engine_ideal(_reduced_basis(_t_free(_buchberger_terms(gens5)), None))
+    return _engine_ideal(_reduced_basis(_t_free(_buchberger_terms(gens5))))
 
 
 def intersect(I, J):
@@ -557,4 +557,4 @@ def saturate(I):
             colon = [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)]
         h = hilbert_from_lt([_unpack(max(g)) for g in colon])
         if h.hp_coeffs == target:
-            return _engine_ideal(_reduced_basis(colon, None), h)
+            return _engine_ideal(_reduced_basis(colon), h)

@@ -108,23 +108,21 @@ def test_classify_validates_once(example1, monkeypatch):
 
 
 def test_curve_invariants_checks():
-    # a degree-1 distribution (c3_base(0) + 2 = 5) cannot be singular
-    # along 4 points only, and a plane is rejected only with its factor
-    def c3_base(degc):
-        return 3 - degc
-
+    # a degree-1 distribution (s = 1, delta = 3, so lenU = 5 when there is
+    # no curve) cannot be singular along 4 points only, and a plane is
+    # rejected only with its factor
     four_points = Ideal(tuple(
         Poly.variable(i) * Poly.variable(j) for i in range(4) for j in range(i + 1, 4)
     ))
     with pytest.raises(InconsistentInvariants, match="isolated length 4"):
-        dist.curve_invariants(four_points, c3_base)
+        dist.curve_invariants(four_points, 1, 3)
     with pytest.raises(DivisorialSingularity, match=r"factor x0$"):
-        dist.curve_invariants(Ideal((X0 * X1, X0 * X2)), c3_base)
+        dist.curve_invariants(Ideal((X0 * X1, X0 * X2)), 1, 3)
     # consistent input cannot reach this branch: the ideal of a line is
     # given the Hilbert data of a plane
     line = _engine_ideal(Ideal((X1, X2))._basis(), hilbert(Ideal((X0,))))
     with pytest.raises(InconsistentInvariants, match="without a common factor"):
-        dist.curve_invariants(line, c3_base)
+        dist.curve_invariants(line, 1, 3)
 
 
 def test_integrability(nullcorrelation, example1, example2, pencil_of_planes):
@@ -319,16 +317,6 @@ def test_line_family_invariants():
     assert dist.line_family_invariants(0, 1).as_tuple() == (2, 1, 0)
     with pytest.raises(DomainError):
         dist.line_family_invariants(1, 3)
-
-
-def test_family_dim():
-    assert dist.family_dim(1, 3) == 7
-    assert dist.family_dim(2, 3) == 13
-    assert dist.family_dim(1, 5) == 9
-    with pytest.raises(DomainError):
-        dist.family_dim(3, 4)
-    with pytest.raises(DomainError):
-        dist.family_dim(1, 2)
 
 
 def test_chern_c1_always_2_minus_d():

@@ -1,6 +1,7 @@
 import pytest
 
 from p3dist import corpus, groebner
+from p3dist import distribution as dist
 from p3dist import foliation as fol
 from p3dist.errors import (
     DivisorialSingularity, DomainError, InternalInconsistency, InvalidForm, RadialField,
@@ -77,9 +78,9 @@ def test_classify_degree1_requires_degree1():
 def test_line_sing_invariants():
     assert fol.line_sing_invariants(1) == (-4, 5, 2)
     assert fol.line_sing_invariants(2) == (-5, 10, 10)
-    # consistency with the general c2 formula at degC = 1
-    for dp in range(1, 6):
-        assert fol.line_sing_invariants(dp)[1] == dp ** 2 + 2 * dp + 3 - 1
+    # the kernel-sheaf formula of N* for a line: degC = 1, pa = 0
+    for dp in range(1, 11):
+        assert fol.line_sing_invariants(dp) == dist._chern(-1, dp - 1, 1, 0)
     with pytest.raises(DomainError):
         fol.line_sing_invariants(0)
 

@@ -262,7 +262,7 @@ def test_saturation_keeps_its_hilbert_data(monkeypatch):
 
 def _engine_basis(I):
     return groebner._reduced_basis(
-        groebner._buchberger_terms([groebner._packed(g.terms) for g in I.gens]), None)
+        groebner._buchberger_terms([groebner._packed(g.terms) for g in I.gens]))
 
 
 def _linear_form(k):
@@ -278,10 +278,10 @@ def _eliminations_agree(I, k):
     reduced = _engine_basis(I)
     rabinowitsch = {**groebner._extend(groebner._packed(_linear_form(k).terms)), 0: -1}
     unseeded = groebner._buchberger_terms(reduced + [rabinowitsch])
-    oracle = groebner._t_free(groebner._reduced_basis(unseeded, None))
-    assert groebner._reduced_basis(groebner._t_free(unseeded), None) == oracle
+    oracle = groebner._t_free(groebner._reduced_basis(unseeded))
+    assert groebner._reduced_basis(groebner._t_free(unseeded)) == oracle
     seeded = groebner._reduced_basis(
-        groebner._t_free(groebner._buchberger_terms([rabinowitsch], done=reduced)), None)
+        groebner._t_free(groebner._buchberger_terms([rabinowitsch], done=reduced)))
     assert groebner._engine_ideal(seeded).groebner() == groebner._engine_ideal(oracle).groebner()
 
 
@@ -323,7 +323,7 @@ def _colon_by_x3(I):
     reduced = _engine_basis(I)
     x3es = [groebner._pack((0, 0, 0, min(groebner._unpack(m)[3] for m in g))) for g in reduced]
     colon = groebner._reduced_basis(
-        [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)], None)
+        [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)])
     lts = [groebner._unpack(max(g)) for g in colon]
     return groebner._engine_ideal(colon).groebner(), groebner.hilbert_from_lt(lts), any(x3es)
 

@@ -1,0 +1,91 @@
+"""Riemann-Roch behind the one Chern formula, `distribution._chern`.
+
+T_F = ker(T_P3 -> I_Z(d + 2)) and N* = ker(Omega^1 -> I_Z(d' - 1)) are both
+F = ker(E -> I_Z(delta)) with c(E) = (1 + sH)^4. For a rank-2 sheaf on P3,
+chi(F) = (c1^3 - 3 c1 c2 + 3 c3)/6 + c1^2 - 2 c2 + 11 c1/6 + 2, and F(k)
+has the classes c1 + 2k, c2 + c1 k + k^2 and c3. The sequence gives
+chi(F(k)) = 4R(k + s) - R(k) - R(k + delta) + HP(k + delta), R(n) =
+C(n + 3, 3) as a polynomial in n and HP the Hilbert polynomial of Z,
+degC*n + 1 - pa + lenU. The grid checks the identity on the formula; the
+corpus and the maximal-order forms check it on printed triples, where past
+the regularity chi is the h0 that the section spaces count.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from p3dist import corpus
+from p3dist import distribution as dist
+from p3dist import foliation as fol
+from p3dist.exterior import checked_oneform, coefficient_ideal
+from p3dist.hilbert import hilbert, hilbert_function
+from p3dist.linalg import _dims
+from p3dist.poly import dim_graded_piece
+
+from maxorder import ROWS, oneform
+
+
+def _binom3(n):
+    """C(n + 3, 3) as a polynomial in n, so also for negative n."""
+    return (n + 1) * (n + 2) * (n + 3) // 6
+
+
+def _chi(chern, k):
+    """chi(F(k)) of a rank-2 sheaf F on P3 with the Chern triple chern."""
+    c1, c2, c3 = chern
+    c1, c2 = c1 + 2 * k, c2 + c1 * k + k * k
+    return (Fraction(c1 ** 3 - 3 * c1 * c2 + 3 * c3, 6) + c1 ** 2 - 2 * c2
+            + Fraction(11 * c1, 6) + 2)
+
+
+def test_chern_formula_satisfies_riemann_roch():
+    cases = 0
+    for s in (1, -1):
+        for delta in range(-1, 14):
+            for degc in range(8):
+                for pa in range(-3, 6):
+                    chern = dist._chern(s, delta, degc, pa)
+                    for k in range(-5, 8):
+                        hp = degc * (k + delta) + 1 - pa + chern.c3
+                        assert _chi(chern, k) == (4 * _binom3(k + s) - _binom3(k)
+                                                  - _binom3(k + delta) + hp)
+                        cases += 1
+    assert cases == 28080
+
+
+def _assert_form_chi(omega, chern):
+    """chi(T_F(t - 1)) of the triple against the h0 that `linalg._dims`
+    reads at twist t, four twists past the degree of the numerator of R/I."""
+    d, _ = checked_oneform(omega)
+    numerator = hilbert(coefficient_ideal(omega)).numerator
+    t = len(numerator) + 3
+    assert _chi(chern, t - 1) == _dims(numerator, d, t).h0
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names()["oneforms"])
+def test_printed_form_triples_give_h0(name):
+    omega = corpus.load_oneform(name)
+    _assert_form_chi(omega, dist.classify(omega).chern)
+
+
+@pytest.mark.parametrize("d", (3, 4))
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_maximal_order_triples_give_h0(row, d):
+    # `classify` prints the triple that `_oneform_numbers` reads; the
+    # saturation, which it does not need, is left out
+    omega = oneform(row, d, seed=1)
+    _assert_form_chi(omega, dist._oneform_numbers(omega)[2])
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names()["vfields"])
+def test_printed_field_triples_give_h0(name):
+    # h0(N*(s)) = h0(Omega^1(s)) - dim J_(s + d' - 1), J the saturated ideal
+    # of Z, once s is past the regularity
+    report = fol.analyze(corpus.load_vfield(name))
+    numerator = hilbert(report.sing.sat_ideal).numerator
+    s = len(numerator) + 3
+    n = s + report.degree - 1
+    dim_j = dim_graded_piece(n) - hilbert_function(numerator, n)
+    h0 = 4 * dim_graded_piece(s - 1) - dim_graded_piece(s) - dim_j
+    assert _chi(report.chern, s) == h0
