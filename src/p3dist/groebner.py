@@ -27,7 +27,12 @@ coefficient ideal carries one from its radial and Koszul syzygies
 (`exterior.checked_oneform`), a field's minors the Eagon-Northcott
 numerator (`foliation.sing_scheme_v`).
 Coefficients are exact rationals, or residues mod a prime p for the
-modular cross-check.
+modular cross-check and for `hilbert_numerator`'s run mod PRIME = 32003.
+That run rests on a sandwich: HF_N(n) <= HF_{R/I}(n) <= HF_{R/I_p}(n) for
+integer generators, n <= deg N, the upper side as the rank of the Macaulay
+matrix of I_n can only drop mod p (Arnold, J. Symbolic Comput. 35, 2003).
+Where the run mod p meets N up to the degree asked, N is the Hilbert
+function there, and no run over QQ is made.
 
 The engine packs t^e x0^a0 x1^a1 x2^a2 x3^a3 into one int (Monagan and
 Pearce, J. Symbolic Comput. 46, 2011). An `Ideal` keeps its generators and
@@ -71,6 +76,7 @@ from .poly import (
 MAX_MONOMIAL_DEGREE = 2 ** 15 - 1
 _FIELDS = (1 << 80) - 1
 _GUARDS = 0x8000 * sum(1 << 16 * i for i in range(5))
+PRIME = 32003  # the fixed prime of `hilbert_numerator`'s modular run
 
 
 def _bounded(deg):
@@ -181,7 +187,7 @@ def _lt_piece(lts, deg, piece, at):
     return piece
 
 
-def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None):
+def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None, stop_short=False):
     """A minimal Groebner basis of packed dict-polys: the run's active
     engine polys, in the order they were kept. A caller that keeps the
     rows makes them the reduced basis with `_reduced_basis`.
@@ -205,9 +211,11 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None):
     `lower` is a Hilbert series numerator N with HF_{R/I}(n) >= HF_N(n)
     for n <= deg N, for homogeneous gens over QQ, so dim I_n <= bound[n] =
     dim R_n - HF_N(n) (Traverso's Hilbert-driven stop, J. Symbolic Comput.
-    22, 1996). The leading terms found span at most dim I_n monomials of
-    degree n, so once they span the bound they span all of LT(I)_n, and
-    every pair left at n reduces to zero: the run drops them. Entering a
+    22, 1996). The bound holds over GF(p) too for the reduction mod p of
+    integer gens, as the rank of I_n can only drop mod p. The leading
+    terms found span at most dim I_n monomials of degree n, so once they
+    span the bound they span all of LT(I)_n, and every pair left at n
+    reduces to zero: the run drops them. Entering a
     bounded degree, it counts that degree's leading monomials once, from
     the last bounded degree's, and adds one per element added there. A
     count above the bound on entering raises InternalInconsistency; a
@@ -215,7 +223,9 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None):
     must be a theorem (`exterior.checked_oneform` and
     `foliation.sing_scheme_v` name theirs). Degrees above deg N run
     unbounded, capped or not. Only where the run stops changes, so the
-    result is the same with or without a valid N.
+    result is the same with or without a valid N. With `stop_short` the
+    run stops on leaving the first bounded degree whose leading terms span
+    fewer monomials than the bound: it returns a run capped there.
     """
     polys, lts = list(done), [max(g) for g in done]
     active, basis = list(range(len(polys))), list(zip(lts, polys))
@@ -262,6 +272,8 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None):
         deg, l, i, j = heappop(pairs)
         if deg in bound:
             if deg != at:
+                if stop_short and at is not None and len(filled) < bound[at]:
+                    break  # LT(I) falls short of the bound in degree at
                 filled, at = _lt_piece(lts, deg, filled, at), deg
                 if len(filled) > bound[deg]:
                     raise InternalInconsistency(
@@ -399,6 +411,27 @@ def normal_form(p, ideal):
     return Poly({_unpack(m): c for m, c in r.items()}).monic()
 
 
+def _mod_p_rows(rows, prime):
+    """The reduction mod prime of dict-polys with rational coefficients:
+    each coefficient reduced, terms that vanish dropped, as the engine
+    keeps no zero coefficients, and rows that vanish dropped. Raises
+    ZeroDivisionError when the prime divides a denominator."""
+    reduced = []
+    for g in rows:
+        t = {}
+        for m, c in g.items():
+            num, den = c.numerator, c.denominator % prime
+            if den != 1:
+                if not den:
+                    raise ZeroDivisionError(f"denominator vanishes mod {prime}")
+                num *= pow(den, -1, prime)
+            if num % prime:
+                t[m] = num % prime
+        if t:
+            reduced.append(t)
+    return reduced
+
+
 def leading_monomials_mod_p(ideal, prime):
     """Leading monomials of the reduced basis over GF(prime) of the ideal's
     generators: on an ideal the engine made, its reduced basis of primitive
@@ -408,24 +441,12 @@ def leading_monomials_mod_p(ideal, prime):
     Raises ZeroDivisionError when the prime divides a denominator of a
     generator, or a leading coefficient of an engine ideal's row, which is
     exactly when it divides a denominator of the monic reduced basis, as
-    the rows are primitive. Terms whose coefficient vanishes mod prime are
-    dropped, as the engine keeps no zero coefficients.
+    the rows are primitive. The generators are reduced by `_mod_p_rows`.
     """
-    engine = ideal._rows is ideal._reduced
-    gens = []
-    for g in ideal._rows:
-        if engine and not g[max(g)] % prime:
-            raise ZeroDivisionError(f"leading coefficient vanishes mod {prime}")
-        t = {}
-        for m, c in g.items():
-            den = c.denominator % prime
-            if den == 0:
-                raise ZeroDivisionError(f"denominator vanishes mod {prime}")
-            r = c.numerator * pow(den, -1, prime) % prime
-            if r:
-                t[m] = r
-        gens.append(t)
-    return tuple(_unpack(lt) for lt in sorted(max(g) for g in _buchberger_terms(gens, prime)))
+    if ideal._rows is ideal._reduced and any(not g[max(g)] % prime for g in ideal._rows):
+        raise ZeroDivisionError(f"leading coefficient vanishes mod {prime}")
+    rows = _buchberger_terms(_mod_p_rows(ideal._rows, prime), prime)
+    return tuple(_unpack(lt) for lt in sorted(max(g) for g in rows))
 
 
 # -- auxiliary-variable machinery (t in the top field of a packed monomial) -
@@ -505,17 +526,51 @@ def saturate_iterated_colon(I, f, cap=64):
     raise NonTermination(f"colon iteration did not stabilize within {cap} steps")
 
 
+def _lt_numerator(basis):
+    """The Hilbert series numerator of R modulo the leading terms of engine
+    polys."""
+    return hilbert_from_lt([_unpack(max(g)) for g in basis]).numerator
+
+
+def _function(numerator, degree):
+    """The Hilbert function of a numerator in the degrees 0, ..., degree."""
+    return [hilbert_function(numerator, n) for n in range(degree + 1)]
+
+
 def hilbert_numerator(I, degree):
     """The Hilbert series numerator of R/I, I homogeneous, exact for the
     Hilbert function in every degree up to `degree`: the data `hilbert`
-    kept on I if there is any, else the numerator of the leading terms of a
-    Buchberger run, told I's certified numerator, that stops at that
-    degree. Nothing is kept on I, as the numerator need not be I's own
-    above that degree."""
+    kept on I if there is any, else one read from capped runs that stop at
+    that degree, all told I's certified numerator N. Nothing is kept on I,
+    as such a numerator need not be I's own above that degree.
+
+    Where degree <= deg N, a run over GF(PRIME) comes first. Its rows are
+    I's integer generators reduced mod PRIME, and for every n,
+    HF_N(n) <= HF_{R/I}(n) <= HF_p(n): the lower side is N's theorem, the
+    upper holds as the rank of the Macaulay matrix of I_n can only drop mod
+    p (E. A. Arnold, J. Symbolic Comput. 35, 2003), which keeps N a valid
+    bound for that run too. So where HF_p = HF_N up to the degree, N is
+    exact there and is returned, with no run over QQ. The run stops short
+    after the first degree where HF_p > HF_N, and from its leading terms
+    HF_p is then exact up to that degree and too large above it. Otherwise
+    the numerator is that of the capped run over QQ, checked against the
+    upper side, which no prime can break: HF_{R/I}(n) above the HF_p read
+    at any n <= degree raises InternalInconsistency.
+    """
     if I._hilbert is not None:
         return I._hilbert.numerator
-    lts = _buchberger_terms(I._rows, cap=degree, lower=I._lower)
-    return hilbert_from_lt([_unpack(max(g)) for g in lts]).numerator
+    lower, modular = I._lower, ()
+    if lower is not None and degree < len(lower):
+        modular = _function(_lt_numerator(_buchberger_terms(
+            _mod_p_rows(I._rows, PRIME), PRIME, cap=degree, lower=lower, stop_short=True)), degree)
+        if modular == _function(lower, degree):
+            return lower
+    rational = _lt_numerator(_buchberger_terms(I._rows, cap=degree, lower=lower))
+    for n, (hf, hf_p) in enumerate(zip(_function(rational, degree), modular)):
+        if hf > hf_p:
+            raise InternalInconsistency(
+                f"Hilbert function {hf} in degree {n} over QQ is above {hf_p} mod {PRIME}")
+    return rational
 
 
 def saturate(I):

@@ -12,10 +12,17 @@ there, so once the invariants are read h0 costs no Groebner basis. On a
 form whose data was not read, `groebner.hilbert_numerator` runs Buchberger
 only up to the largest degree t+d+1 read, 2d+2 for `compute_tF`, takes
 the numerator of the leading terms found, and keeps nothing on the form.
-The ideal carries a numerator K_d (`exterior._koszul_numerator`) whose
-bound on dim I_n, n = t+d+1 <= 2d+2, the sections known in advance give:
-the radial multiples f*R, f of degree t-1, and at t = d+1 the six Koszul
-fields A_j*e_i - A_i*e_j, lie in the kernel, so
+The ideal carries a numerator K_d (`exterior._koszul_numerator`), a lower
+bound on HF_{R/I}(n) for n <= 2d+2 (proved below). The integer A_i reduced
+mod p give an upper one: HF_{K_d}(n) <= HF_{R/I}(n) <= HF_{R/I_p}(n), as
+the rank of I_n only drops mod p. So the capped run is made first over
+GF(32003), and where it meets K_d up to the degree read, K_d is the
+Hilbert function there: a generic form, t_F = d + 1 with h0 = kappa,
+makes no run over QQ. Where it does not meet K_d, as when t_F <= d, the
+capped run over QQ follows. K_d's bound on dim I_n, n = t+d+1 <= 2d+2,
+comes from the sections known in advance: the radial multiples f*R, f of
+degree t-1, and at t = d+1 the six Koszul fields A_j*e_i - A_i*e_j, lie
+in the kernel, so
 dim I_n <= 4 dim R_t - dim R_{t-1} - [t = d+1]*kappa, kappa their rank
 modulo the radial multiples. That rank is a theorem: for a constant
 bivector C and its dual 2-form C~, C.A is radial iff omega ^ i_R(C~) = 0,
@@ -209,7 +216,10 @@ def compute_tF(omega):
     d + 1 the section comes from `minimal_section`'s scan; at d + 1, where
     the sweep has read that no lower twist has a section, it is the
     reduced Koszul field (A_1, -A_0, 0, 0), and no column is scanned. Both
-    pass the same certificate.
+    pass the same certificate. The Hilbert function of the sweep is K_d's
+    where the capped run over GF(32003) meets K_d, as then
+    HF_{K_d} <= HF_{R/I} <= HF_{R/I_p} pins it, and is read from the capped
+    run over QQ otherwise (`groebner.hilbert_numerator`).
     """
     d, coeffs = checked_oneform(omega)
     # the sweep reads the Hilbert function up to degree (d + 1) + d + 1

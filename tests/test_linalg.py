@@ -1,6 +1,9 @@
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
+import os
+import sys
 import time
 
 import pytest
@@ -18,7 +21,8 @@ from p3dist.exterior import (
     field_degree,
     radial_field,
 )
-from p3dist.hilbert import hilbert, hilbert_function
+from p3dist.grammar import parse_poly
+from p3dist.hilbert import hilbert, hilbert_from_lt, hilbert_function
 from p3dist.linalg import compute_tF, h0_tangent_twist, minimal_section
 from p3dist.poly import (
     Poly, X0, X1, X2, X3, dim_graded_piece, integer_multiples, monomials_of_degree,
@@ -28,6 +32,11 @@ from p3dist.poly import (
 import maxorder
 from conftest import make_rng
 from echelon import _kernel, _pivot_rows
+
+# the sections workload's forms, read from perfbench/run.py
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
+import run as perfbench_run  # noqa: E402
 
 
 def fraction_rref(rows):
@@ -615,3 +624,85 @@ def test_compute_tF_keeps_no_capped_data(example1, nullcorrelation):
         assert ideal._hilbert is None and ideal._reduced is None
         assert (cli.dist_report_doc(distribution.classify(bare))
                 == cli.dist_report_doc(distribution.classify(fresh(omega))))
+
+
+def recorded_primes(monkeypatch):
+    """The list to which every later Buchberger run appends its prime, None
+    over QQ."""
+    primes, engine = [], groebner._buchberger_terms
+
+    def recording(gens, p=None, **kwargs):
+        primes.append(p)
+        return engine(gens, p, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+    return primes
+
+
+def qq_capped_tF(omega):
+    """(t_F, section, h0) read from the numerator of the capped QQ run, with
+    no bound and no prime: the oracle of the modular route."""
+    d, _ = checked_oneform(omega)
+    lts = groebner._buchberger_terms(coefficient_ideal(fresh(omega))._rows, cap=2 * d + 2)
+    numerator = hilbert_from_lt([groebner._unpack(max(g)) for g in lts]).numerator
+    for dprime in range(d + 2):
+        s = linalg._dims(numerator, d, dprime)
+        if s.h0 > 0:
+            return dprime, minimal_section(fresh(omega), dprime), s
+
+
+def split_mod_p_form(rng, d):
+    """A form valid over QQ whose coefficients are, mod PRIME, those of the
+    split form g * (x1 dx0 - x0 dx1), deg g = d: that form plus PRIME times a
+    dense one."""
+    g = Poly({m: rng.choice((-2, -1, 1, 3)) for m in monomials_of_degree(d)})
+    split = (g * X1, -g * X0, Poly({}), Poly({}))
+    dense = random_dense_form(rng, d).one_form_coeffs()
+    return ExtForm.one_form(*(a + groebner.PRIME * b for a, b in zip(split, dense)))
+
+
+def test_modular_route(monkeypatch, example1):
+    # dense forms and the forty sections forms of seeds 1-10 meet K_d over
+    # GF(PRIME), so compute_tF makes no run over QQ; example1 and the
+    # maximal-order rows (t_F = 1 <= d), and a form that splits mod PRIME
+    # alone, fall back to one capped run over QQ. Either way t_F, the
+    # section and h0 are those of the capped QQ numerator
+    rng = make_rng(137)
+    dense = [random_dense_form(rng, d) for d in (1, 2, 3)]
+    dense += [ExtForm.one_form(*map(parse_poly, item["doc"]["coeffs"]))
+              for seed in range(1, 11) for item in perfbench_run.build_items("sections", seed)]
+    fallback = [example1, split_mod_p_form(rng, 2)]
+    fallback += [maxorder.oneform(row, d, 1) for row in sorted(maxorder.ROWS) for d in (3, 4)]
+    assert qq_capped_tF(fallback[1])[0] == 3  # over QQ the split form is generic
+    primes = recorded_primes(monkeypatch)
+    for omega, route in [(o, [groebner.PRIME]) for o in dense] + [
+            (o, [groebner.PRIME, None]) for o in fallback]:
+        expected = qq_capped_tF(omega)
+        primes.clear()
+        assert compute_tF(fresh(omega)) == expected
+        assert primes == route, omega
+    # on the rows, h0(1) > 0 shows first in degree d + 2, where the run mod
+    # PRIME stops short: it is the run capped there
+    monkeypatch.undo()
+    for omega in fallback[2:]:
+        d, _ = checked_oneform(omega)
+        ideal = coefficient_ideal(fresh(omega))
+        rows = groebner._mod_p_rows(ideal._rows, groebner.PRIME)
+        run = partial(groebner._buchberger_terms, rows, groebner.PRIME, lower=ideal._lower)
+        assert run(cap=2 * d + 2, stop_short=True) == run(cap=d + 2)
+
+
+def test_qq_numerator_above_the_modular_one_raises(monkeypatch, example1):
+    # HF_{R/I} <= HF_p in every degree whatever the prime, so a QQ run that
+    # drops a generator, raising HF_{R/I}(d + 1) above HF_p(d + 1), is an
+    # engine fault
+    engine = groebner._buchberger_terms
+
+    def dropping(gens, p=None, **kwargs):
+        rows = engine(gens, p, **kwargs)
+        return rows if p else rows[1:]
+
+    monkeypatch.setattr(groebner, "_buchberger_terms", dropping)
+    for omega in (example1, maxorder.oneform("line", 3, 1)):
+        with pytest.raises(InternalInconsistency, match="over QQ is above"):
+            compute_tF(fresh(omega))
