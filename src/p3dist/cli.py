@@ -29,14 +29,14 @@ from . import corpus, distribution, foliation, logarithmic
 from .errors import InternalInconsistency, NumericContradiction, ParseError, ValidationError
 from .exterior import ExtForm, VField
 from .grammar import format_poly, parse_poly
-from .groebner import _engine_ideal, leading_monomials_mod_p
+from .groebner import PRIME, _engine_ideal, leading_monomials_mod_p
 from .linalg import compute_tF
 from .logarithmic import LogType
 
 SCHEMA_VERSION = 1
 
 # primes tried for the modular consistency check, in rotation order
-_CHECK_PRIMES = (32003, 31991, 31981, 31973, 31963)
+_CHECK_PRIMES = (PRIME, 31991, 31981, 31973, 31963)
 
 
 def _read_text(path):

@@ -19,6 +19,7 @@ from itertools import combinations
 
 from .errors import EulerViolation, GradeOverflow, InvalidForm
 from .groebner import Ideal
+from .hilbert import numerator_from_terms
 from .poly import NVARS, Poly, add_product, integer_multiples
 
 _INDEX_SETS = {g: tuple(combinations(range(NVARS), g)) for g in range(NVARS + 1)}
@@ -139,10 +140,7 @@ def _koszul_numerator(d):
     """K_d = 1 - 4t^(d+1) + t^(d+2) + (6 - [d = 0])t^(2d+2): the coefficient
     ideal I of every 1-form of degree d has HF_{R/I}(n) >= HF_{K_d}(n) for
     n <= 2d + 2, as the `linalg` module docstring proves."""
-    k = [0] * (2 * d + 3)
-    for n, c in ((0, 1), (d + 1, -4), (d + 2, 1), (2 * d + 2, 6 - (d == 0))):
-        k[n] += c
-    return tuple(k)
+    return numerator_from_terms(((0, 1), (d + 1, -4), (d + 2, 1), (2 * d + 2, 6 - (d == 0))))
 
 
 def checked_oneform(omega):

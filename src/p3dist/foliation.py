@@ -20,7 +20,7 @@ from .errors import DomainError, InternalInconsistency, RadialField, Unclassifie
 from .distribution import ChernTriple, SingInvariants, curve_invariants
 from .exterior import _contraction, _radial_minors, checked_oneform, field_degree
 from .groebner import Ideal, _engine_ideal, saturate
-from .hilbert import hilbert
+from .hilbert import hilbert, numerator_from_terms
 from .poly import integer_multiples
 
 _DEGREE1_CASES = {
@@ -40,11 +40,8 @@ class FoliationCurveReport(NamedTuple):
 def _eagon_northcott(e):
     """The numerator N_e of HS(R/J), as `hilbert_from_lt` gives it, for the
     minors J of a field of degree e with height J = 3 (see `sing_scheme_v`)."""
-    n = {}
-    for k, c in ((0, 1), (e + 1, -6), (e + 2, 4), (2 * e + 1, 4),
-                 (e + 3, -1), (2 * e + 2, -1), (3 * e + 1, -1)):
-        n[k] = n.get(k, 0) + c
-    return tuple(n.get(k, 0) for k in range(max(e + 3, 3 * e + 1) + 1))
+    return numerator_from_terms(((0, 1), (e + 1, -6), (e + 2, 4), (2 * e + 1, 4),
+                                 (e + 3, -1), (2 * e + 2, -1), (3 * e + 1, -1)))
 
 
 def sing_scheme_v(v):

@@ -17,22 +17,22 @@ auxiliary variable t, the saturation's run seeded with the finished basis
 of I. A run returns its minimal basis, and the eliminations tail-reduce
 only the t-free rows they keep (only a t-free leading term divides a t-free
 monomial), the saturation only the colon it accepts. The tests compare the
-saturation against those. For the section spaces of a form that was not
-saturated, a run capped at a degree gives the Hilbert function up to it.
+saturation against those.
 An ideal may carry a certified numerator N, HF_{R/I}(n) >= HF_N(n) for
-n <= deg N (`Ideal._of_rows`): every run of it, capped or full, drops the
-pairs of degree n once its leading terms fill dim R_n - HF_N(n), as they
-all reduce to zero (Traverso's Hilbert-driven stop). A 1-form's
-coefficient ideal carries one from its radial and Koszul syzygies
+n <= deg N (`Ideal._of_rows`): every run of it drops the pairs of degree
+n once its leading terms fill dim R_n - HF_N(n), as they all reduce to
+zero (Traverso's Hilbert-driven stop). A 1-form's coefficient ideal
+carries one from its radial and Koszul syzygies
 (`exterior.checked_oneform`), a field's minors the Eagon-Northcott
 numerator (`foliation.sing_scheme_v`).
 Coefficients are exact rationals, or residues mod a prime p for the
-modular cross-check and for `hilbert_numerator`'s run mod PRIME = 32003.
-That run rests on a sandwich: HF_N(n) <= HF_{R/I}(n) <= HF_{R/I_p}(n) for
-integer generators, n <= deg N, the upper side as the rank of the Macaulay
-matrix of I_n can only drop mod p (Arnold, J. Symbolic Comput. 35, 2003).
-Where the run mod p meets N up to the degree asked, N is the Hilbert
-function there, and no run over QQ is made.
+modular cross-check and for `hilbert_numerator`'s run mod PRIME = 32003,
+the engine's one capped run. It rests on a sandwich: HF_N(n) <=
+HF_{R/I}(n) <= HF_{R/I_p}(n) for integer generators, n <= deg N, the
+upper side as the rank of the Macaulay matrix of I_n can only drop mod p
+(Arnold, J. Symbolic Comput. 35, 2003). Where it meets N up to the degree
+asked, N is the Hilbert function there and no run over QQ is made;
+otherwise I's own data is read from its reduced basis and kept.
 
 The engine packs t^e x0^a0 x1^a1 x2^a2 x3^a3 into one int (Monagan and
 Pearce, J. Symbolic Comput. 46, 2011). An `Ideal` keeps its generators and
@@ -187,7 +187,7 @@ def _lt_piece(lts, deg, piece, at):
     return piece
 
 
-def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None, stop_short=False):
+def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None):
     """A minimal Groebner basis of packed dict-polys: the run's active
     engine polys, in the order they were kept. A caller that keeps the
     rows makes them the reduced basis with `_reduced_basis`.
@@ -205,8 +205,10 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None, stop_short=Fa
     Groebner basis: it forms no pairs within itself, only with gens and
     the elements that follow (Gebauer-Moller's incremental update). With a
     degree `cap` and homogeneous gens, pairs are taken up to that degree
-    only: the leading terms of the elements returned generate the
-    leading-term ideal in every degree up to the cap.
+    only, and with a bound below too, up to the first bounded degree whose
+    leading terms span fewer monomials than the bound: the leading terms
+    of the elements returned generate the leading-term ideal in every
+    degree up to the one where the run stops.
 
     `lower` is a Hilbert series numerator N with HF_{R/I}(n) >= HF_N(n)
     for n <= deg N, for homogeneous gens over QQ, so dim I_n <= bound[n] =
@@ -222,10 +224,8 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None, stop_short=Fa
     bound that is too small but not below that count goes unseen, so N
     must be a theorem (`exterior.checked_oneform` and
     `foliation.sing_scheme_v` name theirs). Degrees above deg N run
-    unbounded, capped or not. Only where the run stops changes, so the
-    result is the same with or without a valid N. With `stop_short` the
-    run stops on leaving the first bounded degree whose leading terms span
-    fewer monomials than the bound: it returns a run capped there.
+    unbounded. Uncapped, only where the run stops changes, so the result
+    is the same with or without a valid N.
     """
     polys, lts = list(done), [max(g) for g in done]
     active, basis = list(range(len(polys))), list(zip(lts, polys))
@@ -272,7 +272,7 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None, stop_short=Fa
         deg, l, i, j = heappop(pairs)
         if deg in bound:
             if deg != at:
-                if stop_short and at is not None and len(filled) < bound[at]:
+                if cap is not None and at is not None and len(filled) < bound[at]:
                     break  # LT(I) falls short of the bound in degree at
                 filled, at = _lt_piece(lts, deg, filled, at), deg
                 if len(filled) > bound[deg]:
@@ -539,35 +539,32 @@ def _function(numerator, degree):
 
 def hilbert_numerator(I, degree):
     """The Hilbert series numerator of R/I, I homogeneous, exact for the
-    Hilbert function in every degree up to `degree`: the data `hilbert`
-    kept on I if there is any, else one read from capped runs that stop at
-    that degree, all told I's certified numerator N. Nothing is kept on I,
-    as such a numerator need not be I's own above that degree.
+    Hilbert function in every degree up to `degree`: I's certified
+    numerator N where a run mod PRIME pins it, else I's own, `hilbert(I)`.
 
-    Where degree <= deg N, a run over GF(PRIME) comes first. Its rows are
-    I's integer generators reduced mod PRIME, and for every n,
-    HF_N(n) <= HF_{R/I}(n) <= HF_p(n): the lower side is N's theorem, the
-    upper holds as the rank of the Macaulay matrix of I_n can only drop mod
-    p (E. A. Arnold, J. Symbolic Comput. 35, 2003), which keeps N a valid
-    bound for that run too. So where HF_p = HF_N up to the degree, N is
-    exact there and is returned, with no run over QQ. The run stops short
-    after the first degree where HF_p > HF_N, and from its leading terms
-    HF_p is then exact up to that degree and too large above it. Otherwise
-    the numerator is that of the capped run over QQ, checked against the
-    upper side, which no prime can break: HF_{R/I}(n) above the HF_p read
-    at any n <= degree raises InternalInconsistency.
+    Where I keeps no data and degree <= deg N, a run over GF(PRIME) capped
+    at the degree comes first. Its rows are I's integer generators reduced
+    mod PRIME, and for every n, HF_N(n) <= HF_{R/I}(n) <= HF_p(n): the
+    lower side is N's theorem, the upper holds as the rank of the Macaulay
+    matrix of I_n can only drop mod p (E. A. Arnold, J. Symbolic Comput.
+    35, 2003), which keeps N a valid bound for that run too. So where
+    HF_p = HF_N up to the degree, N is exact there and is returned, with
+    no run over QQ. The run stops short after the first degree where
+    HF_p > HF_N, and HF_p is then exact up to that degree and too large
+    above it. I's own numerator is checked against the upper side, which
+    no prime can break: HF_{R/I}(n) above the HF_p read at any n <= degree
+    raises InternalInconsistency, and the data that failed is not kept.
     """
-    if I._hilbert is not None:
-        return I._hilbert.numerator
     lower, modular = I._lower, ()
-    if lower is not None and degree < len(lower):
+    if I._hilbert is None and lower is not None and degree < len(lower):
         modular = _function(_lt_numerator(_buchberger_terms(
-            _mod_p_rows(I._rows, PRIME), PRIME, cap=degree, lower=lower, stop_short=True)), degree)
+            _mod_p_rows(I._rows, PRIME), PRIME, cap=degree, lower=lower)), degree)
         if modular == _function(lower, degree):
             return lower
-    rational = _lt_numerator(_buchberger_terms(I._rows, cap=degree, lower=lower))
+    rational = hilbert(I).numerator
     for n, (hf, hf_p) in enumerate(zip(_function(rational, degree), modular)):
         if hf > hf_p:
+            I._keep(I._rows, lower=lower)
             raise InternalInconsistency(
                 f"Hilbert function {hf} in degree {n} over QQ is above {hf_p} mod {PRIME}")
     return rational

@@ -77,6 +77,16 @@ def _numerator(gens, memo):
     return out
 
 
+def numerator_from_terms(terms):
+    """The numerator tuple of (degree, coefficient) pairs, those of one
+    degree added and trailing zeros dropped: () when all cancel."""
+    num = {}
+    for k, c in terms:
+        num[k] = num.get(k, 0) + c
+    top = max((k for k, c in num.items() if c), default=-1)
+    return tuple(num.get(k, 0) for k in range(top + 1))
+
+
 def hilbert_function(numerator, n):
     """HF(n) = sum_k N_k dim R_(n-k) for the series N(t)/(1-t)^4."""
     return sum(c * dim_graded_piece(n - k) for k, c in enumerate(numerator))
@@ -107,17 +117,14 @@ def hilbert_from_lt(lt_monomials):
     has integer coefficients in the moments M_j = sum_k N_k k^j.
     """
     num = _numerator(tuple(lt_monomials), {})
-    if not num:
-        # unit ideal
-        return HilbertData((), (), -1, 0, Fraction(0))
     m0, m1, m2, m3 = (sum(c * k ** j for k, c in num.items()) for j in range(4))
     six_hp = [6 * m0 - 11 * m1 + 6 * m2 - m3, 11 * m0 - 12 * m1 + 3 * m2,
               6 * m0 - 3 * m1, m0]
     while six_hp and not six_hp[-1]:
         six_hp.pop()
-    numerator = tuple(num.get(k, 0) for k in range(max(num) + 1))
+    numerator = numerator_from_terms(num.items())
     if not six_hp:
-        # Hilbert function eventually zero: empty projective scheme
+        # Hilbert function eventually zero: unit ideal or empty scheme
         return HilbertData(numerator, (), -1, 0, Fraction(0))
     r = len(six_hp) - 1
     hp = tuple(Fraction(c, 6) for c in six_hp)

@@ -8,21 +8,20 @@ series numerator N of R/I (the Macaulay-matrix view of D. Lazard, EUROCAL
 1983): the raw kernel at twist t is 4 dim R_t - dim R_{t+d+1} + HF(t+d+1),
 with HF(n) = sum_k N_k dim R_{n-k}. The coefficient ideal is kept on the
 form (`exterior.coefficient_ideal`) and `hilbert.hilbert` keeps its data
-there, so once the invariants are read h0 costs no Groebner basis. On a
-form whose data was not read, `groebner.hilbert_numerator` runs Buchberger
-only up to the largest degree t+d+1 read, 2d+2 for `compute_tF`, takes
-the numerator of the leading terms found, and keeps nothing on the form.
+there, so once the invariants are read h0 costs no Groebner basis.
 The ideal carries a numerator K_d (`exterior._koszul_numerator`), a lower
 bound on HF_{R/I}(n) for n <= 2d+2 (proved below). The integer A_i reduced
 mod p give an upper one: HF_{K_d}(n) <= HF_{R/I}(n) <= HF_{R/I_p}(n), as
-the rank of I_n only drops mod p. So the capped run is made first over
-GF(32003), and where it meets K_d up to the degree read, K_d is the
-Hilbert function there: a generic form, t_F = d + 1 with h0 = kappa,
-makes no run over QQ. Where it does not meet K_d, as when t_F <= d, the
-capped run over QQ follows. K_d's bound on dim I_n, n = t+d+1 <= 2d+2,
-comes from the sections known in advance: the radial multiples f*R, f of
-degree t-1, and at t = d+1 the six Koszul fields A_j*e_i - A_i*e_j, lie
-in the kernel, so
+the rank of I_n only drops mod p. So on a form whose data was not read,
+`groebner.hilbert_numerator` runs Buchberger over GF(32003) up to the
+largest degree t+d+1 read, 2d+2 for `compute_tF`, and where it meets K_d
+up to that degree, K_d is the Hilbert function there: a generic form,
+t_F = d + 1 with h0 = kappa, makes no run over QQ and keeps nothing on
+the form. Where it does not meet K_d, as when t_F <= d, the full run over
+QQ follows, and its data is kept on the form. K_d's bound on dim I_n,
+n = t+d+1 <= 2d+2, comes from the sections known in advance: the radial
+multiples f*R, f of degree t-1, and at t = d+1 the six Koszul fields
+A_j*e_i - A_i*e_j, lie in the kernel, so
 dim I_n <= 4 dim R_t - dim R_{t-1} - [t = d+1]*kappa, kappa their rank
 modulo the radial multiples. That rank is a theorem: for a constant
 bivector C and its dual 2-form C~, C.A is radial iff omega ^ i_R(C~) = 0,
@@ -31,8 +30,8 @@ other. Every form of degree 0 is some i_R(C~); at d >= 1 the bound takes
 kappa = 6, certified also where it is 5, as there I = g*J, J generated by
 linear forms, and dim I_{2d+2} <= dim R_{d+2} < 4 dim R_{d+1} - dim R_d - 6.
 So K_d = 1 - 4t^(d+1) + t^(d+2) + (6 - [d = 0])t^(2d+2). Every run of I,
-capped here or full in `analyze`, stops proving S-pairs zero where its
-leading terms fill the bound; its result is the same.
+mod p or over QQ, stops proving S-pairs zero where its leading terms fill
+the bound; the full run's result is the same.
 
 The section comes from one scan of the columns x^m*A_i of the contraction
 map, in the order i*n + (index of m). Each column is keyed by the grevlex
@@ -218,8 +217,9 @@ def compute_tF(omega):
     reduced Koszul field (A_1, -A_0, 0, 0), and no column is scanned. Both
     pass the same certificate. The Hilbert function of the sweep is K_d's
     where the capped run over GF(32003) meets K_d, as then
-    HF_{K_d} <= HF_{R/I} <= HF_{R/I_p} pins it, and is read from the capped
-    run over QQ otherwise (`groebner.hilbert_numerator`).
+    HF_{K_d} <= HF_{R/I} <= HF_{R/I_p} pins it, and is the coefficient
+    ideal's own otherwise, kept on it for a later `classify`
+    (`groebner.hilbert_numerator`).
     """
     d, coeffs = checked_oneform(omega)
     # the sweep reads the Hilbert function up to degree (d + 1) + d + 1

@@ -6,7 +6,9 @@ import pytest
 
 from p3dist import corpus, distribution, foliation, groebner
 from p3dist.errors import NonTermination
-from p3dist.exterior import ExtForm, VField, coefficient_ideal, minors_against_radial
+from p3dist.exterior import (
+    ExtForm, VField, checked_oneform, coefficient_ideal, minors_against_radial,
+)
 from p3dist.grammar import format_poly, parse_poly
 from p3dist.logarithmic import audit_log_form, build_log_form
 from p3dist.groebner import (
@@ -413,8 +415,9 @@ def _in_engine_form(row, p=None):
 
 def test_every_kept_row_is_in_engine_form(monkeypatch):
     # the step leaves the content in, so each row the engine keeps is put in
-    # its form where it is kept: the elements a run returns, capped or not,
-    # over QQ and mod p, and the basis of a saturation by either route
+    # its form where it is kept: the elements a run returns, over QQ, mod p
+    # capped (the run of hilbert_numerator) and mod p in full (the --mod-p
+    # check), and the basis of a saturation by either route
     runs = []
     engine = groebner._buchberger_terms
 
@@ -425,16 +428,17 @@ def test_every_kept_row_is_in_engine_form(monkeypatch):
 
     monkeypatch.setattr(groebner, "_buchberger_terms", recording)
     # example2 saturates at k = 0 by dividing out x3, the two lines at k = 1
-    ideals = [Ideal(corpus.load_oneform("example2").one_form_coeffs()), Ideal((X0 * X3, X1 * X3))]
-    ideals += [Ideal(oneform(row, 4, seed=1).one_form_coeffs()) for row in sorted(ROWS)]
+    forms = [corpus.load_oneform("example2")] + [oneform(row, 4, seed=1) for row in sorted(ROWS)]
+    ideals = [Ideal(omega.one_form_coeffs()) for omega in forms] + [Ideal((X0 * X3, X1 * X3))]
     for I in ideals:
         sat = saturate(I)
         assert all(_in_engine_form(g) for g in sat._basis())
-        top = max(map(Poly.degree, I.gens)) + 2
-        groebner.hilbert_numerator(Ideal(I.gens), top)
         leading_monomials_mod_p(I, 32003)
         leading_monomials_mod_p(sat, 32003)
-    assert {(p, cap is None) for p, cap, _ in runs} == {(None, True), (None, False), (32003, True)}
+    for omega in forms:
+        omega = ExtForm.one_form(*omega.one_form_coeffs())
+        groebner.hilbert_numerator(coefficient_ideal(omega), 2 * checked_oneform(omega)[0] + 2)
+    assert {(p, cap is None) for p, cap, _ in runs} == {(None, True), (32003, False), (32003, True)}
     for p, _, rows in runs:
         assert rows and all(_in_engine_form(g, p) for g in rows)
 

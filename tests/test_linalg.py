@@ -22,7 +22,7 @@ from p3dist.exterior import (
     radial_field,
 )
 from p3dist.grammar import parse_poly
-from p3dist.hilbert import hilbert, hilbert_from_lt, hilbert_function
+from p3dist.hilbert import hilbert, hilbert_function
 from p3dist.linalg import compute_tF, h0_tangent_twist, minimal_section
 from p3dist.poly import (
     Poly, X0, X1, X2, X3, dim_graded_piece, integer_multiples, monomials_of_degree,
@@ -450,14 +450,16 @@ def radial_multiples(nullcorrelation, pencil_of_planes):
 
 def test_capped_numerator_gives_every_dimension(example1, example2, nullcorrelation,
                                                 pencil_of_planes):
-    # a Buchberger run that stops at degree n gives the Hilbert function up
-    # to n, so every twist t <= n - d - 1 reads the same dimensions as from
-    # the full basis of the coefficient ideal. The numerator K_d of the
-    # radial and Koszul sections only moves where the run stops: bounded
-    # and unbounded runs return the same elements, on forms with
-    # t_F = d + 1, on the maximal-order rows (t_F = 1 <= d, so the bound is
-    # not met below 2d + 2), on forms with a zero coefficient, on the pencil
-    # (d = 0) and on the forms g * i_R(C~), whose Koszul rank is 5, not 6
+    # the numerator hilbert_numerator gives for degree n, K_d where the run
+    # mod PRIME capped at n pins it, else the ideal's own, gives the Hilbert
+    # function up to n, so every twist t <= n - d - 1 reads the same
+    # dimensions as from the full basis of the coefficient ideal. The
+    # numerator K_d of the radial and Koszul sections only moves where the
+    # full run stops: bounded and unbounded runs return the same elements,
+    # on forms with t_F = d + 1, on the maximal-order rows (t_F = 1 <= d, so
+    # the bound is not met below 2d + 2), on forms with a zero coefficient,
+    # on the pencil (d = 0) and on the forms g * i_R(C~), whose Koszul rank
+    # is 5, not 6
     rng = make_rng(113)
     forms = sweep_forms(example1, example2, nullcorrelation, pencil_of_planes)
     forms += [random_dense_form(rng, d) for d in (1, 2, 3)] + [a0_zero_form()]
@@ -468,13 +470,12 @@ def test_capped_numerator_gives_every_dimension(example1, example2, nullcorrelat
         full = hilbert(groebner.Ideal(omega.one_form_coeffs())).numerator
         swept = groebner.hilbert_numerator(coefficient_ideal(fresh(omega)), 2 * d + 2)
         rows = coefficient_ideal(fresh(omega))._rows
-        for top in range(d + 1, 2 * d + 3):
-            bounded = groebner._buchberger_terms(rows, cap=top, lower=_koszul_numerator(d))
-            assert bounded == groebner._buchberger_terms(rows, cap=top)
+        bounded = groebner._buchberger_terms(rows, lower=_koszul_numerator(d))
+        assert bounded == groebner._buchberger_terms(rows)
         for t in range(-1, d + 2):
             expected = linalg._dims(full, d, t)
             assert linalg._dims(swept, d, t) == expected
-            # capped at t + d + 1
+            # the run mod PRIME capped at t + d + 1
             assert h0_tangent_twist(fresh(omega), t) == expected
 
 
@@ -544,7 +545,7 @@ def test_koszul_rank_closed_form(example1, example2, nullcorrelation, pencil_of_
 def test_bound_below_the_leading_terms_raises(example1):
     # a forged numerator whose bound is below the monomials that the leading
     # terms already span on entering a degree is an engine fault, in the
-    # capped run and in the full one
+    # capped run mod PRIME and in the full one
     rng = make_rng(131)
     for omega in (example1, random_dense_form(rng, 1), random_dense_form(rng, 2)):
         d, coeffs = checked_oneform(omega)
@@ -613,11 +614,32 @@ def test_classify_tells_the_full_run_its_numerator(monkeypatch):
     assert runs[-1][0] == {} and bounded < runs[-1][1]
 
 
-def test_compute_tF_keeps_no_capped_data(example1, nullcorrelation):
-    # the capped numerator is not the ideal's own above the cap, so a bare
-    # compute_tF leaves nothing on the coefficient ideal, and a later
-    # classify of the same form reports what it reports on a fresh one
-    for omega in (example1, nullcorrelation, random_dense_form(make_rng(127), 2)):
+def test_compute_tF_keeps_the_fallback_data(monkeypatch, example1, nullcorrelation,
+                                            pencil_of_planes):
+    # where the run mod PRIME does not pin K_d, a bare compute_tF reads the
+    # coefficient ideal's own Hilbert data from its full run and keeps it,
+    # the reduced basis and data of the ideal of the coefficients; a later
+    # classify of the same form runs Buchberger only seeded with that
+    # basis, and reports what it reports on a fresh form. Where the run
+    # mod PRIME pins K_d, nothing is kept
+    engine, unseeded = groebner._buchberger_terms, []
+
+    def recording(gens, p=None, done=(), **kwargs):
+        unseeded.append(not done)
+        return engine(gens, p, done, **kwargs)
+
+    for omega in (example1, maxorder.oneform("line", 3, 1), pencil_of_planes):
+        bare = fresh(omega)
+        compute_tF(bare)
+        ideal, own = coefficient_ideal(bare), groebner.Ideal(omega.one_form_coeffs())
+        assert ideal._reduced == own._basis() and ideal._hilbert == hilbert(own)
+        monkeypatch.setattr(groebner, "_buchberger_terms", recording)
+        unseeded.clear()
+        report = cli.dist_report_doc(distribution.classify(bare))
+        assert not any(unseeded)
+        monkeypatch.undo()
+        assert report == cli.dist_report_doc(distribution.classify(fresh(omega)))
+    for omega in (nullcorrelation, random_dense_form(make_rng(127), 2)):
         bare = fresh(omega)
         compute_tF(bare)
         ideal = coefficient_ideal(bare)
@@ -639,12 +661,12 @@ def recorded_primes(monkeypatch):
     return primes
 
 
-def qq_capped_tF(omega):
-    """(t_F, section, h0) read from the numerator of the capped QQ run, with
-    no bound and no prime: the oracle of the modular route."""
+def qq_tF(omega):
+    """(t_F, section, h0) read from the numerator of the ideal of the
+    coefficients, with no bound and no prime: the oracle of the modular
+    route."""
     d, _ = checked_oneform(omega)
-    lts = groebner._buchberger_terms(coefficient_ideal(fresh(omega))._rows, cap=2 * d + 2)
-    numerator = hilbert_from_lt([groebner._unpack(max(g)) for g in lts]).numerator
+    numerator = hilbert(groebner.Ideal(omega.one_form_coeffs())).numerator
     for dprime in range(d + 2):
         s = linalg._dims(numerator, d, dprime)
         if s.h0 > 0:
@@ -665,37 +687,38 @@ def test_modular_route(monkeypatch, example1):
     # dense forms and the forty sections forms of seeds 1-10 meet K_d over
     # GF(PRIME), so compute_tF makes no run over QQ; example1 and the
     # maximal-order rows (t_F = 1 <= d), and a form that splits mod PRIME
-    # alone, fall back to one capped run over QQ. Either way t_F, the
-    # section and h0 are those of the capped QQ numerator
+    # alone, fall back to the full run over QQ. Either way t_F, the section
+    # and h0 are those of the QQ numerator
     rng = make_rng(137)
     dense = [random_dense_form(rng, d) for d in (1, 2, 3)]
     dense += [ExtForm.one_form(*map(parse_poly, item["doc"]["coeffs"]))
               for seed in range(1, 11) for item in perfbench_run.build_items("sections", seed)]
     fallback = [example1, split_mod_p_form(rng, 2)]
     fallback += [maxorder.oneform(row, d, 1) for row in sorted(maxorder.ROWS) for d in (3, 4)]
-    assert qq_capped_tF(fallback[1])[0] == 3  # over QQ the split form is generic
+    assert qq_tF(fallback[1])[0] == 3  # over QQ the split form is generic
     primes = recorded_primes(monkeypatch)
     for omega, route in [(o, [groebner.PRIME]) for o in dense] + [
             (o, [groebner.PRIME, None]) for o in fallback]:
-        expected = qq_capped_tF(omega)
+        expected = qq_tF(omega)
         primes.clear()
         assert compute_tF(fresh(omega)) == expected
         assert primes == route, omega
     # on the rows, h0(1) > 0 shows first in degree d + 2, where the run mod
-    # PRIME stops short: it is the run capped there
+    # PRIME, capped and told K_d, stops short: it is the run capped there
     monkeypatch.undo()
     for omega in fallback[2:]:
         d, _ = checked_oneform(omega)
         ideal = coefficient_ideal(fresh(omega))
         rows = groebner._mod_p_rows(ideal._rows, groebner.PRIME)
-        run = partial(groebner._buchberger_terms, rows, groebner.PRIME, lower=ideal._lower)
-        assert run(cap=2 * d + 2, stop_short=True) == run(cap=d + 2)
+        run = partial(groebner._buchberger_terms, rows, groebner.PRIME)
+        assert run(cap=2 * d + 2, lower=ideal._lower) == run(cap=d + 2)
 
 
 def test_qq_numerator_above_the_modular_one_raises(monkeypatch, example1):
     # HF_{R/I} <= HF_p in every degree whatever the prime, so a QQ run that
     # drops a generator, raising HF_{R/I}(d + 1) above HF_p(d + 1), is an
-    # engine fault
+    # engine fault; the data that failed is not kept, so a second call on
+    # the same form makes the check again and raises again
     engine = groebner._buchberger_terms
 
     def dropping(gens, p=None, **kwargs):
@@ -704,5 +727,9 @@ def test_qq_numerator_above_the_modular_one_raises(monkeypatch, example1):
 
     monkeypatch.setattr(groebner, "_buchberger_terms", dropping)
     for omega in (example1, maxorder.oneform("line", 3, 1)):
-        with pytest.raises(InternalInconsistency, match="over QQ is above"):
-            compute_tF(fresh(omega))
+        bare = fresh(omega)
+        for _ in range(2):
+            with pytest.raises(InternalInconsistency, match="over QQ is above"):
+                compute_tF(bare)
+            ideal = coefficient_ideal(bare)
+            assert ideal._hilbert is None and ideal._reduced is None
