@@ -5,8 +5,9 @@ minimal twist with a section, split detection, stability class with order
 of nonstability, and matching against the two maximal-order families.
 The tangent sheaf T_F = ker(T_P3 -> I_Z(d + 2)) and the conormal sheaf of
 a field (`foliation`) are one kernel sheaf, whose Chern triple `_chern`
-gives from the sheaf's (s, delta) and the curve's degree and genus. The
-results are immutable records, named tuples read by field.
+gives from the sheaf's (s, delta) and the curve's degree and genus; a sheaf
+with a section that vanishes on a curve has the triple `_section_chern`
+gives. The results are immutable records, named tuples read by field.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from .poly import NVARS, ZERO_MON, Poly, add_product, diff_row
 # largest d_max that table1 accepts
 TABLE1_DMAX = 100
 
-# the two maximal-order families: family -> its Chern triple at degree d
-FAMILY_CHERN = {
-    1: lambda d: (2 - d, 1, d),
-    2: lambda d: (2 - d, 2, 2 * d),
-}
+# the two maximal-order families: family -> (degZ, pa) of the curve Z on which
+# the section at t_F = 1 vanishes: a line, or two skew lines or a double line
+FAMILY_CURVE = {1: (1, 0), 2: (2, -1)}
 
 
 class ChernTriple(NamedTuple):
@@ -118,6 +117,17 @@ def _chern(s, delta, degc, pa):
     base = (delta ** 3 - 4 * s * delta ** 2 + 6 * delta - 2 - 4 * s
             - (3 * delta - 4 * s - 4) * degc)
     return ChernTriple(4 * s - delta, delta ** 2 - 4 * s * delta + 6 - degc, base + 2 * pa)
+
+
+def _section_chern(c1, t, degz, pa):
+    """The Chern triple of a rank-2 reflexive F with c1(F) = c1 whose twist
+    F(t - 1) has a section vanishing exactly on a curve Z of degree degZ and
+    arithmetic genus pa; no curve is degree 0 and genus 1. With k = t - 1,
+    0 -> O -> F(k) -> I_Z(c1 + 2k) -> 0 gives c2(F(k)) = degZ and
+    c3 = 2pa - 2 + degZ*(4 - c1(F(k))) (Hartshorne, Math. Ann. 254, 1980,
+    Thm 4.1)."""
+    k = t - 1
+    return ChernTriple(c1, degz - c1 * k - k * k, 2 * pa - 2 + degz * (4 - c1 - 2 * k))
 
 
 def _oneform_numbers(omega):
@@ -238,8 +248,8 @@ def _stability(degree, tF, split, chern):
         raise InconsistentInvariants(
             f"nonsplit sheaf with d={degree}, tF={tF} fits no stability class"
         )
-    family = next((f for f, triple in FAMILY_CHERN.items()
-                   if tF == 1 and chern == triple(degree)), None)
+    family = next((f for f, curve in FAMILY_CURVE.items()
+                   if tF == 1 and chern == _section_chern(2 - degree, 1, *curve)), None)
     return StabilityVerdict(eps, "unstable", order, tF == 1, family)
 
 
@@ -282,14 +292,18 @@ def table1(d_max):
 
 
 def splitruim_invariants(t):
-    """Curve degree and genus of the semistable split family at twist t."""
+    """Curve degree and genus of the semistable split family at twist t: the
+    (degC, pa) of the singular curve of a 1-form of degree d = 2t whose
+    T_F is O(1 - t)^2, which has a section at t vanishing nowhere."""
     if t < 0:
         raise DomainError("t must be non-negative")
-    return (3 * t * t + 2 * t + 1, t * (5 * t * t - t - 1))
+    split, delta = _section_chern(2 - 2 * t, t, 0, 1), 2 * t + 2
+    degc = _chern(1, delta, 0, 0).c2 - split.c2
+    return degc, (split.c3 - _chern(1, delta, degc, 0).c3) // 2
 
 
 def line_family_invariants(d, t):
     """Chern triple when the minimal section vanishes exactly on a line."""
     if d < 2 * (t - 1):
         raise DomainError(f"requires d >= 2(t-1), got d={d}, t={t}")
-    return ChernTriple(2 - d, -t * t + d * (t - 1) + 2, d - 2 * (t - 1))
+    return _section_chern(2 - d, t, 1, 0)

@@ -17,16 +17,18 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistency, RadialField, UnclassifiedDegree1
-from .distribution import ChernTriple, SingInvariants, curve_invariants
+from .distribution import ChernTriple, SingInvariants, _chern, curve_invariants
 from .exterior import _contraction, _radial_minors, checked_oneform, field_degree
 from .groebner import Ideal, _engine_ideal, saturate
 from .hilbert import hilbert, numerator_from_terms
 from .poly import integer_multiples
 
+# the degree-1 cases by the (degC, pa) of the singular curve: points alone,
+# a line, or two skew lines or a double line
 _DEGREE1_CASES = {
-    (0, 6, 4): "stable-points",
-    (1, 5, 2): "semistable-line",
-    (2, 4, 0): "split-skew-or-double",
+    (0, 1): "stable-points",
+    (1, 0): "semistable-line",
+    (2, -1): "split-skew-or-double",
 }
 
 
@@ -103,11 +105,11 @@ def analyze(v):
     sing, chern = conormal_invariants(v)
     case = None
     if d == 1:
-        key = (sing.degC, chern.c2, chern.c3)
+        key = (sing.degC, sing.pa)
         case = _DEGREE1_CASES.get(key)
         if case is None:
             raise UnclassifiedDegree1(
-                f"degree-1 field with (degC, c2, c3) = {key} fits no case"
+                f"degree-1 field with (degC, pa) = {key} fits no case"
             )
     return FoliationCurveReport(d, sing, chern, case)
 
@@ -124,11 +126,7 @@ def line_sing_invariants(dprime):
     """Chern triple when the singular scheme is a single reduced line."""
     if dprime < 1:
         raise DomainError("requires degree at least 1")
-    return (
-        -3 - dprime,
-        dprime ** 2 + 2 * dprime + 2,
-        dprime ** 3 + dprime ** 2 - 2 * dprime + 2,
-    )
+    return _chern(-1, dprime - 1, 1, 0)
 
 
 def contraction_check(v, omega):

@@ -526,10 +526,9 @@ def saturate_iterated_colon(I, f, cap=64):
     raise NonTermination(f"colon iteration did not stabilize within {cap} steps")
 
 
-def _lt_numerator(basis):
-    """The Hilbert series numerator of R modulo the leading terms of engine
-    polys."""
-    return hilbert_from_lt([_unpack(max(g)) for g in basis]).numerator
+def _lt_hilbert(basis):
+    """The HilbertData of R modulo the leading terms of engine polys."""
+    return hilbert_from_lt([_unpack(max(g)) for g in basis])
 
 
 def _function(numerator, degree):
@@ -557,8 +556,8 @@ def hilbert_numerator(I, degree):
     """
     lower, modular = I._lower, ()
     if I._hilbert is None and lower is not None and degree < len(lower):
-        modular = _function(_lt_numerator(_buchberger_terms(
-            _mod_p_rows(I._rows, PRIME), PRIME, cap=degree, lower=lower)), degree)
+        modular = _function(_lt_hilbert(_buchberger_terms(
+            _mod_p_rows(I._rows, PRIME), PRIME, cap=degree, lower=lower)).numerator, degree)
         if modular == _function(lower, degree):
             return lower
     rational = hilbert(I).numerator
@@ -607,6 +606,6 @@ def saturate(I):
             if not any(x3es):
                 return _engine_ideal(reduced, own)
             colon = [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)]
-        h = hilbert_from_lt([_unpack(max(g)) for g in colon])
+        h = _lt_hilbert(colon)
         if h.hp_coeffs == target:
             return _engine_ideal(_reduced_basis(colon), h)

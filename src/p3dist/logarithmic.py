@@ -145,9 +145,10 @@ def audit_log_form(log_type):
 
 def exclusion_check(degrees):
     """True when a generic form of this degree tuple cannot realize either
-    maximal-order family: with d = sum(degrees) - 2, the Chern triple
-    of its generic curve degree and isolated count is none of
-    `distribution.FAMILY_CHERN`. c1 and c2 come from `distribution._chern`,
+    maximal-order family: with d = sum(degrees) - 2, the Chern triple of its
+    generic curve degree and isolated count is none of the families' triples
+    `distribution._section_chern(2 - d, 1, degZ, pa)` over the curves of
+    `distribution.FAMILY_CURVE`. c1 and c2 come from `distribution._chern`,
     which reads no genus for them, and c3 is the isolated count."""
     if len(degrees) < 2 or any(d < 1 for d in degrees):
         raise DomainError("degrees must be a tuple of at least two positive ints")
@@ -156,7 +157,8 @@ def exclusion_check(degrees):
         raise DomainError("families require degree at least 3")
     chern = distribution._chern(1, d + 2, expected_curve_degree(degrees), 0)._replace(
         c3=expected_isolated_count(degrees))
-    return all(chern != triple(d) for triple in distribution.FAMILY_CHERN.values())
+    return all(chern != distribution._section_chern(2 - d, 1, *curve)
+               for curve in distribution.FAMILY_CURVE.values())
 
 
 def exclusion_sweep(d):

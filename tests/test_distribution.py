@@ -307,6 +307,9 @@ def test_splitruim_invariants():
         d = 2 * t
         c2_split = (1 - t) * (1 + t - d)
         assert dist.splitruim_invariants(t)[0] == d * d + 2 - c2_split
+    # the closed form of the curve of T_F = O(1 - t)^2
+    for t in range(31):
+        assert dist.splitruim_invariants(t) == (3 * t * t + 2 * t + 1, t * (5 * t * t - t - 1))
     with pytest.raises(DomainError):
         dist.splitruim_invariants(-1)
 
@@ -315,6 +318,11 @@ def test_line_family_invariants():
     assert dist.line_family_invariants(3, 1).as_tuple() == (-1, 1, 3)
     assert dist.line_family_invariants(2, 1).as_tuple() == (0, 1, 2)
     assert dist.line_family_invariants(0, 1).as_tuple() == (2, 1, 0)
+    # the closed form of a section of T_F(t - 1) vanishing on a line
+    for d in range(40):
+        for t in range(d // 2 + 2):
+            assert dist.line_family_invariants(d, t).as_tuple() == (
+                2 - d, -t * t + d * (t - 1) + 2, d - 2 * (t - 1))
     with pytest.raises(DomainError):
         dist.line_family_invariants(1, 3)
 

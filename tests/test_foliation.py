@@ -1,7 +1,6 @@
 import pytest
 
 from p3dist import corpus, groebner
-from p3dist import distribution as dist
 from p3dist import foliation as fol
 from p3dist.errors import (
     DivisorialSingularity, DomainError, InternalInconsistency, InvalidForm, RadialField,
@@ -78,9 +77,10 @@ def test_classify_degree1_requires_degree1():
 def test_line_sing_invariants():
     assert fol.line_sing_invariants(1) == (-4, 5, 2)
     assert fol.line_sing_invariants(2) == (-5, 10, 10)
-    # the kernel-sheaf formula of N* for a line: degC = 1, pa = 0
-    for dp in range(1, 11):
-        assert fol.line_sing_invariants(dp) == dist._chern(-1, dp - 1, 1, 0)
+    # the closed form of N* for a line
+    for dp in range(1, 31):
+        assert fol.line_sing_invariants(dp) == (
+            -3 - dp, dp ** 2 + 2 * dp + 2, dp ** 3 + dp ** 2 - 2 * dp + 2)
     with pytest.raises(DomainError):
         fol.line_sing_invariants(0)
 

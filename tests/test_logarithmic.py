@@ -150,3 +150,17 @@ def test_exclusion_sweep_all_degrees():
         for degrees, excluded in sweep:
             assert sum(degrees) == d + 2
             assert excluded
+
+
+def test_exclusion_check_against_the_family_triples():
+    # the closed-form triples of the two families at degree d: a line and
+    # a curve of degree 2 and genus -1
+    families = (lambda d: (2 - d, 1, d), lambda d: (2 - d, 2, 2 * d))
+    checked = 0
+    for d in range(3, 20):
+        for degrees, excluded in log.exclusion_sweep(d):
+            chern = distribution._chern(1, d + 2, log.expected_curve_degree(degrees), 0)
+            chern = (*chern[:2], log.expected_isolated_count(degrees))
+            assert excluded == all(chern != triple(d) for triple in families)
+            checked += 1
+    assert checked == 3477

@@ -2,10 +2,11 @@
 on the maximal-order forms of every row of the table, at d = 3 and 4, and on
 forms pulled back from P^2, whose sheaf splits with the section d/dx3.
 
-On the maximal-order forms c2(T_F) is also tested, not proven, to equal the
-degree of the curve part of I_Sing(s) : I_Sing(omega)^infinity, s the
-section, and every number of the classification is tested to be invariant
-under a change of coordinates."""
+On the maximal-order forms the curve on which the section s vanishes, whose
+degree and genus give the Chern triple of T_F, is also tested, not proven, to
+have the Hilbert polynomial of I_Sing(s) : I_Sing(omega)^infinity, and every
+number of the classification is tested to be invariant under a change of
+coordinates."""
 
 import hashlib
 import json
@@ -16,12 +17,12 @@ from functools import reduce
 import pytest
 
 from p3dist import cli, groebner
-from p3dist.distribution import classify, line_family_invariants
+from p3dist.distribution import _section_chern, classify, line_family_invariants
 from p3dist.exterior import ExtForm
 from p3dist.foliation import classify_degree1, sing_scheme_v
 from p3dist.groebner import Ideal, intersect, saturate, saturate_single
 from p3dist.grammar import format_poly
-from p3dist.hilbert import dimension_degree
+from p3dist.hilbert import hilbert
 from p3dist.poly import Poly, add_product, integer_multiples, monomials_of_degree
 
 from conftest import make_rng
@@ -48,13 +49,17 @@ def test_maxorder_classification(row, d):
     # the section is v up to scale and radial multiples, so it falls in v's case
     assert classify_degree1(report.minimal_section).degree1_case == case
     assert classify_degree1(linear_field(row)).degree1_case == case
-    # c2 is the degree of the curve part of I_Sing(s) : I_Sing(omega)^inf,
-    # the intersection of the saturations by each generator of I_Sing(omega)
+    # the curve Z of the section, read from the printed triple, is the curve
+    # I_Sing(s) : I_Sing(omega)^inf, the intersection of the saturations by
+    # each generator of I_Sing(omega): HP_Z(n) = degZ*n + 1 - pa, 0 on no curve
+    degz = report.chern.c2
+    pa = (report.chern.c3 - _section_chern(2 - d, 1, degz, 0).c3) // 2
+    assert _section_chern(2 - d, 1, degz, pa) == report.chern
     sing_s = sing_scheme_v(report.minimal_section)
     residual = reduce(intersect, (saturate_single(sing_s, g)
                                   for g in report.sing.sat_ideal.gens))
-    dim, deg = dimension_degree(residual)
-    assert report.chern.c2 == (deg if dim == 1 else 0)
+    assert [hilbert(residual).hp_value(n) for n in range(4)] == [
+        degz * n + 1 - pa for n in range(4)]
     if d == 3:
         I = Ideal(omega.one_form_coeffs())
         assert saturate(I) == _saturate_oracle(I)

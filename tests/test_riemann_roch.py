@@ -1,4 +1,5 @@
-"""Riemann-Roch behind the one Chern formula, `distribution._chern`.
+"""Riemann-Roch behind the two Chern formulas, `distribution._chern` and
+`distribution._section_chern`.
 
 T_F = ker(T_P3 -> I_Z(d + 2)) and N* = ker(Omega^1 -> I_Z(d' - 1)) are both
 F = ker(E -> I_Z(delta)) with c(E) = (1 + sH)^4. For a rank-2 sheaf on P3,
@@ -6,9 +7,11 @@ chi(F) = (c1^3 - 3 c1 c2 + 3 c3)/6 + c1^2 - 2 c2 + 11 c1/6 + 2, and F(k)
 has the classes c1 + 2k, c2 + c1 k + k^2 and c3. The sequence gives
 chi(F(k)) = 4R(k + s) - R(k) - R(k + delta) + HP(k + delta), R(n) =
 C(n + 3, 3) as a polynomial in n and HP the Hilbert polynomial of Z,
-degC*n + 1 - pa + lenU. The grid checks the identity on the formula; the
-corpus and the maximal-order forms check it on printed triples, where past
-the regularity chi is the h0 that the section spaces count.
+degC*n + 1 - pa + lenU. A section of F(t - 1) vanishing on a curve Z gives
+0 -> O -> F(t - 1) -> I_Z(c1 + 2t - 2) -> 0 and its own identity. The grids
+check both identities on the formulas; the corpus and the maximal-order
+forms check the first on printed triples, where past the regularity chi is
+the h0 that the section spaces count.
 """
 
 from fractions import Fraction
@@ -52,6 +55,23 @@ def test_chern_formula_satisfies_riemann_roch():
                                                   - _binom3(k + delta) + hp)
                         cases += 1
     assert cases == 28080
+
+
+def test_section_chern_satisfies_riemann_roch():
+    # 0 -> O -> F(t - 1) -> I_Z(m) -> 0, m = c1 + 2t - 2, twisted by k:
+    # chi(F(t - 1 + k)) = R(k) + R(m + k) - HP_Z(m + k), HP_Z(n) = degZ*n + 1 - pa
+    cases = 0
+    for c1 in range(-12, 5):
+        for t in range(7):
+            m = c1 + 2 * t - 2
+            for degz in range(7):
+                for pa in range(-3, 6):
+                    chern = dist._section_chern(c1, t, degz, pa)
+                    for k in range(-5, 8):
+                        assert _chi(chern, t - 1 + k) == (_binom3(k) + _binom3(m + k)
+                                                          - (degz * (m + k) + 1 - pa))
+                        cases += 1
+    assert cases == 97461
 
 
 def _assert_form_chi(omega, chern):
