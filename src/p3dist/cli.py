@@ -226,7 +226,8 @@ def _subfoliation_doc(omega):
         "tF": tF,
         "h0_at_tF": sdim.h0,
         "section": [format_poly(p) for p in section.components],
-        # minimal_section certified that the section annihilates the form
+        # linalg._certified checked that the section annihilates the form,
+        # the scan's below t_F = d + 1 and the Koszul field at d + 1
         "in_distribution": True,
     }
 

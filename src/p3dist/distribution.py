@@ -222,9 +222,9 @@ def _split_type(d, t):
 
 
 def split_test(tF, chern, degree):
-    """Split type (a, b) when the twisted second Chern class vanishes."""
-    c2_twisted = chern.c2 + chern.c1 * (tF - 1) + (tF - 1) ** 2
-    if c2_twisted != 0:
+    """Split type (a, b) when the section of T_F(t_F - 1) vanishes on no
+    curve: c2 is that of `_section_chern` on degree 0 and genus 1."""
+    if chern.c2 != _section_chern(chern.c1, tF, 0, 1).c2:
         return None
     split = _split_type(degree, tF)
     if split is None:

@@ -3,17 +3,16 @@
 Given polynomials f_1..f_r of degrees d_1..d_r and weights with
 sum(lambda_i * d_i) = 0, the 1-form sum_i lambda_i (prod_{j!=i} f_j) df_i
 defines an integrable distribution of degree d = sum(d_i) - 2. The module
-builds such forms, predicts the generic singular-scheme invariants from
-the degree tuple alone, audits concrete instances against the prediction,
-and decides which degree tuples are numerically excluded from the two
-maximal-order families.
+builds such forms and reads, from the degree tuple alone, the singular
+curve of a generic one (`_curve`): the union of the curves f_i = f_j = 0.
+The Chern triple `distribution._chern` gives of that curve predicts the
+isolated count, which audits concrete instances, and decides which degree
+tuples are numerically excluded from the two maximal-order families.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 from typing import NamedTuple
 
 from .errors import DegreeMismatch, DomainError, WeightRelationViolated
@@ -24,6 +23,11 @@ from . import distribution
 
 # digits of the longest numerator or denominator an error message spells out
 _SHOWN_DIGITS = 1000
+
+# largest d that exclusion_sweep accepts: it lists every partition of d + 2,
+# a count that grows like exp(pi*sqrt(2(d + 2)/3)), 8348 tuples at d = 30
+# and over 10^8 at d = 100
+EXCLUSION_DMAX = 30
 
 
 class LogType(NamedTuple("LogType", [("polys", tuple), ("weights", tuple)])):
@@ -91,23 +95,36 @@ def build_log_form(log_type):
     return ExtForm.one_form(*(Poly({m: c / den for m, c in row.items()}) for row in coeffs))
 
 
+def _curve(degrees):
+    """(degC, pa) of the singular curve C of a generic form of this type.
+
+    C is the union of the complete intersections C_ij = {f_i = f_j = 0},
+    i < j, of degree d_i*d_j and genus 1 + d_i*d_j*(d_i + d_j - 4)/2. Two of
+    them meet only where three of the f's vanish, at e_3 points, and at each
+    three of them cross like three lines through a point in space, which
+    adds 2 to the genus. With e_1, e_2 and e_3 the elementary symmetric
+    functions of the d_i, degC = e_2 and pa = (e_1*e_2 + e_3)/2 - 2*e_2 + 1.
+    """
+    e1 = e2 = e3 = 0
+    for d in degrees:
+        e1, e2, e3 = e1 + d, e2 + e1 * d, e3 + e2 * d
+    return e2, (e1 * e2 + e3) // 2 - 2 * e2 + 1
+
+
 def expected_curve_degree(degrees):
     """Degree of the generic non-isolated singular locus: e_2 of the tuple."""
-    return sum(a * b for a, b in combinations(degrees, 2))
+    return _curve(degrees)[0]
 
 
 def expected_isolated_count(degrees):
-    """Generic number of isolated singular points for the degree tuple.
+    """Generic number of isolated singular points for the degree tuple: c3
+    of the tangent sheaf, `distribution._chern` of the generic curve.
 
-    Coefficient of h^3 in (1 - h)^4 / prod_i (1 - d_i h).
+    It equals the coefficient of h^3 in (1 - h)^4 / prod_i (1 - d_i h)
+    (Cukierman, Soares and Vainsencher, Compositio Math. 142, 2006), which
+    `tests/test_logarithmic.py::test_predictions_against_the_series` checks.
     """
-    series = [comb(4, k) * (-1) ** k for k in range(4)]  # (1-h)^4 up to h^3
-    for d in degrees:
-        series = [
-            sum(series[j] * d ** (k - j) for j in range(k + 1))
-            for k in range(4)
-        ]
-    return series[3]
+    return distribution._chern(1, sum(degrees), *_curve(degrees)).c3
 
 
 class LogAuditReport(NamedTuple):
@@ -155,14 +172,16 @@ def exclusion_check(degrees):
     d = sum(degrees) - 2
     if d < 3:
         raise DomainError("families require degree at least 3")
-    chern = distribution._chern(1, d + 2, expected_curve_degree(degrees), 0)._replace(
-        c3=expected_isolated_count(degrees))
+    chern = distribution._chern(1, d + 2, *_curve(degrees))
     return all(chern != distribution._section_chern(2 - d, 1, *curve)
                for curve in distribution.FAMILY_CURVE.values())
 
 
 def exclusion_sweep(d):
-    """All degree tuples with sum d + 2 (ascending), each with its verdict."""
+    """All degree tuples with sum d + 2 (ascending), each with its verdict,
+    for 3 <= d <= EXCLUSION_DMAX."""
+    if not 3 <= d <= EXCLUSION_DMAX:
+        raise DomainError(f"d must be between 3 and EXCLUSION_DMAX = {EXCLUSION_DMAX}, got {d}")
     target = d + 2
 
     def partitions(total, minpart):

@@ -299,6 +299,22 @@ def test_stability_and_split_rules_on_a_grid():
         ]
 
 
+def test_split_test_against_the_twisted_c2():
+    # split_test reads the Serre side, c2 of `_section_chern` on no curve;
+    # the oracle types c2(F(tF - 1)) = c2 + c1(tF - 1) + (tF - 1)^2 = 0
+    cases = vanishing = 0
+    for d in range(12):
+        for t in range(-3, 9):
+            for c1 in range(-12, 5):
+                for c2 in range(-15, 25):
+                    chern = ChernTriple(c1, c2, 0)
+                    got = _outcome(dist.split_test, t, chern, d)
+                    assert got == _outcome(_threshold_split_test, t, chern, d)
+                    cases += 1
+                    vanishing += got is not None  # a split or a contradiction
+    assert (cases, vanishing) == (97920, 1608)
+
+
 def test_splitruim_invariants():
     assert dist.splitruim_invariants(0) == (1, 0)
     assert dist.splitruim_invariants(1) == (6, 3)

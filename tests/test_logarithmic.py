@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -152,6 +153,42 @@ def test_exclusion_sweep_all_degrees():
             assert excluded
 
 
+def _series_isolated_count(degrees):
+    """The coefficient of h^3 in (1 - h)^4 / prod_i (1 - d_i h) (Cukierman,
+    Soares and Vainsencher, Compositio Math. 142, 2006): h_3 - 4h_2 + 6h_1 - 4,
+    h_k the coefficients of 1 / prod_i (1 - d_i h)."""
+    h1 = h2 = h3 = 0
+    for d in degrees:
+        h1 += d
+        h2 += d * h1
+        h3 += d * h2
+    return h3 - 4 * h2 + 6 * h1 - 4
+
+
+def _tuples(total, smallest=1):
+    """The ascending degree tuples with the given sum."""
+    if total == 0:
+        yield ()
+    for first in range(smallest, total + 1):
+        for rest in _tuples(total - first, first):
+            yield (first,) + rest
+
+
+def test_predictions_against_the_series():
+    # the generic curve of `_curve` gives the isolated count that the series
+    # gives and the degree e_2, on every tuple with sum at most 30
+    checked = 0
+    for total in range(2, 31):
+        for degrees in _tuples(total):
+            if len(degrees) < 2:
+                continue
+            assert log.expected_isolated_count(degrees) == _series_isolated_count(degrees)
+            assert log.expected_curve_degree(degrees) == sum(
+                a * b for a, b in combinations(degrees, 2))
+            checked += 1
+    assert checked == 28598
+
+
 def test_exclusion_check_against_the_family_triples():
     # the closed-form triples of the two families at degree d: a line and
     # a curve of degree 2 and genus -1
@@ -160,7 +197,13 @@ def test_exclusion_check_against_the_family_triples():
     for d in range(3, 20):
         for degrees, excluded in log.exclusion_sweep(d):
             chern = distribution._chern(1, d + 2, log.expected_curve_degree(degrees), 0)
-            chern = (*chern[:2], log.expected_isolated_count(degrees))
+            chern = (*chern[:2], _series_isolated_count(degrees))
             assert excluded == all(chern != triple(d) for triple in families)
             checked += 1
     assert checked == 3477
+
+
+@pytest.mark.parametrize("d", [-1, 2, log.EXCLUSION_DMAX + 1])
+def test_exclusion_sweep_is_bounded(d):
+    with pytest.raises(DomainError, match=f"EXCLUSION_DMAX = {log.EXCLUSION_DMAX}, got {d}$"):
+        log.exclusion_sweep(d)

@@ -10,8 +10,9 @@ C(n + 3, 3) as a polynomial in n and HP the Hilbert polynomial of Z,
 degC*n + 1 - pa + lenU. A section of F(t - 1) vanishing on a curve Z gives
 0 -> O -> F(t - 1) -> I_Z(c1 + 2t - 2) -> 0 and its own identity. The grids
 check both identities on the formulas; the corpus and the maximal-order
-forms check the first on printed triples, where past the regularity chi is
-the h0 that the section spaces count.
+forms check the first on printed triples, and the generic corpus log types
+on the triple predicted from their degrees, where past the regularity chi
+is the h0 that the section spaces count.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ import pytest
 from p3dist import corpus
 from p3dist import distribution as dist
 from p3dist import foliation as fol
+from p3dist import logarithmic as log
 from p3dist.exterior import checked_oneform, coefficient_ideal
 from p3dist.hilbert import hilbert, hilbert_function
 from p3dist.linalg import _dims
@@ -87,6 +89,22 @@ def _assert_form_chi(omega, chern):
 def test_printed_form_triples_give_h0(name):
     omega = corpus.load_oneform(name)
     _assert_form_chi(omega, dist.classify(omega).chern)
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names()["logtypes"])
+def test_log_triples_give_h0(name):
+    # on a generic type the printed curve is `_curve`'s, and the triple
+    # predicted from it gives h0 too; the tangent pencil is not generic
+    log_type = corpus.load_logtype(name)
+    omega = log.build_log_form(log_type)
+    report = dist.classify(omega)
+    _assert_form_chi(omega, report.chern)
+    curve = log._curve(log_type.degrees)
+    if name == "quadric_pencil_tangent":
+        assert (report.sing.degC, report.sing.pa) == (6, 3) != curve
+    else:
+        assert (report.sing.degC, report.sing.pa) == curve
+        _assert_form_chi(omega, dist._chern(1, sum(log_type.degrees), *curve))
 
 
 @pytest.mark.parametrize("d", (3, 4))
