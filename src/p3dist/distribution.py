@@ -216,41 +216,43 @@ def curve_invariants(ideal, s, delta, gens_name="coefficients"):
     return (degc, pa, chern.c3), chern
 
 
-def _split_type(d, t):
-    """O(1 - t) + O(1 + t - d) as (1 - t, 1 + t - d); None when d < 2t."""
-    return None if d < 2 * t else (1 - t, 1 + t - d)
+def _split_type(c1, t):
+    """O(1 - t) + O(c1 + t - 1), the split sheaf with c1 whose first twist
+    with a section is F(t - 1), as (1 - t, c1 + t - 1); None when
+    c1 + 2t > 2, where c1 + t - 1 > 1 - t gives a section at a lower twist."""
+    return None if c1 + 2 * t > 2 else (1 - t, c1 + t - 1)
 
 
-def split_test(tF, chern, degree):
-    """Split type (a, b) when the section of T_F(t_F - 1) vanishes on no
+def split_test(t, chern):
+    """Split type (a, b) when the first section, of F(t - 1), vanishes on no
     curve: c2 is that of `_section_chern` on degree 0 and genus 1."""
-    if chern.c2 != _section_chern(chern.c1, tF, 0, 1).c2:
+    if chern.c2 != _section_chern(chern.c1, t, 0, 1).c2:
         return None
-    split = _split_type(degree, tF)
+    split = _split_type(chern.c1, t)
     if split is None:
-        raise NumericContradiction(
-            f"split test passed with d={degree} < 2*tF={2 * tF}"
-        )
+        raise NumericContradiction(f"split test passed with c1={chern.c1} > 2 - 2t={2 - 2 * t}")
     return split
 
 
-def _stability(degree, tF, split, chern):
-    """The class read from the order of nonstability (d + eps)/2 - tF."""
-    eps = degree % 2
+def _stability(t, split, chern):
+    """The class read from the order of nonstability (eps - c1)/2 - (t - 1),
+    eps = c1 mod 2, when F(t - 1) is the first twist with a section; for
+    T_F, c1 = 2 - d, that is (d + eps)/2 - t_F."""
+    c1, eps = chern.c1, chern.c1 % 2
     if split is not None:
         return StabilityVerdict(eps, "split", 0, False, None)
-    order = (degree + eps) // 2 - tF
+    order = (eps - c1) // 2 - (t - 1)
     if order == 0 and eps == 0:
         return StabilityVerdict(eps, "strictly-semistable", 0, False, None)
     if order <= 0:
         return StabilityVerdict(eps, "stable", 0, False, None)
-    if degree < 3 or tF < 1:
+    if c1 >= 0 or t < 1:
         raise InconsistentInvariants(
-            f"nonsplit sheaf with d={degree}, tF={tF} fits no stability class"
+            f"nonsplit sheaf with c1={c1}, t={t} fits no stability class"
         )
     family = next((f for f, curve in FAMILY_CURVE.items()
-                   if tF == 1 and chern == _section_chern(2 - degree, 1, *curve)), None)
-    return StabilityVerdict(eps, "unstable", order, tF == 1, family)
+                   if t == 1 and chern == _section_chern(c1, 1, *curve)), None)
+    return StabilityVerdict(eps, "unstable", order, t == 1, family)
 
 
 def classify(omega):
@@ -258,8 +260,8 @@ def classify(omega):
     checks the form; `compute_tF` and `is_integrable` reuse the check."""
     d, sing, chern = validate_oneform(omega)
     tF, section, sdim = compute_tF(omega)
-    split = split_test(tF, chern, d)
-    verdict = _stability(d, tF, split, chern)
+    split = split_test(tF, chern)
+    verdict = _stability(tF, split, chern)
     notes = []
     if chern.c2 < 0:
         notes.append("negative c2: no nonempty minimal-section curve exists")
@@ -288,7 +290,7 @@ def table1(d_max):
         raise DomainError("d_max must be non-negative")
     if d_max > TABLE1_DMAX:
         raise DomainError(f"d_max must be at most TABLE1_DMAX = {TABLE1_DMAX}, got {d_max}")
-    return [[_split_type(d, t) for t in range(d_max // 2 + 1)] for d in range(d_max + 1)]
+    return [[_split_type(2 - d, t) for t in range(d_max // 2 + 1)] for d in range(d_max + 1)]
 
 
 def splitruim_invariants(t):

@@ -6,7 +6,15 @@ modulo the radial multiples f*R, f of degree t - 1. The contraction map
 I = (A_0, ..., A_3), so its rank is read in closed form from the Hilbert
 series numerator N of R/I (the Macaulay-matrix view of D. Lazard, EUROCAL
 1983): the raw kernel at twist t is 4 dim R_t - dim R_{t+d+1} + HF(t+d+1),
-with HF(n) = sum_k N_k dim R_{n-k}. The coefficient ideal is kept on the
+with HF(n) = sum_k N_k dim R_{n-k}. The count is one for every kernel
+sheaf F = ker(E -> I_Z(delta)) with c(E) = (1 + sH)^4 whose map sends the
+sections of E(k) onto the graded piece I_{k+delta} of an ideal I of Z. The
+Euler sequence gives h0(E(k)) = 4R(k + s) - R(k), R(n) = dim R_n, so
+h0(F(t - 1)) = 4R(t - 1 + s) - R(t - 1) - R(t - 1 + delta) + HF(t - 1 + delta),
+which `_dims` reads. T_F of a 1-form of degree d is (s, delta) = (1, d + 2)
+on the coefficient ideal; the conormal sheaf N* of a field of degree d' is
+(-1, d' - 1) on the ideal of its minors against R, for t >= 2, as
+h0(Omega^1) = 0 where the count gives -1. The coefficient ideal is kept on the
 form (`exterior.coefficient_ideal`) and `hilbert.hilbert` keeps its data
 there, so once the invariants are read h0 costs no Groebner basis.
 The ideal carries a numerator K_d (`exterior._koszul_numerator`), a lower
@@ -95,7 +103,12 @@ from .poly import (
 
 
 class SectionSpaceDim(NamedTuple):
-    """Dimension bookkeeping for sections of the tangent sheaf at a twist."""
+    """Dimension bookkeeping for the sections of F(t - 1), F the kernel sheaf
+    of (s, delta) and I the ideal E maps onto: raw_kernel_dim =
+    4R(t - 1 + s) - dim I_{t-1+delta}, radial_dim = R(t - 1), the Euler
+    sequence's O(t - 1), and h0 their difference. For T_F, (s, delta) =
+    (1, d + 2), they count the degree-t fields with sum A_i F_i = 0 and the
+    radial multiples among them."""
 
     twist: int
     raw_kernel_dim: int
@@ -103,13 +116,13 @@ class SectionSpaceDim(NamedTuple):
     h0: int
 
 
-def _dims(numerator, d, dprime):
-    """SectionSpaceDim at one twist, from the Hilbert series numerator of
-    the coefficient ideal of a 1-form of degree d."""
-    n = dprime + d + 1
-    raw = NVARS * dim_graded_piece(dprime) - dim_graded_piece(n) + hilbert_function(numerator, n)
-    radial = dim_graded_piece(dprime - 1)
-    return SectionSpaceDim(dprime, raw, radial, raw - radial)
+def _dims(numerator, s, delta, t):
+    """SectionSpaceDim of F(t - 1) for the kernel sheaf of (s, delta), from
+    the Hilbert series numerator of the ideal that E maps onto."""
+    n = t - 1 + delta
+    raw = NVARS * dim_graded_piece(t - 1 + s) - dim_graded_piece(n) + hilbert_function(numerator, n)
+    radial = dim_graded_piece(t - 1)
+    return SectionSpaceDim(t, raw, radial, raw - radial)
 
 
 def _reduced(v, mons, index):
@@ -180,7 +193,7 @@ def h0_tangent_twist(omega, dprime):
     """h0 of the twist of the tangent sheaf whose sections are degree-dprime
     vector fields annihilated by the 1-form, modulo radial multiples."""
     d, _ = checked_oneform(omega)
-    return _dims(hilbert_numerator(coefficient_ideal(omega), dprime + d + 1), d, dprime)
+    return _dims(hilbert_numerator(coefficient_ideal(omega), dprime + d + 1), 1, d + 2, dprime)
 
 
 def _certified(fs, coeffs, dprime):
@@ -225,7 +238,7 @@ def compute_tF(omega):
     # the sweep reads the Hilbert function up to degree (d + 1) + d + 1
     numerator = hilbert_numerator(coefficient_ideal(omega), 2 * d + 2)
     for dprime in range(d + 2):
-        s = _dims(numerator, d, dprime)
+        s = _dims(numerator, 1, d + 2, dprime)
         if s.h0 > 0:
             if dprime <= d:
                 section = minimal_section(omega, dprime)

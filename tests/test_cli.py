@@ -325,8 +325,8 @@ def no_section(omega, dprime):
     return None
 
 
-def no_h0(numerator, d, dprime):
-    return linalg.SectionSpaceDim(dprime, 0, 0, 0)
+def no_h0(numerator, s, delta, t):
+    return linalg.SectionSpaceDim(t, 0, 0, 0)
 
 
 def unclassified_invariants(v):

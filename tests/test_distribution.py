@@ -1,5 +1,6 @@
 import pytest
 
+from p3dist import corpus
 from p3dist import distribution as dist
 from p3dist import exterior, foliation
 from p3dist.distribution import ChernTriple
@@ -21,10 +22,11 @@ from p3dist.exterior import (
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal, _engine_ideal
 from p3dist.hilbert import dimension_degree, hilbert
-from p3dist.linalg import compute_tF
+from p3dist.linalg import _dims, compute_tF
 from p3dist.poly import Poly, X0, X1, X2, X3
 
 from conftest import make_rng, random_poly
+from maxorder import ROWS, linear_field
 
 
 def pencil_form(f, g):
@@ -153,16 +155,16 @@ def test_split_with_negative_c2_warns():
 
 def test_split_test_numeric():
     # pencil of planes: Chern (2,1,0), tF = 0: 1 + 2*(-1) + 1 = 0
-    assert dist.split_test(0, ChernTriple(2, 1, 0), 0) == (1, 1)
+    assert dist.split_test(0, ChernTriple(2, 1, 0)) == (1, 1)
     # example 1 values: nonsplit
-    assert dist.split_test(1, ChernTriple(-1, 1, 3), 3) is None
+    assert dist.split_test(1, ChernTriple(-1, 1, 3)) is None
     # null correlation: nonsplit
-    assert dist.split_test(1, ChernTriple(2, 2, 0), 0) is None
+    assert dist.split_test(1, ChernTriple(2, 2, 0)) is None
 
 
 def test_split_test_contradiction_guard():
     with pytest.raises(NumericContradiction):
-        dist.split_test(1, ChernTriple(1, 0, 0), 1)
+        dist.split_test(1, ChernTriple(1, 0, 0))
 
 
 def test_classification_families(example1, example2):
@@ -234,8 +236,9 @@ def test_table1():
 
 
 # The per-parity thresholds and the split rule as the classification first
-# stated them, kept here as the oracle of the rules read from the order of
-# nonstability and from one split-type helper.
+# stated them for T_F, kept here as the oracle of the rules read from c1 and
+# the first twist with a section, called at d = 2 - c1; their messages name
+# c1 and t as the rules do.
 def _threshold_stability(degree, tF, split, chern):
     eps = degree % 2
     if split is not None:
@@ -256,7 +259,7 @@ def _threshold_stability(degree, tF, split, chern):
     elif tF >= (degree + 1) // 2:
         return (eps, "stable", 0, False, None)
     raise InconsistentInvariants(
-        f"nonsplit sheaf with d={degree}, tF={tF} fits no stability class"
+        f"nonsplit sheaf with c1={2 - degree}, t={tF} fits no stability class"
     )
 
 
@@ -264,7 +267,7 @@ def _threshold_split_test(tF, chern, degree):
     if chern.c2 + chern.c1 * (tF - 1) + (tF - 1) ** 2 != 0:
         return None
     if degree < 2 * tF:
-        raise NumericContradiction(f"split test passed with d={degree} < 2*tF={2 * tF}")
+        raise NumericContradiction(f"split test passed with c1={2 - degree} > 2 - 2t={2 - 2 * tF}")
     return (1 - tF, 1 + tF - degree)
 
 
@@ -276,17 +279,18 @@ def _outcome(f, *args):
 
 
 def test_stability_and_split_rules_on_a_grid():
-    # d = 0..39, tF = -3..44, the two family triples, a near miss and the
-    # triple whose twisted c2 vanishes at tF, each split and nonsplit
+    # d = 0..39 (c1 = 2 - d), tF = -3..44, the two family triples, a near
+    # miss and the triple whose twisted c2 vanishes at tF, each split and
+    # nonsplit
     cases = 0
     for d in range(40):
         for t in range(-3, 45):
             for c2, c3 in ((1, d), (2, 2 * d), (1, 2 * d), ((d - 2) * (t - 1) - (t - 1) ** 2, 0)):
                 chern = ChernTriple(2 - d, c2, c3)
-                assert _outcome(dist.split_test, t, chern, d) == \
+                assert _outcome(dist.split_test, t, chern) == \
                     _outcome(_threshold_split_test, t, chern, d)
                 for split in (None, (1 - t, 1 + t - d)):
-                    got = _outcome(dist._stability, d, t, split, chern)
+                    got = _outcome(dist._stability, t, split, chern)
                     if isinstance(got, dist.StabilityVerdict):
                         got = (got.epsilon, got.klass, got.order, got.max_order_flag, got.family)
                     assert got == _outcome(_threshold_stability, d, t, split, chern)
@@ -303,16 +307,51 @@ def test_split_test_against_the_twisted_c2():
     # split_test reads the Serre side, c2 of `_section_chern` on no curve;
     # the oracle types c2(F(tF - 1)) = c2 + c1(tF - 1) + (tF - 1)^2 = 0
     cases = vanishing = 0
-    for d in range(12):
-        for t in range(-3, 9):
-            for c1 in range(-12, 5):
-                for c2 in range(-15, 25):
-                    chern = ChernTriple(c1, c2, 0)
-                    got = _outcome(dist.split_test, t, chern, d)
-                    assert got == _outcome(_threshold_split_test, t, chern, d)
-                    cases += 1
-                    vanishing += got is not None  # a split or a contradiction
-    assert (cases, vanishing) == (97920, 1608)
+    for t in range(-3, 9):
+        for c1 in range(-12, 5):
+            for c2 in range(-15, 25):
+                chern = ChernTriple(c1, c2, 0)
+                got = _outcome(dist.split_test, t, chern)
+                assert got == _outcome(_threshold_split_test, t, chern, 2 - c1)
+                cases += 1
+                vanishing += got is not None  # a split or a contradiction
+    assert (cases, vanishing) == (8160, 134)
+
+
+# h0(N*(k)), k = 1..4, of a degree-1 field, by its case
+CONORMAL_H0 = {
+    "stable-points": [0, 0, 4, 14],
+    "semistable-line": [0, 1, 6, 17],
+    "split-skew-or-double": [0, 2, 8, 20],
+}
+CONORMAL_CLASS = {
+    "stable-points": "stable",
+    "semistable-line": "strictly-semistable",
+    "split-skew-or-double": "split",
+}
+
+
+def test_degree1_trichotomy_is_the_class_of_the_conormal_sheaf():
+    # N* of a degree-1 field is the kernel sheaf (s, delta) = (-1, 0), with
+    # c1 = -4; its first twist with a section, read by `_dims` on the
+    # numerator of the minors J from t = 2, goes to the split test and the
+    # class, which name the case of `foliation._DEGREE1_CASES`
+    fields = [corpus.load_vfield(name) for name in corpus.corpus_names()["vfields"]]
+    fields += [linear_field(row) for row in sorted(ROWS)]
+    cases = set()
+    for v in fields:
+        report = foliation.analyze(v)
+        assert report.degree == 1
+        cases.add(report.degree1_case)
+        numerator = hilbert(Ideal(exterior.minors_against_radial(v))).numerator
+        h0 = [_dims(numerator, -1, 0, t).h0 for t in range(2, 6)]
+        assert h0 == CONORMAL_H0[report.degree1_case]
+        t = next(t for t in range(2, 6) if h0[t - 2] > 0)
+        split = dist.split_test(t, report.chern)
+        verdict = dist._stability(t, split, report.chern)
+        assert verdict.klass == CONORMAL_CLASS[report.degree1_case], (v, verdict)
+        assert split == ((-2, -2) if verdict.klass == "split" else None)
+    assert cases == set(CONORMAL_CLASS)
 
 
 def test_splitruim_invariants():

@@ -19,18 +19,19 @@ from p3dist.exterior import (
     coefficient_ideal,
     contract,
     field_degree,
+    minors_against_radial,
     radial_field,
 )
 from p3dist.grammar import parse_poly
 from p3dist.hilbert import hilbert, hilbert_function
 from p3dist.linalg import compute_tF, h0_tangent_twist, minimal_section
 from p3dist.poly import (
-    Poly, X0, X1, X2, X3, dim_graded_piece, integer_multiples, monomials_of_degree,
+    Poly, X0, X1, X2, X3, dim_graded_piece, integer_multiples, mon_mul, monomials_of_degree,
     primitive_row,
 )
 
 import maxorder
-from conftest import make_rng
+from conftest import make_rng, random_nonzero_poly
 from echelon import _kernel, _pivot_rows
 
 # the sections workload's forms, read from perfbench/run.py
@@ -473,8 +474,8 @@ def test_capped_numerator_gives_every_dimension(example1, example2, nullcorrelat
         bounded = groebner._buchberger_terms(rows, lower=_koszul_numerator(d))
         assert bounded == groebner._buchberger_terms(rows)
         for t in range(-1, d + 2):
-            expected = linalg._dims(full, d, t)
-            assert linalg._dims(swept, d, t) == expected
+            expected = linalg._dims(full, 1, d + 2, t)
+            assert linalg._dims(swept, 1, d + 2, t) == expected
             # the run mod PRIME capped at t + d + 1
             assert h0_tangent_twist(fresh(omega), t) == expected
 
@@ -668,7 +669,7 @@ def qq_tF(omega):
     d, _ = checked_oneform(omega)
     numerator = hilbert(groebner.Ideal(omega.one_form_coeffs())).numerator
     for dprime in range(d + 2):
-        s = linalg._dims(numerator, d, dprime)
+        s = linalg._dims(numerator, 1, d + 2, dprime)
         if s.h0 > 0:
             return dprime, minimal_section(fresh(omega), dprime), s
 
@@ -733,3 +734,38 @@ def test_qq_numerator_above_the_modular_one_raises(monkeypatch, example1):
                 compute_tF(bare)
             ideal = coefficient_ideal(bare)
             assert ideal._hilbert is None and ideal._reduced is None
+
+
+def conormal_kernel_dim(v, t):
+    """dim of {omega : i_R omega = i_v omega = 0}, coefficients of degree
+    t - 2, from the echelon kernel: the sections of N*(t - 1)."""
+    _, fs = integer_multiples(v.components)
+    mons = monomials_of_degree(t - 2)
+    rows = {}
+    for i, x_i in enumerate(monomials_of_degree(1)):
+        for k, m in enumerate(mons):
+            col = i * len(mons) + k
+            rows.setdefault(("R", mon_mul(x_i, m)), {})[col] = 1
+            for vm, c in fs[i].items():
+                rows.setdefault(("v", mon_mul(vm, m)), {})[col] = c
+    return len(_kernel(_pivot_rows(list(rows.values())), 4 * len(mons)))
+
+
+def test_conormal_dims_against_the_echelon_kernel():
+    # `_dims` at (s, delta) = (-1, d' - 1) on the numerator of the ideal J
+    # of the minors against R counts h0(N*(t - 1)) for t - 1 = 1 ... d' + 3,
+    # on the corpus fields, the maximal-order linear fields and seeded
+    # sparse fields of degree 2 and 3
+    fields = [corpus.load_vfield(name) for name in corpus.corpus_names()["vfields"]]
+    fields += [maxorder.linear_field(row) for row in sorted(maxorder.ROWS)]
+    for seed in (1, 2, 3):
+        rng = make_rng(seed)
+        fields += [VField([random_nonzero_poly(rng, e) for _ in range(4)]) for e in (2, 3)]
+    cases = 0
+    for v in fields:
+        e = field_degree(v)
+        numerator = hilbert(groebner.Ideal(minors_against_radial(v))).numerator
+        for t in range(2, e + 5):
+            assert linalg._dims(numerator, -1, e - 1, t).h0 == conormal_kernel_dim(v, t), (v, t)
+            cases += 1
+    assert cases == 11 * 4 + 3 * (5 + 6)

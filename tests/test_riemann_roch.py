@@ -24,9 +24,8 @@ from p3dist import distribution as dist
 from p3dist import foliation as fol
 from p3dist import logarithmic as log
 from p3dist.exterior import checked_oneform, coefficient_ideal
-from p3dist.hilbert import hilbert, hilbert_function
+from p3dist.hilbert import hilbert
 from p3dist.linalg import _dims
-from p3dist.poly import dim_graded_piece
 
 from maxorder import ROWS, oneform
 
@@ -82,7 +81,7 @@ def _assert_form_chi(omega, chern):
     d, _ = checked_oneform(omega)
     numerator = hilbert(coefficient_ideal(omega)).numerator
     t = len(numerator) + 3
-    assert _chi(chern, t - 1) == _dims(numerator, d, t).h0
+    assert _chi(chern, t - 1) == _dims(numerator, 1, d + 2, t).h0
 
 
 @pytest.mark.parametrize("name", corpus.corpus_names()["oneforms"])
@@ -119,11 +118,8 @@ def test_maximal_order_triples_give_h0(row, d):
 @pytest.mark.parametrize("name", corpus.corpus_names()["vfields"])
 def test_printed_field_triples_give_h0(name):
     # h0(N*(s)) = h0(Omega^1(s)) - dim J_(s + d' - 1), J the saturated ideal
-    # of Z, once s is past the regularity
+    # of Z, once s is past the regularity: `_dims` at (-1, d' - 1), t = s + 1
     report = fol.analyze(corpus.load_vfield(name))
     numerator = hilbert(report.sing.sat_ideal).numerator
     s = len(numerator) + 3
-    n = s + report.degree - 1
-    dim_j = dim_graded_piece(n) - hilbert_function(numerator, n)
-    h0 = 4 * dim_graded_piece(s - 1) - dim_graded_piece(s) - dim_j
-    assert _chi(report.chern, s) == h0
+    assert _chi(report.chern, s) == _dims(numerator, -1, report.degree - 1, s + 1).h0
