@@ -13,11 +13,14 @@ Hilbert data. By x3 it is a Bayer-Stillman reverse-lex division, skipped
 when x3 divides no basis element, as the colon is then I; by any other
 form, like intersection (which also gives the gcd that names a common
 factor), colon and the saturation by one polynomial, it eliminates an
-auxiliary variable t, the saturation's run seeded with the finished basis
-of I. A run returns its minimal basis, and the eliminations tail-reduce
-only the t-free rows they keep (only a t-free leading term divides a t-free
-monomial), the saturation only the colon it accepts. The tests compare the
-saturation against those.
+auxiliary variable t. There the saturation makes a signature run from the
+finished basis of I (`_signature_terms`): t*l - 1 is a non-zero-divisor
+modulo I, so F5's criterion against the leading terms of I drops every
+syzygy and no J-pair reduces to zero. A Buchberger run returns its
+minimal basis, and the eliminations tail-reduce only the t-free rows they
+keep (only a t-free leading term divides a t-free monomial), the
+saturation only the colon it accepts. The tests compare the saturation
+against those.
 An ideal may carry a certified numerator N, HF_{R/I}(n) >= HF_N(n) for
 n <= deg N (`Ideal._of_rows`): every run of it drops the pairs of degree
 n once its leading terms fill dim R_n - HF_N(n), as they all reduce to
@@ -187,7 +190,90 @@ def _lt_piece(lts, deg, piece, at):
     return piece
 
 
-def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None):
+def _regular_form(h, sig, basis, elements):
+    """Top-reduce the engine poly h of signature sig over QQ by regular
+    reductions only: by every (lt, poly) of basis, which has no signature,
+    and by an element (signature, lt, poly) of `_signature_terms` only where
+    its multiple's signature is below sig, so the result keeps sig. It
+    stops at the first leading term that none reduces, and leaves the
+    integer content in, as `_normal_form_terms` does."""
+    while h:
+        m = max(h)
+        for lt, g in basis:
+            if not (lt - m) & _GUARDS:
+                break
+        else:
+            for s, lt, g in elements:
+                if not (lt - m) & _GUARDS and m - lt + s < sig:
+                    break
+            else:
+                return h
+        h = fraction_free_step(h, g, m, m - lt)
+    return h
+
+
+def _signature_terms(done, f):
+    """A Groebner basis over QQ of done plus f = t*l - 1, with done a
+    reduced basis of engine polys of a t-free ideal I: done, then the
+    elements of one incremental signature run (Faugere's F5, ISSAC 2002).
+
+    An element h carries a signature u, the leading monomial of a U with
+    h = U*f modulo I: f has u = 1 (packed 0) and done none. J-pairs wait in
+    a heap keyed by (signature, lcm). The J-pair of an element i and an
+    element j, or an element of done, is m*h_i, m = lcm/LT(h_i), when
+    m*u_i is the larger of the pair's two signatures; two equal signatures
+    give none. Of the J-pairs with one signature u, the one of least lcm
+    is kept, and it goes when
+      - a leading term of done divides u (F5's criterion), or
+      - an element whose signature divides u has a multiple of signature u
+        with a smaller leading term (the cover criterion of Gao, Volny and
+        Wang, Math. Comp. 85, 2016).
+    Otherwise the multiple of signature u with the least leading term is
+    top-reduced by `_regular_form` and kept as an element.
+
+    F5's criterion drops every syzygy: f is a non-zero-divisor on
+    (R/I)[t], as its constant coefficient -1 is a unit (McCoy), so a
+    syzygy sum a_i*g_i + U*f = 0 has U*f, hence U, in I*R[t], whose leading
+    terms are the multiples of those of done. A regular reduction to zero
+    would give a syzygy of its signature, so none reaches zero.
+    With t of weight -1 every element is homogeneous, and every term of a
+    J-pair and of its reduction is at most its lcm in the block order and
+    of the lcm's weight, so of degree at most the lcm's: checking each
+    J-pair's lcm and signature keeps every exponent in its field.
+    """
+    basis = [(max(g), g) for g in done]
+    elements, jpairs = [], []
+
+    def add(sig, h):
+        lt = max(h)
+        for lt2, s in [*((lt2, None) for lt2, _ in basis), *((lt2, s) for s, lt2, _ in elements)]:
+            l = _lcm(lt, lt2)
+            u = l - lt + sig
+            if s is not None:
+                if u == l - lt2 + s:
+                    continue
+                u = max(u, l - lt2 + s)
+            if all((lt3 - u) & _GUARDS for lt3, _ in basis):
+                _bounded(max(_degree(u), _degree(l)))
+                heappush(jpairs, (u, l))
+        elements.append((sig, lt, h))
+
+    add(0, _engine_form(_regular_form(_engine_form(f, None), 0, basis, ()), None))
+    while jpairs:
+        sig, l = heappop(jpairs)
+        while jpairs and jpairs[0][0] == sig:
+            heappop(jpairs)
+        s, lt, h = min((e for e in elements if not (e[0] - sig) & _GUARDS),
+                       key=lambda e: e[1] - e[0])
+        if sig - s + lt < l:
+            continue  # covered
+        r = _regular_form({k + sig - s: c for k, c in h.items()}, sig, basis, elements)
+        if r:
+            add(sig, _engine_form(r, None))
+    return [*done, *(h for _, _, h in elements)]
+
+
+def _buchberger_terms(gens, p=None, cap=None, lower=None):
     """A minimal Groebner basis of packed dict-polys: the run's active
     engine polys, in the order they were kept. A caller that keeps the
     rows makes them the reduced basis with `_reduced_basis`.
@@ -201,14 +287,11 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None):
     generators are homogeneous once t has weight 0 or -deg f), and checking
     each new pair's lcm keeps every exponent in its field.
 
-    `done`, a reduced basis of engine polys, is taken as a finished
-    Groebner basis: it forms no pairs within itself, only with gens and
-    the elements that follow (Gebauer-Moller's incremental update). With a
-    degree `cap` and homogeneous gens, pairs are taken up to that degree
-    only, and with a bound below too, up to the first bounded degree whose
-    leading terms span fewer monomials than the bound: the leading terms
-    of the elements returned generate the leading-term ideal in every
-    degree up to the one where the run stops.
+    With a degree `cap` and homogeneous gens, pairs are taken up to that
+    degree only, and with a bound below too, up to the first bounded
+    degree whose leading terms span fewer monomials than the bound: the
+    leading terms of the elements returned generate the leading-term ideal
+    in every degree up to the one where the run stops.
 
     `lower` is a Hilbert series numerator N with HF_{R/I}(n) >= HF_N(n)
     for n <= deg N, for homogeneous gens over QQ, so dim I_n <= bound[n] =
@@ -227,9 +310,7 @@ def _buchberger_terms(gens, p=None, done=(), cap=None, lower=None):
     unbounded. Uncapped, only where the run stops changes, so the result
     is the same with or without a valid N.
     """
-    polys, lts = list(done), [max(g) for g in done]
-    active, basis = list(range(len(polys))), list(zip(lts, polys))
-    pairs = []
+    polys, lts, active, basis, pairs = [], [], [], [], []
 
     def add(h):
         nonlocal active, basis, pairs
@@ -586,9 +667,13 @@ def saturate(I):
     only minimalized and tail-reduced; when x3 divides no element the
     colon is I, so I is saturated and is returned with its own data. For
     k >= 1 the colon is the t-free part of a block-order Groebner basis
-    of that basis plus t*l_k - 1. The block order is grevlex on t-free
-    polynomials, so the basis of I is already a Groebner basis there: the
-    run forms pairs only with t*l_k - 1 and what follows.
+    of that basis plus f = t*l_k - 1. The block order is grevlex on t-free
+    polynomials, so the basis of I is already a Groebner basis there, and
+    `_signature_terms` adds f to it by one incremental signature run. By
+    McCoy's theorem f is a non-zero-divisor on (R/I)[t], as its constant
+    coefficient is the unit -1, so every syzygy with an f-component is a
+    Koszul syzygy plus a syzygy of the basis: F5's criterion against the
+    leading terms of I drops all of them, and no J-pair reduces to zero.
     The target is `hilbert(I)`, kept on I, and each colon is tested by its
     leading terms alone: only the accepted one is tail-reduced, and the
     result keeps its HilbertData.
@@ -599,7 +684,7 @@ def saturate(I):
         if k:
             l_k = dict(zip(_VARS, (k, k * k, k ** 3, 1)))
             rabinowitsch = {**_extend(l_k), 0: -1}  # t*l_k - 1; 1 packs to 0
-            colon = _t_free(_buchberger_terms([rabinowitsch], done=reduced))
+            colon = _t_free(_signature_terms(reduced, rabinowitsch))
         else:
             # the largest power of x3 that divides each element, from its x3-fields
             x3es = [_pack((0, 0, 0, min((-m & _FIELDS) >> 48 for m in g))) for g in reduced]

@@ -378,18 +378,23 @@ def test_find_subfoliation_saturates_nothing(tmp_path, capsys, monkeypatch):
     # find-subfoliation prints no ideal: it runs no saturation, and
     # compute_tF reads the Hilbert data of the coefficient ideal with no
     # capped Buchberger run; analyze saturates once, for its sat_ideal. The
-    # line-row form needs a k >= 1 elimination, a run seeded with a basis
+    # line-row form needs a k >= 1 elimination, the signature run
     calls = []
     for module in (distribution, foliation):
         monkeypatch.setattr(module, "saturate",
                             lambda I, real=module.saturate: calls.append("saturate") or real(I))
-    engine = groebner._buchberger_terms
+    engine, signature_run = groebner._buchberger_terms, groebner._signature_terms
 
-    def recording_engine(gens, p=None, done=(), cap=None, lower=None):
-        calls.extend(["capped"] * (cap is not None) + ["seeded"] * bool(done))
-        return engine(gens, p, done, cap, lower)
+    def recording_engine(gens, p=None, cap=None, lower=None):
+        calls.extend(["capped"] * (cap is not None))
+        return engine(gens, p, cap, lower)
+
+    def recording_run(done, f):
+        calls.append("seeded")
+        return signature_run(done, f)
 
     monkeypatch.setattr(groebner, "_buchberger_terms", recording_engine)
+    monkeypatch.setattr(groebner, "_signature_terms", recording_run)
     docs = [oneform_doc(name) for name in corpus.corpus_names()["oneforms"]]
     docs.append({"kind": "oneform", "coeffs": [
         format_poly(a) for a in maxorder.oneform("line", 5, 1).one_form_coeffs()]})

@@ -1,10 +1,13 @@
 import importlib
+import json
+import os
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from p3dist import corpus, distribution, foliation, groebner
+from p3dist import cli, corpus, distribution, foliation, groebner
 from p3dist.errors import NonTermination
 from p3dist.exterior import (
     ExtForm, VField, checked_oneform, coefficient_ideal, minors_against_radial,
@@ -32,6 +35,11 @@ from test_foliation import random_linear_field
 
 # the package exports the function `hilbert` under the module's name
 hilbert_module = importlib.import_module("p3dist.hilbert")
+
+# the sparse-forms workload's inputs, read from perfbench/run.py
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
+import run as perfbench_run  # noqa: E402
 
 
 def P(s):
@@ -273,17 +281,18 @@ def _linear_form(k):
 
 
 def _eliminations_agree(I, k):
-    """The k >= 1 elimination of `saturate`, seeded with the finished basis
-    of I, against the unseeded run that re-derives every pair within it.
-    Only a t-free leading term divides a t-free monomial, so tail-reducing
-    the t-free rows alone gives the t-free part of the reduced basis."""
+    """The k >= 1 elimination of `saturate`, the signature run from the
+    finished basis of I, against the Buchberger run that re-derives every
+    pair within it. Only a t-free leading term divides a t-free monomial, so
+    tail-reducing the t-free rows alone gives the t-free part of the reduced
+    basis."""
     reduced = _engine_basis(I)
     rabinowitsch = {**groebner._extend(groebner._packed(_linear_form(k).terms)), 0: -1}
     unseeded = groebner._buchberger_terms(reduced + [rabinowitsch])
     oracle = groebner._t_free(groebner._reduced_basis(unseeded))
     assert groebner._reduced_basis(groebner._t_free(unseeded)) == oracle
     seeded = groebner._reduced_basis(
-        groebner._t_free(groebner._buchberger_terms([rabinowitsch], done=reduced)))
+        groebner._t_free(groebner._signature_terms(reduced, rabinowitsch)))
     assert groebner._engine_ideal(seeded).groebner() == groebner._engine_ideal(oracle).groebner()
 
 
@@ -291,28 +300,66 @@ def test_seeded_elimination_matches_the_unseeded_run():
     cases = list(_random_ideals(25)) + random_saturation_cases()[:25]
     cases += [Ideal(oneform(row, 3, seed=1).one_form_coeffs()) for row in sorted(ROWS)]
     for I in cases:
-        for k in (1, 2):
+        for k in (1, 2, 3):
             _eliminations_agree(I, k)
+
+
+def _sparse_form_ideals():
+    return [coefficient_ideal(cli.parse_input(json.dumps(item["doc"])))
+            for seed in (1, 2, 3) for item in perfbench_run.build_items("sparse-forms", seed)]
+
+
+@pytest.mark.parametrize("ideals", (
+    lambda: [coefficient_ideal(oneform(row, d, seed=1)) for row in sorted(ROWS) for d in (3, 4, 5)],
+    _sparse_form_ideals,
+    random_saturation_cases,
+), ids=("maxorder", "sparse-forms", "random"))
+def test_signature_run_reduces_nothing_to_zero(monkeypatch, ideals):
+    # f = t*l - 1 is a non-zero-divisor modulo I, so F5's criterion against
+    # the leading terms of I drops every syzygy, and no J-pair of the k >= 1
+    # step reduces to zero; each input set runs that step at least once
+    runs, forms = [], []
+    run, regular_form = groebner._signature_terms, groebner._regular_form
+
+    def counting_run(done, f):
+        runs.append(f)
+        return run(done, f)
+
+    def recording_form(*args):
+        forms.append(regular_form(*args))
+        return forms[-1]
+
+    monkeypatch.setattr(groebner, "_signature_terms", counting_run)
+    monkeypatch.setattr(groebner, "_regular_form", recording_form)
+    for I in ideals():
+        saturate(I)
+    assert runs and forms
+    assert sum(not r for r in forms) == 0
 
 
 def test_two_rejected_linear_forms(monkeypatch):
     # P*m for the prime P = (x3, x0 + x1 + x2): l_0 = x3 and l_1, whose
-    # x3-free part is x0 + x1 + x2, lie in P, so the seeded elimination runs
-    # for k = 1 and for k = 2, which is accepted
+    # x3-free part is x0 + x1 + x2, lie in P, so the signature run from the
+    # basis of I runs for k = 1 and for k = 2, which is accepted
     prime = Ideal((X3, X0 + X1 + X2))
     I = Ideal(tuple(g * v for g in prime.gens for v in (X0, X1, X2, X3)))
     calls = []
-    engine = groebner._buchberger_terms
+    engine, signature_run = groebner._buchberger_terms, groebner._signature_terms
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("done"))
+        calls.append(None)
         return engine(*args, **kwargs)
 
+    def counting_run(done, f):
+        calls.append(done)
+        return signature_run(done, f)
+
     monkeypatch.setattr(groebner, "_buchberger_terms", counting)
+    monkeypatch.setattr(groebner, "_signature_terms", counting_run)
     sat = saturate(I)
-    monkeypatch.setattr(groebner, "_buchberger_terms", engine)
+    monkeypatch.undo()
     assert sat == prime
-    # one basis of I, then two eliminations seeded with it
+    # one basis of I, then two eliminations that start from it
     assert len(calls) == 3 and calls[0] is None and calls[1] is calls[2] is not None
     for k in (1, 2):
         _eliminations_agree(I, k)
@@ -357,21 +404,26 @@ def test_no_poly_is_built_on_the_way_into_the_engine(monkeypatch):
     # x3 * (x1 dx0 - x0 dx1) and x3 * (x0, 2x1, 3x2, 4x3) have the plane x3
     # among their primes, so l_0 = x3 fails there and l_1 is built too.
     built, runs = [], []
-    init, engine = Poly.__init__, groebner._buchberger_terms
+    init, engine, signature_run = Poly.__init__, groebner._buchberger_terms, groebner._signature_terms
 
     def counting_init(self, terms=None):
         built.append(terms)
         init(self, terms)
 
     def counting_engine(*args, **kwargs):
-        runs.append(kwargs.get("done"))
+        runs.append(None)
         return engine(*args, **kwargs)
+
+    def counting_run(done, f):
+        runs.append(done)
+        return signature_run(done, f)
 
     fields = [corpus.load_vfield(name) for name in corpus.corpus_names()["vfields"]]
     fields.append(VField([X3 * X0, 2 * X3 * X1, 3 * X3 * X2, 4 * X3 * X3]))
     omegas = [corpus.load_oneform(name) for name in corpus.corpus_names()["oneforms"]]
     omegas.append(ExtForm.one_form(X1 * X3, -X0 * X3, Poly.zero(), Poly.zero()))
     monkeypatch.setattr(groebner, "_buchberger_terms", counting_engine)
+    monkeypatch.setattr(groebner, "_signature_terms", counting_run)
     for scheme, inputs in ((foliation.sing_scheme_v, fields),
                            (distribution.singular_scheme, omegas)):
         for x in inputs:

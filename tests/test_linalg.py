@@ -620,14 +620,14 @@ def test_compute_tF_keeps_the_fallback_data(monkeypatch, example1, nullcorrelati
     # where the run mod PRIME does not pin K_d, a bare compute_tF reads the
     # coefficient ideal's own Hilbert data from its full run and keeps it,
     # the reduced basis and data of the ideal of the coefficients; a later
-    # classify of the same form runs Buchberger only seeded with that
-    # basis, and reports what it reports on a fresh form. Where the run
-    # mod PRIME pins K_d, nothing is kept
-    engine, unseeded = groebner._buchberger_terms, []
+    # classify of the same form makes no Buchberger run, as its saturation
+    # starts from that basis, and reports what it reports on a fresh form.
+    # Where the run mod PRIME pins K_d, nothing is kept
+    engine, runs = groebner._buchberger_terms, []
 
-    def recording(gens, p=None, done=(), **kwargs):
-        unseeded.append(not done)
-        return engine(gens, p, done, **kwargs)
+    def recording(gens, p=None, **kwargs):
+        runs.append(gens)
+        return engine(gens, p, **kwargs)
 
     for omega in (example1, maxorder.oneform("line", 3, 1), pencil_of_planes):
         bare = fresh(omega)
@@ -635,9 +635,9 @@ def test_compute_tF_keeps_the_fallback_data(monkeypatch, example1, nullcorrelati
         ideal, own = coefficient_ideal(bare), groebner.Ideal(omega.one_form_coeffs())
         assert ideal._reduced == own._basis() and ideal._hilbert == hilbert(own)
         monkeypatch.setattr(groebner, "_buchberger_terms", recording)
-        unseeded.clear()
+        runs.clear()
         report = cli.dist_report_doc(distribution.classify(bare))
-        assert not any(unseeded)
+        assert runs == []
         monkeypatch.undo()
         assert report == cli.dist_report_doc(distribution.classify(fresh(omega)))
     for omega in (nullcorrelation, random_dense_form(make_rng(127), 2)):
