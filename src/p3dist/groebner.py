@@ -3,9 +3,12 @@
 Buchberger with a pair heap ordered by the degree and the term order of the
 lcm, the Gebauer-Moller pair criteria, and fraction-free integer reduction
 by `poly.fraction_free_step`, the step of the section spaces too, which
-only cancels: a row's content is divided out once, by `_engine_form`, when
-the row is kept as a generator, a new basis element or a tail-reduced row
-of a reduced basis, and never for a remainder that is zero; reduced
+cancels in place in a row that the reduction owns: `_normal_form_terms`
+and `_regular_form` each copy their row once, on entry. The step divides
+out no content: a row's content is divided out once, by `_engine_form`,
+when the row is kept as a new basis element or a tail-reduced row of a
+reduced basis, and never for a remainder that is zero (a generator that
+enters, which may carry Fractions, by `poly.primitive_row`); reduced
 grevlex bases, and the ideal operations the analysis pipeline needs:
 membership and the saturation by the irrelevant ideal, one saturation by a
 linear form certified by the Hilbert polynomial, whose result keeps that
@@ -65,6 +68,7 @@ from .poly import (
     grevlex_key,
     mon_div,
     mon_divides,
+    primitive_ints,
     primitive_row,
 )
 
@@ -120,24 +124,30 @@ def _packed(t):
 
 
 def _engine_form(t, p):
-    """A nonzero dict-poly as the engine keeps it: over QQ primitive with a
-    positive leading coefficient, over GF(p) monic. The engine divides out
-    a content only here, on each row it keeps."""
+    """A nonzero integer dict-poly the engine made, as it keeps it: over QQ
+    primitive with a positive leading coefficient, over GF(p) monic. The
+    engine divides out a content only here, on each row it keeps; a row
+    that enters it, which may carry Fractions, is made primitive by
+    `primitive_row` instead."""
     if p is None:
-        return primitive_row(t, max(t))
+        return primitive_ints(t, max(t))
     inv = pow(t[max(t)], -1, p)
     return {m: c * inv % p for m, c in t.items()}
 
 
 def _normal_form_terms(f, basis, p):
-    """Fully reduce the engine poly f by a list of (lt, engine poly).
+    """Fully reduce the engine poly f by a list of (lt, engine poly), on a
+    copy of f made here, the one row the reduction steps in place; f is
+    not modified.
 
     Over QQ the result is an integer multiple of the remainder, its
     content left in by every step; a caller that keeps it calls
     `_engine_form`.
     A heap of monomials, largest first, gives the next term to reduce;
     terms already passed are the remainder, and every later one is smaller.
+    Each step returns the keys it added, and only those are pushed.
     """
+    f = dict(f)
     heap = [-m for m in f]
     heapify(heap)
     while heap:
@@ -146,13 +156,8 @@ def _normal_form_terms(f, basis, p):
             continue
         for lt, g in basis:
             if not (lt - m) & _GUARDS:
-                s = m - lt
-                reduced = fraction_free_step(f, g, m, s, p)
-                for k in g:
-                    k += s
-                    if k not in f and k in reduced:
-                        heappush(heap, -k)
-                f = reduced
+                for k in fraction_free_step(f, g, m, m - lt, p):
+                    heappush(heap, -k)
                 break
     return f
 
@@ -196,7 +201,9 @@ def _regular_form(h, sig, basis, elements):
     and by an element (signature, lt, poly) of `_signature_terms` only where
     its multiple's signature is below sig, so the result keeps sig. It
     stops at the first leading term that none reduces, and leaves the
-    integer content in, as `_normal_form_terms` does."""
+    integer content in, as `_normal_form_terms` does, and like it steps a
+    copy of h made here, so h is not modified."""
+    h = dict(h)
     while h:
         m = max(h)
         for lt, g in basis:
@@ -208,7 +215,7 @@ def _regular_form(h, sig, basis, elements):
                     break
             else:
                 return h
-        h = fraction_free_step(h, g, m, m - lt)
+        fraction_free_step(h, g, m, m - lt)
     return h
 
 
@@ -258,7 +265,7 @@ def _signature_terms(done, f):
                 heappush(jpairs, (u, l))
         elements.append((sig, lt, h))
 
-    add(0, _engine_form(_regular_form(_engine_form(f, None), 0, basis, ()), None))
+    add(0, _engine_form(_regular_form(primitive_row(f, max(f)), 0, basis, ()), None))
     while jpairs:
         sig, l = heappop(jpairs)
         while jpairs and jpairs[0][0] == sig:
@@ -342,7 +349,8 @@ def _buchberger_terms(gens, p=None, cap=None, lower=None):
         active = [i for i in active if (lt - lts[i]) & _GUARDS] + [new]
         basis = [(lts[i], polys[i]) for i in active]
 
-    for g in sorted((_engine_form(g, p) for g in gens if g), key=max):
+    for g in sorted((_engine_form(g, p) if p else primitive_row(g, max(g)) for g in gens if g),
+                    key=max):
         r = _normal_form_terms(g, basis, p)
         if r:
             add(_engine_form(r, p))
@@ -363,8 +371,8 @@ def _buchberger_terms(gens, p=None, cap=None, lower=None):
             if len(filled) == bound[deg]:
                 continue  # LT(I) is full in this degree: the pair reduces to zero
         si = l - lts[i]
-        s = fraction_free_step({k + si: c for k, c in polys[i].items()}, polys[j],
-                               l, l - lts[j], p)
+        s = {k + si: c for k, c in polys[i].items()}
+        fraction_free_step(s, polys[j], l, l - lts[j], p)
         r = _normal_form_terms(s, basis, p)
         if r:
             add(_engine_form(r, p))

@@ -45,15 +45,16 @@ The section comes from one scan of the columns x^m*A_i of the contraction
 map, in the order i*n + (index of m). Each column is keyed by the grevlex
 rank of its target monomials, with a tag key per column that records the
 combination, and is top-reduced against the earlier pivot columns by
-`poly.fraction_free_step`, which only cancels: a column that becomes a
-pivot is stored as its `primitive_row`, and no other column's content is
-divided out. Every earlier column is a pivot or a free column, so the tag
-of a column that reduces to zero is the RREF kernel vector of that free
-column, up to scale. A radial multiple f*R is 1 at x_i*f in each F_i,
-so each class modulo them has one representative whose F_0 has no
-monomial divisible by x_0: the first kernel vector F not in the radial
-span, reduced by clearing each x_0*f of F_0 with f*R, is the canonical
-section. The scan returns it as primitive integer components;
+`poly.fraction_free_step`, which cancels in place in the column, a fresh
+dict that the scan owns, and divides out no content: a column that
+becomes a pivot is stored as its `primitive_ints`, and no other column's
+content is divided out. Every earlier column is a pivot or a free
+column, so the tag of a column that reduces to zero is the RREF kernel
+vector of that free column, up to scale. A radial multiple f*R is 1 at
+x_i*f in each F_i, so each class modulo them has one representative
+whose F_0 has no monomial divisible by x_0: the first kernel vector F not
+in the radial span, reduced by clearing each x_0*f of F_0 with f*R, is
+the canonical section. The scan returns it as primitive integer components;
 `minimal_section` certifies those integers and builds the `VField` once,
 and `compute_tF` calls it at the first twist t_F with h0 > 0 when t_F <= d.
 
@@ -96,9 +97,8 @@ from .poly import (
     Poly,
     dim_graded_piece,
     fraction_free_step,
-    mon_mul,
     monomials_of_degree,
-    primitive_row,
+    primitive_ints,
 )
 
 
@@ -143,7 +143,7 @@ def _reduced(v, mons, index):
     if not v:
         return None
     comps = [{} for _ in range(NVARS)]
-    for col, c in primitive_row(v).items():
+    for col, c in primitive_ints(v).items():
         comps[col // n][mons[col % n]] = c
     return comps
 
@@ -161,14 +161,16 @@ def _section(coeffs, d, dprime):
     pivots = {}
     for col in range(NVARS * n):
         m = src_mons[col % n]
-        v = {rank[mon_mul(am, m)]: c for am, c in coeffs[col // n].items()}
+        # the monomial sum written out, as in `poly.add_product`
+        v = {rank[(a[0] + m[0], a[1] + m[1], a[2] + m[2], a[3] + m[3])]: c
+             for a, c in coeffs[col // n].items()}
         v[tag + col] = 1
         lead = min(v)
         while lead in pivots:
-            v = fraction_free_step(v, pivots[lead], lead)
+            fraction_free_step(v, pivots[lead], lead)
             lead = min(v)
         if lead < tag:
-            pivots[lead] = primitive_row(v)
+            pivots[lead] = primitive_ints(v)
             continue
         comps = _reduced({k - tag: c for k, c in v.items()}, src_mons, index)
         if comps is not None:

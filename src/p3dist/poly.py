@@ -5,9 +5,11 @@ lexicographic with x0 > x1 > x2 > x3; every canonical printing and every
 deterministic choice in the package goes through it.
 
 The sparse integer rows below carry the fraction-free eliminations of the
-Groebner engine and of the section spaces. Their one step only cancels a
-term: a row's content is divided out, by `primitive_row`, only where a
-caller keeps the row, never inside a reduction.
+Groebner engine and of the section spaces. Their one step cancels a term
+in place, in a row that the reduction owns: each reduction copies its row
+once, on entry, and the step changes that copy only. A row's content is
+divided out once, by `primitive_ints`, where a caller keeps the row, never
+inside a reduction.
 """
 
 from __future__ import annotations
@@ -41,43 +43,62 @@ def grevlex_key(m):
 
 # -- sparse integer rows ------------------------------------------------------
 # A row maps keys (matrix columns, or packed monomials) to nonzero
-# coefficients. These two steps are the fraction-free arithmetic of the
+# coefficients. The step below is the fraction-free arithmetic of the
 # section-space elimination and of the Groebner engine, which reads the
-# pivot row's keys shifted by a monomial and may work mod a prime.
+# pivot row's keys shifted by a monomial and may work mod a prime. It
+# changes the row it is given, so a reduction steps only a row it owns.
+
+
+def primitive_ints(row, lead=None):
+    """A nonzero integer row divided by its content, its entry at the key
+    `lead`, by default the smallest key, positive. The row itself is
+    returned when it is already so."""
+    g = gcd(*row.values())
+    if row[min(row) if lead is None else lead] < 0:
+        g = -g
+    return {k: c // g for k, c in row.items()} if g != 1 else row
 
 
 def primitive_row(row, lead=None):
     """A nonzero row of rationals scaled to a primitive integer row whose
     entry at the key `lead`, by default the smallest key, is positive."""
     den = lcm(*(c.denominator for c in row.values()))
-    ints = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
-    g = gcd(*ints.values())
-    if ints[min(ints) if lead is None else lead] < 0:
-        g = -g
-    return {k: c // g for k, c in ints.items()} if g != 1 else ints
+    return primitive_ints({k: c.numerator * (den // c.denominator) for k, c in row.items()}, lead)
 
 
 def fraction_free_step(row, pivot_row, col, shift=0, p=None):
-    """a*row - b*pivot_row, where the pivot row's keys are read shifted by
-    `shift`, q = pivot_row[col - shift], f = row[col], g = gcd(q, f),
-    a = q/g and b = f/g; the entry in col cancels. Both rows are integer
-    rows and are not modified. The step only cancels: the content stays
-    in, for the caller that keeps the row to divide out. With a prime p
-    the pivot row is monic, so a = 1, and the entries are reduced mod p."""
-    q, f = pivot_row[col - shift], row[col]
-    g = gcd(q, f)
-    a, b = q // g, f // g
-    out = {k: a * c for k, c in row.items()} if a != 1 else dict(row)
+    """Turn row into a*row - b*pivot_row, in place, where the pivot row's
+    keys are read shifted by `shift`, q = pivot_row[col - shift],
+    f = row[col], g = gcd(q, f), a = q/g and b = f/g; the entry in col
+    cancels. Returns the keys the step added to row; the pivot row is not
+    modified. The step only cancels: the content stays in, for the caller
+    that keeps the row to divide out. With a prime p the pivot row is
+    monic, so a = 1 and b = f with no gcd, and the entries are reduced
+    mod p."""
+    b = row[col]
+    if not p:
+        q = pivot_row[col - shift]
+        g = gcd(q, b)
+        a, b = q // g, b // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
+    added = []
     for k, c in pivot_row.items():
         k += shift
-        c = out.get(k, 0) - b * c
+        old = row.get(k)
+        if old is None:
+            row[k] = -b * c % p if p else -b * c
+            added.append(k)
+            continue
+        c = old - b * c
         if p:
             c %= p
         if c:
-            out[k] = c
+            row[k] = c
         else:
-            out.pop(k, None)
-    return out
+            del row[k]
+    return added
 
 
 # -- integer polynomials ------------------------------------------------------

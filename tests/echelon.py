@@ -3,12 +3,31 @@ the generator of `maxorder`: the rank, the RREF rows and the canonical RREF
 kernel basis of a matrix. The package reads its section spaces from the
 Hilbert function and one column scan instead (`p3dist.linalg`); the tests
 compare that against these and against a plain Fraction elimination.
+The elimination step is written here, apart from the package's
+`poly.fraction_free_step`, so that this reference shares no code with
+what it checks.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 
-from p3dist.poly import fraction_free_step, primitive_row
+
+def _step(row, pivot, col):
+    """pivot[col]*row - row[col]*pivot, which cancels col, divided by its
+    content and positive at its smallest column; a new row, or {} when it
+    vanishes. Neither input is modified."""
+    q, f = pivot[col], row[col]
+    out = {k: q * c for k, c in row.items()}
+    for k, c in pivot.items():
+        out[k] = out.get(k, 0) - f * c
+    out = {k: c for k, c in out.items() if c}
+    if not out:
+        return out
+    g = gcd(*out.values())
+    if out[min(out)] < 0:
+        g = -g
+    return {k: c // g for k, c in out.items()}
 
 
 def _pivot_rows(rows):
@@ -16,9 +35,8 @@ def _pivot_rows(rows):
 
     Returns [(pivot_col, row)] in increasing pivot column: the reduced row
     echelon form of the row space, each row a nonzero integer multiple of
-    its RREF row, made primitive wherever it is kept after a step, as the
-    step leaves the content in. The length is the rank. The input rows are
-    not modified.
+    its RREF row, primitive wherever a step made it. The length is the
+    rank. The input rows are not modified.
     """
     by_lead = {}
     for r in rows:
@@ -36,9 +54,8 @@ def _pivot_rows(rows):
         for r in here:
             if r is pivot:
                 continue
-            r = fraction_free_step(r, pivot, col)
+            r = _step(r, pivot, col)
             if r:
-                r = primitive_row(r)
                 lead = min(r)
                 if lead not in by_lead:
                     by_lead[lead] = []
@@ -51,7 +68,7 @@ def _pivot_rows(rows):
         for j in range(i):
             qc, qr = echelon[j]
             if pc in qr:
-                echelon[j] = (qc, primitive_row(fraction_free_step(qr, pr, pc)))
+                echelon[j] = (qc, _step(qr, pr, pc))
     return echelon
 
 

@@ -108,6 +108,17 @@ def random_row(rng, keys, coeffs):
     return {k: rng.choice(coeffs) for k in rng.sample(keys, rng.randint(1, 6))}
 
 
+def stepped(row, pivot, col, shift=0, p=None):
+    """The row the in-place step makes of a copy of row, after checking its
+    contract: the keys it returns are exactly those it added, and the pivot
+    row is unchanged."""
+    out, before = dict(row), dict(pivot)
+    added = fraction_free_step(out, pivot, col, shift, p)
+    assert sorted(added) == sorted(out.keys() - row.keys())
+    assert pivot == before
+    return out
+
+
 def test_fraction_free_step_reads_the_pivot_shifted():
     # the engine's step: the pivot's keys shifted by s, as if x^s * pivot
     rng = make_rng(11)
@@ -119,8 +130,8 @@ def test_fraction_free_step_reads_the_pivot_shifted():
         col = rng.choice(list(pivot)) + shift
         row[col] = rng.choice(nonzero)
         shifted = {k + shift: c for k, c in pivot.items()}
-        out = fraction_free_step(row, pivot, col, shift)
-        assert out == fraction_free_step(row, shifted, col)
+        out = stepped(row, pivot, col, shift)
+        assert out == stepped(row, shifted, col)
         assert col not in out
 
 
@@ -142,10 +153,14 @@ def test_fraction_free_step_mod_p():
             c = (row.get(k, 0) - row[col] * shifted.get(k, 0)) % p
             if c:
                 expected[k] = c
-        assert fraction_free_step(row, pivot, col, shift, p) == expected
+        assert stepped(row, pivot, col, shift, p) == expected
 
 
 def test_fraction_free_step_leaves_the_content_in():
     # the step only cancels; the caller that keeps the row divides it out
-    assert fraction_free_step({0: 2, 1: 4}, {0: 1, 1: 1}, 0) == {1: 2}
-    assert fraction_free_step({0: 3, 1: 6}, {0: 1, 1: 5}, 0, p=7) == {1: 5}
+    assert stepped({0: 2, 1: 4}, {0: 1, 1: 1}, 0) == {1: 2}
+    assert stepped({0: 3, 1: 6}, {0: 1, 1: 5}, 0, p=7) == {1: 5}
+    # it changes the row it is given, and returns the keys it added
+    row = {0: 2, 1: 3}
+    assert fraction_free_step(row, {0: 1, 2: 1}, 0) == [2]
+    assert row == {1: 3, 2: -2}
