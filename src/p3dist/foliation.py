@@ -40,7 +40,7 @@ class FoliationCurveReport(NamedTuple):
 
 
 def _eagon_northcott(e):
-    """The numerator N_e of HS(R/J), as `hilbert_from_lt` gives it, for the
+    """The numerator N_e of HS(R/J), as `hilbert.hilbert` gives it, for the
     minors J of a field of degree e with height J = 3 (see `sing_scheme_v`)."""
     return numerator_from_terms(((0, 1), (e + 1, -6), (e + 2, 4), (2 * e + 1, 4),
                                  (e + 3, -1), (2 * e + 2, -1), (3 * e + 1, -1)))

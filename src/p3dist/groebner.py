@@ -11,12 +11,12 @@ reduced basis, and never for a remainder that is zero (a generator that
 enters, which may carry Fractions, by `poly.primitive_row`); reduced
 grevlex bases, and the ideal operations the analysis pipeline needs:
 membership and the saturation by the irrelevant ideal, one saturation by a
-linear form certified by the Hilbert polynomial, whose result keeps that
-Hilbert data. By x3 it is a Bayer-Stillman reverse-lex division, skipped
-when x3 divides no basis element, as the colon is then I; by any other
-form, like intersection (which also gives the gcd that names a common
-factor), colon and the saturation by one polynomial, it eliminates an
-auxiliary variable t. There the saturation makes a signature run from the
+linear form certified by its leading terms, by a monomial test that is
+the Hilbert polynomial's. By x3 it is a Bayer-Stillman reverse-lex
+division, skipped when x3 divides no basis element, as the colon is then
+I; by any other form, like intersection (which also gives the gcd that
+names a common factor), colon and the saturation by one polynomial, it
+eliminates an auxiliary variable t. There the saturation makes a signature run from the
 finished basis of I (`_signature_terms`): t*l - 1 is a non-zero-divisor
 modulo I, so F5's criterion against the leading terms of I drops every
 syzygy and no J-pair reduces to zero. A Buchberger run returns its
@@ -24,6 +24,8 @@ minimal basis, and the eliminations tail-reduce only the t-free rows they
 keep (only a t-free leading term divides a t-free monomial), the
 saturation only the colon it accepts. The tests compare the saturation
 against those.
+The Hilbert series numerator of R/I is read from the packed leading terms
+of I's reduced basis (`_lt_numerator`), which `hilbert.hilbert` keeps.
 An ideal may carry a certified numerator N, HF_{R/I}(n) >= HF_N(n) for
 n <= deg N (`Ideal._of_rows`): every run of it drops the pairs of degree
 n once its leading terms fill dim R_n - HF_N(n), as they all reduce to
@@ -58,7 +60,7 @@ from math import gcd
 
 from .errors import DomainError, InternalInconsistency, NonTermination
 from .grammar import _format_monomial, _signed_sum
-from .hilbert import hilbert, hilbert_from_lt, hilbert_function
+from .hilbert import hilbert, hilbert_function, numerator_from_terms
 from .poly import (
     NVARS,
     Poly,
@@ -117,6 +119,53 @@ def _lcm(a, b):
     z = y ^ (x ^ y) & (((x | _GUARDS) - y & _GUARDS) >> 15) * 0xFFFF
     deg = (z & (1 << 64) - 1) * 0x1000100010001 >> 48 & 0xFFFF  # a0 + a1 + a2 + a3
     return (z >> 64 << 96) + (deg << 80) - z
+
+
+def _minimal(mons):
+    """The minimal generators, ascending, of the ideal of packed t-free
+    monomials: a divisor of m sorts before m, as its degree is lower."""
+    out = []
+    for m in sorted(set(mons)):
+        for o in out:
+            if not (o - m) & _GUARDS:
+                break
+        else:
+            out.append(m)
+    return tuple(out)
+
+
+def _lt_numerator(lts):
+    """The numerator tuple of the Hilbert series of R/M over (1-t)^4, for
+    the ideal M of the packed t-free monomials lts: () for the unit ideal.
+
+    With M's minimal generators m_1 < ... < m_n,
+        N(m_1, ..., m_n) = 1 - sum_k t^deg(m_k) N((m_1, ..., m_(k-1)) : m_k),
+    each colon generated by the lcm(m_i, m_k)/m_k, i < k, minimalized; a
+    colon that is 0 or principal, (q), has N = 1 or 1 - t^deg(q), written
+    out. A colon has fewer generators than its parent, so the recursion
+    nests at most n deep; the memo lives for one call."""
+    memo = {}
+
+    def numerator(gens):
+        out = memo.get(gens)
+        if out is None:
+            out = {0: 1}
+            for k, m in enumerate(gens):
+                d = _degree(m)
+                colon = [_lcm(g, m) - m for g in gens[:k]]
+                if k > 1:
+                    colon = _minimal(colon)
+                if len(colon) > 1:
+                    for j, c in numerator(colon).items():
+                        out[j + d] = out.get(j + d, 0) - c
+                else:
+                    out[d] = out.get(d, 0) - 1
+                    for q in colon:
+                        out[d + _degree(q)] = out.get(d + _degree(q), 0) + 1
+            memo[gens] = out
+        return out
+
+    return numerator_from_terms(numerator(_minimal(lts)).items())
 
 
 def _packed(t):
@@ -236,7 +285,10 @@ def _signature_terms(done, f):
         with a smaller leading term (the cover criterion of Gao, Volny and
         Wang, Math. Comp. 85, 2016).
     Otherwise the multiple of signature u with the least leading term is
-    top-reduced by `_regular_form` and kept as an element.
+    top-reduced by `_regular_form` and kept as an element. A J-pair with an
+    element of done whose leading term is coprime to the new element's has
+    u = sig*LT, which F5's criterion drops, so it is not formed; done's
+    leading terms are scanned from one list.
 
     F5's criterion drops every syzygy: f is a non-zero-divisor on
     (R/I)[t], as its constant coefficient -1 is a unit (McCoy), so a
@@ -249,18 +301,26 @@ def _signature_terms(done, f):
     J-pair's lcm and signature keeps every exponent in its field.
     """
     basis = [(max(g), g) for g in done]
+    lts = [lt for lt, _ in basis]
     elements, jpairs = [], []
 
     def add(sig, h):
         lt = max(h)
-        for lt2, s in [*((lt2, None) for lt2, _ in basis), *((lt2, s) for s, lt2, _ in elements)]:
+        cands = []
+        for lt2 in lts:
             l = _lcm(lt, lt2)
-            u = l - lt + sig
-            if s is not None:
-                if u == l - lt2 + s:
-                    continue
-                u = max(u, l - lt2 + s)
-            if all((lt3 - u) & _GUARDS for lt3, _ in basis):
+            if l != lt + lt2:  # coprime: lt2 divides u = sig*lt2, F5's criterion
+                cands.append((l - lt + sig, l))
+        for s, lt2, _ in elements:
+            l = _lcm(lt, lt2)
+            u, u2 = l - lt + sig, l - lt2 + s
+            if u != u2:
+                cands.append((max(u, u2), l))
+        for u, l in cands:
+            for lt3 in lts:
+                if not (lt3 - u) & _GUARDS:
+                    break  # F5's criterion
+            else:
                 _bounded(max(_degree(u), _degree(l)))
                 heappush(jpairs, (u, l))
         elements.append((sig, lt, h))
@@ -390,10 +450,10 @@ class Ideal:
     reduced basis of engine polys. `groebner()` builds that basis as monic
     Polys sorted by leading term, `basis_strings()` prints it, and `gens` is
     that basis on an ideal the engine made, else the given generators.
-    `hilbert.hilbert` keeps the ideal's HilbertData in `_hilbert`; the ideal
-    `saturate` returns is made with the data of the colon its certificate
-    accepted. `_lower` is the certified numerator that every Buchberger run
-    of the ideal is told."""
+    `hilbert.hilbert` keeps the ideal's HilbertData in `_hilbert`, read from
+    `_numerator`; the ideal `saturate` returns has none, unless it is I
+    itself, with whatever data I holds. `_lower` is the certified numerator
+    that every Buchberger run of the ideal is told."""
 
     __slots__ = ("_rows", "_reduced", "_hilbert", "_lower")
 
@@ -445,6 +505,11 @@ class Ideal:
 
     def leading_monomials(self):
         return tuple(_unpack(max(g)) for g in self._basis())
+
+    def _numerator(self):
+        """The Hilbert series numerator of R/I, read from the packed leading
+        terms of the reduced basis, which `hilbert.hilbert` keeps."""
+        return _lt_numerator(max(g) for g in self._basis())
 
     def contains(self, p):
         return normal_form(p, self).is_zero()
@@ -615,11 +680,6 @@ def saturate_iterated_colon(I, f, cap=64):
     raise NonTermination(f"colon iteration did not stabilize within {cap} steps")
 
 
-def _lt_hilbert(basis):
-    """The HilbertData of R modulo the leading terms of engine polys."""
-    return hilbert_from_lt([_unpack(max(g)) for g in basis])
-
-
 def _function(numerator, degree):
     """The Hilbert function of a numerator in the degrees 0, ..., degree."""
     return [hilbert_function(numerator, n) for n in range(degree + 1)]
@@ -645,8 +705,8 @@ def hilbert_numerator(I, degree):
     """
     lower, modular = I._lower, ()
     if I._hilbert is None and lower is not None and degree < len(lower):
-        modular = _function(_lt_hilbert(_buchberger_terms(
-            _mod_p_rows(I._rows, PRIME), PRIME, cap=degree, lower=lower)).numerator, degree)
+        rows = _buchberger_terms(_mod_p_rows(I._rows, PRIME), PRIME, cap=degree, lower=lower)
+        modular = _function(_lt_numerator(max(g) for g in rows), degree)
         if modular == _function(lower, degree):
             return lower
     rational = hilbert(I).numerator
@@ -658,47 +718,70 @@ def hilbert_numerator(I, degree):
     return rational
 
 
+def _lt_saturation(lts):
+    """Membership in M^sat = M : m^infinity for the ideal M of the packed
+    t-free monomials lts, m = (x0, x1, x2, x3). A monomial of degree 4N has
+    an exponent at least N, so g*m^(4N) lies in M once every g*x_i^N does:
+    M^sat is the intersection of the M : x_i^infinity, each generated by
+    lts with their x_i-exponents cleared. So g lies in M^sat iff, for each
+    i, one of lts with its x_i-exponent cleared divides g."""
+    cleared = [[m - ((-m & _FIELDS) >> 16 * i & 0xFFFF) * x for m in lts]
+               for i, x in enumerate(_VARS)]
+    return lambda g: all(any(not (c - g) & _GUARDS for c in cs) for cs in cleared)
+
+
 def saturate(I):
     """I : m^infinity, the saturation by the irrelevant ideal
     m = (x0, x1, x2, x3).
 
-    It is I : l^infinity for the first l_k = k*x0 + k^2*x1 + k^3*x2 + x3,
-    k = 0, 1, 2, ..., that passes a certificate.
-    Certificate: I^sat lies in I : l^infinity, so equal Hilbert polynomials
-    leave a quotient of finite length, and the two are equal. The check
-    fails exactly when l_k lies in an associated prime P != m of I. The
-    linear forms in P lie in a hyperplane, which meets the twisted cubic
-    (k, k^2, k^3, 1) at most 3 times: at most 3 failures per such prime.
+    It is C = I : l^infinity for the first l_k = k*x0 + k^2*x1 + k^3*x2 + x3,
+    k = 0, 1, 2, ..., that passes a certificate. I^sat lies in C, so C is
+    I^sat exactly when the Hilbert polynomials HP(C) and HP(I) are equal:
+    then C/I has finite length, and C lies in I^sat. That fails exactly
+    when l_k lies in an associated prime P != m of I. The linear forms in
+    P lie in a hyperplane, which meets the twisted cubic (k, k^2, k^3, 1)
+    at most 3 times: at most 3 failures per such prime.
+
+    Certificate: every leading term of C lies in LT(I)^sat, the monomial
+    saturation (`_lt_saturation`), which is the Hilbert-polynomial test:
+      - I lies in C, so HP(C) <= HP(I);
+      - LT(C) in LT(I)^sat gives HP(C) >= HP(R/LT(I)^sat) = HP(I), as
+        LT(I)^sat/LT(I) has finite length;
+      - conversely, HP(C) = HP(I) puts C in I^sat: for f in C, m^N*f lies
+        in I, so m^N*LT(f) lies in LT(I), and LT(f) lies in LT(I)^sat.
+    No colon's Hilbert series is computed, and only the leading terms the
+    step adds to those of I are tested.
+
     The reduced basis of I is computed once and kept on I. l_0 = x3 is the
     cheapest variable, so dividing each element of that basis by its largest
-    power of x3 gives a Groebner basis of the colon (Bayer-Stillman), which is
-    only minimalized and tail-reduced; when x3 divides no element the
-    colon is I, so I is saturated and is returned with its own data. For
-    k >= 1 the colon is the t-free part of a block-order Groebner basis
-    of that basis plus f = t*l_k - 1. The block order is grevlex on t-free
-    polynomials, so the basis of I is already a Groebner basis there, and
-    `_signature_terms` adds f to it by one incremental signature run. By
-    McCoy's theorem f is a non-zero-divisor on (R/I)[t], as its constant
-    coefficient is the unit -1, so every syzygy with an f-component is a
-    Koszul syzygy plus a syzygy of the basis: F5's criterion against the
-    leading terms of I drops all of them, and no J-pair reduces to zero.
-    The target is `hilbert(I)`, kept on I, and each colon is tested by its
-    leading terms alone: only the accepted one is tail-reduced, and the
-    result keeps its HilbertData.
+    power of x3 gives a Groebner basis of the colon (Bayer-Stillman), whose
+    shifted leading terms are tested before the shifted rows are built and
+    which is only minimalized and tail-reduced; when x3 divides no element
+    the colon is I, so I is saturated and is returned with whatever data I
+    holds. For k >= 1 the colon is the t-free part of a block-order
+    Groebner basis of that basis plus f = t*l_k - 1. The block order is
+    grevlex on t-free polynomials, so the basis of I is already a Groebner
+    basis there, and `_signature_terms` adds f to it by one incremental
+    signature run, whose t-free elements are tested. By McCoy's theorem f
+    is a non-zero-divisor on (R/I)[t], as its constant coefficient is the
+    unit -1, so every syzygy with an f-component is a Koszul syzygy plus a
+    syzygy of the basis: F5's criterion against the leading terms of I
+    drops all of them, and no J-pair reduces to zero. Only the accepted
+    colon is tail-reduced; the result carries no HilbertData, which
+    `hilbert.hilbert` reads from its reduced basis when asked.
     """
-    own = hilbert(I)
-    reduced, target = I._basis(), own.hp_coeffs
-    for k in itertools.count():
-        if k:
-            l_k = dict(zip(_VARS, (k, k * k, k ** 3, 1)))
-            rabinowitsch = {**_extend(l_k), 0: -1}  # t*l_k - 1; 1 packs to 0
-            colon = _t_free(_signature_terms(reduced, rabinowitsch))
-        else:
-            # the largest power of x3 that divides each element, from its x3-fields
-            x3es = [_pack((0, 0, 0, min((-m & _FIELDS) >> 48 for m in g))) for g in reduced]
-            if not any(x3es):
-                return _engine_ideal(reduced, own)
-            colon = [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)]
-        h = _lt_hilbert(colon)
-        if h.hp_coeffs == target:
-            return _engine_ideal(_reduced_basis(colon), h)
+    reduced = I._basis()
+    # the largest power of x3 that divides each element, from its x3-fields
+    x3es = [_pack((0, 0, 0, min((-m & _FIELDS) >> 48 for m in g))) for g in reduced]
+    if not any(x3es):
+        return _engine_ideal(reduced, I._hilbert)
+    saturated = _lt_saturation([max(g) for g in reduced])
+    if all(saturated(max(g) - e) for g, e in zip(reduced, x3es) if e):
+        return _engine_ideal(_reduced_basis(
+            [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)]))
+    for k in itertools.count(1):
+        l_k = dict(zip(_VARS, (k, k * k, k ** 3, 1)))
+        rabinowitsch = {**_extend(l_k), 0: -1}  # t*l_k - 1; 1 packs to 0
+        added = _t_free(_signature_terms(reduced, rabinowitsch)[len(reduced):])
+        if all(saturated(max(g)) for g in added):
+            return _engine_ideal(_reduced_basis(reduced + added))

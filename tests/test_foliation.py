@@ -264,4 +264,4 @@ def test_finite_schemes_are_certified_with_no_s_pair(monkeypatch):
             assert runs == [lower]
             assert len(sats) == 1
         expected = saturate(Ideal(minors))
-        assert sat == expected and sat._hilbert == expected._hilbert
+        assert sat == expected and hilbert(sat) == hilbert(expected)

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import sys
@@ -26,15 +25,13 @@ from p3dist.groebner import (
     saturate_iterated_colon,
     saturate_single,
 )
-from p3dist.hilbert import hilbert
+from p3dist.hilbert import hilbert, hilbert_from_numerator
 from p3dist.poly import Poly, X0, X1, X2, X3, grevlex_key
 
 from conftest import make_rng, random_nonzero_poly
+from hilbert_oracle import numerator as oracle_numerator
 from maxorder import ROWS, oneform
 from test_foliation import random_linear_field
-
-# the package exports the function `hilbert` under the module's name
-hilbert_module = importlib.import_module("p3dist.hilbert")
 
 # the sparse-forms workload's inputs, read from perfbench/run.py
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -243,31 +240,84 @@ def test_saturate_irrelevant_against_oracle():
         assert saturate(I) == _saturate_oracle(I)
 
 
-def test_saturation_keeps_its_hilbert_data(monkeypatch):
-    # the input's Hilbert polynomial is computed once and the colon's once
-    # per k; the result keeps the accepted colon's data, which is the data
-    # of its own leading terms, and `hilbert` reads it without recomputing
-    real = groebner.hilbert_from_lt
+def test_saturation_computes_no_colon_numerator(monkeypatch):
+    # the certificate reads leading terms alone: saturate computes no Hilbert
+    # numerator and leaves the data I holds as it is; hilbert(sat) is read
+    # once, when asked, from sat's own leading terms
+    real = groebner._lt_numerator
     calls = []
 
     def counting(lts):
-        calls.append(lts)
+        calls.append(None)
         return real(lts)
 
-    monkeypatch.setattr(groebner, "hilbert_from_lt", counting)
-    monkeypatch.setattr(hilbert_module, "hilbert_from_lt", counting)
+    monkeypatch.setattr(groebner, "_lt_numerator", counting)
     # x3 * (x0, x1) has the plane (x3) among its primes, so l_0 = x3 fails
     example2 = Ideal(corpus.load_oneform("example2").one_form_coeffs())
-    for I, k in ((Ideal((X0 * X3, X1 * X3)), 1), (example2, 0)):
+    for I in [Ideal((X0 * X3, X1 * X3)), example2] + random_saturation_cases():
         calls.clear()
         sat = saturate(I)
-        assert len(calls) == k + 2
-        assert hilbert(sat) is sat._hilbert
-        assert len(calls) == k + 2
-        assert sat._hilbert == real(sat.leading_monomials())
-    for I in random_saturation_cases():
+        assert calls == [] and I._hilbert is None
+        h = hilbert(sat)
+        assert hilbert(sat) is h and len(calls) == 1
+        assert h.numerator == oracle_numerator(sat.leading_monomials())
+        data = hilbert(I)
+        calls.clear()
+        saturate(I)
+        assert calls == [] and I._hilbert is data
+
+
+def _colon_leading_terms(I, k, run):
+    """The leading terms of the colon I : l_k that `saturate` tries, from
+    the basis of I and, for k >= 1, the signature run it made."""
+    reduced = I._basis()
+    if k:
+        return [groebner._unpack(max(g)) for g in groebner._t_free(run)]
+    return [tuple(a - (i == 3) * min(groebner._unpack(m)[3] for m in g)
+                  for i, a in enumerate(groebner._unpack(max(g)))) for g in reduced]
+
+
+def _sparse_form_ideals():
+    return [coefficient_ideal(cli.parse_input(json.dumps(item["doc"])))
+            for seed in (1, 2, 3) for item in perfbench_run.build_items("sparse-forms", seed)]
+
+
+# the inputs on which the saturation's k >= 1 step runs: the maxorder rows,
+# the sparse-forms workload and the random cases
+saturation_inputs = pytest.mark.parametrize("ideals", (
+    lambda: [coefficient_ideal(oneform(row, d, seed=1)) for row in sorted(ROWS) for d in (3, 4, 5)],
+    _sparse_form_ideals,
+    random_saturation_cases,
+), ids=("maxorder", "sparse-forms", "random"))
+
+
+@saturation_inputs
+def test_leading_term_certificate_is_the_hilbert_polynomial_test(monkeypatch, ideals):
+    # every colon saturate tries is rejected but the last, and that verdict
+    # of its leading-term certificate is the verdict of the Hilbert
+    # polynomial, computed by the tuple oracle: HP(colon) = HP(I)
+    runs = []
+    signature_run = groebner._signature_terms
+
+    def recording_run(done, f):
+        assert len(runs) < 6, "no l_k accepted for k <= 6"
+        runs.append(signature_run(done, f))
+        return runs[-1]
+
+    monkeypatch.setattr(groebner, "_signature_terms", recording_run)
+    accepted_at = set()
+    for I in ideals():
+        runs.clear()
         sat = saturate(I)
-        assert sat._hilbert == real(sat.leading_monomials())
+        if sat._rows is I._basis():
+            continue  # x3 divides no element: the colon is I
+        target = hilbert_from_numerator(oracle_numerator(I.leading_monomials())).hp_coeffs
+        tried = [_colon_leading_terms(I, k, run) for k, run in enumerate([None, *runs])]
+        hp = [hilbert_from_numerator(oracle_numerator(lts)).hp_coeffs == target for lts in tried]
+        assert hp == [False] * len(runs) + [True]
+        accepted_at.add(len(runs))
+    # each input set has a colon rejected, and every input one accepted
+    assert accepted_at and max(accepted_at) >= 1
 
 
 def _engine_basis(I):
@@ -304,16 +354,7 @@ def test_seeded_elimination_matches_the_unseeded_run():
             _eliminations_agree(I, k)
 
 
-def _sparse_form_ideals():
-    return [coefficient_ideal(cli.parse_input(json.dumps(item["doc"])))
-            for seed in (1, 2, 3) for item in perfbench_run.build_items("sparse-forms", seed)]
-
-
-@pytest.mark.parametrize("ideals", (
-    lambda: [coefficient_ideal(oneform(row, d, seed=1)) for row in sorted(ROWS) for d in (3, 4, 5)],
-    _sparse_form_ideals,
-    random_saturation_cases,
-), ids=("maxorder", "sparse-forms", "random"))
+@saturation_inputs
 def test_signature_run_reduces_nothing_to_zero(monkeypatch, ideals):
     # f = t*l - 1 is a non-zero-divisor modulo I, so F5's criterion against
     # the leading terms of I drops every syzygy, and no J-pair of the k >= 1
@@ -374,27 +415,32 @@ def _colon_by_x3(I):
     colon = groebner._reduced_basis(
         [{m - e: c for m, c in g.items()} for g, e in zip(reduced, x3es)])
     lts = [groebner._unpack(max(g)) for g in colon]
-    return groebner._engine_ideal(colon).groebner(), groebner.hilbert_from_lt(lts), any(x3es)
+    return (groebner._engine_ideal(colon).groebner(),
+            hilbert_from_numerator(oracle_numerator(lts)), any(x3es))
 
 
 def test_x3_free_basis_returns_the_ideal():
     # when x3 divides no element of the basis, I : x3^inf = I: the early
-    # return gives the colon route's basis and Hilbert data
+    # return gives the colon route's basis, with whatever data I holds
+    # (none, or I's own where it was read first), and its Hilbert data is
+    # the colon route's
     fields = [corpus.load_vfield(name) for name in corpus.corpus_names()["vfields"]]
     rng = make_rng(109)
     fields += [random_linear_field(rng) for _ in range(40)]
     returned = 0
-    for v in fields:
+    for n, v in enumerate(fields):
         minors = minors_against_radial(v)
         if all(m.is_zero() for m in minors):
             continue
         I = Ideal(minors)
         basis, data, divides = _colon_by_x3(I)
+        if n % 2:
+            hilbert(I)
         sat = saturate(I)
         if not divides:
             returned += 1
-            assert sat.groebner() == basis and sat._hilbert == data
-            assert I._hilbert is sat._hilbert
+            assert sat.groebner() == basis and I._hilbert is sat._hilbert
+            assert hilbert(sat) == data
     assert returned >= 20
 
 

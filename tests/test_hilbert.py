@@ -1,15 +1,18 @@
 import importlib
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from p3dist import groebner
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal
-from p3dist.hilbert import dimension_degree, hilbert
+from p3dist.hilbert import dimension_degree, hilbert, hilbert_from_numerator
 from p3dist.poly import Poly, X0, X1, X2, X3, dim_graded_piece, monomials_of_degree
 
 from conftest import make_rng, module_cache_sizes, random_nonzero_poly
+from hilbert_oracle import numerator as oracle_numerator
 
 
 def P(s):
@@ -172,3 +175,49 @@ def test_hilbert_keeps_no_module_cache():
     for _ in range(10):
         hilbert(Ideal(tuple(random_nonzero_poly(rng, 2) for _ in range(3))))
     assert module_cache_sizes(hilbert_module) == before
+
+
+def kernel(mons):
+    """The package's numerator kernel, on the packed monomials."""
+    return groebner._lt_numerator([groebner._pack(m) for m in mons])
+
+
+def random_monomial(rng, degree):
+    cuts = sorted(rng.randint(0, degree) for _ in range(3))
+    return (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], degree - cuts[2])
+
+
+def test_kernel_matches_the_tuple_oracle():
+    # random monomial ideals, low exponents and high, with pure powers of
+    # some variables, and one of 72 minimal generators of degree up to 14
+    rng = make_rng(131)
+    for _ in range(300):
+        mons = [tuple(rng.randint(0, 6) for _ in range(4)) for _ in range(rng.randint(0, 12))]
+        for v in rng.sample(range(4), rng.randint(0, 4)):
+            mons.append(tuple(rng.randint(1, 9) if i == v else 0 for i in range(4)))
+        assert kernel(mons) == oracle_numerator(mons), mons
+    mons = set()
+    while len(groebner._minimal([groebner._pack(m) for m in mons])) < 72:
+        mons.add(random_monomial(rng, rng.randint(6, 14)))
+    start = time.perf_counter()
+    got = kernel(mons)
+    assert time.perf_counter() - start < 1.0
+    assert got == oracle_numerator(mons)
+
+
+@pytest.mark.parametrize("mons, expected", [
+    ((), (1,)),
+    (((0, 0, 0, 0),), ()),
+    (((0, 0, 0, 0), (1, 0, 0, 0)), ()),
+    (((1500, 0, 0, 0), (1499, 1, 0, 0)), None),
+], ids=("zero", "unit", "unit-and-x0", "x0^1499-plane"))
+def test_kernel_edge_ideals(mons, expected):
+    # the zero ideal has N = 1 and the unit ideal N = 0; x0^1499 * (x0, x1)
+    # nests one colon deep, whatever the exponent
+    got = kernel(mons)
+    assert got == oracle_numerator(mons)
+    if expected is not None:
+        assert got == expected
+    else:
+        h = hilbert_from_numerator(got)
+        assert (h.projective_dimension, h.degree) == (2, 1499)
