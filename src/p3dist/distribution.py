@@ -19,13 +19,14 @@ from .errors import (
     DivisorialSingularity,
     DomainError,
     InconsistentInvariants,
+    InternalInconsistency,
     NumericContradiction,
 )
 from .exterior import VField, checked_oneform, coefficient_ideal
 from .groebner import Ideal, divide_exact, intersect, saturate
 from .hilbert import hilbert
-from .linalg import compute_tF
-from .poly import NVARS, ZERO_MON, Poly, add_product, diff_row
+from .linalg import _dims, compute_tF
+from .poly import NVARS, ZERO_MON, Poly, add_product, diff_row, dim_graded_piece
 
 
 # largest d_max that table1 accepts
@@ -234,6 +235,19 @@ def split_test(t, chern):
     return split
 
 
+def _check_split(split, numerator, d):
+    """A split T_F = O(a) + O(b) has h0(T_F(t - 1)) = R(a + t - 1) + R(b + t - 1),
+    R(n) = dim R_n; the numerator of the coefficient ideal must give that
+    h0 at every twist t <= d + 1, or InternalInconsistency is raised."""
+    a, b = split
+    for t in range(d + 2):
+        h0 = _dims(numerator, 1, d + 2, t).h0
+        expected = dim_graded_piece(a + t - 1) + dim_graded_piece(b + t - 1)
+        if h0 != expected:
+            raise InternalInconsistency(
+                f"h0 at twist {t} is {h0}, not {expected} as the split type {split} gives")
+
+
 def _stability(t, split, chern):
     """The class read from the order of nonstability (eps - c1)/2 - (t - 1),
     eps = c1 mod 2, when F(t - 1) is the first twist with a section; for
@@ -261,6 +275,8 @@ def classify(omega):
     d, sing, chern = validate_oneform(omega)
     tF, section, sdim = compute_tF(omega)
     split = split_test(tF, chern)
+    if split is not None:
+        _check_split(split, hilbert(coefficient_ideal(omega)).numerator, d)
     verdict = _stability(tF, split, chern)
     notes = []
     if chern.c2 < 0:

@@ -195,9 +195,11 @@ def exterior_derivative(a):
 
 
 class VField:
-    """Polynomial vector field F0*d/dx0 + ... + F3*d/dx3."""
+    """Polynomial vector field F0*d/dx0 + ... + F3*d/dx3. `_minors` keeps
+    the ideal of its minors against the radial field once
+    `foliation.sing_scheme_v` has built it."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_minors")
 
     def __init__(self, components):
         comps = tuple(
@@ -206,6 +208,7 @@ class VField:
         if len(comps) != NVARS:
             raise ValueError(f"need {NVARS} components")
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_minors", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VField is immutable")

@@ -74,28 +74,36 @@ def sing_scheme_v(v):
     (checked) and J is saturated by (c), returned as the ideal of its
     reduced basis; any other J is saturated from that basis.
     """
-    e = field_degree(v)
-    _, fs = integer_multiples(v.components)
-    minors = [m for m in _radial_minors(fs) if m]
-    if not minors:
-        raise RadialField("field is a multiple of the radial field")
-    n_e = _eagon_northcott(e)
-    J = Ideal._of_rows(minors, n_e)
+    J = _minors(v)
     h = hilbert(J)
     if h.projective_dimension > 0:
         return saturate(J)
-    if h.numerator != n_e:
+    if h.numerator != J._lower:
         raise InternalInconsistency(f"minors with a finite scheme have the numerator"
-                                    f" {h.numerator}, not the Eagon-Northcott {n_e}")
+                                    f" {h.numerator}, not the Eagon-Northcott {J._lower}")
     return _engine_ideal(J._basis(), h)
+
+
+def _minors(v):
+    """The ideal J of `sing_scheme_v`'s minors, carrying N_e, kept on the
+    field so that its reduced basis and Hilbert data are computed once."""
+    if v._minors is None:
+        e = field_degree(v)
+        _, fs = integer_multiples(v.components)
+        minors = [m for m in _radial_minors(fs) if m]
+        if not minors:
+            raise RadialField("field is a multiple of the radial field")
+        object.__setattr__(v, "_minors", Ideal._of_rows(minors, _eagon_northcott(e)))
+    return v._minors
 
 
 def conormal_invariants(v):
     """Singular-scheme invariants and the Chern triple of N* for a degree-d'
-    field."""
+    field. The numbers are read from the Hilbert data of the minors J, which
+    `sing_scheme_v` keeps, as J and J^sat share their Hilbert polynomial."""
     d = field_degree(v)
     sat = sing_scheme_v(v)
-    numbers, chern = curve_invariants(sat, -1, d - 1, "minors against the radial field")
+    numbers, chern = curve_invariants(_minors(v), -1, d - 1, "minors against the radial field")
     return SingInvariants(*numbers, sat), chern
 
 

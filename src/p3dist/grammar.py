@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import ZERO_MON, Poly, add_product
+from .poly import Poly, add_product
 
 ALIASES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3, "x": 0, "y": 1, "z": 2, "w": 3}
 
@@ -29,20 +29,22 @@ ALIASES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3, "x": 0, "y": 1, "z": 2, "w": 3}
 MAX_DEGREE = 20
 MAX_DEPTH = 64
 
-# the next token, found by search: a digit run, a variable, any other
-# non-space character, or the end of the text ("")
+# a token: a digit run, a variable, any other non-space character, or the
+# end of the text (""); a text's tokens are found once, as a list
 _TOKEN = re.compile(r"(\d+)|(x[0-3]|[xyzw])|(\S)|\Z")
 _NUMBER, _VARIABLE = 1, 2
 
 
 class _Parser:
-    """Recursive descent over _TOKEN matches. Each sum is added up in place
-    in a dict monomial -> nonzero int or Fraction; a factor comes with its
-    degree (-1 for zero)."""
+    """Recursive descent over the _TOKEN matches of a text. Each sum is
+    added up in place in a dict monomial -> nonzero int or Fraction; a
+    factor's degree is -1 when it is zero."""
 
     def __init__(self, text):
         self.text = text
-        self.tok = _TOKEN.search(text)
+        self.toks = list(_TOKEN.finditer(text))
+        self.pos = 0
+        self.tok = self.toks[0]
         self.depth = 0
 
     def fail(self, message, offset, expected=None):
@@ -62,7 +64,8 @@ class _Parser:
                       f"MAX_DEGREE = {MAX_DEGREE}", at)
 
     def advance(self):
-        self.tok = _TOKEN.search(self.text, self.tok.end())
+        self.pos += 1
+        self.tok = self.toks[self.pos]
 
     def take(self, ch):
         if self.tok[0] == ch:
@@ -92,29 +95,34 @@ class _Parser:
         self.check_cap("power", max(degree, 1) * n, at)
         return n
 
-    def factor(self):
-        tok = self.tok
-        if tok[_NUMBER]:
-            c = self.integer()
-            # p/q: the '/' is the next token, and q's digits follow it directly
-            slash = self.tok
-            den = _TOKEN.match(self.text, slash.end()) if slash[0] == "/" else None
-            if den and den[_NUMBER]:
-                self.tok = den
+    def number(self):
+        """The coefficient p or p/q at the current token, a digit run."""
+        c = self.integer()
+        # p/q: the '/' is the next token, and q's digits follow it directly
+        slash = self.tok
+        if slash[0] == "/":
+            den = self.toks[self.pos + 1]
+            if den[_NUMBER] and den.start() == slash.end():
+                self.advance()
                 q = self.integer()
                 if not q:
                     self.fail("zero denominator", den.end())
                 c = Fraction(c, q)
-            return ({ZERO_MON: c}, 0) if c else ({}, -1)
-        if tok[_VARIABLE]:
-            self.advance()
-            # x5 or y2 is a mistyped variable, not a variable times a number
-            if self.tok[_NUMBER] and self.tok.start() == tok.end():
-                self.fail(f"unexpected {self.tok[0][0]!r} right after variable "
-                          f"{tok[0]!r}", tok.end(), "variable x0..x3, x, y, z or w")
-            m = [0, 0, 0, 0]
-            m[ALIASES[tok[0]]] = n = self.exponent(1)
-            return {tuple(m): 1}, n
+        return c
+
+    def variable(self):
+        """(index, exponent) of the variable at the current token."""
+        tok = self.tok
+        self.advance()
+        # x5 or y2 is a mistyped variable, not a variable times a number
+        if self.tok[_NUMBER] and self.tok.start() == tok.end():
+            self.fail(f"unexpected {self.tok[0][0]!r} right after variable "
+                      f"{tok[0]!r}", tok.end(), "variable x0..x3, x, y, z or w")
+        return ALIASES[tok[0]], self.exponent(1)
+
+    def group(self):
+        """The terms and degree of a parenthesized factor and its power."""
+        tok = self.tok
         if not self.take("("):
             self.unexpected("number, variable, or '('")
         if self.depth == MAX_DEPTH:
@@ -129,19 +137,49 @@ class _Parser:
         return p.terms, p.degree()
 
     def term(self, acc, sign):
-        """acc += sign * (the next product of factors), in place."""
-        p, degree = self.factor()
-        # a factor follows a '*', or directly when it starts with a number,
-        # a variable or '('
-        while (self.take("*") or self.tok.lastindex in (_NUMBER, _VARIABLE)
-               or self.tok[0] == "("):
-            at = self.tok.start()
-            f, f_degree = self.factor()
-            self.check_cap("product", degree + f_degree, at)
-            product = {}
-            add_product(product, p, f)
-            p, degree = product, (degree + f_degree if product else -1)
-        add_product(acc, {ZERO_MON: 1}, p, sign)
+        """acc += sign * (the next product of factors), in place. Its number
+        and variable factors are kept as one coefficient and one exponent
+        list, and only a parenthesized factor multiplies dicts; the product
+        is zero, of degree -1, from its first zero factor on."""
+        c, exps, groups, degree = sign, [0, 0, 0, 0], None, None
+        while True:
+            tok = self.tok
+            if tok[_NUMBER]:
+                f = self.number()
+                c *= f
+                f_degree = 0 if f else -1
+            elif tok[_VARIABLE]:
+                i, f_degree = self.variable()
+                exps[i] += f_degree
+            else:
+                f, f_degree = self.group()
+                if groups is None:
+                    groups = f
+                else:
+                    product = {}
+                    add_product(product, groups, f)
+                    groups = product
+            if degree is None:
+                degree = f_degree
+            else:
+                self.check_cap("product", degree + f_degree, tok.start())
+                degree = -1 if -1 in (degree, f_degree) else degree + f_degree
+            # a factor follows a '*', or directly when it starts with a
+            # number, a variable or '('
+            if not (self.take("*") or self.tok.lastindex in (_NUMBER, _VARIABLE)
+                    or self.tok[0] == "("):
+                break
+        if not c:
+            return
+        m = tuple(exps)
+        if groups is not None:
+            add_product(acc, {m: c}, groups)
+        else:
+            c += acc.get(m, 0)
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
 
     def expr(self):
         acc = {}

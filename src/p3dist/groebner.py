@@ -35,10 +35,16 @@ carries one from its radial and Koszul syzygies
 numerator (`foliation.sing_scheme_v`).
 Coefficients are exact rationals, or residues mod a prime p for the
 modular cross-check and for `hilbert_numerator`'s run mod PRIME = 32003,
-the engine's one capped run. It rests on a sandwich: HF_N(n) <=
-HF_{R/I}(n) <= HF_{R/I_p}(n) for integer generators, n <= deg N, the
-upper side as the rank of the Macaulay matrix of I_n can only drop mod p
-(Arnold, J. Symbolic Comput. 35, 2003). Where it meets N up to the degree
+the engine's one capped run. A run mod p is read for its leading terms
+only, so it top-reduces: a reduction stops at the first term that no
+basis element divides, and only a remainder that is zero is reduced all
+the way. A run over QQ, whose rows are kept and printed, reduces fully.
+At a capped run's cap degree the pairs go largest lcm first, and the run
+stops as soon as the leading terms fill the bound; only runs mod p are
+capped. The capped run rests on a sandwich: HF_N(n) <= HF_{R/I}(n) <=
+HF_{R/I_p}(n) for integer generators, n <= deg N, the upper side as the
+rank of the Macaulay matrix of I_n can only drop mod p (Arnold,
+J. Symbolic Comput. 35, 2003). Where it meets N up to the degree
 asked, N is the Hilbert function there and no run over QQ is made;
 otherwise I's own data is read from its reduced basis and kept.
 
@@ -185,13 +191,16 @@ def _engine_form(t, p):
 
 
 def _normal_form_terms(f, basis, p):
-    """Fully reduce the engine poly f by a list of (lt, engine poly), on a
-    copy of f made here, the one row the reduction steps in place; f is
-    not modified.
+    """Reduce the engine poly f by a list of (lt, engine poly), on a copy
+    of f made here, the one row the reduction steps in place; f is not
+    modified.
 
-    Over QQ the result is an integer multiple of the remainder, its
-    content left in by every step; a caller that keeps it calls
-    `_engine_form`.
+    Over QQ the reduction is full, and the result is an integer multiple of
+    the remainder, its content left in by every step; a caller that keeps
+    it calls `_engine_form`. Over GF(p) it is a top reduction: it returns
+    at the first term that no basis element divides, as a run mod p is
+    read for its leading terms only, so a remainder is reduced all the way
+    only when it is zero.
     A heap of monomials, largest first, gives the next term to reduce;
     terms already passed are the remainder, and every later one is smaller.
     Each step returns the keys it added, and only those are pushed.
@@ -208,6 +217,9 @@ def _normal_form_terms(f, basis, p):
                 for k in fraction_free_step(f, g, m, m - lt, p):
                     heappush(heap, -k)
                 break
+        else:
+            if p:
+                return f
     return f
 
 
@@ -343,22 +355,31 @@ def _signature_terms(done, f):
 def _buchberger_terms(gens, p=None, cap=None, lower=None):
     """A minimal Groebner basis of packed dict-polys: the run's active
     engine polys, in the order they were kept. A caller that keeps the
-    rows makes them the reduced basis with `_reduced_basis`.
+    rows makes them the reduced basis with `_reduced_basis`, over QQ only:
+    a run mod p top-reduces (`_normal_form_terms`), so its rows carry
+    unreduced tails, and its callers read their leading terms alone.
 
-    Pairs wait in a heap keyed by (total degree of the lcm, lcm) and are
-    pruned by the Gebauer-Moller update when an element is added. `active`
-    holds the elements whose leading terms divide no other one; they
-    reduce, and only they form new pairs. Every term of an S-polynomial
-    and of its reduction is at most the pair's lcm in the term order, so
-    its degree is at most the lcm's (in the eliminations too: their
-    generators are homogeneous once t has weight 0 or -deg f), and checking
-    each new pair's lcm keeps every exponent in its field.
+    Pairs wait in a heap keyed by (total degree of the lcm, lcm), and by
+    (degree, -lcm) in a capped run's cap degree, so largest lcm first there;
+    they are pruned by the Gebauer-Moller update when an element is added.
+    `active` holds the elements whose leading terms divide no other one;
+    they reduce, and only they form new pairs. Every term of an S-polynomial
+    and of its reduction is at most the pair's lcm in the term order, so its
+    degree is at most the lcm's (in the eliminations too: their generators
+    are homogeneous once t has weight 0 or -deg f), and checking each new
+    pair's lcm keeps every exponent in its field.
 
     With a degree `cap` and homogeneous gens, pairs are taken up to that
-    degree only, and with a bound below too, up to the first bounded
-    degree whose leading terms span fewer monomials than the bound: the
-    leading terms of the elements returned generate the leading-term ideal
-    in every degree up to the one where the run stops.
+    degree only, and with a bound below too, up to the first bounded degree
+    whose leading terms span fewer monomials than the bound: the leading
+    terms of the elements returned generate the leading-term ideal in every
+    degree up to the one where the run stops. Below the cap the rows found
+    in a degree reduce the pairs of the next; in the cap degree nothing
+    comes after, and on the forms of `compute_tF` the largest lcm first
+    fills the bound before the pairs that reduce to zero. Any order of one
+    degree's pairs finds the same leading terms in that degree, and the
+    normal form is zero under top reduction exactly when it is under full
+    reduction, so the leading terms returned do not depend on either choice.
 
     `lower` is a Hilbert series numerator N with HF_{R/I}(n) >= HF_N(n)
     for n <= deg N, for homogeneous gens over QQ, so dim I_n <= bound[n] =
@@ -400,11 +421,14 @@ def _buchberger_terms(gens, p=None, cap=None, lower=None):
         # both new lcms
         pairs = [
             e for e in pairs
-            if (lt - e[1]) & _GUARDS
-            or _lcm(lts[e[2]], lt) == e[1]
-            or _lcm(lts[e[3]], lt) == e[1]
+            if (lt - e[2]) & _GUARDS
+            or _lcm(lts[e[3]], lt) == e[2]
+            or _lcm(lts[e[4]], lt) == e[2]
         ]
-        pairs.extend((_bounded(_degree(l)), l, i, new) for l, i in kept if i is not None)
+        for l, i in kept:
+            if i is not None:
+                deg = _bounded(_degree(l))
+                pairs.append((deg, -l if deg == cap else l, l, i, new))
         heapify(pairs)
         active = [i for i in active if (lt - lts[i]) & _GUARDS] + [new]
         basis = [(lts[i], polys[i]) for i in active]
@@ -418,7 +442,7 @@ def _buchberger_terms(gens, p=None, cap=None, lower=None):
         n: dim_graded_piece(n) - hilbert_function(lower, n) for n in range(len(lower))}
     at, filled = None, set()  # the bounded degree being run, its leading monomials
     while pairs and (cap is None or pairs[0][0] <= cap):
-        deg, l, i, j = heappop(pairs)
+        deg, _, l, i, j = heappop(pairs)
         if deg in bound:
             if deg != at:
                 if cap is not None and at is not None and len(filled) < bound[at]:
@@ -710,11 +734,12 @@ def hilbert_numerator(I, degree):
         if modular == _function(lower, degree):
             return lower
     rational = hilbert(I).numerator
-    for n, (hf, hf_p) in enumerate(zip(_function(rational, degree), modular)):
-        if hf > hf_p:
-            I._keep(I._rows, lower=lower)
-            raise InternalInconsistency(
-                f"Hilbert function {hf} in degree {n} over QQ is above {hf_p} mod {PRIME}")
+    if modular:
+        for n, (hf, hf_p) in enumerate(zip(_function(rational, degree), modular)):
+            if hf > hf_p:
+                I._keep(I._rows, lower=lower)
+                raise InternalInconsistency(
+                    f"Hilbert function {hf} in degree {n} over QQ is above {hf_p} mod {PRIME}")
     return rational
 
 

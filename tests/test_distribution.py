@@ -9,6 +9,7 @@ from p3dist.errors import (
     DomainError,
     EulerViolation,
     InconsistentInvariants,
+    InternalInconsistency,
     InvalidForm,
     NumericContradiction,
 )
@@ -21,12 +22,12 @@ from p3dist.exterior import (
 )
 from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal, _engine_ideal
-from p3dist.hilbert import dimension_degree, hilbert
+from p3dist.hilbert import dimension_degree, hilbert, numerator_from_terms
 from p3dist.linalg import _dims, compute_tF
 from p3dist.poly import Poly, X0, X1, X2, X3
 
 from conftest import make_rng, random_poly
-from maxorder import ROWS, linear_field
+from maxorder import ROWS, linear_field, oneform
 
 
 def pencil_form(f, g):
@@ -165,6 +166,26 @@ def test_split_test_numeric():
 def test_split_test_contradiction_guard():
     with pytest.raises(NumericContradiction):
         dist.split_test(1, ChernTriple(1, 0, 0))
+
+
+def test_split_is_checked_against_the_numerator(pencil_of_planes):
+    # a printed split O(a) + O(b) has h0(T_F(t - 1)) = R(a + t - 1) +
+    # R(b + t - 1) at every twist t <= d + 1, read from the numerator of the
+    # coefficient ideal; one more in degree 2d + 2 moves h0 at t = d + 1
+    # only, above t_F, and classify raises there
+    splits = [pencil_of_planes, pencil_form(X0, parse_poly("y^3 + z^3 + x*y*z")),
+              oneform("distinct", 3, 1)]
+    for form in splits:
+        omega = ExtForm.one_form(*form.one_form_coeffs())
+        assert dist.classify(omega).stability.klass == "split"
+        omega = ExtForm.one_form(*form.one_form_coeffs())
+        d, _ = exterior.checked_oneform(omega)
+        ideal = exterior.coefficient_ideal(omega)
+        h = hilbert(ideal)
+        forged = numerator_from_terms([*enumerate(h.numerator), (2 * d + 2, 1)])
+        object.__setattr__(ideal, "_hilbert", h._replace(numerator=forged))
+        with pytest.raises(InternalInconsistency, match=f"h0 at twist {d + 1} is"):
+            dist.classify(omega)
 
 
 def test_classification_families(example1, example2):

@@ -265,3 +265,18 @@ def test_finite_schemes_are_certified_with_no_s_pair(monkeypatch):
             assert len(sats) == 1
         expected = saturate(Ideal(minors))
         assert sat == expected and hilbert(sat) == hilbert(expected)
+
+
+def test_field_numbers_are_read_from_the_minors(monkeypatch):
+    # J and J^sat share their Hilbert polynomial, so analyze reads the
+    # numbers from the data of the minors J, kept on the field: one Hilbert
+    # numerator a field, whether its scheme is finite or a curve saturated
+    # through a colon, and one Buchberger run of J
+    numerators, runs = [], []
+    monkeypatch.setattr(groebner, "_lt_numerator", recorder(numerators, groebner._lt_numerator))
+    monkeypatch.setattr(groebner, "_buchberger_terms", recorder(runs, groebner._buchberger_terms))
+    for v in points_fields() + [linear_field(row) for row in LINE_ROWS]:
+        numerators.clear()
+        runs.clear()
+        fol.analyze(v)
+        assert len(numerators) == 1 and runs == [{"lower": fol._eagon_northcott(1)}]
