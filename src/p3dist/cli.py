@@ -84,9 +84,10 @@ class _FloatLiteral(float):
 def _weight(w):
     """A weight as a Fraction, read exactly from its literal. Exponent
     notation is refused: Fraction('1e5000') builds 10**5000 before any check
-    runs, and any such weight is some p/q."""
+    runs, and any such weight is some p/q. So are `_` digit separators,
+    which Fraction accepts from Python 3.11 on only."""
     s = w.text if isinstance(w, _FloatLiteral) else str(w)
-    if "e" in s.lower():
+    if "e" in s.lower() or "_" in s:
         raise ValueError(s)
     return Fraction(s)
 
@@ -124,7 +125,7 @@ def parse_input(text):
             weights = tuple(_weight(w) for w in weights)
         except (ValueError, ZeroDivisionError):
             raise ParseError("'lambdas' entries must be rational numbers p/q "
-                             "without exponent notation")
+                             "without exponent notation or digit separators")
         return LogType(
             polys=tuple(_polys_from_strings(polys, "polys")), weights=weights
         )

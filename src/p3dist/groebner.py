@@ -20,7 +20,10 @@ eliminates an auxiliary variable t. There the saturation makes a signature run f
 finished basis of I (`_signature_terms`): t*l - 1 is a non-zero-divisor
 modulo I, so F5's criterion against the leading terms of I drops every
 syzygy and no J-pair reduces to zero. A Buchberger run returns its
-minimal basis, and the eliminations tail-reduce only the t-free rows they
+minimal basis, and a caller that keeps rows makes them the reduced basis
+in one ascending pass (`_reduced_basis`): each row, lowest leading term
+first, is reduced by the finished rows below it, as only a lower leading
+term divides a tail term. The eliminations pass only the t-free rows they
 keep (only a t-free leading term divides a t-free monomial), the
 saturation only the colon it accepts. The tests compare the saturation
 against those.
@@ -225,19 +228,18 @@ def _normal_form_terms(f, basis, p):
 
 def _reduced_basis(G):
     """Reduced basis of engine polys over QQ, sorted by leading term, from a
-    Groebner basis of engine polys: minimalize, then reduce each tail by
-    the others. Each tail-reduced row is put in `_engine_form`, so the rows
-    are the ideal's identity."""
-    lts = [max(g) for g in G]
-    minimal = sorted((
-        (lt, g) for idx, (lt, g) in enumerate(zip(lts, G))
-        if not any(
-            not (lt2 - lt) & _GUARDS and (lt2 != lt or jdx < idx)
-            for jdx, lt2 in enumerate(lts) if jdx != idx
-        )
-    ), key=lambda t: t[0])
-    return [_engine_form(_normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], None), None)
-            for pos, (_, g) in enumerate(minimal)]
+    Groebner basis (a list) of engine polys, in one ascending pass: the
+    first row with each of the minimal leading terms (`_minimal`), lowest
+    first, is reduced fully by the finished rows before it. A tail term lies
+    below its row's leading term, so only a lower leading term divides it,
+    and the reduced basis is unique, so reducing by the finished rows gives
+    the rows that reducing by all the others would. Each finished row is put
+    in `_engine_form`, so the rows are the ideal's identity."""
+    first = {max(g): g for g in reversed(G)}
+    done = []
+    for lt in _minimal(first):
+        done.append((lt, _engine_form(_normal_form_terms(first[lt], done, None), None)))
+    return [g for _, g in done]
 
 
 _VARS = tuple(_pack(u) for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
@@ -643,7 +645,8 @@ def _t_free(basis):
     grevlex Groebner basis of the elimination ideal, as the block order
     restricts to grevlex. Only a t-free leading term divides a t-free
     monomial, so the reduced basis of the part is the t-free part of the
-    reduced basis, and only the part's rows need tail-reducing."""
+    reduced basis, and `_reduced_basis`'s ascending pass runs over the
+    part's rows alone."""
     return [g for g in basis if max(g) < _T]
 
 
@@ -780,20 +783,23 @@ def saturate(I):
     The reduced basis of I is computed once and kept on I. l_0 = x3 is the
     cheapest variable, so dividing each element of that basis by its largest
     power of x3 gives a Groebner basis of the colon (Bayer-Stillman), whose
-    shifted leading terms are tested before the shifted rows are built and
-    which is only minimalized and tail-reduced; when x3 divides no element
-    the colon is I, so I is saturated and is returned with whatever data I
-    holds. For k >= 1 the colon is the t-free part of a block-order
-    Groebner basis of that basis plus f = t*l_k - 1. The block order is
-    grevlex on t-free polynomials, so the basis of I is already a Groebner
-    basis there, and `_signature_terms` adds f to it by one incremental
-    signature run, whose t-free elements are tested. By McCoy's theorem f
-    is a non-zero-divisor on (R/I)[t], as its constant coefficient is the
-    unit -1, so every syzygy with an f-component is a Koszul syzygy plus a
-    syzygy of the basis: F5's criterion against the leading terms of I
-    drops all of them, and no J-pair reduces to zero. Only the accepted
-    colon is tail-reduced; the result carries no HilbertData, which
-    `hilbert.hilbert` reads from its reduced basis when asked.
+    shifted leading terms are tested before the shifted rows are built.
+    They are distinct but may divide one another's, and `_reduced_basis`
+    minimalizes them and reduces the rows in its ascending pass. When x3
+    divides no element the colon is I, so I is saturated and is returned
+    with whatever data I holds. For k >= 1 the colon is the t-free part of
+    a block-order Groebner basis of that basis plus f = t*l_k - 1. The
+    block order is grevlex on t-free polynomials, so the basis of I is
+    already a Groebner basis there, and `_signature_terms` adds f to it by
+    one incremental signature run, whose t-free elements are tested. By
+    McCoy's theorem f is a non-zero-divisor on (R/I)[t], as its constant
+    coefficient is the unit -1, so every syzygy with an f-component is a
+    Koszul syzygy plus a syzygy of the basis: F5's criterion against the
+    leading terms of I drops all of them, and no J-pair reduces to zero.
+    Only the accepted colon is reduced, by the same ascending pass over the
+    basis of I and the run's t-free elements; the result carries no
+    HilbertData, which `hilbert.hilbert` reads from its reduced basis when
+    asked.
     """
     reduced = I._basis()
     # the largest power of x3 that divides each element, from its x3-fields

@@ -34,7 +34,10 @@ def _matrix(blocks):
 
 # name -> (v as Jordan blocks, lines of Sing(v) put into Sing(omega) as the
 # pairs of variables that cut them out, the verdict: class, family, the
-# Chern triple as a function of d, and v's degree-1 case)
+# Chern triple as a function of d, and v's degree-1 case). Up to the radial
+# field, the rows' fields run over the 11 Segre symbols of a linear field
+# whose eigenspaces have dimension at most 2: [1111], [211], [(11)11],
+# [31], [22], [(11)(11)], [(21)1], [2(11)], [(31)], [4] and [(22)]
 ROWS = {
     "distinct": ([(1, 1), (3, 1), (5, 1), (7, 1)], (), "split", None,
                  lambda d: (2 - d, 0, 0), "stable-points"),
@@ -52,6 +55,16 @@ ROWS = {
                    lambda d: (2 - d, 2, 2 * d), "split-skew-or-double"),
     "skew-line-in-sing": ([(1, 1), (1, 1), (3, 1), (3, 1)], ((2, 3),), "unstable", 1,
                           lambda d: (2 - d, 1, d), "split-skew-or-double"),
+    "jordan2-same": ([(1, 2), (1, 1), (3, 1)], (), "unstable", 1,
+                     lambda d: (2 - d, 1, d), "semistable-line"),
+    "jordan2-line": ([(1, 2), (3, 1), (3, 1)], (), "unstable", 1,
+                     lambda d: (2 - d, 1, d), "semistable-line"),
+    "jordan3-same": ([(1, 3), (1, 1)], (), "unstable", 1,
+                     lambda d: (2 - d, 1, d), "semistable-line"),
+    "jordan4": ([(1, 4)], (), "split", None,
+                lambda d: (2 - d, 0, 0), "stable-points"),
+    "double-line": ([(1, 2), (1, 2)], (), "unstable", 2,
+                    lambda d: (2 - d, 2, 2 * d), "split-skew-or-double"),
 }
 
 

@@ -26,7 +26,7 @@ from p3dist.groebner import (
     saturate_single,
 )
 from p3dist.hilbert import hilbert, hilbert_from_numerator
-from p3dist.poly import Poly, X0, X1, X2, X3, grevlex_key
+from p3dist.poly import Poly, X0, X1, X2, X3, grevlex_key, monomials_of_degree
 
 from conftest import make_rng, random_nonzero_poly
 from hilbert_oracle import numerator as oracle_numerator
@@ -721,3 +721,79 @@ def test_basis_strings_print_the_monic_reduced_basis(report_ideals):
         assert ideal.basis_strings() == [format_poly(g) for g in ideal.groebner()]
     assert ideals[-2].basis_strings() == ["1"] and ideals[-1].basis_strings() == []
     assert ideals[-5].basis_strings()[-1] == "x1^2*x2 - 10/9*x0*x2^2 - 1/3*x1*x3^2"
+
+
+def _reduced_basis_oracle(G):
+    """The reduced basis as `groebner._reduced_basis` built it before its
+    ascending pass, kept as its oracle: minimalize by a quadratic scan,
+    keeping the first row of a repeated leading term, then reduce each
+    minimal row by all the others."""
+    lts = [max(g) for g in G]
+    minimal = sorted((
+        (lt, g) for idx, (lt, g) in enumerate(zip(lts, G))
+        if not any(
+            not (lt2 - lt) & groebner._GUARDS and (lt2 != lt or jdx < idx)
+            for jdx, lt2 in enumerate(lts) if jdx != idx
+        )
+    ), key=lambda t: t[0])
+    return [groebner._engine_form(
+                groebner._normal_form_terms(g, minimal[:pos] + minimal[pos + 1:], None), None)
+            for pos, (_, g) in enumerate(minimal)]
+
+
+def _same_leading_term(rows):
+    """Another row with the largest leading term of the engine polys rows:
+    that row plus a multiple of the row of least leading term whose leading
+    term lies below it; None where there is none."""
+    low, top = min(rows, key=max), max(rows, key=max)
+    shift = groebner._degree(max(top)) - groebner._degree(max(low))
+    for m in map(groebner._pack, monomials_of_degree(shift)):
+        if m + max(low) < max(top):
+            out = dict(top)
+            for k, c in low.items():
+                out[k + m] = out.get(k + m, 0) + c
+            return {k: c for k, c in out.items() if c}
+    return None
+
+
+def test_reduced_basis_against_the_oracle(monkeypatch, report_ideals):
+    # the ascending pass gives the oracle's rows on every call the engine
+    # makes on these inputs: Ideal._basis, both routes of saturate and the
+    # elimination of saturate_single
+    real, inputs = groebner._reduced_basis, []
+
+    def checked(G):
+        rows = real(G)
+        assert rows == _reduced_basis_oracle(G)
+        inputs.append(G)
+        return rows
+
+    monkeypatch.setattr(groebner, "_reduced_basis", checked)
+    cases = random_saturation_cases()
+    cases += [coefficient_ideal(oneform(row, d, seed=1)) for row in sorted(ROWS) for d in (3, 4, 5)]
+    for I in cases:
+        saturate(I)
+    for I in cases[:10]:
+        saturate_single(I, X0 + X3)
+    # the printed ideals, run again from their monic generators, and their
+    # rows, already reduced, which the pass keeps as they are
+    for ideal in report_ideals.values():
+        assert Ideal(ideal.gens)._basis() == ideal._basis()
+        assert checked(list(ideal._basis())) == ideal._basis()
+    # a repeated leading term, the row that has it first or last: the
+    # reduced basis is unique, so either row gives it
+    repeated = 0
+    for I in cases:
+        minimal = groebner._buchberger_terms(list(I._rows))
+        other = _same_leading_term(minimal)
+        if other is not None:
+            repeated += 1
+            assert checked([other, *minimal]) == checked([*minimal, other]) == real(minimal)
+    assert repeated > len(cases) // 2
+    # the k = 0 step's shifted rows, a Groebner basis that need not be
+    # minimal (their leading terms are distinct, as those of I's basis
+    # divide none of one another)
+    del inputs[:]
+    for I in cases:
+        _colon_by_x3(I)
+    assert any(len(groebner._minimal(max(g) for g in G)) < len(G) for G in inputs)

@@ -399,8 +399,11 @@ def test_koszul_section_is_the_scan_at_d_plus_one(monkeypatch, example1, example
                                                  nullcorrelation, pencil_of_planes):
     # the theorem of the linalg docstring, against the scan: at twist d + 1
     # the reduced Koszul field (A_1, -A_0, 0, 0) is the scan's section
-    # exactly when gcd(A_0, A_1) = 1, which the skew-line rows and a form
-    # with A_0 = 0 break; minimal_section scans there all the same. On every
+    # exactly when gcd(A_0, A_1) = 1, which a form with A_0 = 0 breaks, and
+    # so do the rows whose v scales x2 and x3 alike (x2*v3 = x3*v2: the
+    # skew-line rows, jordan2-line and jordan3-same), where A_0 and A_1 are
+    # two linear multiples of one form of degree d; minimal_section scans
+    # there all the same. On every
     # form with t_F = d + 1 the scan finds no section at twist d, and
     # compute_tF returns the scan's section with no scan run
     no_dx0 = a0_zero_form()
@@ -408,7 +411,8 @@ def test_koszul_section_is_the_scan_at_d_plus_one(monkeypatch, example1, example
     forms += [corpus.load_oneform(name) for name in corpus.corpus_names()["oneforms"]]
     rows = [(row, d) for row in sorted(maxorder.ROWS) for d in (3, 4)]
     forms += [maxorder.oneform(row, d, 1) for row, d in rows]
-    skew = [maxorder.oneform(row, d, 1) for row, d in rows if row.startswith("skew")]
+    shared = [maxorder.oneform(row, d, 1) for row, d in rows
+              if row.startswith("skew") or row in ("jordan2-line", "jordan3-same")]
     section_at, scans = linalg._section, []
 
     def counting_section(*args):
@@ -430,7 +434,7 @@ def test_koszul_section_is_the_scan_at_d_plus_one(monkeypatch, example1, example
             top += 1
             assert scans == [] and section_at(coeffs, d, d) is None
             assert section == minimal_section(omega, d + 1)
-    assert [omega for omega, ok in zip(forms, coprime) if not ok] == [no_dx0] + skew
+    assert [omega for omega, ok in zip(forms, coprime) if not ok] == [no_dx0] + shared
     # the null-correlation form, twice, and the eight dense forms
     assert top == 10
 
@@ -771,4 +775,4 @@ def test_conormal_dims_against_the_echelon_kernel():
         for t in range(2, e + 5):
             assert linalg._dims(numerator, -1, e - 1, t).h0 == conormal_kernel_dim(v, t), (v, t)
             cases += 1
-    assert cases == 11 * 4 + 3 * (5 + 6)
+    assert cases == 16 * 4 + 3 * (5 + 6)
