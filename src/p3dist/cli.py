@@ -27,11 +27,12 @@ from math import isqrt
 
 from . import corpus, distribution, foliation, logarithmic
 from .errors import InternalInconsistency, NumericContradiction, ParseError, ValidationError
-from .exterior import ExtForm, VField
-from .grammar import format_poly, parse_poly
+from .exterior import ExtForm, VField, _of_rows, _rows_of
+from .grammar import _format_row, _parse
 from .groebner import PRIME, _engine_ideal, leading_monomials_mod_p
 from .linalg import compute_tF
 from .logarithmic import LogType
+from .poly import integer_rows, row_poly
 
 SCHEMA_VERSION = 1
 
@@ -54,21 +55,21 @@ def _read_text(path):
         raise ValidationError(f"cannot read {name}: {reason}") from None
 
 
-def _polys_from_strings(entries, key):
-    """Parse the polynomial entries of doc[key]; an error names the entry,
-    as in coeffs[3], and a syntax error keeps the line and column within
-    it."""
-    polys = []
+def _rows_from_strings(entries, key):
+    """Parse the polynomial entries of doc[key] into rows of packed monomial
+    -> int or Fraction; an error names the entry, as in coeffs[3], and a
+    syntax error keeps the line and column within it."""
+    rows = []
     for i, s in enumerate(entries):
         if not isinstance(s, str):
             raise ParseError(f"{key}[{i}]: polynomial entries must be strings, "
                              f"got {json.dumps(s)}")
         try:
-            polys.append(parse_poly(s))
+            rows.append(_parse(s))
         except ParseError as exc:
             raise ParseError(f"{key}[{i}]: {exc.args[0]}", exc.line, exc.col,
                              exc.expected) from None
-    return polys
+    return rows
 
 
 class _FloatLiteral(float):
@@ -93,7 +94,9 @@ def _weight(w):
 
 
 def parse_input(text):
-    """Parse an input document into an ExtForm, VField, or LogType."""
+    """Parse an input document into an ExtForm, VField, or LogType. A form
+    or field keeps its parsed rows scaled once to integers
+    (`poly.integer_rows`), and builds no Poly until one is read."""
     try:
         doc = json.loads(text, parse_float=_FloatLiteral)
     except json.JSONDecodeError as exc:
@@ -105,17 +108,13 @@ def parse_input(text):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("input document must be an object with a 'kind' field")
     kind = doc["kind"]
-    if kind == "oneform":
-        coeffs = doc.get("coeffs")
-        if not isinstance(coeffs, list) or len(coeffs) != 4:
-            raise ParseError("'coeffs' must be a list of 4 polynomial strings")
-        return ExtForm.one_form(*_polys_from_strings(coeffs, "coeffs"))
-    if kind == "vfield":
-        key = "components" if "components" in doc else "coeffs"
-        comps = doc.get(key)
-        if not isinstance(comps, list) or len(comps) != 4:
+    if kind in ("oneform", "vfield"):
+        key = "components" if kind == "vfield" and "components" in doc else "coeffs"
+        entries = doc.get(key)
+        if not isinstance(entries, list) or len(entries) != 4:
             raise ParseError(f"'{key}' must be a list of 4 polynomial strings")
-        return VField(_polys_from_strings(comps, key))
+        cls = ExtForm if kind == "oneform" else VField
+        return _of_rows(cls, *integer_rows(_rows_from_strings(entries, key)))
     if kind == "logtype":
         polys = doc.get("polys")
         weights = doc.get("lambdas", doc.get("weights"))
@@ -127,13 +126,20 @@ def parse_input(text):
             raise ParseError("'lambdas' entries must be rational numbers p/q "
                              "without exponent notation or digit separators")
         return LogType(
-            polys=tuple(_polys_from_strings(polys, "polys")), weights=weights
+            polys=tuple(map(row_poly, _rows_from_strings(polys, "polys"))), weights=weights
         )
     raise ParseError(f"unknown input kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # report serialization
+
+
+def _rows_doc(x):
+    """The texts of a 1-form's coefficients or a field's components, printed
+    from its integer rows."""
+    scale, rows = _rows_of(x)
+    return [_format_row(row, scale) for row in rows]
 
 
 def _ideal_doc(ideal):
@@ -176,9 +182,7 @@ def dist_report_doc(report):
         "sing": _sing_doc(report.sing),
         "tF": report.tF,
         "h0_at_tF": report.h0_at_tF,
-        "minimal_section": [
-            format_poly(p) for p in report.minimal_section.components
-        ],
+        "minimal_section": _rows_doc(report.minimal_section),
         "stability": {
             "epsilon": report.stability.epsilon,
             "class": report.stability.klass,
@@ -226,7 +230,7 @@ def _subfoliation_doc(omega):
         "degree": d,
         "tF": tF,
         "h0_at_tF": sdim.h0,
-        "section": [format_poly(p) for p in section.components],
+        "section": _rows_doc(section),
         # linalg._certified checked that the section annihilates the form,
         # the scan's below t_F = d + 1 and the Koszul field at d + 1
         "in_distribution": True,
@@ -235,7 +239,7 @@ def _subfoliation_doc(omega):
 
 def _oneform_doc(omega):
     """An input document of kind 'oneform', which `analyze -` reads back."""
-    return {"kind": "oneform", "coeffs": [format_poly(p) for p in omega.one_form_coeffs()]}
+    return {"kind": "oneform", "coeffs": _rows_doc(omega)}
 
 
 def _emit(doc):

@@ -26,7 +26,7 @@ from .exterior import VField, checked_oneform, coefficient_ideal
 from .groebner import Ideal, divide_exact, intersect, saturate
 from .hilbert import hilbert
 from .linalg import _dims, compute_tF
-from .poly import NVARS, ZERO_MON, Poly, add_product, diff_row, dim_graded_piece
+from .poly import NVARS, Poly, add_row_product, diff_row, dim_graded_piece
 
 
 # largest d_max that table1 accepts
@@ -155,8 +155,8 @@ def is_integrable(omega):
     """Frobenius condition for a 1-form: omega wedge d(omega) = 0.
 
     `checked_oneform` checks the form, the Euler relation i_R omega = 0
-    among its checks. The check runs on integer multiples A_i of the
-    coefficients: d(omega) has the dx_i^dx_j coefficient
+    among its checks. The check runs on the form's packed integer rows
+    A_i: d(omega) has the dx_i^dx_j coefficient
     B_ij = d_i A_j - d_j A_i (i < j). By Euler, i_R d(omega) = L_R omega =
     (d + 2)*omega, so i_R(omega ^ d(omega)) = -(d + 2)*omega ^ omega = 0,
     and as the Koszul complex of R is exact at 3-forms, omega ^ d(omega)
@@ -167,11 +167,11 @@ def is_integrable(omega):
     b = {}
     for i, j in combinations(range(1, NVARS), 2):
         b[i, j] = diff_row(a[j], i)
-        add_product(b[i, j], diff_row(a[i], j), {ZERO_MON: 1}, -1)
+        add_row_product(b[i, j], diff_row(a[i], j), {0: 1}, -1)
     out = {}
-    add_product(out, a[1], b[2, 3])
-    add_product(out, a[2], b[1, 3], -1)
-    add_product(out, a[3], b[1, 2])
+    add_row_product(out, a[1], b[2, 3])
+    add_row_product(out, a[2], b[1, 3], -1)
+    add_row_product(out, a[3], b[1, 2])
     return not out
 
 

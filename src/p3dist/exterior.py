@@ -5,12 +5,18 @@ tuples from {0,1,2,3} with polynomial coefficients. Grade-1 forms with
 coefficients (A0..A3) represent A0*dx0 + ... + A3*dx3.
 
 `wedge`, `exterior_derivative`, `contract` and `minors_against_radial`
-build forms with Fraction coefficients. The checks that such a product
-vanishes run on integer multiples of the coefficients instead: sum F_i A_i
-through `_contraction` and the field minors through `_radial_minors`. A
-checked 1-form keeps its degree, those multiples and the ideal they generate,
-which carries the numerator K_d of its radial and Koszul syzygies for every
-Buchberger run of it; the singular scheme and the section spaces read it.
+build forms with Fraction coefficients. The analysis runs on integer rows
+instead. A grade-1 form or a field keeps its coefficients or components
+as one rational scale c > 0 and the primitive integer rows c*P_i keyed by
+packed monomials (`_rows_of`): a parsed one keeps the rows the parser
+made, packed at parse, and builds its Polys only when they are read; one
+built from Polys computes the rows once. The checks that a product
+vanishes read those rows: sum F_i A_i through `_contraction` and the field
+minors through `_radial_minors`. A checked 1-form keeps its degree, its
+rows and the ideal they generate, which carries the numerator K_d of its
+radial and Koszul syzygies for every Buchberger run of it; the singular
+scheme and the section spaces read it. A field keeps its degree
+(`field_degree`).
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import EulerViolation, GradeOverflow, InvalidForm
-from .groebner import Ideal
+from .groebner import Ideal, _packed
 from .hilbert import numerator_from_terms
-from .poly import NVARS, Poly, add_product, integer_multiples
+from .poly import _VARS, NVARS, Poly, _degree, add_row_product, integer_rows, row_poly
 
 _INDEX_SETS = {g: tuple(combinations(range(NVARS), g)) for g in range(NVARS + 1)}
-# the components x0..x3 of the radial field, as integer dicts
-_RADIAL = tuple({tuple(int(i == j) for j in range(NVARS)): 1} for i in range(NVARS))
+# the components x0..x3 of the radial field, as packed rows
+_RADIAL = tuple({x: 1} for x in _VARS)
 
 
 def _merge_sign(a, b):
@@ -40,10 +46,25 @@ def _merge_sign(a, b):
     return tuple(sorted(merged)), (-1) ** inv
 
 
-class ExtForm:
-    """Exterior differential form of grade g with Poly coefficients."""
+def _view(slot, kind):
+    """The property of the Polys kept in the slot, which a 1-form or field
+    made from rows (`_of_rows`) builds from them, row / scale, when they
+    are first read; kind makes the kept value of the four Polys."""
 
-    __slots__ = ("grade", "coeffs", "_checked")
+    def polys(x):
+        if getattr(x, slot) is None:
+            scale, rows = x._rows
+            object.__setattr__(x, slot, kind(row_poly(row, scale) for row in rows))
+        return getattr(x, slot)
+
+    return property(polys)
+
+
+class ExtForm:
+    """Exterior differential form of grade g with Poly coefficients, a view
+    of its rows on a 1-form made from them (`_of_rows`)."""
+
+    __slots__ = ("grade", "_coeffs", "_rows", "_checked")
 
     def __init__(self, grade, coeffs=None):
         if grade not in range(NVARS + 1):
@@ -55,9 +76,10 @@ class ExtForm:
                 if idx not in table:
                     raise ValueError(f"bad index tuple {idx} for grade {grade}")
                 table[idx] = p if isinstance(p, Poly) else Poly.constant(p)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "coeffs", table)
-        object.__setattr__(self, "_checked", None)
+        for name, value in zip(self.__slots__, (grade, table, None, None)):
+            object.__setattr__(self, name, value)
+
+    coeffs = _view("_coeffs", lambda polys: dict(zip(_INDEX_SETS[1], polys)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtForm is immutable")
@@ -111,26 +133,45 @@ class ExtForm:
         return f"ExtForm(grade={self.grade}, {nz})"
 
 
-def _common_degree(polys):
-    """Homogeneous degree shared by the nonzero polys; None if there is
-    none, or if all are zero."""
-    degs = {p.homogeneous_degree() for p in polys if not p.is_zero()}
-    return degs.pop() if len(degs) == 1 and None not in degs else None
+def _of_rows(cls, scale, rows):
+    """The 1-form (cls ExtForm) or the field (cls VField) whose coefficients
+    or components times scale > 0 are the primitive packed integer rows, as
+    `poly.integer_rows` gives them; it builds its Polys when they are read."""
+    x = cls.__new__(cls)
+    for name in cls.__slots__:
+        object.__setattr__(x, name, {"grade": 1, "_rows": (scale, rows)}.get(name))
+    return x
+
+
+def _rows_of(x):
+    """(c, rows) of a grade-1 form or a field: c > 0 and the packed integer
+    rows of its coefficients or components times c, with no common factor;
+    kept on it, from its parse or computed once from its Polys."""
+    if x._rows is None:
+        polys = x.components if isinstance(x, VField) else x.one_form_coeffs()
+        object.__setattr__(x, "_rows", integer_rows([_packed(p.terms) for p in polys]))
+    return x._rows
+
+
+def _common_degree(rows):
+    """The degree of every term of the packed rows; None if the terms have
+    more than one degree, or if there are none."""
+    degs = {_degree(k) for row in rows for k in row}
+    return degs.pop() if len(degs) == 1 else None
 
 
 def oneform_degree(omega):
-    """(d, A): the degree d of the distribution the 1-form defines and integer
-    multiples A of its coefficients, which are homogeneous of degree d + 1 >= 1,
-    not all zero, with sum x_i A_i = 0. Raises InvalidForm (or EulerViolation)."""
-    coeffs = omega.one_form_coeffs()
-    if all(p.is_zero() for p in coeffs):
+    """(d, A): the degree d of the distribution the 1-form defines and its
+    integer rows A, homogeneous of degree d + 1 >= 1, not all zero, with
+    sum x_i A_i = 0. Raises InvalidForm (or EulerViolation)."""
+    _, a = _rows_of(omega)
+    if not any(a):
         raise InvalidForm("zero 1-form")
-    dega = _common_degree(coeffs)
+    dega = _common_degree(a)
     if dega is None:
         raise InvalidForm("coefficients must be homogeneous of a common degree")
     if dega < 1:
         raise InvalidForm("coefficient degree must be at least 1")
-    _, a = integer_multiples(coeffs)
     if _contraction(_RADIAL, a):
         raise EulerViolation("coefficients do not satisfy the Euler relation")
     return dega - 1, a
@@ -195,11 +236,13 @@ def exterior_derivative(a):
 
 
 class VField:
-    """Polynomial vector field F0*d/dx0 + ... + F3*d/dx3. `_minors` keeps
-    the ideal of its minors against the radial field once
+    """Polynomial vector field F0*d/dx0 + ... + F3*d/dx3, its Poly
+    components a view of its rows on a field made from them (`_of_rows`).
+    `_degree` keeps its degree once `field_degree` has checked it, and
+    `_minors` the ideal of its minors against the radial field once
     `foliation.sing_scheme_v` has built it."""
 
-    __slots__ = ("components", "_minors")
+    __slots__ = ("_components", "_rows", "_degree", "_minors")
 
     def __init__(self, components):
         comps = tuple(
@@ -207,8 +250,10 @@ class VField:
         )
         if len(comps) != NVARS:
             raise ValueError(f"need {NVARS} components")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_minors", None)
+        for name, value in zip(self.__slots__, (comps, None, None, None)):
+            object.__setattr__(self, name, value)
+
+    components = _view("_components", tuple)
 
     def __setattr__(self, name, value):
         raise AttributeError("VField is immutable")
@@ -230,14 +275,16 @@ class VField:
 
 def field_degree(v):
     """Degree d of the foliation by curves the field defines, whose
-    components are homogeneous of one degree d, not all zero. Raises
-    InvalidForm."""
-    d = _common_degree(v.components)
-    if d is None:
-        raise InvalidForm(
-            "components must be homogeneous of a common degree and not all zero"
-        )
-    return d
+    components are homogeneous of one degree d, not all zero, read from its
+    rows and kept on it. Raises InvalidForm."""
+    if v._degree is None:
+        d = _common_degree(_rows_of(v)[1])
+        if d is None:
+            raise InvalidForm(
+                "components must be homogeneous of a common degree and not all zero"
+            )
+        object.__setattr__(v, "_degree", d)
+    return v._degree
 
 
 def radial_field():
@@ -277,20 +324,15 @@ def contract(v, a):
 
 
 def _contraction(fs, a):
-    """sum F_i A_i of integer dicts."""
+    """sum F_i A_i of packed integer rows."""
     out = {}
     for f, c in zip(fs, a):
-        add_product(out, f, c)
+        add_row_product(out, f, c)
     return out
 
 
 def _radial_minors(fs):
-    """The six minors F_i*x_j - F_j*x_i of `minors_against_radial` as integer
-    dicts, for integer multiples fs of the components F_i of a field."""
-    minors = []
-    for i, j in combinations(range(NVARS), 2):
-        minor = {}
-        add_product(minor, fs[i], _RADIAL[j])
-        add_product(minor, fs[j], _RADIAL[i], -1)
-        minors.append(minor)
-    return minors
+    """The six minors F_i*x_j - F_j*x_i of `minors_against_radial` as packed
+    integer rows, for integer multiples fs of the components F_i of a field."""
+    return [add_row_product({k + _VARS[j]: c for k, c in fs[i].items()}, fs[j], _RADIAL[i], -1)
+            for i, j in combinations(range(NVARS), 2)]

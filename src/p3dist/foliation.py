@@ -18,10 +18,9 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistency, RadialField, UnclassifiedDegree1
 from .distribution import ChernTriple, SingInvariants, _chern, curve_invariants
-from .exterior import _contraction, _radial_minors, checked_oneform, field_degree
+from .exterior import _contraction, _radial_minors, _rows_of, checked_oneform, field_degree
 from .groebner import Ideal, _engine_ideal, saturate
 from .hilbert import hilbert, numerator_from_terms
-from .poly import integer_multiples
 
 # the degree-1 cases by the (degC, pa) of the singular curve: points alone,
 # a line, or two skew lines or a double line
@@ -86,11 +85,11 @@ def sing_scheme_v(v):
 
 def _minors(v):
     """The ideal J of `sing_scheme_v`'s minors, carrying N_e, kept on the
-    field so that its reduced basis and Hilbert data are computed once."""
+    field so that its reduced basis and Hilbert data are computed once; the
+    minors are made from the field's kept rows."""
     if v._minors is None:
         e = field_degree(v)
-        _, fs = integer_multiples(v.components)
-        minors = [m for m in _radial_minors(fs) if m]
+        minors = [m for m in _radial_minors(_rows_of(v)[1]) if m]
         if not minors:
             raise RadialField("field is a multiple of the radial field")
         object.__setattr__(v, "_minors", Ideal._of_rows(minors, _eagon_northcott(e)))
@@ -140,5 +139,4 @@ def line_sing_invariants(dprime):
 def contraction_check(v, omega):
     """True when the field lies in the distribution cut out by the 1-form."""
     _, a = checked_oneform(omega)
-    _, fs = integer_multiples(v.components)
-    return not _contraction(fs, a)
+    return not _contraction(_rows_of(v)[1], a)

@@ -1,5 +1,11 @@
 """Polynomial text grammar: parser and canonical, Fraction-free printer of signed terms.
 
+The parser sums the packed monomial keys of `poly` (x_i is one key, and a
+product adds keys), so that a parsed text is already the row of int or
+Fraction coefficients that `poly.integer_rows` scales once for the
+analysis; `parse_poly` builds its Poly from that row. The printer reads
+packed integer rows too (`_format_row`), with no Fraction built.
+
 Grammar: variables x0..x3 with aliases x,y,z,w; integer or rational
 coefficients p/q, where q follows the '/' directly; + - * ^ and
 parentheses; implicit multiplication by juxtaposition (2x^3y). An exponent
@@ -18,9 +24,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
-from .poly import Poly, add_product
+from .poly import _VARS, _degree, _unpack, add_row_product, row_poly
 
 ALIASES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3, "x": 0, "y": 1, "z": 2, "w": 3}
 
@@ -29,16 +36,17 @@ ALIASES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3, "x": 0, "y": 1, "z": 2, "w": 3}
 MAX_DEGREE = 20
 MAX_DEPTH = 64
 
-# a token: a digit run, a variable, any other non-space character, or the
-# end of the text (""); a text's tokens are found once, as a list
-_TOKEN = re.compile(r"(\d+)|(x[0-3]|[xyzw])|(\S)|\Z")
-_NUMBER, _VARIABLE = 1, 2
+# a token: a digit run, a variable with its '^' and exponent digits if it
+# has them, any other non-space character, or the end of the text (""); a
+# text's tokens are found once, as a list
+_TOKEN = re.compile(r"(\d+)|(x[0-3]|[xyzw])(?:\s*(\^)\s*(\d+))?|(\S)|\Z")
+_NUMBER, _VARIABLE, _CARET, _EXPONENT = 1, 2, 3, 4
 
 
 class _Parser:
     """Recursive descent over the _TOKEN matches of a text. Each sum is
-    added up in place in a dict monomial -> nonzero int or Fraction; a
-    factor's degree is -1 when it is zero."""
+    added up in place in a dict packed monomial -> nonzero int or Fraction;
+    a factor's degree is -1 when it is zero."""
 
     def __init__(self, text):
         self.text = text
@@ -73,13 +81,14 @@ class _Parser:
             return True
         return False
 
-    def integer(self):
-        """Consume the current token, a digit run, and return its int."""
+    def integer(self, group=_NUMBER):
+        """Consume the current token and return the int of its digit run,
+        the given group of the token."""
         tok = self.tok
         try:
-            n = int(tok[0])
+            n = int(tok[group])
         except ValueError as exc:  # longer than the interpreter converts
-            self.fail(f"number too long: {exc}", tok.end())
+            self.fail(f"number too long: {exc}", tok.end(group))
         self.advance()
         return n
 
@@ -111,14 +120,21 @@ class _Parser:
         return c
 
     def variable(self):
-        """(index, exponent) of the variable at the current token."""
+        """(index, exponent) of the variable at the current token; the
+        token holds the '^' and the exponent's digits when they follow."""
         tok = self.tok
+        i = ALIASES[tok[_VARIABLE]]
+        if tok[_EXPONENT]:
+            n = self.integer(_EXPONENT)
+            self.check_cap("power", n, tok.start(_CARET))
+            return i, n
         self.advance()
         # x5 or y2 is a mistyped variable, not a variable times a number
         if self.tok[_NUMBER] and self.tok.start() == tok.end():
             self.fail(f"unexpected {self.tok[0][0]!r} right after variable "
                       f"{tok[0]!r}", tok.end(), "variable x0..x3, x, y, z or w")
-        return ALIASES[tok[0]], self.exponent(1)
+        # a '^' without digits after it is an error there
+        return i, self.exponent(1)
 
     def group(self):
         """The terms and degree of a parenthesized factor and its power."""
@@ -129,19 +145,21 @@ class _Parser:
             self.fail(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}",
                       tok.start())
         self.depth += 1
-        base = Poly(self.expr())
+        base = self.expr()
         if not self.take(")"):
             self.unexpected("')'")
         self.depth -= 1
-        p = base ** self.exponent(base.degree())
-        return p.terms, p.degree()
+        p = {0: 1}
+        for _ in range(self.exponent(max(map(_degree, base), default=-1))):
+            p = add_row_product({}, p, base)
+        return p, max(map(_degree, p), default=-1)
 
     def term(self, acc, sign):
         """acc += sign * (the next product of factors), in place. Its number
-        and variable factors are kept as one coefficient and one exponent
-        list, and only a parenthesized factor multiplies dicts; the product
-        is zero, of degree -1, from its first zero factor on."""
-        c, exps, groups, degree = sign, [0, 0, 0, 0], None, None
+        and variable factors are kept as one coefficient and one packed
+        monomial, and only a parenthesized factor multiplies dicts; the
+        product is zero, of degree -1, from its first zero factor on."""
+        c, m, groups, degree = sign, 0, None, None
         while True:
             tok = self.tok
             if tok[_NUMBER]:
@@ -150,15 +168,10 @@ class _Parser:
                 f_degree = 0 if f else -1
             elif tok[_VARIABLE]:
                 i, f_degree = self.variable()
-                exps[i] += f_degree
+                m += f_degree * _VARS[i]
             else:
                 f, f_degree = self.group()
-                if groups is None:
-                    groups = f
-                else:
-                    product = {}
-                    add_product(product, groups, f)
-                    groups = product
+                groups = f if groups is None else add_row_product({}, groups, f)
             if degree is None:
                 degree = f_degree
             else:
@@ -166,14 +179,13 @@ class _Parser:
                 degree = -1 if -1 in (degree, f_degree) else degree + f_degree
             # a factor follows a '*', or directly when it starts with a
             # number, a variable or '('
-            if not (self.take("*") or self.tok.lastindex in (_NUMBER, _VARIABLE)
+            if not (self.take("*") or self.tok[_NUMBER] or self.tok[_VARIABLE]
                     or self.tok[0] == "("):
                 break
         if not c:
             return
-        m = tuple(exps)
         if groups is not None:
-            add_product(acc, {m: c}, groups)
+            add_row_product(acc, {m: c}, groups)
         else:
             c += acc.get(m, 0)
             if c:
@@ -193,15 +205,21 @@ class _Parser:
                 return acc
 
 
-def parse_poly(text):
-    """Parse polynomial text into a Poly. Raises ParseError on bad input."""
+def _parse(text):
+    """The row of packed monomial -> nonzero int or Fraction that a text
+    parses to. Raises ParseError on bad input."""
     ps = _Parser(text)
     if not ps.tok[0]:
         ps.fail("empty polynomial", len(text))
     p = ps.expr()
     if ps.tok[0]:
         ps.unexpected("operator or end of input")
-    return Poly(p)
+    return p
+
+
+def parse_poly(text):
+    """Parse polynomial text into a Poly. Raises ParseError on bad input."""
+    return row_poly(_parse(text))
 
 
 def _format_monomial(m):
@@ -229,6 +247,16 @@ def _signed_sum(terms, monomial):
         else:
             chunks.append(f"+ {body}" if n > 0 else f"- {body}")
     return " ".join(chunks) if chunks else "0"
+
+
+def _format_row(row, scale=1):
+    """`format_poly` of the Poly row / scale, read off a packed integer row
+    and a rational scale > 0: keys descending (packed order is grevlex),
+    each coefficient reduced by one gcd."""
+    n, d = scale.denominator, scale.numerator
+    terms = ((k, c * n) for k, c in sorted(row.items(), reverse=True))
+    return _signed_sum(((_unpack(k), c // q, d // q) for k, c in terms for q in (gcd(c, d),)),
+                       _format_monomial)
 
 
 def format_poly(p):

@@ -51,36 +51,37 @@ J. Symbolic Comput. 35, 2003). Where it meets N up to the degree
 asked, N is the Hilbert function there and no run over QQ is made;
 otherwise I's own data is read from its reduced basis and kept.
 
-The engine packs t^e x0^a0 x1^a1 x2^a2 x3^a3 into one int (Monagan and
-Pearce, J. Symbolic Comput. 46, 2011). An `Ideal` keeps its generators and
-its reduced basis packed, and unpacks them only to print or read its Polys:
-    e*2^96 + (a0 + a1 + a2 + a3)*2^80 - (e<<64 | a3<<48 | a2<<32 | a1<<16 | a0).
-A product is +, a quotient is -, integer comparison is grevlex (for e > 0
-the block order that eliminates t), and as MAX_MONOMIAL_DEGREE keeps each
-16-bit field below its top (guard) bit, a divides b iff a - b sets none.
+The engine reads monomials packed into one int, with t^e in the top field
+(`poly`'s encoding, Monagan and Pearce, J. Symbolic Comput. 46, 2011). The
+packing happens at parse: the rows of a parsed form or field, and the
+minors and coefficient ideals made from them, reach an `Ideal` packed
+(`Ideal._of_rows`), and only generators given as Polys are packed here
+(`_pack`). An `Ideal` keeps its generators and its reduced basis packed,
+and unpacks them only to print or read its Polys. As MAX_MONOMIAL_DEGREE
+keeps each 16-bit field below its top (guard) bit, a divides b iff a - b
+sets none.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .errors import DomainError, InternalInconsistency, NonTermination
-from .grammar import _format_monomial, _signed_sum
+from .grammar import _format_row
 from .hilbert import hilbert, hilbert_function, numerator_from_terms
 from .poly import (
+    _FIELDS,
+    _VARS,
     NVARS,
-    Poly,
-    add_product,
+    _degree,
+    _unpack,
+    add_row_product,
     dim_graded_piece,
     fraction_free_step,
-    grevlex_key,
-    mon_div,
-    mon_divides,
     primitive_ints,
     primitive_row,
+    row_poly,
 )
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,6 @@ from .poly import (
 # it as it is (`basis_strings`) and makes monic Polys only for `groebner`/`gens`.
 
 MAX_MONOMIAL_DEGREE = 2 ** 15 - 1
-_FIELDS = (1 << 80) - 1
 _GUARDS = 0x8000 * sum(1 << 16 * i for i in range(5))
 PRIME = 32003  # the fixed prime of `hilbert_numerator`'s modular run
 
@@ -103,23 +103,11 @@ def _bounded(deg):
     raise DomainError(f"monomial degree {deg} exceeds MAX_MONOMIAL_DEGREE = {MAX_MONOMIAL_DEGREE}")
 
 
-def _degree(k):
-    """Total degree, t included, of a packed monomial."""
-    h = -(-k >> 80)
-    return (h >> 16) + (h & 0xFFFF)
-
-
 def _pack(m):
     """Pack an exponent tuple (a0, a1, a2, a3), or (e, a0, a1, a2, a3)."""
     e, (a0, a1, a2, a3) = (m[0], m[1:]) if len(m) > NVARS else (0, m)
     deg = _bounded(a0 + a1 + a2 + a3 + e) - e
     return (e << 96) + (deg << 80) - (e << 64 | a3 << 48 | a2 << 32 | a1 << 16 | a0)
-
-
-def _unpack(k):
-    """The exponent tuple (a0, a1, a2, a3) of a packed t-free monomial."""
-    z = -k & _FIELDS
-    return (z & 0xFFFF, z >> 16 & 0xFFFF, z >> 32 & 0xFFFF, z >> 48 & 0xFFFF)
 
 
 def _lcm(a, b):
@@ -240,9 +228,6 @@ def _reduced_basis(G):
     for lt in _minimal(first):
         done.append((lt, _engine_form(_normal_form_terms(first[lt], done, None), None)))
     return [g for _, g in done]
-
-
-_VARS = tuple(_pack(u) for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 
 
 def _lt_piece(lts, deg, piece, at):
@@ -493,10 +478,9 @@ class Ideal:
 
     @classmethod
     def _of_rows(cls, rows, lower=None):
-        """The ideal of integer dict-polys keyed by exponent tuples, packed
-        here without building a Poly, carrying the numerator `lower` of
-        `_buchberger_terms` when its maker proves one."""
-        return cls.__new__(cls)._keep(tuple(_packed(t) for t in rows if t), lower=lower)
+        """The ideal of packed integer rows, kept as they are, carrying the
+        numerator `lower` of `_buchberger_terms` when its maker proves one."""
+        return cls.__new__(cls)._keep(tuple(t for t in rows if t), lower=lower)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal generators are immutable")
@@ -507,7 +491,7 @@ class Ideal:
         engine made."""
         if self._rows is self._reduced:
             return self.groebner()
-        return tuple(Poly({_unpack(m): c for m, c in g.items()}) for g in self._rows)
+        return tuple(map(row_poly, self._rows))
 
     def _basis(self):
         """The reduced basis of engine polys, computed once."""
@@ -517,17 +501,14 @@ class Ideal:
         return self._reduced
 
     def groebner(self):
-        """The reduced basis as monic Polys, each coefficient Fraction(c, lc)."""
-        return tuple(Poly({_unpack(m): Fraction(c, lc) for m, c in g.items()})
-                     for g in self._basis() for lc in (g[max(g)],))
+        """The reduced basis as monic Polys, each row over its leading
+        coefficient."""
+        return tuple(row_poly(g, g[max(g)]) for g in self._basis())
 
     def basis_strings(self):
-        """`format_poly` of each element of `groebner()`, read off the rows: keys
-        descending (packed order is grevlex), c/lc reduced by one gcd (lc > 0)."""
-        return [_signed_sum(((_unpack(k), c // q, lc // q)
-                             for k, c in sorted(g.items(), reverse=True) for q in (gcd(c, lc),)),
-                            _format_monomial)
-                for g in self._basis() for lc in (g[max(g)],)]
+        """`format_poly` of each element of `groebner()`, read off the rows,
+        each over its leading coefficient (lc > 0)."""
+        return [_format_row(g, g[max(g)]) for g in self._basis()]
 
     def leading_monomials(self):
         return tuple(_unpack(max(g)) for g in self._basis())
@@ -588,7 +569,7 @@ def normal_form(p, ideal):
         return p
     reducers = [(max(g), g) for g in ideal._basis()]
     r = _normal_form_terms(_packed(primitive_row(p.terms)), reducers, None)
-    return Poly({_unpack(m): c for m, c in r.items()}).monic()
+    return row_poly(r).monic()
 
 
 def _mod_p_rows(rows, prime):
@@ -667,19 +648,17 @@ def divide_exact(p, f):
     """Exact division p / f; raises ValueError if f does not divide p."""
     if f.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    work = dict(p.terms)
-    ltf = max(f.terms, key=grevlex_key)
-    lcf = f.terms[ltf]
+    work, g = _packed(p.terms), _packed(f.terms)
+    lt = max(g)
     quot = {}
     while work:
-        m = max(work, key=grevlex_key)
-        if not mon_divides(ltf, m):
+        m = max(work)
+        if (lt - m) & _GUARDS:
             raise ValueError("not an exact multiple")
-        shift = mon_div(m, ltf)
-        q = quot[shift] = work[m] / lcf
+        q = quot[m - lt] = work[m] / g[lt]
         # cancels the term at m, so the next lead is smaller
-        add_product(work, f.terms, {shift: -q})
-    return Poly(quot)
+        add_row_product(work, g, {m - lt: -q})
+    return row_poly(quot)
 
 
 def colon(I, f):

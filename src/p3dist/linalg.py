@@ -42,8 +42,11 @@ mod p or over QQ, stops proving S-pairs zero where its leading terms fill
 the bound; the full run's result is the same.
 
 The section comes from one scan of the columns x^m*A_i of the contraction
-map, in the order i*n + (index of m). Each column is keyed by the grevlex
-rank of its target monomials, with a tag key per column that records the
+map, in the order i*n + (index of m). The form's coefficients arrive as
+packed integer rows, packed at parse (`exterior.checked_oneform`), so a
+target monomial is a sum a + m of packed keys, looked up in a table of
+grevlex ranks. Each column is keyed by the grevlex rank of its target
+monomials, with a tag key per column that records the
 combination, and is top-reduced against the earlier pivot columns by
 `poly.fraction_free_step`, which cancels in place in the column, a fresh
 dict that the scan owns, and divides out no content: a column that
@@ -54,9 +57,10 @@ vector of that free column, up to scale. A radial multiple f*R is 1 at
 x_i*f in each F_i, so each class modulo them has one representative
 whose F_0 has no monomial divisible by x_0: the first kernel vector F not
 in the radial span, reduced by clearing each x_0*f of F_0 with f*R, is
-the canonical section. The scan returns it as primitive integer components;
-`minimal_section` certifies those integers and builds the `VField` once,
-and `compute_tF` calls it at the first twist t_F with h0 > 0 when t_F <= d.
+the canonical section. The scan returns it as primitive packed integer
+rows; `minimal_section` certifies them and returns the `VField` that keeps
+them, which the report prints from its rows, and `compute_tF` calls it at
+the first twist t_F with h0 > 0 when t_F <= d.
 
 At t_F = d + 1 no column is scanned. Theorem: if h0(t) = 0 for every
 t <= d, which the sweep has read, the scan at twist d + 1 returns the
@@ -86,15 +90,16 @@ from .errors import BoundViolated, InternalInconsistency
 from .exterior import (
     VField,
     _contraction,
+    _of_rows,
     _radial_minors,
     checked_oneform,
     coefficient_ideal,
 )
-from .groebner import hilbert_numerator
+from .groebner import _pack, hilbert_numerator
 from .hilbert import hilbert_function
 from .poly import (
+    _VARS,
     NVARS,
-    Poly,
     dim_graded_piece,
     fraction_free_step,
     monomials_of_degree,
@@ -127,16 +132,17 @@ def _dims(numerator, s, delta, t):
 
 def _reduced(v, mons, index):
     """The class of a kernel vector v of the contraction map at the twist
-    whose monomials are mons, keyed i*n + (index of m) for x^m*e_i, modulo
-    the radial span: each x_0*f of F_0 cleared with f*R, as four integer
-    dicts, primitive together and positive at the first column, so that
-    every multiple prints the same; None if v is radial."""
+    whose packed monomials are mons, keyed i*n + (index of m) for x^m*e_i,
+    modulo the radial span: each x_0*f of F_0 cleared with f*R, as four
+    packed integer rows, primitive together and positive at the first
+    column, so that every multiple prints the same; None if v is radial."""
     n = len(mons)
-    # m = x_0*f: f*R is 1 at m in F_0 and at x_i*f in F_i
-    for k in [k for k in v if k < n and mons[k][0]]:
+    # m = x_0*f (the x_0 field of m is nonzero): f*R is 1 at m in F_0 and
+    # at x_i*f in F_i
+    for k in [k for k in v if k < n and -mons[k] & 0xFFFF]:
         c, m = v.pop(k), mons[k]
         for i in range(1, NVARS):
-            j = i * n + index[(m[0] - 1,) + m[1:i] + (m[i] + 1,) + m[i + 1:]]
+            j = i * n + index[m - _VARS[0] + _VARS[i]]
             v[j] = v.get(j, 0) - c
             if not v[j]:
                 del v[j]
@@ -149,21 +155,19 @@ def _reduced(v, mons, index):
 
 
 def _section(coeffs, d, dprime):
-    """Canonical non-radial section at a twist, or None, for integer
-    multiples of the coefficients of a 1-form of degree d: the first RREF
+    """Canonical non-radial section at a twist, or None, for the packed
+    integer rows of the coefficients of a 1-form of degree d: the first RREF
     kernel vector F of the contraction map not in the radial span, as
     `_reduced` gives it."""
-    src_mons = monomials_of_degree(dprime)
+    src_mons = [_pack(m) for m in monomials_of_degree(dprime)]
     n = len(src_mons)
     index = {m: k for k, m in enumerate(src_mons)}
-    rank = {m: k for k, m in enumerate(monomials_of_degree(dprime + d + 1))}
+    rank = {_pack(m): k for k, m in enumerate(monomials_of_degree(dprime + d + 1))}
     tag = len(rank)  # tag keys follow the target keys, so a target key leads
     pivots = {}
     for col in range(NVARS * n):
         m = src_mons[col % n]
-        # the monomial sum written out, as in `poly.add_product`
-        v = {rank[(a[0] + m[0], a[1] + m[1], a[2] + m[2], a[3] + m[3])]: c
-             for a, c in coeffs[col // n].items()}
+        v = {rank[a + m]: c for a, c in coeffs[col // n].items()}
         v[tag + col] = 1
         lead = min(v)
         while lead in pivots:
@@ -183,7 +187,7 @@ def _koszul_section(coeffs, d):
     lower twist, in closed form: the Koszul field (A_1, -A_0, 0, 0) as
     `_reduced` gives it, which is `_section(coeffs, d, d + 1)` by the
     theorem of the module docstring."""
-    mons = monomials_of_degree(d + 1)
+    mons = [_pack(m) for m in monomials_of_degree(d + 1)]
     n = len(mons)
     index = {m: k for k, m in enumerate(mons)}
     v = {index[m]: c for m, c in coeffs[1].items()}
@@ -199,9 +203,9 @@ def h0_tangent_twist(omega, dprime):
 
 
 def _certified(fs, coeffs, dprime):
-    """The field of a section's integer components, or None for no section,
-    once they are certified against the form's integer coefficients: they
-    must annihilate the 1-form and must not be radial; a failed
+    """The field that keeps a section's primitive packed integer rows, or
+    None for no section, once they are certified against the form's rows:
+    they must annihilate the 1-form and must not be radial; a failed
     certificate raises InternalInconsistency."""
     if fs is None:
         return None
@@ -211,12 +215,12 @@ def _certified(fs, coeffs, dprime):
         )
     if not any(_radial_minors(fs)):
         raise InternalInconsistency(f"minimal section at twist {dprime} is radial")
-    return VField([Poly(f) for f in fs])
+    return _of_rows(VField, 1, tuple(fs))
 
 
 def minimal_section(omega, dprime):
     """Canonical non-radial section at the given twist, or None, from the
-    scan, certified by `_certified` before the field is built."""
+    scan, certified by `_certified`, which returns the field."""
     d, coeffs = checked_oneform(omega)
     return _certified(_section(coeffs, d, dprime), coeffs, dprime)
 

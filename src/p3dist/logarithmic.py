@@ -16,8 +16,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegreeMismatch, DomainError, WeightRelationViolated
-from .exterior import ExtForm
-from .poly import NVARS, Poly, add_product, diff_row, integer_multiples
+from .exterior import ExtForm, _of_rows
+from .groebner import _packed
+from .poly import NVARS, _as_fraction, add_row_product, diff_row, integer_rows
 from . import distribution
 
 
@@ -76,23 +77,24 @@ class LogType(NamedTuple("LogType", [("polys", tuple), ("weights", tuple)])):
 def build_log_form(log_type):
     """The 1-form sum_i lambda_i (prod_{j!=i} f_j) df_i.
 
-    It is built on integers: with W_i = c lambda_i and F_i = c' f_i the
-    integer multiples of the weights and of the tuple of the f_i, the form
-    is sum_i W_i (prod_{j!=i} F_j) dF_i over the one denominator c * c'^k,
-    k the number of hypersurfaces.
+    It is built on packed integer rows: with W_i = c lambda_i and
+    F_i = c' f_i the integer multiples of the weights and of the tuple of
+    the f_i, the form is sum_i W_i (prod_{j!=i} F_j) dF_i over the one
+    denominator c * c'^k, k the number of hypersurfaces, and it keeps its
+    rows with that scale, their content divided out.
     """
-    den, weights = integer_multiples([Poly.constant(w) for w in log_type.weights])
-    c, polys = integer_multiples(log_type.polys)
+    den, weights = integer_rows([{0: _as_fraction(w)} if w else {} for w in log_type.weights])
+    c, polys = integer_rows([_packed(f.terms) for f in log_type.polys])
     den *= c ** len(polys)
     coeffs = [{} for _ in range(NVARS)]
     for i, rest in enumerate(weights):
         for j, g in enumerate(polys):
             if j != i:
-                rest, acc = {}, rest
-                add_product(rest, acc, g)
+                rest = add_row_product({}, rest, g)
         for k in range(NVARS):
-            add_product(coeffs[k], rest, diff_row(polys[i], k))
-    return ExtForm.one_form(*(Poly({m: c / den for m, c in row.items()}) for row in coeffs))
+            add_row_product(coeffs[k], rest, diff_row(polys[i], k))
+    scale, rows = integer_rows(coeffs)
+    return _of_rows(ExtForm, den * scale, rows)
 
 
 def _curve(degrees):

@@ -4,6 +4,16 @@ Monomials are exponent 4-tuples. The global term order is graded reverse
 lexicographic with x0 > x1 > x2 > x3; every canonical printing and every
 deterministic choice in the package goes through it.
 
+The analysis reads a polynomial as a sparse integer row keyed by its packed
+monomials (Monagan and Pearce, J. Symbolic Comput. 46, 2011): the parser
+sums the keys of its variables, and a form or field keeps the rows and one
+rational scale (`integer_rows`), of which its Polys are a view (`row_poly`).
+With a power t^e of the Groebner engine's auxiliary variable in front,
+    t^e x0^a0 x1^a1 x2^a2 x3^a3 -> e*2^96 + (a0 + a1 + a2 + a3)*2^80
+                                   - (e<<64 | a3<<48 | a2<<32 | a1<<16 | a0).
+A product is +, a quotient is -, and integer comparison is grevlex (for
+e > 0 the block order that eliminates t).
+
 The sparse integer rows below carry the fraction-free eliminations of the
 Groebner engine and of the section spaces. Their one step cancels a term
 in place, in a row that the reduction owns: each reduction copies its row
@@ -20,6 +30,8 @@ from operator import add, le, neg, sub
 
 NVARS = 4
 ZERO_MON = (0, 0, 0, 0)
+_FIELDS = (1 << 80) - 1
+_VARS = tuple((1 << 80) - (1 << 16 * i) for i in range(NVARS))  # x0..x3 packed
 
 
 def mon_mul(a, b):
@@ -101,49 +113,63 @@ def fraction_free_step(row, pivot_row, col, shift=0, p=None):
     return added
 
 
-# -- integer polynomials ------------------------------------------------------
-# An integer dict maps monomials to nonzero ints. Whether a product of forms
-# vanishes does not change when each factor is scaled by a nonzero rational,
-# so the exterior checks run on these instead of on Fraction Polys.
+# -- packed integer rows -------------------------------------------------------
+# Whether a product of forms vanishes does not change when each factor is
+# scaled by a nonzero rational, so the analysis runs on integer rows.
 
 
-def integer_multiples(polys):
-    """(c, dicts): the least rational c > 0 for which every c*p, p in polys,
-    has integer coefficients with no common factor, and those integer
-    dicts. A zero poly gives an empty dict."""
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    rows = [{m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-            for p in polys]
+def _unpack(k):
+    """The exponent tuple (a0, a1, a2, a3) of a packed t-free monomial."""
+    z = -k & _FIELDS
+    return (z & 0xFFFF, z >> 16 & 0xFFFF, z >> 32 & 0xFFFF, z >> 48 & 0xFFFF)
+
+
+def _degree(k):
+    """Total degree, t included, of a packed monomial."""
+    h = -(-k >> 80)
+    return (h >> 16) + (h & 0xFFFF)
+
+
+def integer_rows(rows):
+    """(c, rows'): the least rational c > 0 for which every c*row, row a dict
+    of int or Fraction coefficients, has integer coefficients with no common
+    factor, and those integer rows, with the keys kept. A zero row stays
+    empty."""
+    den = lcm(*(c.denominator for row in rows for c in row.values()))
+    rows = [{m: c.numerator * (den // c.denominator) for m, c in row.items()} for row in rows]
     g = gcd(*(c for row in rows for c in row.values())) or 1
     if g > 1:
         rows = [{m: c // g for m, c in row.items()} for row in rows]
-    return Fraction(den, g), rows
+    return Fraction(den, g), tuple(rows)
 
 
-def add_product(out, a, b, scale=1):
-    """out += scale * a * b, in place, for dicts a, b of 4-variable monomials
-    with nonzero int or Fraction coefficients and a nonzero scale; out keeps
-    no zero coefficients."""
+def row_poly(row, scale=1):
+    """The Poly row / scale of a packed row of int or Fraction coefficients,
+    scale > 0 rational."""
+    if scale != 1:
+        row = {k: Fraction(c) / scale for k, c in row.items()}
+    return Poly({_unpack(k): c for k, c in row.items()})
+
+
+def add_row_product(out, a, b, scale=1):
+    """out += scale * a * b, in place, for packed rows a, b and a nonzero
+    scale; out keeps no zero coefficients, and is returned."""
     for m1, c1 in a.items():
         c1 *= scale
         for m2, c2 in b.items():
-            # mon_mul written out: twice as fast in this innermost loop
-            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+            m = m1 + m2
             c = out.get(m, 0) + c1 * c2
             if c:
                 out[m] = c
             else:
                 del out[m]
+    return out
 
 
 def diff_row(row, i):
-    """Partial derivative of an integer dict with respect to x_i."""
-    out = {}
-    for m, c in row.items():
-        e = m[i]
-        if e:
-            out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
-    return out
+    """Partial derivative of a packed row with respect to x_i."""
+    x = _VARS[i]
+    return {k - x: c * e for k, c in row.items() for e in (-k >> 16 * i & 0xFFFF,) if e}
 
 
 def _as_fraction(c):
@@ -247,7 +273,11 @@ class Poly:
                 return Poly()
             return Poly({m: a * c for m, a in self.terms.items()})
         out = {}
-        add_product(out, self.terms, other.terms)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                # mon_mul written out: twice as fast in this innermost loop
+                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+                out[m] = out.get(m, 0) + c1 * c2
         return Poly(out)
 
     __rmul__ = __mul__
@@ -266,7 +296,8 @@ class Poly:
 
     def diff(self, i):
         """Partial derivative with respect to x_i."""
-        return Poly(diff_row(self.terms, i))
+        return Poly({m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                     for m, c in self.terms.items() if m[i]})
 
     # -- structure ---------------------------------------------------------
 

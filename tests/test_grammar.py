@@ -101,6 +101,13 @@ def test_overlong_number_is_parse_error():
     with pytest.raises(ParseError, match="number too long") as exc:
         parse_poly("1" * (limit + 1) + "x")
     assert exc.value.col == limit + 2
+    # an exponent's digits are read with their variable, and are refused
+    # at the same place: the end of the digit run
+    for text, line, col in (("x^" + "1" * (limit + 1), 1, limit + 4),
+                            ("y ^\n " + "2" * (limit + 1) + " z", 2, limit + 3)):
+        with pytest.raises(ParseError, match="number too long") as exc:
+            parse_poly(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
 
 
 def test_format_canonical():
@@ -153,6 +160,13 @@ EDGE_CASES = [
     ('x0 + 2\n  + y^21', ('power of degree 21 is above the degree cap MAX_DEGREE = 20', 2, 6)),
     ('(x+y)^10 * (x+y)^10 *\n x', ('product of degree 21 is above the degree cap MAX_DEGREE = 20', 2, 2)),
     ("\n" + "(" * 65 + "x" + ")" * 65, ('parentheses nested deeper than MAX_DEPTH = 64', 2, 65)),
+    # a variable's '^' and exponent digits are one token with it
+    ('x ^ 2', 'x0^2'),
+    ('y ^\n 2 x ^ 0', 'x1^2'),
+    ('x^ a', ("unexpected 'a', expected integer exponent", 1, 4)),
+    ('x^2^3', ("unexpected '^', expected operator or end of input", 1, 4)),
+    ('x5', ("unexpected '5' right after variable 'x'", 1, 2)),
+    ('x ^ 21', ('power of degree 21 is above the degree cap MAX_DEGREE = 20', 1, 3)),
 ]
 
 

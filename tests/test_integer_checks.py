@@ -35,9 +35,9 @@ from p3dist.exterior import (  # noqa: E402
 )
 from p3dist.foliation import sing_scheme_v  # noqa: E402
 from p3dist.grammar import format_poly, parse_poly  # noqa: E402
-from p3dist.groebner import Ideal, saturate  # noqa: E402
+from p3dist.groebner import Ideal, _packed, saturate  # noqa: E402
 from p3dist.logarithmic import LogType, build_log_form  # noqa: E402
-from p3dist.poly import NVARS, Poly, integer_multiples, monomials_of_degree  # noqa: E402
+from p3dist.poly import NVARS, Poly, integer_rows, monomials_of_degree  # noqa: E402
 from test_linalg import a0_zero_form  # noqa: E402
 
 FUZZ = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -122,8 +122,9 @@ def near_radial_fields(draw):
 
 
 def integers(polys):
-    """Integer multiples of the polys, as the pipeline's checks read them."""
-    return integer_multiples(polys)[1]
+    """Integer multiples of the polys as packed rows, as the pipeline's
+    checks read them."""
+    return integer_rows([_packed(p.terms) for p in polys])[1]
 
 
 def annihilated(v, omega):

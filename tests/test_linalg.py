@@ -14,6 +14,7 @@ from p3dist.exterior import (
     ExtForm,
     VField,
     _koszul_numerator,
+    _rows_of,
     checked_oneform,
     coefficient_ideal,
     contract,
@@ -25,8 +26,8 @@ from p3dist.grammar import parse_poly
 from p3dist.hilbert import hilbert, hilbert_function
 from p3dist.linalg import compute_tF, h0_tangent_twist, minimal_section
 from p3dist.poly import (
-    Poly, X0, X1, X2, X3, dim_graded_piece, integer_multiples, mon_mul, monomials_of_degree,
-    primitive_row,
+    Poly, X0, X1, X2, X3, _unpack, dim_graded_piece, integer_rows, mon_mul, monomials_of_degree,
+    primitive_row, row_poly,
 )
 
 import maxorder
@@ -209,7 +210,7 @@ def section_at_one(omega):
 def test_section_certificate(request, monkeypatch, run, form, route, bad, message):
     # t_F = 1 on example1 (d = 3) and on the null-correlation form (d = 0)
     def section_at(coeffs, d, *dprime):
-        return integer_multiples(bad.components)[1]
+        return _rows_of(bad)[1]
 
     omega = request.getfixturevalue(form)
     monkeypatch.setattr(linalg, route, section_at)
@@ -427,7 +428,7 @@ def test_koszul_section_is_the_scan_at_d_plus_one(monkeypatch, example1, example
         koszul = linalg._koszul_section(coeffs, d)
         coprime.append(common_factor(omega.one_form_coeffs()[:2]).is_constant())
         assert (koszul == scan) == coprime[-1], omega
-        assert minimal_section(omega, d + 1) == VField([Poly(f) for f in scan])
+        assert minimal_section(omega, d + 1) == VField([row_poly(f) for f in scan])
         scans.clear()
         tF, section, _ = compute_tF(fresh(omega))
         if tF == d + 1:
@@ -485,7 +486,8 @@ def test_capped_numerator_gives_every_dimension(example1, example2, nullcorrelat
 
 def koszul_fields(coeffs, d):
     """The rows of the radial multiples and of the six Koszul fields at
-    twist d + 1, column i * n + (index of m) for x^m e_i."""
+    twist d + 1, column i * n + (index of m) for x^m e_i, from the packed
+    rows of the coefficients."""
     mons = monomials_of_degree(d + 1)
     n, index = len(mons), {m: k for k, m in enumerate(mons)}
     radial = []
@@ -493,8 +495,8 @@ def koszul_fields(coeffs, d):
         radial.append({i * n + index[f[:i] + (f[i] + 1,) + f[i + 1:]]: 1 for i in range(4)})
     koszul = []
     for i, j in combinations(range(4), 2):
-        v = {i * n + index[m]: c for m, c in coeffs[j].items()}
-        v.update({j * n + index[m]: -c for m, c in coeffs[i].items()})
+        v = {i * n + index[_unpack(m)]: c for m, c in coeffs[j].items()}
+        v.update({j * n + index[_unpack(m)]: -c for m, c in coeffs[i].items()})
         koszul.append(v)
     return radial, koszul
 
@@ -746,7 +748,7 @@ def test_qq_numerator_above_the_modular_one_raises(monkeypatch, example1):
 def conormal_kernel_dim(v, t):
     """dim of {omega : i_R omega = i_v omega = 0}, coefficients of degree
     t - 2, from the echelon kernel: the sections of N*(t - 1)."""
-    _, fs = integer_multiples(v.components)
+    _, fs = integer_rows([p.terms for p in v.components])
     mons = monomials_of_degree(t - 2)
     rows = {}
     for i, x_i in enumerate(monomials_of_degree(1)):

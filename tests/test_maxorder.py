@@ -23,7 +23,7 @@ from p3dist.foliation import classify_degree1, sing_scheme_v
 from p3dist.groebner import Ideal, intersect, saturate, saturate_single
 from p3dist.grammar import format_poly
 from p3dist.hilbert import hilbert
-from p3dist.poly import Poly, add_product, integer_multiples, monomials_of_degree
+from p3dist.poly import Poly, add_row_product, integer_rows, monomials_of_degree, row_poly
 
 from conftest import make_rng
 from maxorder import ROWS, linear_field, oneform, pullback
@@ -67,24 +67,24 @@ def test_maxorder_classification(row, d):
 
 def substitute(polys, P):
     """Integer multiples, scaled together, of the polynomials f(P y):
-    x_i = sum_j P_ij y_j, each monomial expanded once."""
+    x_i = sum_j P_ij y_j, each monomial expanded once, as a packed row."""
     units = monomials_of_degree(1)
-    lin = [{m: c for m, c in zip(units, row) if c} for row in P]
-    expanded = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
+    lin = [{groebner._pack(m): c for m, c in zip(units, row) if c} for row in P]
+    expanded = {(0, 0, 0, 0): {0: 1}}
 
     def expand(m):
         if m not in expanded:
             i = next(i for i, e in enumerate(m) if e)
             expanded[m] = {}
-            add_product(expanded[m], expand(m[:i] + (m[i] - 1,) + m[i + 1:]), lin[i])
+            add_row_product(expanded[m], expand(m[:i] + (m[i] - 1,) + m[i + 1:]), lin[i])
         return expanded[m]
 
     out = []
-    for row in integer_multiples(polys)[1]:
+    for row in integer_rows([p.terms for p in polys])[1]:
         f = {}
         for m, c in row.items():
-            add_product(f, expand(m), {(0, 0, 0, 0): c})
-        out.append(Poly(f))
+            add_row_product(f, expand(m), {0: c})
+        out.append(row_poly(f))
     return out
 
 

@@ -2,6 +2,7 @@
 same way, and the analyses leave no memoized state behind in the package."""
 
 import importlib
+import json
 import pkgutil
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import p3dist  # noqa: E402
 from p3dist import cli, corpus, distribution, exterior, foliation, linalg  # noqa: E402
 from p3dist.errors import ValidationError  # noqa: E402
-from p3dist.exterior import ExtForm, contract, radial_field  # noqa: E402
+from p3dist.exterior import ExtForm, VField, contract, radial_field  # noqa: E402
+from p3dist.grammar import format_poly  # noqa: E402
 from p3dist.poly import Poly, monomials_of_degree  # noqa: E402
 
 from conftest import module_cache_sizes  # noqa: E402
@@ -105,11 +107,12 @@ def test_entry_point_checks_a_form_once(entry, example1, monkeypatch):
 
 
 def test_each_form_is_scaled_to_integers_once(example1, monkeypatch):
-    # oneform_degree scales the coefficients once and the checks read them
-    # from the form's check record; the section scan builds its section as
-    # integers, which minimal_section certifies, and a field is scaled once
-    # per check of it. The radial field is read as integer dicts, never built.
-    calls = {"integer_multiples": 0, "radial_field": 0}
+    # a form or field built from Polys is scaled once, by its first check,
+    # and the checks read the rows from it; a parsed one keeps the rows its
+    # parse scaled, so its analysis scales nothing; the section scan builds
+    # its section as integer rows, which minimal_section certifies and the
+    # field keeps. The radial field is read as packed rows, never built.
+    calls = {"integer_rows": 0, "radial_field": 0}
     modules = [importlib.import_module(f"p3dist.{m.name}")
                for m in pkgutil.iter_modules(p3dist.__path__)]
     binders = []
@@ -123,13 +126,13 @@ def test_each_form_is_scaled_to_integers_once(example1, monkeypatch):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
                 binders.append(f"{module.__name__}.{name}")
-    assert {"p3dist.exterior.integer_multiples", "p3dist.foliation.integer_multiples",
-            "p3dist.logarithmic.integer_multiples"} <= set(binders)
+    assert {"p3dist.exterior.integer_rows", "p3dist.cli.integer_rows",
+            "p3dist.logarithmic.integer_rows"} <= set(binders)
 
     def counts(run, arg):
         calls.update(dict.fromkeys(calls, 0))
         run(arg)
-        return calls["integer_multiples"], calls["radial_field"]
+        return calls["integer_rows"], calls["radial_field"]
 
     def fresh():
         return ExtForm.one_form(*example1.one_form_coeffs())
@@ -138,7 +141,12 @@ def test_each_form_is_scaled_to_integers_once(example1, monkeypatch):
     assert counts(distribution.classify, fresh()) == (1, 0)
     assert counts(linalg.compute_tF, fresh()) == (1, 0)
     assert counts(cli._subfoliation_doc, fresh()) == (1, 0)
-    assert counts(foliation.analyze, corpus.load_vfield("four_points")) == (1, 0)
+    four_points = corpus.load_vfield("four_points")
+    assert counts(foliation.analyze, four_points) == (0, 0)
+    assert counts(foliation.analyze, VField(four_points.components)) == (1, 0)
+    assert counts(distribution.classify, corpus.load_oneform("example1")) == (0, 0)
+    assert counts(cli.parse_input, json.dumps({"kind": "oneform", "coeffs": [
+        format_poly(p) for p in example1.one_form_coeffs()]})) == (1, 0)
 
 
 def test_analysis_keeps_no_module_cache():

@@ -1,16 +1,28 @@
-"""The Groebner engine packs each monomial into one int. These tests check
-the encoding against the exponent-tuple helpers of `poly` on every pair of
-monomials of degree <= 6 in x0..x3, with and without an auxiliary variable
-t of exponent 0..3 in front, and the degree limit through the public API."""
+"""The analysis and the Groebner engine pack each monomial into one int.
+These tests check the encoding against the exponent-tuple helpers of `poly`
+on every pair of monomials of degree <= 6 in x0..x3, with and without an
+auxiliary variable t of exponent 0..3 in front, the degree limit through
+the public API, and the products and derivatives of the analysis on
+packed rows against the Fraction exterior algebra."""
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from p3dist import groebner
 from p3dist.errors import DomainError, ValidationError
+from p3dist.exterior import (
+    ExtForm, VField, _contraction, _radial_minors, _rows_of, contract, exterior_derivative,
+    minors_against_radial,
+)
 from p3dist.groebner import MAX_MONOMIAL_DEGREE, Ideal, intersect, saturate_single
-from p3dist.poly import X0, X1, X2, X3, grevlex_key, mon_div, mon_divides, mon_mul
+from p3dist.poly import (
+    X0, X1, X2, X3, add_row_product, diff_row, grevlex_key, mon_div, mon_divides, mon_mul,
+    row_poly,
+)
+
+from conftest import make_rng, random_poly
 
 
 def monomials(degree, t_max=None):
@@ -87,3 +99,32 @@ def test_degree_limit_inside_the_engine():
         saturate_single(Ideal((X0 ** 17000 * X1 - X3 ** 17001,)), X1 ** 16000 + X2 ** 16000)
     with pytest.raises(ValidationError, match="degree 32768 exceeds"):
         intersect(Ideal((X0 ** 30000,)), Ideal((X1 ** 2767,)))
+
+
+def random_polys(rng, degree):
+    """Four homogeneous polynomials of one degree, with Fraction
+    coefficients over one of a few denominators; some may be zero."""
+    return [random_poly(rng, degree) * Fraction(1, rng.choice((1, 2, 6, 35)))
+            for _ in range(4)]
+
+
+def test_packed_helpers_against_the_fraction_algebra():
+    # the rows of a form or field are c times its Polys, so each product of
+    # rows is the product of Polys times the scales
+    rng = make_rng(149)
+    cases = 0
+    for _ in range(60):
+        omega = ExtForm.one_form(*random_polys(rng, rng.randint(1, 3)))
+        v = VField(random_polys(rng, rng.randint(0, 2)))
+        (cw, a), (cv, fs) = _rows_of(omega), _rows_of(v)
+        assert row_poly(_contraction(fs, a), cv * cw) == contract(v, omega).coeffs[()]
+        assert [row_poly(m, cv) for m in _radial_minors(fs)] == minors_against_radial(v)
+        d_omega = exterior_derivative(omega)
+        for i, j in combinations(range(4), 2):
+            b = add_row_product(diff_row(a[j], i), diff_row(a[i], j), {0: 1}, -1)
+            assert row_poly(b, cw) == d_omega.coeffs[i, j]
+        for p, row in zip(omega.one_form_coeffs(), a):
+            assert [row_poly(diff_row(row, i), cw) for i in range(4)] == [
+                p.diff(i) for i in range(4)]
+        cases += any(a) and any(fs)
+    assert cases > 40

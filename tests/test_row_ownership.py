@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from p3dist import corpus, groebner, linalg
+from p3dist import cli, corpus, foliation, groebner, linalg
 from p3dist.distribution import classify
-from p3dist.exterior import checked_oneform, coefficient_ideal
+from p3dist.exterior import _rows_of, checked_oneform, coefficient_ideal
 from p3dist.groebner import Ideal, normal_form
 from p3dist.poly import X0, X1, X2, X3
 
@@ -62,3 +62,24 @@ def test_analysis_leaves_the_checked_rows_unchanged(omega):
         unchanged(linalg._section, coeffs, d, dprime)
     classify(omega)
     assert (coeffs, coefficient_ideal(omega)._rows) == before
+
+
+def test_analysis_leaves_the_parsed_rows_unchanged():
+    # a parsed form or field keeps the rows its parse scaled, which every
+    # analysis reads and none may change; the field of a minimal section
+    # keeps the scan's rows, which the reports print
+    names = corpus.corpus_names()
+    for name in names["oneforms"]:
+        omega = corpus.load_oneform(name)
+        before = deepcopy(_rows_of(omega))
+        report = classify(omega)
+        section = deepcopy(_rows_of(report.minimal_section))
+        cli.dist_report_doc(report)
+        cli._subfoliation_doc(omega)
+        assert (_rows_of(omega), _rows_of(report.minimal_section)) == (before, section)
+    for name in names["vfields"]:
+        v = corpus.load_vfield(name)
+        before = deepcopy(_rows_of(v))
+        cli.foliation_report_doc(foliation.analyze(v))
+        foliation.contraction_check(v, corpus.load_oneform("example1"))
+        assert _rows_of(v) == before
