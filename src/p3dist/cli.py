@@ -28,7 +28,7 @@ from math import isqrt
 from . import corpus, distribution, foliation, logarithmic
 from .errors import InternalInconsistency, NumericContradiction, ParseError, ValidationError
 from .exterior import ExtForm, VField, _of_rows, _rows_of
-from .grammar import _format_row, _parse
+from .grammar import _format_row, _Monomials, _parse
 from .groebner import PRIME, _engine_ideal, leading_monomials_mod_p
 from .linalg import compute_tF
 from .logarithmic import LogType
@@ -139,7 +139,8 @@ def _rows_doc(x):
     """The texts of a 1-form's coefficients or a field's components, printed
     from its integer rows."""
     scale, rows = _rows_of(x)
-    return [_format_row(row, scale) for row in rows]
+    texts = _Monomials()
+    return [_format_row(row, scale, texts) for row in rows]
 
 
 def _ideal_doc(ideal):

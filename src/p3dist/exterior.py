@@ -84,6 +84,10 @@ class ExtForm:
     def __setattr__(self, name, value):
         raise AttributeError("ExtForm is immutable")
 
+    def __reduce__(self):
+        return ((_of_rows, (ExtForm, *self._rows)) if self._rows
+                else (ExtForm, (self.grade, self._coeffs)))
+
     @staticmethod
     def from_function(f):
         """Grade-0 form from a polynomial."""
@@ -257,6 +261,9 @@ class VField:
 
     def __setattr__(self, name, value):
         raise AttributeError("VField is immutable")
+
+    def __reduce__(self):
+        return (_of_rows, (VField, *self._rows)) if self._rows else (VField, (self._components,))
 
     def is_zero(self):
         return all(p.is_zero() for p in self.components)

@@ -1,10 +1,16 @@
 """Polynomial text grammar: parser and canonical, Fraction-free printer of signed terms.
 
-The parser sums the packed monomial keys of `poly` (x_i is one key, and a
-product adds keys), so that a parsed text is already the row of int or
-Fraction coefficients that `poly.integer_rows` scales once for the
-analysis; `parse_poly` builds its Poly from that row. The printer reads
-packed integer rows too (`_format_row`), with no Fraction built.
+The parser is a recursive descent over the group tuples of the text's
+tokens, found once by one regular expression; only an error finds its
+text offset, from the matches of the same text. It sums the packed
+monomial keys of `poly` (x_i is one key, and a product adds keys), so that
+a parsed text is already the row of int or Fraction coefficients that
+`poly.integer_rows` scales once for the analysis; `parse_poly` builds its
+Poly from that row. The printer reads packed integer rows too
+(`_format_row`), with no Fraction built: the rows of one ideal or row set
+share one table of monomial texts (`_Monomials`), filled from a constant
+table of variable powers, and every printing, Hilbert polynomials too,
+joins its terms through `_signed_sum`.
 
 Grammar: variables x0..x3 with aliases x,y,z,w; integer or rational
 coefficients p/q, where q follows the '/' directly; + - * ^ and
@@ -27,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ParseError
-from .poly import _VARS, _degree, _unpack, add_row_product, row_poly
+from .poly import _FIELDS, _VARS, NVARS, _degree, add_row_product, row_poly
 
 ALIASES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3, "x": 0, "y": 1, "z": 2, "w": 3}
 
@@ -36,27 +42,35 @@ ALIASES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3, "x": 0, "y": 1, "z": 2, "w": 3}
 MAX_DEGREE = 20
 MAX_DEPTH = 64
 
-# a token: a digit run, a variable with its '^' and exponent digits if it
-# has them, any other non-space character, or the end of the text (""); a
-# text's tokens are found once, as a list
-_TOKEN = re.compile(r"(\d+)|(x[0-3]|[xyzw])(?:\s*(\^)\s*(\d+))?|(\S)|\Z")
-_NUMBER, _VARIABLE, _CARET, _EXPONENT = 1, 2, 3, 4
+# a token: a digit run; a variable, with its '^' and exponent digits if it
+# has them, or else with the digit right after it, which is an error (x5);
+# '/' with the digits right after it, a coefficient's denominator; any
+# other non-space character; or the end of the text (""). A text's tokens
+# are found once, as the tuples (text, number, variable, exponent) of their
+# groups, each a new tuple, and an error finds the offset of its token by
+# the token's place among them, from the matches of the same text.
+_TOKEN = re.compile(r"((\d+)|(x[0-3]|[xyzw])(?:\s*\^\s*(\d+)|\d?)|/\d+|\S|\Z)")
+_NUMBER, _VARIABLE, _EXPONENT = 1, 2, 3
 
 
 class _Parser:
-    """Recursive descent over the _TOKEN matches of a text. Each sum is
-    added up in place in a dict packed monomial -> nonzero int or Fraction;
-    a factor's degree is -1 when it is zero."""
+    """Recursive descent over the _TOKEN tuples of a text. Each sum is added
+    up in place in a dict packed monomial -> nonzero int or Fraction; a
+    factor's degree is -1 when it is zero."""
 
     def __init__(self, text):
         self.text = text
-        self.toks = list(_TOKEN.finditer(text))
-        self.pos = 0
-        self.tok = self.toks[0]
+        self.toks = _TOKEN.findall(text)
+        self.next = iter(self.toks).__next__
+        self.tok = self.next()
         self.depth = 0
 
-    def fail(self, message, offset, expected=None):
-        """Raise a ParseError at a text offset; only errors count lines."""
+    def fail(self, message, tok, shift=0, expected=None):
+        """Raise a ParseError at the text offset shift characters after the
+        start of the token; only an error finds the offset, and counts
+        lines."""
+        i = next(i for i, t in enumerate(self.toks) if t is tok)
+        offset = list(_TOKEN.finditer(self.text))[i].start() + shift
         line = self.text.count("\n", 0, offset) + 1
         col = offset - self.text.rfind("\n", 0, offset)
         raise ParseError(message, line, col, expected)
@@ -64,86 +78,60 @@ class _Parser:
     def unexpected(self, expected):
         got = self.tok[0][:1]
         what = f"unexpected {got!r}" if got else "unexpected end of input"
-        self.fail(f"{what}, expected {expected}", self.tok.start(), expected)
+        self.fail(f"{what}, expected {expected}", self.tok, 0, expected)
 
-    def check_cap(self, what, degree, at):
-        if degree > MAX_DEGREE:
-            self.fail(f"{what} of degree {degree} is above the degree cap "
-                      f"MAX_DEGREE = {MAX_DEGREE}", at)
-
-    def advance(self):
-        self.pos += 1
-        self.tok = self.toks[self.pos]
+    def over_cap(self, what, degree, tok, shift=0):
+        self.fail(f"{what} of degree {degree} is above the degree cap "
+                  f"MAX_DEGREE = {MAX_DEGREE}", tok, shift)
 
     def take(self, ch):
         if self.tok[0] == ch:
-            self.advance()
+            self.tok = self.next()
             return True
         return False
 
-    def integer(self, group=_NUMBER):
-        """Consume the current token and return the int of its digit run,
-        the given group of the token."""
-        tok = self.tok
+    def integer(self, digits):
+        """The int of the digit run that ends the current token, which is
+        consumed."""
         try:
-            n = int(tok[group])
+            n = int(digits)
         except ValueError as exc:  # longer than the interpreter converts
-            self.fail(f"number too long: {exc}", tok.end(group))
-        self.advance()
+            self.fail(f"number too long: {exc}", self.tok, len(self.tok[0]))
+        self.tok = self.next()
         return n
 
     def exponent(self, degree):
         """The exponent after an optional '^' (1 without one) on a base of
         the given degree."""
-        at = self.tok.start()
+        at = self.tok
         if not self.take("^"):
             return 1
         if not self.tok[_NUMBER]:
             self.unexpected("integer exponent")
-        n = self.integer()
-        self.check_cap("power", max(degree, 1) * n, at)
+        n = self.integer(self.tok[_NUMBER])
+        if max(degree, 1) * n > MAX_DEGREE:
+            self.over_cap("power", max(degree, 1) * n, at)
         return n
 
     def number(self):
-        """The coefficient p or p/q at the current token, a digit run."""
-        c = self.integer()
-        # p/q: the '/' is the next token, and q's digits follow it directly
-        slash = self.tok
-        if slash[0] == "/":
-            den = self.toks[self.pos + 1]
-            if den[_NUMBER] and den.start() == slash.end():
-                self.advance()
-                q = self.integer()
-                if not q:
-                    self.fail("zero denominator", den.end())
-                c = Fraction(c, q)
+        """The coefficient p or p/q at the current token, a digit run; a
+        token '/q' after it is its denominator."""
+        c = self.integer(self.tok[_NUMBER])
+        den = self.tok
+        if len(den[0]) > 1 and den[0][0] == "/":
+            q = self.integer(den[0][1:])
+            if not q:
+                self.fail("zero denominator", den, len(den[0]))
+            c = Fraction(c, q)
         return c
-
-    def variable(self):
-        """(index, exponent) of the variable at the current token; the
-        token holds the '^' and the exponent's digits when they follow."""
-        tok = self.tok
-        i = ALIASES[tok[_VARIABLE]]
-        if tok[_EXPONENT]:
-            n = self.integer(_EXPONENT)
-            self.check_cap("power", n, tok.start(_CARET))
-            return i, n
-        self.advance()
-        # x5 or y2 is a mistyped variable, not a variable times a number
-        if self.tok[_NUMBER] and self.tok.start() == tok.end():
-            self.fail(f"unexpected {self.tok[0][0]!r} right after variable "
-                      f"{tok[0]!r}", tok.end(), "variable x0..x3, x, y, z or w")
-        # a '^' without digits after it is an error there
-        return i, self.exponent(1)
 
     def group(self):
         """The terms and degree of a parenthesized factor and its power."""
-        tok = self.tok
+        at = self.tok
         if not self.take("("):
             self.unexpected("number, variable, or '('")
         if self.depth == MAX_DEPTH:
-            self.fail(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}",
-                      tok.start())
+            self.fail(f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}", at)
         self.depth += 1
         base = self.expr()
         if not self.take(")"):
@@ -159,7 +147,7 @@ class _Parser:
         and variable factors are kept as one coefficient and one packed
         monomial, and only a parenthesized factor multiplies dicts; the
         product is zero, of degree -1, from its first zero factor on."""
-        c, m, groups, degree = sign, 0, None, None
+        c, m, groups, degree = sign, 0, None, 0
         while True:
             tok = self.tok
             if tok[_NUMBER]:
@@ -167,20 +155,34 @@ class _Parser:
                 c *= f
                 f_degree = 0 if f else -1
             elif tok[_VARIABLE]:
-                i, f_degree = self.variable()
-                m += f_degree * _VARS[i]
+                f_degree = tok[_EXPONENT]
+                if f_degree:
+                    f_degree = self.integer(f_degree)
+                    if f_degree > MAX_DEGREE:
+                        self.over_cap("power", f_degree, tok, tok[0].index("^"))
+                elif tok[0] != tok[_VARIABLE]:
+                    # x5 or y2 is a mistyped variable, not a variable times a number
+                    self.fail(f"unexpected {tok[0][-1]!r} right after variable "
+                              f"{tok[_VARIABLE]!r}", tok, len(tok[0]) - 1,
+                              "variable x0..x3, x, y, z or w")
+                else:
+                    # a '^' without digits after it is an error there
+                    self.tok = self.next()
+                    f_degree = self.exponent(1) if self.tok[0] == "^" else 1
+                m += f_degree * _VARS[ALIASES[tok[_VARIABLE]]]
             else:
                 f, f_degree = self.group()
                 groups = f if groups is None else add_row_product({}, groups, f)
-            if degree is None:
-                degree = f_degree
-            else:
-                self.check_cap("product", degree + f_degree, tok.start())
-                degree = -1 if -1 in (degree, f_degree) else degree + f_degree
+            n = degree + f_degree
+            if n > MAX_DEGREE:
+                self.over_cap("product", n, tok)
+            degree = -1 if degree < 0 or f_degree < 0 else n
             # a factor follows a '*', or directly when it starts with a
             # number, a variable or '('
-            if not (self.take("*") or self.tok[_NUMBER] or self.tok[_VARIABLE]
-                    or self.tok[0] == "("):
+            tok = self.tok
+            if tok[0] == "*":
+                self.tok = self.next()
+            elif not (tok[_NUMBER] or tok[_VARIABLE] or tok[0] == "("):
                 break
         if not c:
             return
@@ -199,7 +201,7 @@ class _Parser:
             sign = 1
             while self.tok[0] in ("+", "-"):
                 sign = -sign if self.tok[0] == "-" else sign
-                self.advance()
+                self.tok = self.next()
             self.term(acc, sign)
             if self.tok[0] not in ("+", "-"):
                 return acc
@@ -210,7 +212,7 @@ def _parse(text):
     parses to. Raises ParseError on bad input."""
     ps = _Parser(text)
     if not ps.tok[0]:
-        ps.fail("empty polynomial", len(text))
+        ps.fail("empty polynomial", ps.tok)
     p = ps.expr()
     if ps.tok[0]:
         ps.unexpected("operator or end of input")
@@ -222,14 +224,21 @@ def parse_poly(text):
     return row_poly(_parse(text))
 
 
-def _format_monomial(m):
-    parts = []
-    for i, e in enumerate(m):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    return "*".join(parts)
+# for each variable x_i, the shift of its exponent's field in a packed
+# monomial and the texts of x_i^e for e below 64, "" for e = 0: every
+# printed monomial is joined from them
+_POWERS = tuple((16 * i, ("", f"x{i}", *(f"x{i}^{e}" for e in range(2, 64)))) for i in range(NVARS))
+
+
+class _Monomials(dict):
+    """The text of each packed monomial, joined from _POWERS on its first
+    lookup. A printer makes one for each ideal or row set it prints."""
+
+    def __missing__(self, k):
+        z = -k & _FIELDS
+        text = self[k] = "*".join([p[e] if e < 64 else f"{p[1]}^{e}" for s, p in _POWERS
+                                   for e in (z >> s & 0xFFFF,) if e])
+        return text
 
 
 def _signed_sum(terms, monomial):
@@ -249,17 +258,20 @@ def _signed_sum(terms, monomial):
     return " ".join(chunks) if chunks else "0"
 
 
-def _format_row(row, scale=1):
+def _format_row(row, scale, texts):
     """`format_poly` of the Poly row / scale, read off a packed integer row
     and a rational scale > 0: keys descending (packed order is grevlex),
-    each coefficient reduced by one gcd."""
+    each coefficient reduced by one gcd. The monomials' texts are looked up
+    in texts, a _Monomials that the rows of one ideal or row set share."""
     n, d = scale.denominator, scale.numerator
-    terms = ((k, c * n) for k, c in sorted(row.items(), reverse=True))
-    return _signed_sum(((_unpack(k), c // q, d // q) for k, c in terms for q in (gcd(c, d),)),
-                       _format_monomial)
+    return _signed_sum([(k, c // q, d // q) for k in sorted(row, reverse=True)
+                        for c in (row[k] * n,) for q in (gcd(c, d),)], texts.__getitem__)
 
 
 def format_poly(p):
-    """Canonical printing: terms descending under the global order."""
-    return _signed_sum(((m, c.numerator, c.denominator) for m, c in p.sorted_terms()),
-                       _format_monomial)
+    """Canonical printing: terms descending under the global order, which
+    is the order of their packed monomials."""
+    x0, x1, x2, x3 = _VARS
+    return _signed_sum(sorted(((m[0] * x0 + m[1] * x1 + m[2] * x2 + m[3] * x3, c.numerator,
+                                c.denominator) for m, c in p.terms.items()), reverse=True),
+                       _Monomials().__getitem__)

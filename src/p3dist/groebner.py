@@ -68,7 +68,7 @@ import itertools
 from heapq import heapify, heappop, heappush
 
 from .errors import DomainError, InternalInconsistency, NonTermination
-from .grammar import _format_row
+from .grammar import _format_row, _Monomials
 from .hilbert import hilbert, hilbert_function, numerator_from_terms
 from .poly import (
     _FIELDS,
@@ -485,6 +485,11 @@ class Ideal:
     def __setattr__(self, name, value):
         raise AttributeError("Ideal generators are immutable")
 
+    def __reduce__(self):
+        if self._rows is self._reduced:  # made by the engine
+            return _engine_ideal, (self._reduced, self._hilbert)
+        return Ideal._of_rows, (self._rows, self._lower)
+
     @property
     def gens(self):
         """The given generators, or the monic reduced basis on an ideal the
@@ -507,8 +512,9 @@ class Ideal:
 
     def basis_strings(self):
         """`format_poly` of each element of `groebner()`, read off the rows,
-        each over its leading coefficient (lc > 0)."""
-        return [_format_row(g, g[max(g)]) for g in self._basis()]
+        each over its leading coefficient (lc > 0), with one monomial table."""
+        texts = _Monomials()
+        return [_format_row(g, g[max(g)], texts) for g in self._basis()]
 
     def leading_monomials(self):
         return tuple(_unpack(max(g)) for g in self._basis())

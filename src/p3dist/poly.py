@@ -133,10 +133,13 @@ def _degree(k):
 def integer_rows(rows):
     """(c, rows'): the least rational c > 0 for which every c*row, row a dict
     of int or Fraction coefficients, has integer coefficients with no common
-    factor, and those integer rows, with the keys kept. A zero row stays
-    empty."""
-    den = lcm(*(c.denominator for row in rows for c in row.values()))
-    rows = [{m: c.numerator * (den // c.denominator) for m, c in row.items()} for row in rows]
+    factor, and those integer rows, with the keys kept: the rows themselves
+    when their coefficients are ints with no common factor. A zero row
+    stays empty."""
+    den = 1
+    if not all(type(c) is int for row in rows for c in row.values()):
+        den = lcm(*(c.denominator for row in rows for c in row.values()))
+        rows = [{m: c.numerator * (den // c.denominator) for m, c in row.items()} for row in rows]
     g = gcd(*(c for row in rows for c in row.values())) or 1
     if g > 1:
         rows = [{m: c // g for m, c in row.items()} for row in rows]
@@ -196,6 +199,9 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.terms,)
 
     # -- constructors ----------------------------------------------------
 

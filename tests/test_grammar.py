@@ -170,7 +170,27 @@ EDGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("text, result", EDGE_CASES)
+# The error cases listed before each case's id was made from its text keep
+# the names pytest gave them by their place in the list, "<text>-result<n>".
+POSITIONAL_IDS = {
+    '1/ 2': 1, '1/2/3': 2, '1/0': 4, '(x-x+1)^21': 9, '2^3': 12, 'x^-1': 13, 'x^y': 14,
+    'x +\n y3': 15, ' ': 16, 'X': 22, '+': 23, 'x*': 24, 'x**y': 25, '(x': 26, 'x)': 27,
+    'x +  \n \n ': 28, 'x0 + 2\n  + y^21': 29, '(x+y)^10 * (x+y)^10 *\n x': 30,
+    "\n" + "(" * 65 + "x" + ")" * 65: 31, 'x^ a': 34, 'x^2^3': 35, 'x5': 36, 'x ^ 21': 37,
+}
+
+
+def edge_case_id(text, result):
+    """A case's id, made from its text, so that adding a case renames no
+    other: the text and its printing, or the text and "error"."""
+    if isinstance(result, str):
+        return f"{text}-{result}"
+    n = POSITIONAL_IDS.get(text)
+    return f"{text}-error" if n is None else f"{text}-result{n}"
+
+
+@pytest.mark.parametrize("text, result", EDGE_CASES,
+                         ids=[edge_case_id(text, result) for text, result in EDGE_CASES])
 def test_edge_cases(text, result):
     if isinstance(result, str):
         assert format_poly(parse_poly(text)) == result

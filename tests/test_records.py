@@ -2,15 +2,18 @@
 import; and the README's library example, run as written."""
 
 import ast
+import copy
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-from p3dist import corpus, distribution
+from p3dist import cli, corpus, distribution, foliation
 from p3dist.distribution import ChernTriple, classify
-from p3dist.exterior import coefficient_ideal
+from p3dist.exterior import ExtForm, VField, coefficient_ideal
 from p3dist.foliation import sing_scheme_v
+from p3dist.grammar import parse_poly
 from p3dist.groebner import Ideal, saturate
 from p3dist.logarithmic import build_log_form
 from p3dist.poly import Poly
@@ -55,6 +58,37 @@ def test_saturated_ideal_hashes_as_its_basis(monkeypatch):
         assert hash(sat) == hash(again) == hash(scaled)
         assert all(g[max(g)] > 0 for g in sat._basis())
     assert len(set(ideals)) == len(ideals)
+
+
+def test_value_types_copy_and_pickle():
+    # each immutable value type rebuilds through its constructor or its
+    # `_of_rows`: a parsed form and field keep their rows, a form built from
+    # Polys its Polys, and an ideal its rows, here after its basis is
+    # computed, or, made by the engine, its reduced basis and Hilbert data
+    omega = corpus.load_oneform("example1")
+    field = corpus.load_vfield("four_points")
+    ideal = coefficient_ideal(omega)
+    ideal._basis()
+    form_report = lambda x: cli.dist_report_doc(classify(x))  # noqa: E731
+    values = [
+        (parse_poly("x0^2 - 1/2 x1*x3"), str),
+        (omega, form_report),
+        (ExtForm.one_form(*omega.one_form_coeffs()), form_report),
+        (field, lambda x: cli.foliation_report_doc(foliation.analyze(x))),
+        (VField(field.components), lambda x: cli.foliation_report_doc(foliation.analyze(x))),
+        (ideal, cli._ideal_doc),
+        (sing_scheme_v(field), cli._ideal_doc),
+    ]
+    copies = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    for x, report in values:
+        want = report(x)
+        for make in copies:
+            y = make(x)
+            assert y is not x and type(y) is type(x)
+            assert y == x and hash(y) == hash(x)
+            assert report(y) == want
+            if isinstance(x, (ExtForm, VField)):
+                assert y._rows == x._rows
 
 
 def test_records_differing_in_one_field_are_unequal():
