@@ -340,6 +340,7 @@ def _contraction(fs, a):
 
 def _radial_minors(fs):
     """The six minors F_i*x_j - F_j*x_i of `minors_against_radial` as packed
-    integer rows, for integer multiples fs of the components F_i of a field."""
-    return [add_row_product({k + _VARS[j]: c for k, c in fs[i].items()}, fs[j], _RADIAL[i], -1)
-            for i, j in combinations(range(NVARS), 2)]
+    integer rows, for integer multiples fs of the components F_i of a field,
+    made one at a time, so that `any` stops at the first nonzero one."""
+    return (add_row_product({k + _VARS[j]: c for k, c in fs[i].items()}, fs[j], _RADIAL[i], -1)
+            for i, j in combinations(range(NVARS), 2))

@@ -4,12 +4,17 @@ Buchberger with a pair heap ordered by the degree and the term order of the
 lcm, the Gebauer-Moller pair criteria, and fraction-free integer reduction
 by `poly.fraction_free_step`, the step of the section spaces too, which
 cancels in place in a row that the reduction owns: `_normal_form_terms`
-and `_regular_form` each copy their row once, on entry. The step divides
-out no content: a row's content is divided out once, by `_engine_form`,
-when the row is kept as a new basis element or a tail-reduced row of a
-reduced basis, and never for a remainder that is zero (a generator that
-enters, which may carry Fractions, by `poly.primitive_row`); reduced
-grevlex bases, and the ideal operations the analysis pipeline needs:
+and `_regular_form` each copy their row once, on entry. A run enters every
+generator before it forms a pair, over QQ by Gauss-Jordan elimination
+(each new leading term is cleared from the rows before it), then forms the
+pairs in entry order with the M and F criteria, and tests the B criterion
+when a pair is popped, against the leading terms added after the pair was
+made. The step divides out no content: a row's content is divided out
+once, by `_engine_form`, when the row is kept as a new basis element or a
+tail-reduced row of a reduced basis, and never for a remainder that is
+zero (a generator that enters, which may carry Fractions, by
+`poly.primitive_row`); reduced grevlex bases, and the ideal operations
+the analysis pipeline needs:
 membership and the saturation by the irrelevant ideal, one saturation by a
 linear form certified by its leading terms, by a monomial test that is
 the Hilbert polynomial's. By x3 it is a Bayer-Stillman reverse-lex
@@ -23,7 +28,8 @@ syzygy and no J-pair reduces to zero. A Buchberger run returns its
 minimal basis, and a caller that keeps rows makes them the reduced basis
 in one ascending pass (`_reduced_basis`): each row, lowest leading term
 first, is reduced by the finished rows below it, as only a lower leading
-term divides a tail term. The eliminations pass only the t-free rows they
+term divides a tail term, and a row none of whose terms they divide is
+kept as it is. The eliminations pass only the t-free rows they
 keep (only a t-free leading term divides a t-free monomial), the
 saturation only the colon it accepts. The tests compare the saturation
 against those.
@@ -32,7 +38,8 @@ of I's reduced basis (`_lt_numerator`), which `hilbert.hilbert` keeps.
 An ideal may carry a certified numerator N, HF_{R/I}(n) >= HF_N(n) for
 n <= deg N (`Ideal._of_rows`): every run of it drops the pairs of degree
 n once its leading terms fill dim R_n - HF_N(n), as they all reduce to
-zero (Traverso's Hilbert-driven stop). A 1-form's coefficient ideal
+zero (Traverso's Hilbert-driven stop), and forms no pair of a degree that
+its generators' leading terms already fill. A 1-form's coefficient ideal
 carries one from its radial and Koszul syzygies
 (`exterior.checked_oneform`), a field's minors the Eagon-Northcott
 numerator (`foliation.sing_scheme_v`).
@@ -77,7 +84,6 @@ from .poly import (
     _degree,
     _unpack,
     add_row_product,
-    dim_graded_piece,
     fraction_free_step,
     primitive_ints,
     primitive_row,
@@ -221,12 +227,19 @@ def _reduced_basis(G):
     first, is reduced fully by the finished rows before it. A tail term lies
     below its row's leading term, so only a lower leading term divides it,
     and the reduced basis is unique, so reducing by the finished rows gives
-    the rows that reducing by all the others would. Each finished row is put
-    in `_engine_form`, so the rows are the ideal's identity."""
+    the rows that reducing by all the others would. A row none of whose
+    terms a finished leading term divides is already reduced and is kept
+    with no normal-form pass, as a run's Gauss-Jordan entry leaves the rows
+    of one-degree generators. Each finished row is put in `_engine_form`,
+    so the rows are the ideal's identity."""
     first = {max(g): g for g in reversed(G)}
-    done = []
+    done, lts = [], []
     for lt in _minimal(first):
-        done.append((lt, _engine_form(_normal_form_terms(first[lt], done, None), None)))
+        g = first[lt]
+        if any(not (d - m) & _GUARDS for m in g for d in lts):
+            g = _normal_form_terms(g, done, None)
+        done.append((lt, _engine_form(g, None)))
+        lts.append(lt)
     return [g for _, g in done]
 
 
@@ -346,15 +359,28 @@ def _buchberger_terms(gens, p=None, cap=None, lower=None):
     a run mod p top-reduces (`_normal_form_terms`), so its rows carry
     unreduced tails, and its callers read their leading terms alone.
 
-    Pairs wait in a heap keyed by (total degree of the lcm, lcm), and by
-    (degree, -lcm) in a capped run's cap degree, so largest lcm first there;
-    they are pruned by the Gebauer-Moller update when an element is added.
+    Every generator enters before any pair is formed, lowest leading term
+    first, reduced by the active rows. Over QQ the entry is Gauss-Jordan:
+    each new leading term is also cleared from the active rows before it,
+    one dict lookup a row, so generators of one degree come out as their
+    reduced row echelon form. A run mod p clears nothing.
     `active` holds the elements whose leading terms divide no other one;
-    they reduce, and only they form new pairs. Every term of an S-polynomial
-    and of its reduction is at most the pair's lcm in the term order, so its
-    degree is at most the lcm's (in the eliminations too: their generators
-    are homogeneous once t has weight 0 or -deg f), and checking each new
-    pair's lcm keeps every exponent in its field.
+    they reduce, and only they form new pairs. The entered elements form
+    their pairs in entry order, each with the elements active before it,
+    and so does each element the run adds: with each active element whose
+    leading term is not coprime to its own, unless the lcm of a later such
+    pair or of a kept one divides the pair's lcm (the M and F criteria of
+    Gebauer and Moller, J. Symbolic Comput. 6, 1988). Pairs wait in a heap
+    keyed by (total degree of the lcm, lcm), and by (degree, -lcm) in a
+    capped run's cap degree, so largest lcm first there. A popped pair goes
+    by their B criterion when the leading term of an element added after
+    the pair was made divides its lcm strictly inside both lcms with the
+    pair's elements, the test their update makes on each add, so the same
+    pairs are reduced. Every term of an S-polynomial and of its reduction
+    is at most the pair's lcm in the term order, so its degree is at most
+    the lcm's (in the eliminations too: their generators are homogeneous
+    once t has weight 0 or -deg f), and checking each new pair's lcm keeps
+    every exponent in its field.
 
     With a degree `cap` and homogeneous gens, pairs are taken up to that
     degree only, and with a bound below too, up to the first bounded degree
@@ -370,33 +396,48 @@ def _buchberger_terms(gens, p=None, cap=None, lower=None):
 
     `lower` is a Hilbert series numerator N with HF_{R/I}(n) >= HF_N(n)
     for n <= deg N, for homogeneous gens over QQ, so dim I_n <= bound[n] =
-    dim R_n - HF_N(n) (Traverso's Hilbert-driven stop, J. Symbolic Comput.
-    22, 1996). The bound holds over GF(p) too for the reduction mod p of
+    dim R_n - HF_N(n), the coefficients of (1 - N)/(1 - t)^4, read by four
+    prefix sums (Traverso's Hilbert-driven stop, J. Symbolic Comput. 22,
+    1996). The bound holds over GF(p) too for the reduction mod p of
     integer gens, as the rank of I_n can only drop mod p. The leading
     terms found span at most dim I_n monomials of degree n, so once they
-    span the bound they span all of LT(I)_n, and every pair left at n
-    reduces to zero: the run drops them. Entering a
-    bounded degree, it counts that degree's leading monomials once, from
-    the last bounded degree's, and adds one per element added there. A
-    count above the bound on entering raises InternalInconsistency; a
-    bound that is too small but not below that count goes unseen, so N
-    must be a theorem (`exterior.checked_oneform` and
-    `foliation.sing_scheme_v` name theirs). Degrees above deg N run
-    unbounded. Uncapped, only where the run stops changes, so the result
-    is the same with or without a valid N.
+    span the bound they span all of LT(I)_n, and every pair of degree n
+    reduces to zero. So, before any pair is formed, the run counts the
+    entered leading terms' monomials (`_lt_piece`) from the lowest degree
+    a pair can have up to the first bounded degree they do not fill, and
+    pushes no pair of a degree below that one; an entered element whose
+    pairs all lie there, of degree at most a + b - 1 for the degrees a of
+    its leading term and b of one entered before it, computes no lcm.
+    Entering any other
+    bounded degree, the run counts its leading monomials once, from the
+    last bounded degree's, adds one per element added there, and drops the
+    degree's pairs once the count meets the bound. A count above the bound
+    raises InternalInconsistency; a bound that is too small but not below
+    that count goes unseen, so N must be a theorem
+    (`exterior.checked_oneform` and `foliation.sing_scheme_v` name
+    theirs). Degrees above deg N run unbounded. Uncapped, only where the
+    run stops changes, so the result is the same with or without a valid N.
     """
     polys, lts, active, basis, pairs = [], [], [], [], []
+    bound = [(n == 0) - c for n, c in enumerate(lower or ())]
+    for _ in range(4):
+        bound = list(itertools.accumulate(bound))
 
-    def add(h):
-        nonlocal active, basis, pairs
-        lt = max(h)
-        new = len(polys)
-        polys.append(h)
-        lts.append(lt)
-        # new pairs (i, new): one goes when the lcm of a later candidate or
-        # of a kept one divides its lcm, unless its leading terms are
-        # coprime; coprime ones are kept for that test, then dropped
-        cands = [(_lcm(lts[i], lt), i) for i in active]
+    def spanned(deg, piece, at):
+        piece = _lt_piece(lts, deg, piece, at)
+        if len(piece) > bound[deg]:
+            raise InternalInconsistency(
+                f"leading terms span {len(piece)} monomials of degree {deg},"
+                f" above the bound {bound[deg]}")
+        return piece
+
+    def form_pairs(new, among):
+        # the pairs (i, new), i in among, the elements active before new:
+        # one goes when the lcm of a later candidate or of a kept one
+        # divides its lcm, unless its leading terms are coprime; coprime
+        # ones are kept for that test, then dropped
+        lt = lts[new]
+        cands = [(_lcm(lts[i], lt), i) for i in among]
         kept = []
         for pos, (l, i) in enumerate(cands):
             coprime = l == lts[i] + lt
@@ -404,49 +445,74 @@ def _buchberger_terms(gens, p=None, cap=None, lower=None):
                 (l2 - l) & _GUARDS for l2, _ in cands[pos + 1:] + kept
             ):
                 kept.append((l, None if coprime else i))
-        # an old pair (i, j) goes when lt divides its lcm strictly inside
-        # both new lcms
-        pairs = [
-            e for e in pairs
-            if (lt - e[2]) & _GUARDS
-            or _lcm(lts[e[3]], lt) == e[2]
-            or _lcm(lts[e[4]], lt) == e[2]
-        ]
         for l, i in kept:
             if i is not None:
                 deg = _bounded(_degree(l))
-                pairs.append((deg, -l if deg == cap else l, l, i, new))
-        heapify(pairs)
-        active = [i for i in active if (lt - lts[i]) & _GUARDS] + [new]
-        basis = [(lts[i], polys[i]) for i in active]
+                if deg >= full:
+                    heappush(pairs, (deg, -l if deg == cap else l, l, i, new))
 
+    def keep(h):
+        # h joins in place of the elements whose leading terms its own
+        # divides; returns the elements active before it
+        nonlocal active, basis
+        among, lt = active, max(h)
+        polys.append(h)
+        lts.append(lt)
+        active = [i for i in active if (lt - lts[i]) & _GUARDS] + [len(lts) - 1]
+        basis = [(lts[i], polys[i]) for i in active]
+        return among
+
+    entered = []
     for g in sorted((_engine_form(g, p) if p else primitive_row(g, max(g)) for g in gens if g),
                     key=max):
         r = _normal_form_terms(g, basis, p)
         if r:
-            add(_engine_form(r, p))
-    bound = {} if lower is None else {
-        n: dim_graded_piece(n) - hilbert_function(lower, n) for n in range(len(lower))}
-    at, filled = None, set()  # the bounded degree being run, its leading monomials
+            h = _engine_form(r, p)
+            lt = max(h)
+            for i in () if p else active:
+                if lt in polys[i]:
+                    fraction_free_step(polys[i], h, lt)
+                    polys[i] = _engine_form(polys[i], None)
+            entered.append(keep(h))
+    # the degrees below `full` are full: from the lowest degree a pair can
+    # have, the entered leading terms fill each up to the bound
+    full, filled, at = 0, set(), None
+    if lts and bound:
+        full = min(map(_degree, lts)) + 1
+        while full < len(bound):
+            filled, at = spanned(full, filled, at), full
+            if len(filled) < bound[full]:
+                break
+            full += 1
+    top = 0  # the largest degree before: new's lcms have degrees below a + top
+    for new, among in enumerate(entered):
+        a = _degree(lts[new])
+        if a + top > full:
+            form_pairs(new, among)
+        top = max(top, a)
+    # at: the bounded degree being run; the first one is counted from the
+    # first degree the entered leading terms do not fill
+    start, at = (filled, at), None
     while pairs and (cap is None or pairs[0][0] <= cap):
         deg, _, l, i, j = heappop(pairs)
-        if deg in bound:
+        lti, ltj = lts[i], lts[j]
+        if any(not (lt - l) & _GUARDS and _lcm(lti, lt) != l and _lcm(ltj, lt) != l
+               for lt in lts[j + 1:]):
+            continue  # the B criterion
+        if deg < len(bound):
             if deg != at:
                 if cap is not None and at is not None and len(filled) < bound[at]:
                     break  # LT(I) falls short of the bound in degree at
-                filled, at = _lt_piece(lts, deg, filled, at), deg
-                if len(filled) > bound[deg]:
-                    raise InternalInconsistency(
-                        f"leading terms span {len(filled)} monomials of degree {deg},"
-                        f" above the bound {bound[deg]}")
+                filled, at = spanned(deg, *(start if at is None else (filled, at))), deg
             if len(filled) == bound[deg]:
                 continue  # LT(I) is full in this degree: the pair reduces to zero
-        si = l - lts[i]
+        si = l - lti
         s = {k + si: c for k, c in polys[i].items()}
-        fraction_free_step(s, polys[j], l, l - lts[j], p)
+        fraction_free_step(s, polys[j], l, l - ltj, p)
         r = _normal_form_terms(s, basis, p)
         if r:
-            add(_engine_form(r, p))
+            among = keep(_engine_form(r, p))
+            form_pairs(len(lts) - 1, among)
             if deg == at:
                 filled.add(lts[-1])
     return [polys[i] for i in active]

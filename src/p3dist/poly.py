@@ -73,7 +73,10 @@ def primitive_ints(row, lead=None):
 
 def primitive_row(row, lead=None):
     """A nonzero row of rationals scaled to a primitive integer row whose
-    entry at the key `lead`, by default the smallest key, is positive."""
+    entry at the key `lead`, by default the smallest key, is positive: a
+    row of ints by `primitive_ints` alone, with no lcm of denominators."""
+    if all(type(c) is int for c in row.values()):
+        return primitive_ints(row, lead)
     den = lcm(*(c.denominator for c in row.values()))
     return primitive_ints({k: c.numerator * (den // c.denominator) for k, c in row.items()}, lead)
 

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,30 @@ def random_nonzero_poly(rng, degree, nterms=4, coeff_range=5):
         p = random_poly(rng, degree, nterms, coeff_range)
         if not p.is_zero():
             return p
+
+
+@pytest.fixture(scope="session")
+def benchmark_inputs(tmp_path_factory):
+    """A JSON file of the benchmark's inputs at seeds 1 to 3, built once a
+    session by `perfbench/run.py` from the root of the checkout, which the
+    dense-forms corpus is read from: {workload: {seed: [[kind, doc], ...]}}.
+    The scripts that run the worker's ops in a fresh interpreter read it.
+    The inputs do not depend on the hash seed."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "perfbench"))
+    import run
+
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        inputs = {workload: {seed: [[item["kind"], item["doc"]] for item in run.build_items(workload, seed)]
+                             for seed in (1, 2, 3)}
+                  for workload in sorted(run.WORKLOADS)}
+    finally:
+        os.chdir(cwd)
+    path = tmp_path_factory.mktemp("benchmark") / "inputs.json"
+    path.write_text(json.dumps(inputs), encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 """The benchmark's reports are pinned like the CLI's: one sha256 per
 workload over every input at seeds 1 to 3, each report made by
 `perfbench/worker.py`'s ops as a benchmark pass makes it. The inputs are
-built by `perfbench/run.py` and the ops run in a fresh interpreter with the
-worker's hash seed. Nothing under `perfbench/` is written."""
+built by `perfbench/run.py` once a session (the `benchmark_inputs` fixture)
+and the ops run in a fresh interpreter with the worker's hash seed. Nothing
+under `perfbench/` is written."""
 
 import json
 import os
@@ -20,16 +21,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path.cwd() / "perfbench"))
 import p3dist
-import run
 import worker
 
+inputs = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8"))
 digests = {}
-for workload in sorted(run.WORKLOADS):
+for workload in sorted(inputs):
     h = hashlib.sha256()
-    for seed in (1, 2, 3):
-        for item in run.build_items(workload, seed):
+    for seed in ("1", "2", "3"):
+        for kind, doc in inputs[workload][seed]:
             try:
-                out, err = worker.OPS[item["kind"]](json.dumps(item["doc"]), worker._NoTrace()), None
+                out, err = worker.OPS[kind](json.dumps(doc), worker._NoTrace()), None
             except p3dist.P3DistError as exc:
                 out, err = None, f"{type(exc).__name__}: {exc}"
             h.update(json.dumps([out, err]).encode())
@@ -47,14 +48,14 @@ BENCH_REPORT_SHA256 = {
 }
 
 
-def test_benchmark_reports_pinned():
+def test_benchmark_reports_pinned(benchmark_inputs):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env["PYTHONHASHSEED"] = "0"
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+        [sys.executable, "-c", SCRIPT, str(benchmark_inputs)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ monomials than the bound ends it. Any strategy finds the same leading terms
 of I_p in each degree it completes, so the minimal leading terms agree.
 """
 
+import functools
 import os
 import sys
 from heapq import heappop, heappush
@@ -112,9 +113,17 @@ def run_leading_terms(rows, **kwargs):
     return sorted(max(g) for g in groebner._buchberger_terms(rows, groebner.PRIME, **kwargs))
 
 
+@functools.cache
+def _sections_coeffs():
+    return tuple(tuple(item["doc"]["coeffs"])
+                 for seed in range(1, 11) for item in perfbench_run.build_items("sections", seed))
+
+
 def sections_forms():
-    return [ExtForm.one_form(*map(parse_poly, item["doc"]["coeffs"]))
-            for seed in range(1, 11) for item in perfbench_run.build_items("sections", seed)]
+    """The forty sections forms of seeds 1-10, parsed afresh on each call,
+    so that no test sees what another computed on them; their texts are
+    built once."""
+    return [ExtForm.one_form(*map(parse_poly, coeffs)) for coeffs in _sections_coeffs()]
 
 
 def test_capped_runs_against_the_oracle():

@@ -5,8 +5,9 @@ the ParseErrors of the Match-based parser in `grammar_oracle` on about
 3. The row printer, which shares one monomial table between the rows of an
 ideal or row set, gives `format_poly` of the row's Poly on every row the
 benchmark's four workloads print at seed 1. The benchmark's inputs are
-built by `perfbench/run.py` and its ops run in a fresh interpreter; nothing
-under `perfbench/` is written."""
+built by `perfbench/run.py` once a session (the `benchmark_inputs` fixture)
+and its ops run in a fresh interpreter; nothing under `perfbench/` is
+written."""
 
 import json
 import os
@@ -41,7 +42,6 @@ import p3dist
 from p3dist import cli, groebner
 from p3dist.exterior import _rows_of
 from p3dist.grammar import _Monomials
-import run
 import worker
 
 printed = []
@@ -68,16 +68,16 @@ def sections(omega):
 
 
 p3dist.compute_tF = sections
+inputs = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8"))
 texts, counts = [], {}
-for workload in sorted(run.WORKLOADS):
-    for seed in (1, 2, 3):
-        for item in run.build_items(workload, seed):
-            doc = item["doc"]
+for workload in sorted(inputs):
+    for seed in ("1", "2", "3"):
+        for kind, doc in inputs[workload][seed]:
             texts += [t for key in ("coeffs", "components", "polys") for t in doc.get(key, ())]
-            if seed == 1:
+            if seed == "1":
                 before = len(printed)
                 try:
-                    worker.OPS[item["kind"]](json.dumps(doc), worker._NoTrace())
+                    worker.OPS[kind](json.dumps(doc), worker._NoTrace())
                 except p3dist.P3DistError:
                     pass
                 counts[workload] = counts.get(workload, 0) + len(printed) - before
@@ -86,12 +86,12 @@ print(json.dumps({"texts": texts, "printed": printed, "counts": counts}))
 
 
 @pytest.fixture(scope="module")
-def benchmark_text():
+def benchmark_text(benchmark_inputs):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(benchmark_inputs)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
